@@ -10,8 +10,8 @@ finite-difference oracle).
 """
 
 from .expressions import (
-    Expression, parse, to_string, differentiate, evaluate, substitute,
-    equivalent,
+    Expression, parse, to_string, differentiate, evaluate,
+    compile_expressions, substitute, equivalent,
 )
 from .model import (
     PowerU, ShiftedPowerU, ExpU, ReciprocalShift, FreeD,

@@ -8,7 +8,9 @@ structural normalization.
 """
 from __future__ import annotations
 
+import operator
 import re
+import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -18,7 +20,8 @@ __all__ = [
     "Expression", "Num", "Sym", "Neg", "Call", "Add", "Sub", "Mul", "Div", "Pow",
     "num", "sym", "add", "sub", "mul", "div", "pow_", "neg", "call",
     "ZERO", "ONE", "FUNCTIONS", "DEFAULT_SAMPLING_RANGES",
-    "parse", "to_string", "differentiate", "evaluate", "substitute", "equivalent",
+    "parse", "to_string", "differentiate", "evaluate", "compile_expressions",
+    "substitute", "equivalent",
     "sample_bindings",
     "ExpressionError", "ParseError", "UnknownFunctionError",
     "UnboundSymbolError", "NoAdmissibleSampleError",
@@ -300,7 +303,7 @@ def call(fn: str, a) -> Expression:
     a = _coerce(a)
     if isinstance(a, Num):
         with np.errstate(all="ignore"):
-            v = _apply_fn(fn, np.float64(a.value))
+            v = _OPS[fn](np.float64(a.value))
         folded = _fold(float(v))
         if folded is not None:
             return folded
@@ -595,19 +598,31 @@ def substitute(e: Expression, mapping: Mapping[str, Union[Expression, float]]
 # ---------------------------------------------------------------------------
 # evaluation
 
+#: the numpy operation at each interior node, by node type or function name.
+#: ``evaluate`` and ``compile_expressions`` both read it, so both apply the
+#: same operations and give bit-identical results under IEEE semantics.
+_OPS = {
+    Neg: operator.neg, Add: operator.add, Sub: operator.sub,
+    Mul: operator.mul, Div: operator.truediv, Pow: operator.pow,
+    "exp": np.exp, "ln": np.log, "abs": np.abs, "arctan": np.arctan,
+    "sign": np.sign,
+}
 
-def _apply_fn(fn: str, v):
-    if fn == "exp":
-        return np.exp(v)
-    if fn == "ln":
-        return np.log(v)
-    if fn == "abs":
-        return np.abs(v)
-    if fn == "arctan":
-        return np.arctan(v)
-    if fn == "sign":
-        return np.sign(v)
-    raise ExpressionError(f"unknown function {fn!r}")
+
+def _op(e: Expression):
+    """The operation applied at the interior node ``e``."""
+    key = e.fn if isinstance(e, Call) else type(e)
+    try:
+        return _OPS[key]
+    except KeyError:
+        if isinstance(e, Call):
+            raise ExpressionError(f"unknown function {e.fn!r}") from None
+        raise TypeError(f"not an expression: {e!r}") from None
+
+
+def _float64_values(bindings: Mapping[str, object]) -> dict:
+    return {k: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray)
+            else np.float64(v) for k, v in bindings.items()}
 
 
 def evaluate(e: Expression, bindings: Mapping[str, object]):
@@ -616,12 +631,7 @@ def evaluate(e: Expression, bindings: Mapping[str, object]):
     Bindings may be scalars or numpy arrays (broadcast together); the
     result has the broadcast shape.  Every free symbol must be bound.
     """
-    values = {}
-    for k, v in bindings.items():
-        if isinstance(v, np.ndarray):
-            values[k] = np.asarray(v, dtype=np.float64)
-        else:
-            values[k] = np.float64(v)
+    values = _float64_values(bindings)
     memo: dict[int, object] = {}
 
     def ev(e: Expression):
@@ -635,27 +645,104 @@ def evaluate(e: Expression, bindings: Mapping[str, object]):
                 r = values[e.name]
             except KeyError:
                 raise UnboundSymbolError(f"unbound symbol {e.name!r}") from None
-        elif isinstance(e, Neg):
-            r = -ev(e.arg)
-        elif isinstance(e, Call):
-            r = _apply_fn(e.fn, ev(e.arg))
-        elif isinstance(e, Add):
-            r = ev(e.left) + ev(e.right)
-        elif isinstance(e, Sub):
-            r = ev(e.left) - ev(e.right)
-        elif isinstance(e, Mul):
-            r = ev(e.left) * ev(e.right)
-        elif isinstance(e, Div):
-            r = ev(e.left) / ev(e.right)
-        elif isinstance(e, Pow):
-            r = ev(e.left) ** ev(e.right)
+        elif isinstance(e, _Binary):
+            r = _OPS[type(e)](ev(e.left), ev(e.right))
         else:
-            raise TypeError(f"not an expression: {e!r}")
+            r = _op(e)(ev(e.arg))
         memo[key] = r
         return r
 
     with np.errstate(all="ignore"):
         return ev(e)
+
+
+def compile_expressions(*exprs: Expression):
+    """Compile expressions once for repeated evaluation on new bindings.
+
+    The trees are walked once.  Every structurally equal subtree, within
+    one expression or across several, gets one register and is computed
+    once per call, as one step ``(out, op, a, b)`` of a flat tape.  The
+    returned function takes the same bindings as :func:`evaluate` and
+    returns a tuple with one float64 value per expression, each broadcast
+    to the shape of all the bindings together; arrays returned are fresh
+    and writable.  It applies the same numpy operations as
+    :func:`evaluate`, so the values are bit-identical.
+    An unbound symbol raises :class:`UnboundSymbolError` when the function
+    is called.
+
+    Compiling costs about as much as one :func:`evaluate` call, so use
+    this where the same expressions are evaluated many times, and
+    :func:`evaluate` for a one-shot value.
+    """
+    constants: list = []     # per register: its constant, or None
+    symbols: dict = {}       # symbol name -> register
+    steps: list = []         # (out, op, a, b); b is None for unary ops
+    numbered: dict = {}      # structural key -> register
+    walked: dict = {}        # id(node) -> register, so shared nodes walk once
+
+    def register(e: Expression) -> int:
+        r = walked.get(id(e))
+        if r is not None:
+            return r
+        if isinstance(e, _Binary):
+            key = (_OPS[type(e)], register(e.left), register(e.right))
+        elif isinstance(e, Num):
+            # bits, not the float: Num(0.0) and Num(-0.0) compare equal
+            key = (Num, struct.pack("<d", e.value))
+        elif isinstance(e, Sym):
+            key = (Sym, e.name)
+        else:
+            key = (_op(e), register(e.arg), None)
+        r = numbered.get(key)
+        if r is None:
+            r = numbered[key] = len(constants)
+            if isinstance(e, Num):
+                constants.append(np.float64(e.value))
+            else:
+                constants.append(None)
+                if isinstance(e, Sym):
+                    symbols[e.name] = r
+                else:
+                    steps.append((r, *key))
+        walked[id(e)] = r
+        return r
+
+    registers = [register(e) for e in exprs]
+    computed = {out for out, *_ in steps}
+    outputs = []
+    for r in registers:
+        # an output array may be returned as it is only if a step made it,
+        # and only once; bound arrays and repeats are copied
+        outputs.append((r, r in computed))
+        computed.discard(r)
+    slots = tuple(symbols.items())
+
+    def run(bindings: Mapping[str, object]) -> tuple:
+        values = _float64_values(bindings)
+        shape = ()
+        for v in values.values():
+            if v.shape != shape:
+                shape = np.broadcast_shapes(shape, v.shape) if shape else v.shape
+        regs = constants.copy()
+        for name, r in slots:
+            try:
+                regs[r] = values[name]
+            except KeyError:
+                raise UnboundSymbolError(f"unbound symbol {name!r}") from None
+        with np.errstate(all="ignore"):
+            for out, op, a, b in steps:
+                regs[out] = op(regs[a]) if b is None else op(regs[a], regs[b])
+        results = []
+        for r, fresh in outputs:
+            v = regs[r]
+            if v.shape != shape:
+                v = np.broadcast_to(v, shape).copy()
+            elif not fresh and isinstance(v, np.ndarray):
+                v = v.copy()
+            results.append(v)
+        return tuple(results)
+
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,12 @@ The solver is a conservative second-order discretization of
 source h(x_i) u_i, and explicit Euler stepping (implicit Euler with a
 damped fixed-point iteration behind a flag).  Singular coefficients are
 handled by domain restriction only; blow-up aborts loudly.
+
+Every expression evaluated more than once (D in the step loop, the
+Dirichlet boundary values, the reduced-ODE right-hand side inside RK4 and
+shooting, the sampled residual) is compiled once per call with
+:func:`~finsym.expressions.compile_expressions`, so no loop walks an
+expression tree.  The tape gives the same bits as ``evaluate``.
 """
 from __future__ import annotations
 
@@ -13,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expression, differentiate, evaluate, mul, parse, sub, substitute
+from .expressions import (
+    Expression, compile_expressions, differentiate, mul, parse, sub, substitute,
+)
 from .model import FinEquation, ModelError, Solution, validate
 
 __all__ = [
@@ -101,21 +109,16 @@ class Field:
         out.write("t,x,u\n")
         for k, t in enumerate(self.times):
             for j, xv in enumerate(self.x):
-                out.write(f"{t!r},{xv!r},{self.values[k, j]!r}\n")
+                out.write(f"{float(t)!r},{float(xv)!r},"
+                          f"{float(self.values[k, j])!r}\n")
         return out.getvalue() if stream is None else ""
 
 
-def _eval_on(expr: Expression, **arrays) -> np.ndarray:
-    shape = np.broadcast_shapes(*(np.shape(v) for v in arrays.values()))
-    return np.broadcast_to(
-        np.asarray(evaluate(expr, arrays), dtype=np.float64), shape).copy()
-
-
-def _max_abs_d(eq: FinEquation, u0: np.ndarray) -> float:
+def _max_abs_d(d_at, u0: np.ndarray) -> float:
     lo, hi = float(np.min(u0)), float(np.max(u0))
     pad = 0.1 * (hi - lo + 1e-12)
     us = np.linspace(lo - pad, hi + pad, 101)
-    dv = _eval_on(eq.d_expr(), u=us)
+    (dv,) = d_at({"u": us})
     dv = dv[np.isfinite(dv)]
     if dv.size == 0:
         raise CoefficientFailure("D not evaluable on the initial data range")
@@ -135,15 +138,14 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     validate(eq)
     xs = grid.nodes()
     dx = grid.dx
-    u = _eval_on(initial, x=xs)
+    u, h_nodes = compile_expressions(initial, eq.h_expr())({"x": xs})
     if not np.all(np.isfinite(u)):
         raise NumericError("initial data not finite on the grid")
-
-    h_nodes = _eval_on(eq.h_expr(), x=xs)
     if not np.all(np.isfinite(h_nodes)):
         raise CoefficientFailure("h not evaluable at a node")
 
-    max_d = _max_abs_d(eq, u)
+    d_at = compile_expressions(eq.d_expr())
+    max_d = _max_abs_d(d_at, u)
     dt_stable = STABILITY_FACTOR * dx * dx / max(max_d, 1e-300)
 
     if grid.t_final == 0:
@@ -161,11 +163,13 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     store_every = max(1, n_steps // max(1, n_store - 1))
     times = [0.0]
     levels = [u.copy()]
-    d_expr = eq.d_expr()
+    dirichlet = isinstance(boundary, DirichletBC)
+    if dirichlet:
+        boundary_at = compile_expressions(boundary.left, boundary.right)
 
     def rate(v: np.ndarray, t_next: float) -> np.ndarray:
         mid = 0.5 * (v[:-1] + v[1:])
-        d_half = _eval_on(d_expr, u=mid)
+        (d_half,) = d_at({"u": mid})
         if not np.all(np.isfinite(d_half)):
             raise CoefficientFailure("D evaluation failed (NaN) at a node")
         flux = d_half * (v[1:] - v[:-1]) / dx  # D u_x at interfaces
@@ -181,15 +185,16 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     t = 0.0
     for step in range(1, n_steps + 1):
         t_next = step * dt if step < n_steps else grid.t_final
+        if dirichlet:
+            left, right = map(float, boundary_at({"t": t_next}))
         if method == "explicit":
             u_next = u + dt * rate(u, t_next)
         elif method == "implicit":
             u_next = u.copy()
             for _ in range(max_iter):
                 candidate = u + dt * rate(u_next, t_next)
-                if isinstance(boundary, DirichletBC):
-                    candidate[0] = float(_eval_on(boundary.left, t=t_next))
-                    candidate[-1] = float(_eval_on(boundary.right, t=t_next))
+                if dirichlet:
+                    candidate[0], candidate[-1] = left, right
                 new = (1 - theta) * u_next + theta * candidate
                 delta = float(np.max(np.abs(new - u_next)))
                 u_next = new
@@ -198,9 +203,8 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
         else:
             raise NumericError(f"unknown method {method!r}")
 
-        if isinstance(boundary, DirichletBC):
-            u_next[0] = float(_eval_on(boundary.left, t=t_next))
-            u_next[-1] = float(_eval_on(boundary.right, t=t_next))
+        if dirichlet:
+            u_next[0], u_next[-1] = left, right
 
         if not np.all(np.isfinite(u_next)) \
                 or float(np.max(np.abs(u_next))) > BLOWUP_THRESHOLD:
@@ -222,13 +226,14 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
 
 def _phi_ww_rhs(residual: Expression):
     """Solve a reduced-equation residual, linear in phi_ww, for phi_ww."""
-    at0 = substitute(residual, {"phi_ww": 0.0})
-    at1 = substitute(residual, {"phi_ww": 1.0})
+    # one tape: the two residuals share every subtree without phi_ww
+    at = compile_expressions(substitute(residual, {"phi_ww": 0.0}),
+                             substitute(residual, {"phi_ww": 1.0}))
 
     def rhs(w: float, phi: float, phi_w: float) -> float:
-        bindings = {"w": w, "phi": phi, "phi_w": phi_w}
-        b = float(evaluate(at0, bindings))
-        a = float(evaluate(at1, bindings)) - b
+        at0, at1 = at({"w": w, "phi": phi, "phi_w": phi_w})
+        b = float(at0)
+        a = float(at1) - b
         if not np.isfinite(a) or a == 0.0:
             raise NumericError(
                 f"reduced equation is degenerate in phi_ww at w={w:g}")
@@ -325,18 +330,17 @@ def pde_residual_grid(eq: FinEquation, s: Solution, region, samples: int = 100,
         raise ModelError(
             f"solution has unbound parameters: {list(s.parameters)}")
     (t0, t1), (x0, x1) = region
-    resid = pde_residual_expression(eq, s.expr)
-    u_t = differentiate(s.expr, "t")
-    hu = mul(eq.h_expr(), s.expr)
+    at = compile_expressions(pde_residual_expression(eq, s.expr),
+                             differentiate(s.expr, "t"),
+                             mul(eq.h_expr(), s.expr))
     rng = np.random.default_rng(seed)
     worst = 0.0
     found = 0
     for _ in range(8):
         ts = rng.uniform(t0, t1, size=samples)
         xs = rng.uniform(x0, x1, size=samples)
-        r = _eval_on(resid, t=ts, x=xs)
-        scale = 1.0 + np.abs(_eval_on(u_t, t=ts, x=xs)) \
-            + np.abs(_eval_on(hu, t=ts, x=xs))
+        r, u_t, hu = at({"t": ts, "x": xs})
+        scale = 1.0 + np.abs(u_t) + np.abs(hu)
         finite = np.isfinite(r) & np.isfinite(scale)
         if not finite.any():
             continue

@@ -6,9 +6,21 @@ import pytest
 from finsym.expressions import (
     Mul, Neg, Num, Pow, Sym,
     NoAdmissibleSampleError, ParseError, UnboundSymbolError,
-    UnknownFunctionError, differentiate, equivalent, evaluate, parse,
-    substitute, sym, to_string,
+    UnknownFunctionError, compile_expressions, differentiate, equivalent,
+    evaluate, parse, substitute, sym, to_string,
 )
+
+
+def _tape(e, bindings):
+    """``e`` through a compiled tape, checked bit for bit against evaluate."""
+    (got,) = compile_expressions(e)(bindings)
+    want = np.broadcast_to(evaluate(e, bindings), np.shape(got))
+    assert np.asarray(got).dtype == np.float64
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    return got
+
+
+EVALUATORS = (evaluate, _tape)
 
 
 def test_parse_power_of_symbols():
@@ -108,32 +120,69 @@ def test_differentiate_with_dependencies():
 
 
 def test_evaluate_examples():
-    assert evaluate(parse("x^2+p"), {"x": 2, "p": 1}) == 5.0
-    # frozen: direct evaluation of the p=0 profile at x=1, q=1, eps=1
-    v = evaluate(parse("exp(-q/x)"), {"q": 1.0, "x": 1.0})
-    assert abs(v - math.exp(-1)) < 1e-15
-    assert v == pytest.approx(0.3678794412, abs=1e-10)
-    assert evaluate(parse("sign(u)"), {"u": 0.0}) == 0.0
+    for ev in EVALUATORS:
+        assert ev(parse("x^2+p"), {"x": 2, "p": 1}) == 5.0
+        # frozen: direct evaluation of the p=0 profile at x=1, q=1, eps=1
+        v = ev(parse("exp(-q/x)"), {"q": 1.0, "x": 1.0})
+        assert abs(v - math.exp(-1)) < 1e-15
+        assert v == pytest.approx(0.3678794412, abs=1e-10)
+        assert ev(parse("sign(u)"), {"u": 0.0}) == 0.0
 
 
 def test_evaluate_ieee_semantics():
-    assert np.isinf(evaluate(parse("1/x"), {"x": 0.0}))
-    assert np.isnan(evaluate(parse("ln(x)"), {"x": -1.0}))
-    assert np.isnan(evaluate(parse("x^0.5"), {"x": -4.0}))
-    assert np.isnan(evaluate(parse("(-8)^(1/3)"), {}))
-    assert evaluate(parse("(-8)^3"), {}) == -512.0
-    assert np.isinf(evaluate(parse("exp(x)"), {"x": 1000.0}))
+    for ev in EVALUATORS:
+        assert np.isinf(ev(parse("1/x"), {"x": 0.0}))
+        assert np.isnan(ev(parse("ln(x)"), {"x": -1.0}))
+        assert np.isnan(ev(parse("x^0.5"), {"x": -4.0}))
+        assert np.isnan(ev(parse("(-8)^(1/3)"), {}))
+        assert ev(parse("(-8)^3"), {}) == -512.0
+        assert np.isinf(ev(parse("exp(x)"), {"x": 1000.0}))
 
 
 def test_evaluate_vectorized():
     xs = np.linspace(0.5, 2.0, 7)
-    vals = evaluate(parse("x^2+1"), {"x": xs})
-    assert np.allclose(vals, xs ** 2 + 1)
+    for ev in EVALUATORS:
+        vals = ev(parse("x^2+1"), {"x": xs})
+        assert np.allclose(vals, xs ** 2 + 1)
+    # a derivative tree with shared subtrees, including non-finite points
+    e = parse("ln(x-1)*abs(u)^n/(x-u)+arctan(exp(-u/x))").diff("x").diff("u")
+    us = np.linspace(-1.0, 2.0, 7)
+    _tape(e, {"x": xs, "u": us, "n": 1.5})
+    _tape(e, {"x": 1.5, "u": us, "n": 2.0})
 
 
 def test_evaluate_unbound_symbol():
+    for ev in EVALUATORS:
+        with pytest.raises(UnboundSymbolError):
+            ev(parse("x+y"), {"x": 1.0})
+    run = compile_expressions(parse("x+y"))  # raises only when called
     with pytest.raises(UnboundSymbolError):
-        evaluate(parse("x+y"), {"x": 1.0})
+        run({"x": np.ones(3)})
+
+
+def test_compile_broadcasts_to_the_bindings_shape():
+    xs = np.linspace(0.5, 2.0, 7)
+    run = compile_expressions(parse("2"), parse("x"), parse("t*3"),
+                              parse("t*x"), parse("t*x"))
+    outs = run({"t": 0.5, "x": xs})
+    for v in outs:
+        assert isinstance(v, np.ndarray) and v.dtype == np.float64
+        assert v.shape == (7,) and v.flags.writeable
+    assert np.all(outs[0] == 2.0) and np.all(outs[2] == 1.5)
+    assert np.array_equal(outs[1], xs) and not np.shares_memory(outs[1], xs)
+    assert np.array_equal(outs[3], 0.5 * xs)
+    assert np.array_equal(outs[4], outs[3])
+    assert not np.shares_memory(outs[3], outs[4])
+    # scalar bindings give shape (); no bindings at all, too
+    assert [np.shape(v) for v in run({"t": 1.0, "x": 2.0})] == [()] * 5
+    (c,) = compile_expressions(parse("2"))({})
+    assert np.shape(c) == () and c == 2.0
+
+
+def test_compile_keeps_signed_zeros_apart():
+    run = compile_expressions(Num(1.0) / Num(0.0), Num(1.0) / Num(-0.0))
+    pos, neg = run({})
+    assert pos == np.inf and neg == -np.inf
 
 
 def test_substitute_simultaneous():

@@ -6,8 +6,8 @@ from finsym.model import (
     ConstantH, FinEquation, FreeH, ModelError, PowerU, PowerX, Solution,
 )
 from finsym.numeric import (
-    BlowUpError, DirichletBC, Grid, NoFluxBC, NumericError, StabilityError,
-    pde_residual_grid, solve_pde,
+    BlowUpError, CoefficientFailure, DirichletBC, Grid, NoFluxBC,
+    NumericError, StabilityError, pde_residual_grid, solve_pde,
 )
 
 EQ4 = FinEquation(PowerU(1), PowerX(1, -1))  # stationary solution x^3/15
@@ -61,6 +61,14 @@ def test_implicit_accepts_larger_steps():
     assert float(np.max(np.abs(f.values[-1] - exact))) <= 1e-3
 
 
+def test_nan_diffusivity_raises_coefficient_failure():
+    # D = u^0.5 is NaN at the midpoints where the initial data go negative
+    eq = FinEquation(PowerU(0.5), PowerX(1, -1))
+    for bc in (NoFluxBC(), DirichletBC(parse("-0.5"), parse("0.5"))):
+        with pytest.raises(CoefficientFailure):
+            solve_pde(eq, parse("x-1.5"), bc, Grid(1.0, 2.0, 21, 0.01))
+
+
 def test_blow_up_aborts_with_partial_field():
     eq = FinEquation(PowerU(1), ConstantH(60.0))
     g = Grid(0.0, 1.0, 9, 1.0)
@@ -85,6 +93,9 @@ def test_csv_export_format():
     lines = text.strip().splitlines()
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + 21
+    for j, line in enumerate(lines[1:]):
+        t, x, u = map(float, line.split(","))  # plain numbers only
+        assert (t, x, u) == (0.0, f.x[j], f.values[0, j])
 
 
 def test_residual_grid_exact_solutions():
@@ -153,3 +164,15 @@ def test_reduced_ode_guards():
     with pytest.raises(NumericError):
         shoot_reduced_ode(ode, 0.5 ** 6 / 225.0, 2.0, 2.0 ** 6 / 225.0,
                           slope_bracket=(0.05, 0.1))
+
+
+def test_reduced_ode_without_phi_ww_is_degenerate():
+    from dataclasses import replace
+
+    from finsym.numeric import integrate_reduced_ode
+    from finsym.reductions import build_reduction
+
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    first_order = replace(r, reduced=parse("phi_w-w*phi"))
+    with pytest.raises(NumericError, match="degenerate in phi_ww"):
+        integrate_reduced_ode(first_order, 1.0, 0.0, 2.0)
