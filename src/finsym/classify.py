@@ -16,16 +16,14 @@ import numpy as np
 
 from .expressions import Expression, add, call, evaluate, mul, neg, num, pow_, sym
 from .model import (
-    ConstantH, ExpU, ExpX, FinEquation, H1, InverseSquareX, ModelError,
-    PowerU, PowerX, ReciprocalShift, ShiftedPowerU, VectorField,
-    h1_expression, is_four_thirds, validate,
+    D_T, D_X, DShape, FinEquation, FreeD, FreeH, HShape, ModelError,
+    VectorField, _num_out, h1_expression, is_four_thirds, validate,
 )
-from .model import D_T, D_X
 
 __all__ = [
     "ClassificationResult", "classify", "h1_closed_form",
-    "DShape", "HShape", "fit_d_shape", "fit_h_shape", "ClassifyError",
-    "FIT_SAMPLES", "FIT_TOL",
+    "DShape", "HShape", "fit_d_shape", "fit_h_shape", "spec_shape",
+    "ClassifyError", "FIT_SAMPLES", "FIT_TOL",
 ]
 
 FIT_SAMPLES = 50
@@ -48,45 +46,22 @@ def h1_closed_form(p: int, q: float, eps: int) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# shape descriptors
-
-
-@dataclass(frozen=True)
-class DShape:
-    kind: str              # "power" | "shifted" | "exp" | "arbitrary"
-    coeff: float = 1.0
-    n: float = 0.0
-    beta: float = 0.0
-    k: float = 1.0
-
-
-@dataclass(frozen=True)
-class HShape:
-    kind: str              # "zero" | "const" | "power" | "exp" | "h1" | "arbitrary"
-    coeff: float = 0.0
-    q: float = 0.0
-    k: float = 1.0
-    p: int = 0
-    shift: float = 0.0
+# shapes of free-form coefficients
 
 
 _ARBITRARY_D = DShape("arbitrary")
 _ARBITRARY_H = HShape("arbitrary")
 
 
-def _samples(expr: Expression, var: str, rng, lo=0.5, hi=3.0,
-             count=FIT_SAMPLES):
-    xs = rng.uniform(lo, hi, size=count)
-    vals = np.broadcast_to(
-        np.asarray(evaluate(expr, {var: xs}), dtype=np.float64), (count,))
-    return xs, vals
-
-
-def _verified(expr: Expression, candidate: Expression, var: str, xs) -> bool:
-    got = np.broadcast_to(
+def _values(expr: Expression, var: str, xs) -> np.ndarray:
+    """``expr`` at the sample points, as float64 of their shape."""
+    return np.broadcast_to(
         np.asarray(evaluate(expr, {var: xs}), dtype=np.float64), xs.shape)
-    want = np.broadcast_to(
-        np.asarray(evaluate(candidate, {var: xs}), dtype=np.float64), xs.shape)
+
+
+def _verified(got, candidate: Expression, var: str, xs) -> bool:
+    """Whether ``candidate`` matches the sampled values ``got``."""
+    want = _values(candidate, var, xs)
     finite = np.isfinite(got) & np.isfinite(want)
     if finite.sum() < max(8, xs.size // 2):
         return False
@@ -106,7 +81,7 @@ def _ratio_fit(xs, vals, dvals, degree_mask):
     cols = [xs[ok] ** d for d in degree_mask]
     a = np.stack(cols, axis=1)
     coeffs, *_ = np.linalg.lstsq(a, z, rcond=None)
-    return coeffs, ok
+    return coeffs
 
 
 def _median_coeff(vals, shape_vals):
@@ -116,49 +91,58 @@ def _median_coeff(vals, shape_vals):
     return float(np.median(vals[ok] / shape_vals[ok]))
 
 
+def _exp_fit(var: str, xs, vals, dvals):
+    """(c, k) when the samples fit c*e^(k v): their ratio to the derivative
+    is constant."""
+    fit = _ratio_fit(xs, vals, dvals, (0,))
+    if fit is None or fit[0] == 0:
+        return None
+    k = 1.0 / fit[0]
+    c = _median_coeff(vals, np.exp(k * xs))
+    if c is None or not _verified(
+            vals, mul(num(c), call("exp", mul(num(k), sym(var)))), var, xs):
+        return None
+    return c, k
+
+
+def _power_fit(var: str, xs, vals, dvals):
+    """(c, n, s) when the samples fit c*(v+s)^n: their ratio to the
+    derivative is linear.  A shift within 1e-9 of 0 is returned as 0."""
+    fit = _ratio_fit(xs, vals, dvals, (0, 1))
+    if fit is None or fit[1] == 0:
+        return None
+    g, a = fit
+    n = 1.0 / a
+    s = g / a
+    with np.errstate(all="ignore"):
+        shape = (xs + s) ** n
+    c = _median_coeff(vals, shape)
+    if c is None or not _verified(
+            vals, mul(num(c), pow_(add(sym(var), num(s)), num(n))), var, xs):
+        return None
+    return c, n, 0.0 if abs(s) <= 1e-9 else s
+
+
 def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
     """Match a u-expression against c*e^(k u) and c*(u+beta)^n."""
-    rng = np.random.default_rng(seed)
-    xs, vals = _samples(expr, "u", rng)
-    dvals = np.broadcast_to(
-        np.asarray(evaluate(expr.diff("u"), {"u": xs}), dtype=np.float64),
-        xs.shape)
-
-    # exponential: D/D' constant
-    fit = _ratio_fit(xs, vals, dvals, (0,))
-    if fit is not None:
-        (g,), _ = fit
-        if g != 0:
-            k = 1.0 / g
-            shape = np.exp(k * xs)
-            c = _median_coeff(vals, shape)
-            if c is not None and _verified(expr, mul(num(c), call("exp", mul(num(k), _U))), "u", xs):
-                return DShape("exp", coeff=c, k=k)
-
-    # power / shifted power: D/D' linear in u
-    fit = _ratio_fit(xs, vals, dvals, (0, 1))
-    if fit is not None:
-        (g, a), _ = fit
-        if a != 0:
-            n = 1.0 / a
-            beta = g / a
-            with np.errstate(all="ignore"):
-                shape = (xs + beta) ** n
-            c = _median_coeff(vals, shape)
-            if c is not None:
-                cand = mul(num(c), pow_(add(_U, num(beta)), num(n)))
-                if _verified(expr, cand, "u", xs):
-                    if abs(beta) <= 1e-9:
-                        return DShape("power", coeff=c, n=n)
-                    return DShape("shifted", coeff=c, n=n, beta=beta)
+    xs = np.random.default_rng(seed).uniform(0.5, 3.0, size=FIT_SAMPLES)
+    vals = _values(expr, "u", xs)
+    dvals = _values(expr.diff("u"), "u", xs)
+    exp = _exp_fit("u", xs, vals, dvals)
+    if exp is not None:
+        return DShape("exp", coeff=exp[0], k=exp[1])
+    power = _power_fit("u", xs, vals, dvals)
+    if power is not None:
+        c, n, beta = power
+        return DShape("shifted" if beta else "power", coeff=c, n=n, beta=beta)
     return _ARBITRARY_D
 
 
 def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     """Match an x-expression against 0, const, c*(x+s)^q, c*e^(kx) and the
     integral profile c*h1(x+s; p, q)."""
-    rng = np.random.default_rng(seed)
-    xs, vals = _samples(expr, "x", rng)
+    xs = np.random.default_rng(seed).uniform(0.5, 3.0, size=FIT_SAMPLES)
+    vals = _values(expr, "x", xs)
     finite = np.isfinite(vals)
     if finite.sum() < 8:
         return _ARBITRARY_H
@@ -169,42 +153,19 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     if spread <= 1e-12 * (1 + vmax):
         return HShape("const", coeff=float(np.median(vals[finite])))
 
-    dvals = np.broadcast_to(
-        np.asarray(evaluate(expr.diff("x"), {"x": xs}), dtype=np.float64),
-        xs.shape)
-
-    # exponential: h/h' constant
-    fit = _ratio_fit(xs, vals, dvals, (0,))
-    if fit is not None:
-        (g,), _ = fit
-        if g != 0:
-            k = 1.0 / g
-            c = _median_coeff(vals, np.exp(k * xs))
-            if c is not None and _verified(
-                    expr, mul(num(c), call("exp", mul(num(k), _X))), "x", xs):
-                return HShape("exp", coeff=c, k=k)
-
-    # power: h/h' linear in x
-    fit = _ratio_fit(xs, vals, dvals, (0, 1))
-    if fit is not None:
-        (g, a), _ = fit
-        if a != 0:
-            q = 1.0 / a
-            s = g / a
-            with np.errstate(all="ignore"):
-                shape = (xs + s) ** q
-            c = _median_coeff(vals, shape)
-            if c is not None:
-                cand = mul(num(c), pow_(add(_X, num(s)), num(q)))
-                if _verified(expr, cand, "x", xs):
-                    if abs(s) <= 1e-9:
-                        s = 0.0
-                    return HShape("power", coeff=c, q=q, shift=s)
+    dvals = _values(expr.diff("x"), "x", xs)
+    exp = _exp_fit("x", xs, vals, dvals)
+    if exp is not None:
+        return HShape("exp", coeff=exp[0], k=exp[1])
+    power = _power_fit("x", xs, vals, dvals)
+    if power is not None:
+        c, q, s = power
+        return HShape("power", coeff=c, q=q, shift=s)
 
     # integral profile: h/h' quadratic in x, ((x+s)^2 + p)/q with p in {-1,0,1}
     fit = _ratio_fit(xs, vals, dvals, (0, 1, 2))
     if fit is not None:
-        (g, a, b), _ = fit
+        g, a, b = fit
         if b != 0:
             q = 1.0 / b
             s = a * q / 2.0
@@ -212,47 +173,22 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
             p = int(round(p_hat))
             if p in (-1, 0, 1) and abs(p_hat - p) <= 1e-6:
                 base = h1_expression(p, q, 1, var=add(_X, num(s)))
-                shape = np.broadcast_to(
-                    np.asarray(evaluate(base, {"x": xs}), dtype=np.float64),
-                    xs.shape)
-                c = _median_coeff(vals, shape)
-                if c is not None and _verified(expr, mul(num(c), base), "x", xs):
+                c = _median_coeff(vals, _values(base, "x", xs))
+                if c is not None and _verified(vals, mul(num(c), base), "x", xs):
                     if abs(s) <= 1e-9:
                         s = 0.0
                     return HShape("h1", coeff=c, q=q, p=p, shift=s)
     return _ARBITRARY_H
 
 
-def _d_shape(eq: FinEquation, seed: int) -> DShape:
-    d = eq.D
-    if isinstance(d, PowerU):
-        return DShape("power", n=d.n)
-    if isinstance(d, ShiftedPowerU):
-        if d.alpha == 0:
-            return DShape("power", n=d.n)
-        return DShape("shifted", n=d.n, beta=float(d.alpha))
-    if isinstance(d, ReciprocalShift):
-        return DShape("shifted", n=-1.0, beta=1.0)
-    if isinstance(d, ExpU):
-        return DShape("exp", k=1.0)
-    return fit_d_shape(d.expr, seed)
-
-
-def _h_shape(eq: FinEquation, seed: int) -> HShape:
-    h = eq.h
-    if isinstance(h, ConstantH):
-        return HShape("zero") if h.c == 0 else HShape("const", coeff=h.c)
-    if isinstance(h, PowerX):
-        if h.q == 0:
-            return HShape("const", coeff=float(h.eps))
-        return HShape("power", coeff=float(h.eps), q=h.q)
-    if isinstance(h, InverseSquareX):
-        return HShape("power", coeff=1.0, q=-2.0)
-    if isinstance(h, ExpX):
-        return HShape("exp", coeff=float(h.eps), k=1.0)
-    if isinstance(h, H1):
-        return HShape("h1", coeff=float(h.eps), q=h.q, p=h.p)
-    return fit_h_shape(h.expr, seed)
+def spec_shape(spec, seed: int = 42) -> DShape | HShape:
+    """The normalized shape of a D or h spec: read off a tagged family, or
+    fitted on seeded samples for a free-form expression."""
+    if isinstance(spec, FreeD):
+        return fit_d_shape(spec.expr, seed)
+    if isinstance(spec, FreeH):
+        return fit_h_shape(spec.expr, seed)
+    return spec.shape()
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +203,9 @@ class ClassificationResult:
     note: str | None = None
 
     def to_json(self) -> dict:
-        def out(v):
-            f = float(v)
-            return int(f) if f == int(f) and abs(f) < 1e15 else f
         return {
             "case": self.case,
-            "params": {k: out(v) for k, v in self.params.items()},
+            "params": {k: _num_out(v) for k, v in self.params.items()},
             "basis": [vf.to_string() for vf in self.basis],
             "note": self.note,
         }
@@ -312,8 +245,8 @@ def classify(eq: FinEquation, seed: int = 42) -> ClassificationResult:
     renormalization is applied to the equation itself).
     """
     validate(eq, seed)
-    d = _d_shape(eq, seed)
-    h = _h_shape(eq, seed + 1)
+    d = spec_shape(eq.D, seed)
+    h = spec_shape(eq.h, seed + 1)
     u = _U
     notes: list = []
     _notes_d(d, notes)
@@ -330,8 +263,8 @@ def classify(eq: FinEquation, seed: int = 42) -> ClassificationResult:
         return ClassificationResult(case, params, tuple(basis),
                                     "; ".join(notes) or None)
 
-    if h.kind in ("const", "zero"):
-        c = h.coeff if h.kind == "const" else 0.0
+    c = h.constant()
+    if c is not None:
         if c != 0.0:
             eps = _sign(c) * eps_flip
             if d.kind == "shifted" and abs(d.n + 1.0) <= 1e-9:

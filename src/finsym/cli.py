@@ -20,7 +20,8 @@ from .equivalence import (
 )
 from .expressions import ExpressionError, parse
 from .model import (
-    ModelError, Solution, VectorField, equation_to_json, load_equation_file,
+    ModelError, Solution, VectorField, equation_to_json, equations_equal,
+    load_equation_file,
 )
 from .numeric import (
     DirichletBC, Grid, NoFluxBC, NumericError, pde_residual_grid, solve_pde,
@@ -28,7 +29,6 @@ from .numeric import (
 from .reductions import (
     RealityError, build_reduction, exact_solution, nonclassical_equation,
 )
-from .model import equations_equal
 from .symmetry import symmetry_residual
 
 EXIT_OK = 0
@@ -58,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "u_t = (D(u) u_x)_x + h(x) u")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--eq", required=True, help="equation JSON file")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="machine-readable output")
@@ -66,28 +68,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9)
         return p
 
-    common(sub.add_parser("classify", help="table case and symmetry basis"))
-    common(sub.add_parser("symmetries", help="symmetry basis only"))
+    common("classify", _cmd_classify, "table case and symmetry basis"
+           ).set_defaults(basis_only=False)
+    common("symmetries", _cmd_classify, "symmetry basis only"
+           ).set_defaults(basis_only=True)
 
-    p = common(sub.add_parser("verify-symmetry",
-                              help="check a candidate generator"))
+    p = common("verify-symmetry", _cmd_verify_symmetry,
+               "check a candidate generator")
     p.add_argument("--field", required=True,
                    help="three ';'-separated coefficients: tau;xi;eta")
 
-    p = common(sub.add_parser("transform", help="apply a named map"))
+    p = common("transform", _cmd_transform, "apply a named map")
     p.add_argument("--map", required=True, dest="map_label",
                    choices=sorted(ADDITIONAL_MAP_LABELS))
 
-    p = common(sub.add_parser("reduce", help="similarity reduction"))
+    p = common("reduce", _cmd_reduce, "similarity reduction")
     p.add_argument("--case", type=int, default=None)
     p.add_argument("--sub", required=True, choices=["0", "1", "2"])
 
-    common(sub.add_parser("exact", help="closed-form solution + residual"))
+    common("exact", _cmd_exact, "closed-form solution + residual")
 
-    common(sub.add_parser("conserve",
-                          help="conservation laws + divergence check"))
+    common("conserve", _cmd_conserve, "conservation laws + divergence check")
 
-    p = common(sub.add_parser("simulate", help="finite-difference run, CSV"))
+    p = common("simulate", _cmd_simulate, "finite-difference run, CSV")
     p.add_argument("--initial", required=True, help="u(x) at t=0")
     p.add_argument("--left", help="left Dirichlet value as expression in t")
     p.add_argument("--right", help="right Dirichlet value as expression in t")
@@ -100,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["explicit", "implicit"],
                    default="explicit")
 
-    p = common(sub.add_parser("residual",
-                              help="max PDE residual of a candidate u(t,x)"))
+    p = common("residual", _cmd_residual,
+               "max PDE residual of a candidate u(t,x)")
     p.add_argument("--solution", required=True)
     p.add_argument("--t-range", default="0.1,1")
     p.add_argument("--x-range", default="0.5,2")
@@ -124,11 +127,11 @@ def _pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _cmd_classify(args, basis_only: bool) -> int:
+def _cmd_classify(args) -> int:
     eq, _ = load_equation_file(args.eq)
     result = classify(eq, seed=args.seed)
     doc = result.to_json()
-    if basis_only:
+    if args.basis_only:
         doc = {"basis": doc["basis"]}
     _emit(doc, args.as_json)
     return EXIT_OK
@@ -192,10 +195,9 @@ def _cmd_exact(args) -> int:
                 f"no exact solution catalog for case {result.case}")
         solution = exact_solution(result.case, {**result.params, **params})
         case_label = result.case
-    from .model import H1
     t_hi = 1.0
     x_lo, x_hi = 0.5, 2.0
-    if case_label == 6 and isinstance(eq.h, H1) and eq.h.p == -1:
+    if case_label == 6 and eq.h.family == "h1" and eq.h.p == -1:
         x_lo, x_hi = 1.3, 3.0
     residual = pde_residual_grid(eq, solution, ((0.0, t_hi), (x_lo, x_hi)),
                                  samples=100, seed=args.seed)
@@ -257,26 +259,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        if args.command == "classify":
-            return _cmd_classify(args, basis_only=False)
-        if args.command == "symmetries":
-            return _cmd_classify(args, basis_only=True)
-        if args.command == "verify-symmetry":
-            return _cmd_verify_symmetry(args)
-        if args.command == "transform":
-            return _cmd_transform(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "exact":
-            return _cmd_exact(args)
-        if args.command == "conserve":
-            return _cmd_conserve(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "residual":
-            return _cmd_residual(args)
-        print(f"error: unknown command {args.command!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.func(args)
     except (ModelError, ExpressionError, RealityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

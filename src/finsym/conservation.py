@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import spec_shape
 from .expressions import (
     Expression, add, call, differentiate, div, evaluate, mul, neg, num,
     pow_, sub, sym, to_string,
 )
-from .model import (
-    ConstantH, ExpU, FinEquation, FreeD, FreeH, ModelError, PowerU, PowerX,
-    ReciprocalShift, ShiftedPowerU, validate,
-)
+from .model import DShape, FinEquation, ModelError, validate
 from .numeric import Field, Grid, NoFluxBC, solve_pde
 from .symmetry import JetResidual
 
@@ -52,53 +50,28 @@ class ConservationLaw:
                 "characteristic": to_string(self.characteristic)}
 
 
-def _antiderivative(spec) -> Expression:
-    """Antiderivative of D in u, integration constant fixed to 0."""
-    if isinstance(spec, PowerU):
-        if abs(spec.n + 1.0) <= 1e-12:
-            return call("ln", _U)
-        return div(pow_(_U, num(spec.n + 1.0)), num(spec.n + 1.0))
-    if isinstance(spec, ShiftedPowerU):
-        shifted = add(_U, num(spec.alpha)) if spec.alpha else _U
-        if abs(spec.n + 1.0) <= 1e-12:
-            return call("ln", shifted)
-        return div(pow_(shifted, num(spec.n + 1.0)), num(spec.n + 1.0))
-    if isinstance(spec, ExpU):
+def _antiderivative(d: DShape) -> Expression:
+    """Antiderivative in u of a tagged D, integration constant fixed to 0."""
+    if d.kind == "exp":
         return call("exp", _U)
-    if isinstance(spec, ReciprocalShift):
-        return call("ln", add(_U, num(1)))
-    raise AntiderivativeError(
-        "antiderivative unavailable for a free-form diffusion spec")
-
-
-def _constant_h(eq: FinEquation):
-    h = eq.h
-    if isinstance(h, ConstantH):
-        return h.c
-    if isinstance(h, PowerX) and h.q == 0:
-        return float(h.eps)
-    if isinstance(h, FreeH):
-        from .classify import fit_h_shape
-        shape = fit_h_shape(h.expr, seed=11)
-        if shape.kind == "zero":
-            return 0.0
-        if shape.kind == "const":
-            return shape.coeff
-    return None
+    base = add(_U, num(d.beta))
+    if abs(d.n + 1.0) <= 1e-12:
+        return call("ln", base)
+    return div(pow_(base, num(d.n + 1.0)), num(d.n + 1.0))
 
 
 def conservation_laws(eq: FinEquation) -> list[ConservationLaw]:
     """The two basis laws when h is constant, the empty list otherwise."""
     validate(eq)
-    c = _constant_h(eq)
+    c = spec_shape(eq.h, seed=11).constant()
     if c is None:
         return []
-    if isinstance(eq.D, FreeD):
+    if eq.D.family == "free":
         raise AntiderivativeError(
             "antiderivative unavailable: free-form D with constant h")
     decay = call("exp", mul(num(-c), _T))  # folds to 1 when c = 0
     d = eq.d_expr()
-    int_d = _antiderivative(eq.D)
+    int_d = _antiderivative(eq.D.shape())
     law_x = ConservationLaw(
         density=mul(_X, mul(decay, _U)),
         flux=mul(decay, add(neg(mul(_X, mul(d, _U_X))), int_d)),

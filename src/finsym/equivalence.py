@@ -13,19 +13,19 @@ plain group does not, and one map exits the class entirely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import fit_d_shape, fit_h_shape
+from .classify import fit_d_shape, fit_h_shape, spec_shape
 from .expressions import (
     Expression, Num, ZERO, add, call, div, mul, num, pow_, sub,
     substitute, sym, to_string,
 )
 from .model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, ModelError,
-    PowerU, PowerX, ReciprocalShift, ShiftedPowerU, Solution,
-    VectorField, is_four_thirds, validate,
+    PowerU, PowerX, ShiftedPowerU, Solution, VectorField, is_four_thirds,
+    validate,
 )
 
 __all__ = [
@@ -269,45 +269,13 @@ def make_group_element(family: str, deltas, sign: int = 1,
 
 
 def _h_const_value(eq: FinEquation, seed: int = 11):
-    h = eq.h
-    if isinstance(h, ConstantH):
-        return h.c
-    if isinstance(h, PowerX) and h.q == 0:
-        return float(h.eps)
-    if isinstance(h, FreeH):
-        shape = fit_h_shape(h.expr, seed)
-        if shape.kind == "zero":
-            return 0.0
-        if shape.kind == "const":
-            return shape.coeff
-    return None
+    return spec_shape(eq.h, seed).constant()
 
 
 def _d_power_exponent(eq: FinEquation, seed: int = 11):
     """Exponent n when D is exactly u^n (unit coefficient), else None."""
-    d = eq.D
-    if isinstance(d, PowerU):
-        return d.n
-    if isinstance(d, ShiftedPowerU) and d.alpha == 0:
-        return d.n
-    if isinstance(d, FreeD):
-        shape = fit_d_shape(d.expr, seed)
-        if shape.kind == "power" and abs(shape.coeff - 1) <= 1e-9:
-            return shape.n
-    return None
-
-
-def _d_is_recip_shift(eq: FinEquation, seed: int = 11) -> bool:
-    d = eq.D
-    if isinstance(d, ReciprocalShift):
-        return True
-    if isinstance(d, ShiftedPowerU):
-        return abs(d.n + 1) <= 1e-9 and d.alpha == 1
-    if isinstance(d, FreeD):
-        shape = fit_d_shape(d.expr, seed)
-        return (shape.kind == "shifted" and abs(shape.coeff - 1) <= 1e-9
-                and abs(shape.n + 1) <= 1e-9 and abs(shape.beta - 1) <= 1e-9)
-    return False
+    d = spec_shape(eq.D, seed)
+    return d.n if d.kind == "power" and abs(d.coeff - 1) <= 1e-9 else None
 
 
 def _check_condition(T: PointTransformation, eq: FinEquation):
@@ -338,7 +306,9 @@ def _check_condition(T: PointTransformation, eq: FinEquation):
         return
     if cond == "recip_const":
         req = dict(T.requires)
-        if not _d_is_recip_shift(eq):
+        d = spec_shape(eq.D, 11)
+        if not (d.kind == "shifted" and abs(d.coeff - 1) <= 1e-9
+                and abs(d.n + 1) <= 1e-9 and abs(d.beta - 1) <= 1e-9):
             raise ConditionError("map is conditional on D = (u+1)^(-1)")
         c = _h_const_value(eq)
         if c is None or abs(c - req["h_const"]) > 1e-9:
@@ -355,11 +325,9 @@ def _retag_d(expr: Expression, seed: int = 13):
     shape = fit_d_shape(expr, seed)
     if shape.kind == "power" and abs(shape.coeff - 1) <= 1e-9:
         return PowerU(shape.n)
-    if shape.kind == "shifted" and abs(shape.coeff - 1) <= 1e-9:
-        if abs(shape.beta - 1) <= 1e-9:
-            return ShiftedPowerU(shape.n, 1.0)
-        if abs(shape.beta) <= 1e-9:
-            return PowerU(shape.n)
+    if shape.kind == "shifted" and abs(shape.coeff - 1) <= 1e-9 \
+            and abs(shape.beta - 1) <= 1e-9:
+        return ShiftedPowerU(shape.n, 1.0)
     if shape.kind == "exp" and abs(shape.coeff - 1) <= 1e-9 \
             and abs(shape.k - 1) <= 1e-9:
         return ExpU()
@@ -370,10 +338,8 @@ def _retag_h(expr: Expression, seed: int = 13):
     if isinstance(expr, Num):
         return ConstantH(expr.value)
     shape = fit_h_shape(expr, seed)
-    if shape.kind == "zero":
-        return ConstantH(0.0)
-    if shape.kind == "const":
-        return ConstantH(shape.coeff)
+    if shape.constant() is not None:
+        return ConstantH(shape.constant())
     if shape.kind == "power" and abs(abs(shape.coeff) - 1) <= 1e-9 \
             and shape.shift == 0.0:
         return PowerX(shape.q, 1 if shape.coeff > 0 else -1)
@@ -460,12 +426,12 @@ def additional_equivalence(case_from: int, params: dict):
                 "case 6 with p=1 maps to case 4 only over the complex field")
         if p == 0:
             T = make_group_element("G1", (1, 0, 0, 1, 1, 0), sign=1)
-            T = _relabel(T, "6p0-to-5")
+            T = replace(T, label="6p0-to-5")
             return T, (5, {"n": _FOUR_THIRDS, "eps": eps})
         if p == -1:
             r = _INV_SQRT2
             T = make_group_element("G1", (1, 0, r, -r, r, r), sign=1)
-            T = _relabel(T, "6pm1-to-4")
+            T = replace(T, label="6pm1-to-4")
             return T, (4, {"n": _FOUR_THIRDS, "q": q / 2.0, "eps": eps})
         raise EquivalenceError("case 6 requires p in {-1, 0, 1}")
 
@@ -475,7 +441,7 @@ def additional_equivalence(case_from: int, params: dict):
             raise NoAdditionalMapError(
                 f"case {case_from} with alpha=0 is already in normal form")
         T = make_group_element("G2", (1, 0, 1, 0, 1, alpha))
-        T = _relabel(T, f"{case_from}a-to-{case_from}")
+        T = replace(T, label=f"{case_from}a-to-{case_from}")
         if case_from == 11:
             n = float(params["n"])
             return T, (11, {"n": n, "alpha": 0.0})
@@ -486,7 +452,7 @@ def additional_equivalence(case_from: int, params: dict):
         n = _FOUR_THIRDS if case_from == 12 else float(params["n"])
         source = FinEquation(PowerU(n), ConstantH(float(eps)))
         T = make_group_element("G3", (1, 0, 1, 0, 1), eq=source)
-        T = _relabel(T, f"{case_from}-to-{11 if case_from == 10 else 13}")
+        T = replace(T, label=f"{case_from}-to-{11 if case_from == 10 else 13}")
         if case_from == 10:
             return T, (11, {"n": n, "alpha": 0.0})
         return T, (13, {"alpha": 0.0})
@@ -511,16 +477,6 @@ def additional_equivalence(case_from: int, params: dict):
         return T, None
 
     raise NoAdditionalMapError(f"no additional map for case {case_from}")
-
-
-def _relabel(T: PointTransformation, label: str) -> PointTransformation:
-    return PointTransformation(
-        label=label, t_new=T.t_new, x_new=T.x_new, u_new=T.u_new,
-        t_old=T.t_old, x_old=T.x_old, u_old=T.u_old,
-        d_rule=T.d_rule, h_rule=T.h_rule, condition=T.condition,
-        requires=T.requires, outside_class=T.outside_class,
-        family=T.family, deltas=T.deltas, sign=T.sign,
-        domain_note=T.domain_note)
 
 
 def map_by_label(label: str, params: dict):

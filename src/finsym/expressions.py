@@ -22,7 +22,7 @@ __all__ = [
     "ZERO", "ONE", "FUNCTIONS", "DEFAULT_SAMPLING_RANGES",
     "parse", "to_string", "differentiate", "evaluate", "compile_expressions",
     "substitute", "equivalent",
-    "sample_bindings",
+    "sample_bindings", "sample_finite",
     "ExpressionError", "ParseError", "UnknownFunctionError",
     "UnboundSymbolError", "NoAdmissibleSampleError",
 ]
@@ -763,45 +763,51 @@ def sample_bindings(symbols, rng, count: int, ranges=None):
             for s, (lo, hi) in sorted(resolved.items())}
 
 
+def sample_finite(fn, symbols, seed: int, count: int, need: int,
+                  rounds: int, ranges=None):
+    """Seeded sampling kernel of the randomized zero tests.
+
+    Draws up to ``rounds`` rounds of ``count`` points from
+    ``default_rng(seed)`` with :func:`sample_bindings`, and calls ``fn`` on
+    each round's bindings; ``fn`` returns two arrays of shape ``(count,)``.
+    Keeps, in draw order, the points where both are finite, and stops after
+    the round that brings the points kept to ``need``.  Returns the two
+    arrays at the kept points, empty when no point was finite.
+    """
+    rng = np.random.default_rng(seed)
+    kept_a, kept_b = [], []
+    for _ in range(rounds):
+        a, b = fn(sample_bindings(symbols, rng, count, ranges))
+        finite = np.isfinite(a) & np.isfinite(b)
+        kept_a.append(a[finite])
+        kept_b.append(b[finite])
+        need -= int(np.count_nonzero(finite))
+        if need <= 0:
+            break
+    return np.concatenate(kept_a), np.concatenate(kept_b)
+
+
 def equivalent(a: Expression, b: Expression, seed: int = 0, trials: int = 50,
                tol: float = 1e-9, ranges=None) -> bool:
-    """Randomized equality test: ``|a-b| <= tol*(1+|a|+|b|)`` at every
-    sampled point where both sides are finite.
+    """Randomized equality test: ``|a-b| <= tol*(1+|a|+|b|)`` at the first
+    ``trials`` sampled points where both sides are finite.
 
     Sampling is seeded and reproducible.  Points where either side is
     non-finite are resampled a bounded number of times; if no admissible
     point is ever found, :class:`NoAdmissibleSampleError` is raised.
     """
-    symbols = sorted(a.free_symbols() | b.free_symbols())
-    rng = np.random.default_rng(seed)
-    if not symbols:
-        va = float(evaluate(a, {}))
-        vb = float(evaluate(b, {}))
-        if not (np.isfinite(va) and np.isfinite(vb)):
-            raise NoAdmissibleSampleError("constant expressions not finite")
-        return abs(va - vb) <= tol * (1.0 + abs(va) + abs(vb))
+    batch = max(4 * trials, 16)
 
-    accepted = 0
-    ok = True
-    for _ in range(10):
-        batch = max(4 * trials, 16)
-        bindings = sample_bindings(symbols, rng, batch, ranges)
-        va = np.broadcast_to(np.asarray(evaluate(a, bindings), dtype=np.float64),
-                             (batch,))
-        vb = np.broadcast_to(np.asarray(evaluate(b, bindings), dtype=np.float64),
-                             (batch,))
-        finite = np.isfinite(va) & np.isfinite(vb)
-        if not finite.any():
-            continue
-        fa, fb = va[finite], vb[finite]
-        take = min(trials - accepted, fa.size)
-        fa, fb = fa[:take], fb[:take]
-        ok = ok and bool(np.all(np.abs(fa - fb)
-                                <= tol * (1.0 + np.abs(fa) + np.abs(fb))))
-        accepted += take
-        if accepted >= trials:
-            return ok
-    if accepted == 0:
+    def sides(bindings):
+        return tuple(np.broadcast_to(np.asarray(evaluate(e, bindings),
+                                                dtype=np.float64), (batch,))
+                     for e in (a, b))
+
+    symbols = sorted(a.free_symbols() | b.free_symbols())
+    va, vb = sample_finite(sides, symbols, seed, batch, need=trials,
+                           rounds=10, ranges=ranges)
+    if va.size == 0:
         raise NoAdmissibleSampleError(
             "no admissible sample: all trials hit non-finite values")
-    return ok
+    va, vb = va[:trials], vb[:trials]
+    return bool(np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va) + np.abs(vb))))

@@ -7,7 +7,8 @@ are immutable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -20,7 +21,8 @@ from .expressions import (
 __all__ = [
     "PowerU", "ShiftedPowerU", "ExpU", "ReciprocalShift", "FreeD",
     "PowerX", "ExpX", "InverseSquareX", "ConstantH", "H1", "FreeH",
-    "DSpec", "HSpec", "FinEquation", "VectorField", "Solution",
+    "DShape", "HShape", "DSpec", "HSpec", "FinEquation", "VectorField",
+    "Solution",
     "validate", "is_four_thirds", "h1_expression",
     "spec_to_json", "spec_from_json", "equation_to_json", "equation_from_json",
     "load_equation_file", "equations_equal",
@@ -56,6 +58,33 @@ def is_four_thirds(n: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# normalized shapes: the structure the classification table is keyed on
+
+
+@dataclass(frozen=True)
+class DShape:
+    kind: str              # "power" | "shifted" | "exp" | "arbitrary"
+    coeff: float = 1.0
+    n: float = 0.0
+    beta: float = 0.0
+    k: float = 1.0
+
+
+@dataclass(frozen=True)
+class HShape:
+    kind: str              # "zero" | "const" | "power" | "exp" | "h1" | "arbitrary"
+    coeff: float = 0.0
+    q: float = 0.0
+    k: float = 1.0
+    p: int = 0
+    shift: float = 0.0
+
+    def constant(self) -> float | None:
+        """The value of a constant profile (0 included); None when h varies."""
+        return self.coeff if self.kind in ("zero", "const") else None
+
+
+# ---------------------------------------------------------------------------
 # diffusion coefficient specs (functions of u)
 
 
@@ -69,6 +98,9 @@ class PowerU:
     def expression(self) -> Expression:
         return pow_(_U, num(self.n))
 
+    def shape(self) -> DShape:
+        return DShape("power", n=self.n)
+
 
 @dataclass(frozen=True)
 class ShiftedPowerU:
@@ -81,6 +113,11 @@ class ShiftedPowerU:
     def expression(self) -> Expression:
         return pow_(add(_U, num(self.alpha)), num(self.n))
 
+    def shape(self) -> DShape:
+        if self.alpha == 0:
+            return DShape("power", n=self.n)
+        return DShape("shifted", n=self.n, beta=float(self.alpha))
+
 
 @dataclass(frozen=True)
 class ExpU:
@@ -91,6 +128,9 @@ class ExpU:
     def expression(self) -> Expression:
         return call("exp", _U)
 
+    def shape(self) -> DShape:
+        return DShape("exp", k=1.0)
+
 
 @dataclass(frozen=True)
 class ReciprocalShift:
@@ -100,6 +140,9 @@ class ReciprocalShift:
 
     def expression(self) -> Expression:
         return pow_(add(_U, ONE), num(-1))
+
+    def shape(self) -> DShape:
+        return DShape("shifted", n=-1.0, beta=1.0)
 
 
 @dataclass(frozen=True)
@@ -129,6 +172,11 @@ class PowerX:
         body = pow_(_X, num(self.q))
         return body if self.eps > 0 else neg(body)
 
+    def shape(self) -> HShape:
+        if self.q == 0:
+            return HShape("const", coeff=float(self.eps))
+        return HShape("power", coeff=float(self.eps), q=self.q)
+
 
 @dataclass(frozen=True)
 class ExpX:
@@ -141,6 +189,9 @@ class ExpX:
         body = call("exp", _X)
         return body if self.eps > 0 else neg(body)
 
+    def shape(self) -> HShape:
+        return HShape("exp", coeff=float(self.eps), k=1.0)
+
 
 @dataclass(frozen=True)
 class InverseSquareX:
@@ -150,6 +201,9 @@ class InverseSquareX:
 
     def expression(self) -> Expression:
         return pow_(_X, num(-2))
+
+    def shape(self) -> HShape:
+        return HShape("power", coeff=1.0, q=-2.0)
 
 
 @dataclass(frozen=True)
@@ -161,6 +215,9 @@ class ConstantH:
 
     def expression(self) -> Expression:
         return num(self.c)
+
+    def shape(self) -> HShape:
+        return HShape("zero") if self.c == 0 else HShape("const", coeff=self.c)
 
 
 def h1_expression(p: int, q: float, eps: int, var: Expression | None = None
@@ -194,6 +251,9 @@ class H1:
     def expression(self) -> Expression:
         return h1_expression(self.p, self.q, self.eps)
 
+    def shape(self) -> HShape:
+        return HShape("h1", coeff=float(self.eps), q=self.q, p=self.p)
+
 
 @dataclass(frozen=True)
 class FreeH:
@@ -209,8 +269,14 @@ class FreeH:
 DSpec = Union[PowerU, ShiftedPowerU, ExpU, ReciprocalShift, FreeD]
 HSpec = Union[PowerX, ExpX, InverseSquareX, ConstantH, H1, FreeH]
 
-_D_KINDS = (PowerU, ShiftedPowerU, ExpU, ReciprocalShift, FreeD)
-_H_KINDS = (PowerX, ExpX, InverseSquareX, ConstantH, H1, FreeH)
+#: the tagged families of D ('u') and h ('x') by their JSON "family" tag
+_FAMILIES = {
+    "u": {c.family: c for c in (PowerU, ShiftedPowerU, ExpU, ReciprocalShift)},
+    "x": {c.family: c for c in (PowerX, ExpX, InverseSquareX, ConstantH, H1)},
+}
+_FREE = {"u": FreeD, "x": FreeH}
+_D_KINDS = (*_FAMILIES["u"].values(), FreeD)
+_H_KINDS = (*_FAMILIES["x"].values(), FreeH)
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +428,12 @@ def _num_out(v: float):
 
 
 def spec_to_json(spec) -> dict:
-    if isinstance(spec, PowerU):
-        return {"family": "power_u", "n": _num_out(spec.n)}
-    if isinstance(spec, ShiftedPowerU):
-        return {"family": "shifted_power_u", "n": _num_out(spec.n),
-                "alpha": _num_out(spec.alpha)}
-    if isinstance(spec, ExpU):
-        return {"family": "exp_u"}
-    if isinstance(spec, ReciprocalShift):
-        return {"family": "reciprocal_shift"}
-    if isinstance(spec, PowerX):
-        return {"family": "power_x", "q": _num_out(spec.q),
-                "eps": int(spec.eps)}
-    if isinstance(spec, ExpX):
-        return {"family": "exp_x", "eps": int(spec.eps)}
-    if isinstance(spec, InverseSquareX):
-        return {"family": "inverse_square_x"}
-    if isinstance(spec, ConstantH):
-        return {"family": "constant", "c": _num_out(spec.c)}
-    if isinstance(spec, H1):
-        return {"family": "h1", "p": int(spec.p), "q": _num_out(spec.q),
-                "eps": int(spec.eps)}
     if isinstance(spec, (FreeD, FreeH)):
         return {"expr": to_string(spec.expr)}
-    raise SchemaError(f"not a coefficient spec: {spec!r}")
+    if not isinstance(spec, _D_KINDS + _H_KINDS):
+        raise SchemaError(f"not a coefficient spec: {spec!r}")
+    return {"family": spec.family,
+            **{name: _num_out(v) for name, v in vars(spec).items()}}
 
 
 def _require_keys(obj: dict, required: set, what: str):
@@ -395,45 +443,36 @@ def _require_keys(obj: dict, required: set, what: str):
                           f"got {sorted(keys)}")
 
 
+def _number(obj: dict, field) -> float | int:
+    """A spec parameter read from JSON: a finite number that is not a bool,
+    and a whole number for an integer field."""
+    value, integral = obj[field.name], field.type == "int"
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max
+            or integral and value != int(value)):
+        expected = "an integer" if integral else "a finite number"
+        raise SchemaError(f"{obj['family']}.{field.name} must be {expected}, "
+                          f"got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def spec_from_json(obj: dict, kind: str):
-    """Decode a D ('u') or h ('x') spec; unknown keys are rejected."""
+    """Decode a D ('u') or h ('x') spec; unknown keys and malformed
+    parameters are rejected."""
     if not isinstance(obj, dict):
         raise SchemaError("coefficient spec must be an object")
     if "expr" in obj:
         _require_keys(obj, {"expr"}, "free spec")
-        expr = parse(obj["expr"])
-        return FreeD(expr) if kind == "u" else FreeH(expr)
+        if not isinstance(obj["expr"], str):
+            raise SchemaError("free spec: 'expr' must be a string")
+        return _FREE[kind](parse(obj["expr"]))
     family = obj.get("family")
-    if kind == "u":
-        if family == "power_u":
-            _require_keys(obj, {"family", "n"}, "power_u")
-            return PowerU(float(obj["n"]))
-        if family == "shifted_power_u":
-            _require_keys(obj, {"family", "n", "alpha"}, "shifted_power_u")
-            return ShiftedPowerU(float(obj["n"]), float(obj["alpha"]))
-        if family == "exp_u":
-            _require_keys(obj, {"family"}, "exp_u")
-            return ExpU()
-        if family == "reciprocal_shift":
-            _require_keys(obj, {"family"}, "reciprocal_shift")
-            return ReciprocalShift()
-    else:
-        if family == "power_x":
-            _require_keys(obj, {"family", "q", "eps"}, "power_x")
-            return PowerX(float(obj["q"]), int(obj["eps"]))
-        if family == "exp_x":
-            _require_keys(obj, {"family", "eps"}, "exp_x")
-            return ExpX(int(obj["eps"]))
-        if family == "inverse_square_x":
-            _require_keys(obj, {"family"}, "inverse_square_x")
-            return InverseSquareX()
-        if family == "constant":
-            _require_keys(obj, {"family", "c"}, "constant")
-            return ConstantH(float(obj["c"]))
-        if family == "h1":
-            _require_keys(obj, {"family", "p", "q", "eps"}, "h1")
-            return H1(int(obj["p"]), float(obj["q"]), int(obj["eps"]))
-    raise SchemaError(f"unknown {kind}-spec family: {family!r}")
+    cls = _FAMILIES[kind].get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise SchemaError(f"unknown {kind}-spec family: {family!r}")
+    params = fields(cls)
+    _require_keys(obj, {"family", *(f.name for f in params)}, family)
+    return cls(*(_number(obj, f) for f in params))
 
 
 def equation_to_json(eq: FinEquation) -> dict:
@@ -470,44 +509,20 @@ def load_equation_file(path: str) -> tuple[FinEquation, dict]:
 # equality up to representation
 
 
-def _normalized_key(spec):
-    if isinstance(spec, ShiftedPowerU) and spec.alpha == 0:
-        return ("power_u", (spec.n,))
-    if isinstance(spec, ReciprocalShift):
-        return ("shifted_power_u", (-1.0, 1.0))
-    if isinstance(spec, ShiftedPowerU):
-        return ("shifted_power_u", (spec.n, spec.alpha))
-    if isinstance(spec, PowerU):
-        return ("power_u", (spec.n,))
-    if isinstance(spec, ExpU):
-        return ("exp_u", ())
-    if isinstance(spec, InverseSquareX):
-        return ("power_x", (-2.0, 1.0))
-    if isinstance(spec, PowerX):
-        return ("power_x", (spec.q, float(spec.eps)))
-    if isinstance(spec, ExpX):
-        return ("exp_x", (float(spec.eps),))
-    if isinstance(spec, ConstantH):
-        return ("constant", (spec.c,))
-    if isinstance(spec, H1):
-        return ("h1", (float(spec.p), spec.q, float(spec.eps)))
-    return None  # free-form
-
-
 def _specs_equal(a, b, tol: float, seed: int, ranges=None) -> bool:
-    ka, kb = _normalized_key(a), _normalized_key(b)
-    if ka is not None and kb is not None:
-        if ka[0] != kb[0] or len(ka[1]) != len(kb[1]):
-            return False
-        return all(abs(x - y) <= tol * (1 + abs(x) + abs(y))
-                   for x, y in zip(ka[1], kb[1]))
-    return equivalent(a.expression(), b.expression(), seed=seed, tol=tol,
-                      ranges=ranges)
+    if "free" in (a.family, b.family):
+        return equivalent(a.expression(), b.expression(), seed=seed, tol=tol,
+                          ranges=ranges)
+    kind_a, *values_a = vars(a.shape()).values()
+    kind_b, *values_b = vars(b.shape()).values()
+    return kind_a == kind_b and all(
+        abs(x - y) <= tol * (1 + abs(x) + abs(y))
+        for x, y in zip(values_a, values_b))
 
 
 def equations_equal(a: FinEquation, b: FinEquation, tol: float = 1e-9,
                     seed: int = 7, ranges=None) -> bool:
-    """Equality of equations: matching family tags and parameters, with
+    """Equality of equations: matching shapes of tagged coefficients, with
     free-form coefficients compared by randomized sampling."""
     return (_specs_equal(a.D, b.D, tol, seed, ranges)
             and _specs_equal(a.h, b.h, tol, seed + 1, ranges))

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    Expression, compile_expressions, differentiate, mul, parse, sub, substitute,
+    Expression, compile_expressions, differentiate, mul, parse, sample_finite,
+    sub, substitute,
 )
 from .model import FinEquation, ModelError, Solution, validate
 
@@ -102,7 +103,6 @@ class Field:
     x: np.ndarray
     times: np.ndarray
     values: np.ndarray  # shape (len(times), len(x))
-    stable: bool = True
 
     def to_csv(self, stream=None) -> str:
         out = stream or io.StringIO()
@@ -127,7 +127,7 @@ def _max_abs_d(d_at, u0: np.ndarray) -> float:
 
 def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
               method: str = "explicit", n_store: int = 11,
-              theta: float = 0.5, max_iter: int = 200) -> Field:
+              max_iter: int = 200) -> Field:
     """March the equation forward and return stored time levels.
 
     ``boundary`` is a :class:`DirichletBC` (expressions in t) or
@@ -152,8 +152,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
         return Field(xs, np.array([0.0]), u[None, :].copy())
 
     dt = grid.dt if grid.dt is not None else dt_stable
-    stable = dt <= dt_stable * (1 + 1e-12)
-    if method == "explicit" and not stable:
+    if method == "explicit" and dt > dt_stable * (1 + 1e-12):
         raise StabilityError(
             f"explicit step dt={dt:g} exceeds the stability bound "
             f"{dt_stable:g}; pass a smaller dt or method='implicit'")
@@ -195,7 +194,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                 candidate = u + dt * rate(u_next, t_next)
                 if dirichlet:
                     candidate[0], candidate[-1] = left, right
-                new = (1 - theta) * u_next + theta * candidate
+                new = 0.5 * u_next + 0.5 * candidate  # damped fixed point
                 delta = float(np.max(np.abs(new - u_next)))
                 u_next = new
                 if delta <= 1e-12 * (1 + float(np.max(np.abs(u_next)))):
@@ -208,8 +207,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
 
         if not np.all(np.isfinite(u_next)) \
                 or float(np.max(np.abs(u_next))) > BLOWUP_THRESHOLD:
-            partial = Field(xs, np.asarray(times), np.asarray(levels),
-                            stable=stable)
+            partial = Field(xs, np.asarray(times), np.asarray(levels))
             raise BlowUpError(f"solution blew up at t={t_next:g}", partial)
 
         u, t = u_next, t_next
@@ -217,7 +215,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
             times.append(t)
             levels.append(u.copy())
 
-    return Field(xs, np.asarray(times), np.asarray(levels), stable=stable)
+    return Field(xs, np.asarray(times), np.asarray(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +331,14 @@ def pde_residual_grid(eq: FinEquation, s: Solution, region, samples: int = 100,
     at = compile_expressions(pde_residual_expression(eq, s.expr),
                              differentiate(s.expr, "t"),
                              mul(eq.h_expr(), s.expr))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    found = 0
-    for _ in range(8):
-        ts = rng.uniform(t0, t1, size=samples)
-        xs = rng.uniform(x0, x1, size=samples)
-        r, u_t, hu = at({"t": ts, "x": xs})
-        scale = 1.0 + np.abs(u_t) + np.abs(hu)
-        finite = np.isfinite(r) & np.isfinite(scale)
-        if not finite.any():
-            continue
-        worst = max(worst, float(np.max(np.abs(r[finite]) / scale[finite])))
-        found += int(finite.sum())
-        if found >= samples:
-            return worst
-    if found == 0:
+
+    def residual(bindings):
+        r, u_t, hu = at(bindings)
+        return r, 1.0 + np.abs(u_t) + np.abs(hu)
+
+    r, scale = sample_finite(residual, ("t", "x"), seed, samples,
+                             need=samples, rounds=8,
+                             ranges={"t": (t0, t1), "x": (x0, x1)})
+    if r.size == 0:
         raise NumericError("all residual samples were non-finite")
-    return worst
+    return float(np.max(np.abs(r) / scale))

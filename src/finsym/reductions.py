@@ -21,9 +21,9 @@ from .expressions import (
     substitute, sym, to_string,
 )
 from .model import (
-    FinEquation, ModelError, Solution, VectorField, h1_expression,
+    D_T, FinEquation, FreeH, ModelError, PowerU, Solution, VectorField,
+    h1_expression,
 )
-from .model import D_T
 from .numeric import pde_residual_expression
 
 __all__ = [
@@ -317,7 +317,6 @@ def exact_solution(case, params: dict, branch: int = 1) -> Solution:
 
 def nonclassical_equation() -> FinEquation:
     """The equation carrying the conditional-symmetry example."""
-    from .model import FreeH, PowerU
     return FinEquation(PowerU(-1.0), FreeH(_X))
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    Expression, Num, ZERO, add, differentiate, evaluate, mul, neg,
-    sample_bindings, sub, substitute, sym,
+    ONE, ZERO, Expression, Num, add, differentiate, evaluate, mul, neg,
+    sample_finite, sub, substitute, sym,
 )
 from .model import FinEquation, VectorField, validate
 
@@ -61,14 +61,7 @@ class JetResidual:
     def max_relative(self, seed: int = 42, samples: int = 50,
                      ranges=None) -> float:
         """Largest |sum of pieces| / (1 + sum |pieces|) over jet samples."""
-        symbols = self.free_symbols()
-        rng = np.random.default_rng(seed)
-        merged = dict(DEFAULT_JET_RANGES)
-        if ranges:
-            merged.update(ranges)
-        worst = 0.0
-        for _ in range(8):
-            bindings = sample_bindings(symbols, rng, samples, merged)
+        def pieces(bindings):
             total = np.zeros(samples)
             scale = np.ones(samples)
             for term in self.terms:
@@ -77,13 +70,15 @@ class JetResidual:
                     (samples,))
                 total = total + v
                 scale = scale + np.abs(v)
-            finite = np.isfinite(total) & np.isfinite(scale)
-            if finite.sum() < samples // 2:
-                continue
-            worst = max(worst, float(np.max(np.abs(total[finite])
-                                            / scale[finite])))
-            return worst
-        raise SymmetryError("jet sampling hit non-finite values everywhere")
+            return total, scale
+
+        total, scale = sample_finite(
+            pieces, self.free_symbols(), seed, samples, need=samples, rounds=8,
+            ranges={**DEFAULT_JET_RANGES, **(ranges or {})})
+        if total.size < max(1, samples // 2):
+            raise SymmetryError(
+                f"jet sampling found only {total.size} finite points")
+        return float(np.max(np.abs(total) / scale))
 
 
 def _check_shapes(field: VectorField):
@@ -163,10 +158,6 @@ def is_lie_symmetry(eq: FinEquation, field: VectorField, seed: int = 42,
     return symmetry_residual(eq, field, seed, samples, ranges) <= tol
 
 
-def _is_literal(e: Expression, v: float) -> bool:
-    return isinstance(e, Num) and e.value == v
-
-
 def conditional_residual(eq: FinEquation, field: VectorField) -> JetResidual:
     """Residual for conditional (nonclassical) invariance.
 
@@ -184,13 +175,13 @@ def conditional_residual(eq: FinEquation, field: VectorField) -> JetResidual:
     d1 = d.diff("u")
     h = eq.h_expr()
 
-    if _is_literal(tau, 1.0):
+    if tau == ONE:
         # u_t = eta - xi u_x; combined with the equation this pins u_xx
         u_t_sub = sub(eta, mul(xi, u_x))
         u_xx_sub = (u_t_sub - mul(d1, mul(u_x, u_x)) - mul(h, u)) / d
         mapping = {"u_t": u_t_sub, "u_xx": u_xx_sub}
-    elif _is_literal(tau, 0.0):
-        if _is_literal(xi, 0.0):
+    elif tau == ZERO:
+        if xi == ZERO:
             raise SymmetryError("tau = 0 requires a nonzero xi")
         w = eta / xi  # u_x on the invariant surface
         w_total = add(w.diff("x"), mul(w.diff("u"), w))  # u_xx consequence

@@ -50,6 +50,14 @@ def test_unknown_schema_key_is_usage_error(eq_file):
     assert main(["classify", "--eq", eq_file(doc)]) == 2
 
 
+def test_malformed_parameter_is_usage_error(eq_file, capsys):
+    for d, h in (({"family": "power_u", "n": "abc"}, CASE4["h"]),
+                 ({"family": "power_u", "n": "nan"}, CASE4["h"]),
+                 (CASE6["D"], {"family": "h1", "p": 0.5, "q": 1, "eps": 1})):
+        assert main(["classify", "--eq", eq_file({"D": d, "h": h})]) == 2
+        assert "must be" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["classify", "--eq", "/nonexistent.json"]) == 2
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from finsym.equivalence import apply_to_equation, make_group_element
 from finsym.expressions import parse
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
@@ -80,6 +81,38 @@ def test_json_round_trip():
                    "h": {"family": "h1", "p": 1, "q": 2, "eps": 1}}
     assert equation_from_json(json.loads(json.dumps(doc))) == eq
 
+    # every tagged family: exact document, key order, and back
+    d_specs = [
+        (PowerU(2.5), '{"family": "power_u", "n": 2.5}'),
+        (ShiftedPowerU(-1, 1),
+         '{"family": "shifted_power_u", "n": -1, "alpha": 1}'),
+        (ExpU(), '{"family": "exp_u"}'),
+        (ReciprocalShift(), '{"family": "reciprocal_shift"}'),
+    ]
+    h_specs = [
+        (PowerX(0.5, -1), '{"family": "power_x", "q": 0.5, "eps": -1}'),
+        (ExpX(1), '{"family": "exp_x", "eps": 1}'),
+        (InverseSquareX(), '{"family": "inverse_square_x"}'),
+        (ConstantH(-2), '{"family": "constant", "c": -2}'),
+        (H1(-1, 3, -1), '{"family": "h1", "p": -1, "q": 3, "eps": -1}'),
+    ]
+    pairs = ([(d, h_specs[0]) for d in d_specs]
+             + [(d_specs[0], h) for h in h_specs])
+    for (d, d_text), (h, h_text) in pairs:
+        eq = FinEquation(d, h)
+        doc = equation_to_json(eq)
+        assert doc == {"D": json.loads(d_text), "h": json.loads(h_text)}
+        assert json.dumps(doc) == f'{{"D": {d_text}, "h": {h_text}}}'
+        assert equation_from_json(json.loads(json.dumps(doc))) == eq
+
+    # a family of one kind is not accepted for the other
+    with pytest.raises(SchemaError):
+        equation_from_json({"D": {"family": "power_u", "n": 2},
+                            "h": {"family": "power_u", "n": 2}})
+    with pytest.raises(SchemaError):
+        equation_from_json({"D": {"family": "constant", "c": 1},
+                            "h": {"family": "constant", "c": 1}})
+
 
 def test_json_free_spec_round_trip():
     eq = FinEquation(FreeD(parse("u^2+1")), FreeH(parse("x^2+x")))
@@ -99,6 +132,26 @@ def test_json_rejects_unknown_keys():
                             "h": {"family": "constant", "c": 1}})
     with pytest.raises(SchemaError):
         equation_from_json({"D": {"family": "power_u", "n": 2}})
+    # parameters must be finite JSON numbers, whole for integer fields
+    h = {"family": "constant", "c": 1}
+    for bad in ({"family": "power_u", "n": "abc"},
+                {"family": "power_u", "n": "nan"},
+                {"family": "power_u", "n": "2"},
+                {"family": "power_u", "n": True},
+                {"family": "power_u", "n": float("nan")},
+                {"family": "power_u", "n": float("inf")},
+                {"family": "power_u", "n": 10 ** 400},
+                {"family": "power_u", "n": None},
+                {"family": ["power_u"], "n": 2},
+                {"expr": 2}):
+        with pytest.raises(SchemaError):
+            equation_from_json({"D": bad, "h": h})
+    for bad in ({"family": "h1", "p": 0.5, "q": 1, "eps": 1},
+                {"family": "power_x", "q": 1, "eps": 1.7},
+                {"family": "exp_x", "eps": False},
+                {"family": "constant", "c": [1]}):
+        with pytest.raises(SchemaError):
+            equation_from_json({"D": {"family": "power_u", "n": 2}, "h": bad})
 
 
 def test_vector_field_triple_parsing():
@@ -124,3 +177,16 @@ def test_equations_equal_across_representations():
     d = FinEquation(ShiftedPowerU(-1, 1), ConstantH(0))
     assert equations_equal(c, d, tol=1e-12)
     assert not equations_equal(a, c, tol=1e-9)
+    # x^0 is the constant profile of the same sign
+    for eps in (1, -1):
+        assert equations_equal(FinEquation(PowerU(2), PowerX(0, eps)),
+                               FinEquation(PowerU(2), ConstantH(eps)),
+                               tol=1e-12)
+        assert not equations_equal(FinEquation(PowerU(2), PowerX(0, eps)),
+                                   FinEquation(PowerU(2), ConstantH(-eps)))
+    # a Gsim round trip retags x^0 as a constant
+    eq = FinEquation(PowerU(2), PowerX(0, 1))
+    g = make_group_element("Gsim", (2, 0.5, 3, 1, 1.5))
+    back = apply_to_equation(g.inverse(), apply_to_equation(g, eq))
+    assert back.h == ConstantH(1.0)
+    assert equations_equal(eq, back)

@@ -109,6 +109,14 @@ def test_residual_grid_negative_control():
     assert pde_residual_grid(eq, s, ((0, 1), (0.5, 2))) > 1e-2
 
 
+def test_residual_grid_sampling_exits():
+    with pytest.raises(NumericError):
+        pde_residual_grid(EQ4, Solution(parse("ln(-1-x^2)")), ((0, 1), (1, 2)))
+    # finite only for x > 1.8, a fifth of the box
+    r = pde_residual_grid(EQ4, Solution(parse("ln(x-1.8)")), ((0, 1), (1, 2)))
+    assert np.isfinite(r) and r > 0
+
+
 def test_residual_grid_rejects_unbound_parameters():
     s = Solution(parse("C*exp(t*x)"), ("C",))
     with pytest.raises(ModelError):

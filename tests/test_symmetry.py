@@ -7,7 +7,8 @@ from finsym.model import (
     PowerX, VectorField,
 )
 from finsym.symmetry import (
-    SymmetryError, conditional_residual, is_lie_symmetry, prolonged_residual,
+    JetResidual, SymmetryError, conditional_residual, is_lie_symmetry,
+    prolonged_residual,
 )
 
 D_T = VectorField.from_strings("1", "0", "0")
@@ -91,6 +92,16 @@ def test_conditional_operator_with_zero_tau():
 def test_conditional_operator_with_unit_tau():
     field = VectorField.parse_triple("1; 0; x*u")
     assert conditional_residual(NONCLASSICAL_EQ, field).max_relative() <= 1e-9
+
+
+def test_jet_sampling_exits():
+    with pytest.raises(SymmetryError):
+        JetResidual((parse("ln(-1-x^2)"),)).max_relative()
+    # finite only for x > 2.5, a fifth of the x range: fewer than half of
+    # each round's samples, so rounds are topped up until 50 are finite
+    partial = JetResidual((parse("ln(x-2.5)"), parse("u")))
+    assert np.isfinite(partial.max_relative())
+    assert np.isfinite(JetResidual((parse("ln(x-1)"),)).max_relative())
 
 
 def test_x_translation_is_not_conditional_here():
