@@ -58,14 +58,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "u_t = (D(u) u_x)_x + h(x) u")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(name, func, help):
+    def common(name, func, help, document=True, tol=False):
+        """A subcommand; ``--json`` where it prints a document, ``--tol``
+        where it compares a residual with a tolerance."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--eq", required=True, help="equation JSON file")
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="machine-readable output")
+        if document:
+            p.add_argument("--json", action="store_true", dest="as_json",
+                           help="machine-readable output")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-9)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9)
         return p
 
     common("classify", _cmd_classify, "table case and symmetry basis"
@@ -74,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
            ).set_defaults(basis_only=True)
 
     p = common("verify-symmetry", _cmd_verify_symmetry,
-               "check a candidate generator")
+               "check a candidate generator", tol=True)
     p.add_argument("--field", required=True,
                    help="three ';'-separated coefficients: tau;xi;eta")
 
@@ -86,11 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", type=int, default=None)
     p.add_argument("--sub", required=True, choices=["0", "1", "2"])
 
-    common("exact", _cmd_exact, "closed-form solution + residual")
+    common("exact", _cmd_exact, "closed-form solution + residual", tol=True)
 
-    common("conserve", _cmd_conserve, "conservation laws + divergence check")
+    common("conserve", _cmd_conserve, "conservation laws + divergence check",
+           tol=True)
 
-    p = common("simulate", _cmd_simulate, "finite-difference run, CSV")
+    p = common("simulate", _cmd_simulate, "finite-difference run, CSV",
+               document=False)
     p.add_argument("--initial", required=True, help="u(x) at t=0")
     p.add_argument("--left", help="left Dirichlet value as expression in t")
     p.add_argument("--right", help="right Dirichlet value as expression in t")

@@ -10,6 +10,12 @@ Four element families are constructible:
 
 On top of these, the named case-to-case maps identify table cases that the
 plain group does not, and one map exits the class entirely.
+
+A conditional element states the shapes it requires of D and h as a
+:class:`DShape` and an :class:`HShape`; it refuses an equation whose
+coefficient shapes do not match them at ``FOUR_THIRDS_TOL``.  An image
+coefficient is retagged as the first family whose shape matches its
+fitted shape, and stays free-form otherwise.
 """
 from __future__ import annotations
 
@@ -20,12 +26,12 @@ import numpy as np
 from .classify import fit_d_shape, fit_h_shape, spec_shape
 from .expressions import (
     Expression, Num, ZERO, add, call, div, mul, num, pow_, sub,
-    substitute, sym, to_string,
+    substitute, sym,
 )
 from .model import (
-    ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, ModelError,
-    PowerU, PowerX, ShiftedPowerU, Solution, VectorField, is_four_thirds,
-    validate,
+    FOUR_THIRDS_TOL, ConstantH, DShape, ExpU, ExpX, FinEquation, FreeD,
+    FreeH, H1, HShape, ModelError, PowerU, PowerX, ShiftedPowerU, Solution,
+    VectorField, shapes_match, validate,
 )
 
 __all__ = [
@@ -85,7 +91,8 @@ class PointTransformation:
 
     Forward maps are expressions in the old variables (t, x, u); the
     stored inverse maps use the same symbol names to mean the new
-    variables.
+    variables.  ``requires_d`` and ``requires_h`` are the shapes a
+    conditional element needs the equation's D and h to have.
     """
     label: str
     t_new: Expression
@@ -96,13 +103,12 @@ class PointTransformation:
     u_old: Expression
     d_rule: CoefficientRule | None = None
     h_rule: CoefficientRule | None = None
-    condition: str | None = None
-    requires: tuple = ()
+    requires_d: DShape | None = None
+    requires_h: HShape | None = None
     outside_class: str | None = None
     family: str | None = None
     deltas: tuple = ()
     sign: int = 1
-    domain_note: str = ""
 
     def inverse(self) -> "PointTransformation":
         if self.family == "Gsim":
@@ -123,15 +129,6 @@ class PointTransformation:
         raise EquivalenceError(
             f"no closed-form inverse element for {self.label!r}; "
             "the inverse coordinate maps are stored on the transformation")
-
-    def describe(self) -> dict:
-        return {
-            "label": self.label,
-            "t_new": to_string(self.t_new),
-            "x_new": to_string(self.x_new),
-            "u_new": to_string(self.u_new),
-            "condition": self.condition,
-        }
 
 
 @dataclass(frozen=True)
@@ -199,9 +196,8 @@ def make_group_element(family: str, deltas, sign: int = 1,
                           pow_(add(mul(num(-d5), _X), num(d3)), num(3))), _U),
             d_rule=CoefficientRule(override=pow_(_U, num(_FOUR_THIRDS))),
             h_rule=CoefficientRule(num(1 / d1), x_old),
-            condition="d_minus_four_thirds",
-            family="G1", deltas=deltas, sign=sign,
-            domain_note="away from the pole of the x-map")
+            requires_d=DShape("power", n=_FOUR_THIRDS),
+            family="G1", deltas=deltas, sign=sign)
 
     if family == "G2":
         if len(deltas) != 6:
@@ -220,7 +216,7 @@ def make_group_element(family: str, deltas, sign: int = 1,
             d_rule=CoefficientRule(num(d3 * d3 / d1),
                                    div(sub(_U, num(d6)), num(d5))),
             h_rule=CoefficientRule(override=ZERO),
-            condition="h_zero",
+            requires_h=HShape("zero"),
             family="G2", deltas=deltas)
 
     if family == "G3":
@@ -229,11 +225,12 @@ def make_group_element(family: str, deltas, sign: int = 1,
         if eq is None:
             raise DeltaConstraintError(
                 "G3 reads the constant h and the power exponent from an equation")
-        c = _h_const_value(eq)
+        c = spec_shape(eq.h, 11).constant()
         if c is None or c == 0:
             raise ConditionError("G3 requires a nonzero constant h")
-        n = _d_power_exponent(eq)
-        if n is None:
+        d = spec_shape(eq.D, 11)
+        n, power = d.n, DShape("power", n=d.n)
+        if not shapes_match(d, power, FOUR_THIRDS_TOL):
             raise ConditionError("G3 requires a power diffusion D = u^n")
         d1, d2, d3, d4, d5 = deltas
         if d1 * d3 * d5 == 0:
@@ -256,100 +253,45 @@ def make_group_element(family: str, deltas, sign: int = 1,
             d_rule=CoefficientRule(override=mul(num(coeff),
                                                 pow_(_U, num(n)))),
             h_rule=CoefficientRule(override=ZERO),
-            condition="g3_source",
-            requires=(("h_const", c), ("n", n)),
-            family="G3", deltas=deltas,
-            domain_note="t restricted so that the log argument is positive")
+            requires_d=power, requires_h=HShape("const", coeff=c),
+            family="G3", deltas=deltas)
 
     raise EquivalenceError(f"unknown group family {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# structural probes used by condition checks
-
-
-def _h_const_value(eq: FinEquation, seed: int = 11):
-    return spec_shape(eq.h, seed).constant()
-
-
-def _d_power_exponent(eq: FinEquation, seed: int = 11):
-    """Exponent n when D is exactly u^n (unit coefficient), else None."""
-    d = spec_shape(eq.D, seed)
-    return d.n if d.kind == "power" and abs(d.coeff - 1) <= 1e-9 else None
-
-
-def _check_condition(T: PointTransformation, eq: FinEquation):
-    cond = T.condition
-    if cond is None:
-        return
-    if cond == "d_minus_four_thirds":
-        n = _d_power_exponent(eq)
-        if n is None or not is_four_thirds(n):
-            raise ConditionError(
-                "transformation is conditional on D = u^(-4/3)")
-        return
-    if cond == "h_zero":
-        c = _h_const_value(eq)
-        if c != 0.0:
-            raise ConditionError("transformation is conditional on h = 0")
-        return
-    if cond == "g3_source":
-        req = dict(T.requires)
-        c = _h_const_value(eq)
-        n = _d_power_exponent(eq)
-        if c is None or abs(c - req["h_const"]) > 1e-9:
-            raise ConditionError(
-                "equation's constant h does not match this G3 element")
-        if n is None or abs(n - req["n"]) > 1e-9:
-            raise ConditionError(
-                "equation's power exponent does not match this G3 element")
-        return
-    if cond == "recip_const":
-        req = dict(T.requires)
-        d = spec_shape(eq.D, 11)
-        if not (d.kind == "shifted" and abs(d.coeff - 1) <= 1e-9
-                and abs(d.n + 1) <= 1e-9 and abs(d.beta - 1) <= 1e-9):
-            raise ConditionError("map is conditional on D = (u+1)^(-1)")
-        c = _h_const_value(eq)
-        if c is None or abs(c - req["h_const"]) > 1e-9:
-            raise ConditionError("map is conditional on h = eps")
-        return
-    raise EquivalenceError(f"unknown condition tag {cond!r}")
 
 
 # ---------------------------------------------------------------------------
 # action on equations and solutions
 
 
+def _check_condition(T: PointTransformation, eq: FinEquation):
+    for name, required, spec in (("D", T.requires_d, eq.D),
+                                 ("h", T.requires_h, eq.h)):
+        if required is not None and not shapes_match(
+                spec_shape(spec, 11), required, FOUR_THIRDS_TOL):
+            raise ConditionError(
+                f"{T.label} requires {name} of shape {required}")
+
+
+def _first_match(shape, candidates, free):
+    """The first tagged candidate whose shape matches ``shape``, else
+    ``free``."""
+    return next((spec for spec in candidates
+                 if shapes_match(spec.shape(), shape, 1e-9)), free)
+
+
 def _retag_d(expr: Expression, seed: int = 13):
-    shape = fit_d_shape(expr, seed)
-    if shape.kind == "power" and abs(shape.coeff - 1) <= 1e-9:
-        return PowerU(shape.n)
-    if shape.kind == "shifted" and abs(shape.coeff - 1) <= 1e-9 \
-            and abs(shape.beta - 1) <= 1e-9:
-        return ShiftedPowerU(shape.n, 1.0)
-    if shape.kind == "exp" and abs(shape.coeff - 1) <= 1e-9 \
-            and abs(shape.k - 1) <= 1e-9:
-        return ExpU()
-    return FreeD(expr)
+    s = fit_d_shape(expr, seed)
+    return _first_match(s, (PowerU(s.n), ShiftedPowerU(s.n, 1.0), ExpU()),
+                        FreeD(expr))
 
 
 def _retag_h(expr: Expression, seed: int = 13):
     if isinstance(expr, Num):
         return ConstantH(expr.value)
-    shape = fit_h_shape(expr, seed)
-    if shape.constant() is not None:
-        return ConstantH(shape.constant())
-    if shape.kind == "power" and abs(abs(shape.coeff) - 1) <= 1e-9 \
-            and shape.shift == 0.0:
-        return PowerX(shape.q, 1 if shape.coeff > 0 else -1)
-    if shape.kind == "exp" and abs(abs(shape.coeff) - 1) <= 1e-9 \
-            and abs(shape.k - 1) <= 1e-9:
-        return ExpX(1 if shape.coeff > 0 else -1)
-    if shape.kind == "h1" and abs(abs(shape.coeff) - 1) <= 1e-9 \
-            and shape.shift == 0.0 and shape.q != 0:
-        return H1(shape.p, shape.q, 1 if shape.coeff > 0 else -1)
-    return FreeH(expr)
+    s = fit_h_shape(expr, seed)
+    sign = 1 if s.coeff > 0 else -1
+    return _first_match(s, (ConstantH(s.coeff), PowerX(s.q, sign), ExpX(sign),
+                            H1(s.p, s.q, sign)), FreeH(expr))
 
 
 def apply_to_equation(T: PointTransformation, eq: FinEquation, seed: int = 13):
@@ -470,10 +412,9 @@ def additional_equivalence(case_from: int, params: dict):
             t_old=mul(num(-1.0 / eps), call("ln", mul(num(-eps), _T))),
             x_old=_X,
             u_old=sub(div(_U, mul(num(-eps), _T)), num(1)),
-            condition="recip_const",
-            requires=(("h_const", float(eps)),),
-            outside_class=f"u_t = (u^-1 u_x)_x - ({eps})",
-            domain_note="new time restricted to -eps*t > 0")
+            requires_d=DShape("shifted", n=-1.0, beta=1.0),
+            requires_h=HShape("const", coeff=float(eps)),
+            outside_class=f"u_t = (u^-1 u_x)_x - ({eps})")
         return T, None
 
     raise NoAdditionalMapError(f"no additional map for case {case_from}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .expressions import (
     Expression, Num, add, call, div, equivalent, evaluate, mul, neg, num,
-    parse, pow_, sub, sym, to_string, ZERO, ONE,
+    parse, pow_, sample_finite, sub, sym, to_string, ZERO, ONE,
 )
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "Solution",
     "validate", "is_four_thirds", "h1_expression",
     "spec_to_json", "spec_from_json", "equation_to_json", "equation_from_json",
-    "load_equation_file", "equations_equal",
+    "load_equation_file", "equations_equal", "shapes_match",
     "ModelError", "SpecKindError", "LinearCaseError", "SchemaError",
     "FOUR_THIRDS_TOL",
 ]
@@ -402,15 +402,17 @@ def validate(eq: FinEquation, seed: int = 0) -> FinEquation:
     if isinstance(eq.D, FreeD):
         _free_symbol_check(eq.D.expr, {"u"}, "free D")
         dd = eq.D.expr.diff("u")
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(0.5, 3.0, size=20)
-        dv = np.broadcast_to(np.asarray(evaluate(dd, {"u": u})), (20,))
-        v = np.broadcast_to(np.asarray(evaluate(eq.D.expr, {"u": u})), (20,))
-        finite = np.isfinite(dv) & np.isfinite(v)
-        if not finite.any():
+
+        def slope_and_value(bindings):
+            return tuple(np.broadcast_to(np.asarray(evaluate(e, bindings)),
+                                         (20,)) for e in (dd, eq.D.expr))
+
+        dv, v = sample_finite(slope_and_value, ("u",), seed, 20, need=20,
+                              rounds=1)
+        if dv.size == 0:
             raise SpecKindError("free D not evaluable on the sampling range")
-        scale = 1.0 + float(np.max(np.abs(v[finite])))
-        if float(np.max(np.abs(dv[finite]))) <= 1e-12 * scale:
+        scale = 1.0 + float(np.max(np.abs(v)))
+        if float(np.max(np.abs(dv))) <= 1e-12 * scale:
             raise LinearCaseError(
                 "linear case excluded: D does not depend on u")
     if isinstance(eq.h, FreeH):
@@ -509,15 +511,21 @@ def load_equation_file(path: str) -> tuple[FinEquation, dict]:
 # equality up to representation
 
 
+def shapes_match(a: DShape | HShape, b: DShape | HShape, tol: float) -> bool:
+    """Same kind, and every parameter equal within ``tol`` relative to
+    1 + |a| + |b|."""
+    kind_a, *values_a = vars(a).values()
+    kind_b, *values_b = vars(b).values()
+    return kind_a == kind_b and all(
+        abs(x - y) <= tol * (1 + abs(x) + abs(y))
+        for x, y in zip(values_a, values_b))
+
+
 def _specs_equal(a, b, tol: float, seed: int, ranges=None) -> bool:
     if "free" in (a.family, b.family):
         return equivalent(a.expression(), b.expression(), seed=seed, tol=tol,
                           ranges=ranges)
-    kind_a, *values_a = vars(a.shape()).values()
-    kind_b, *values_b = vars(b.shape()).values()
-    return kind_a == kind_b and all(
-        abs(x - y) <= tol * (1 + abs(x) + abs(y))
-        for x, y in zip(values_a, values_b))
+    return shapes_match(a.shape(), b.shape(), tol)
 
 
 def equations_equal(a: FinEquation, b: FinEquation, tol: float = 1e-9,

@@ -135,6 +135,8 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     The explicit scheme requires dt <= 0.45 dx^2 / max|D| over the initial
     data range; when ``grid.dt`` is None that bound sets the step.
     """
+    if method not in ("explicit", "implicit"):
+        raise NumericError(f"unknown method {method!r}")
     validate(eq)
     xs = grid.nodes()
     dx = grid.dx
@@ -166,7 +168,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     if dirichlet:
         boundary_at = compile_expressions(boundary.left, boundary.right)
 
-    def rate(v: np.ndarray, t_next: float) -> np.ndarray:
+    def rate(v: np.ndarray) -> np.ndarray:
         mid = 0.5 * (v[:-1] + v[1:])
         (d_half,) = d_at({"u": mid})
         if not np.all(np.isfinite(d_half)):
@@ -187,11 +189,11 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
         if dirichlet:
             left, right = map(float, boundary_at({"t": t_next}))
         if method == "explicit":
-            u_next = u + dt * rate(u, t_next)
-        elif method == "implicit":
+            u_next = u + dt * rate(u)
+        else:
             u_next = u.copy()
             for _ in range(max_iter):
-                candidate = u + dt * rate(u_next, t_next)
+                candidate = u + dt * rate(u_next)
                 if dirichlet:
                     candidate[0], candidate[-1] = left, right
                 new = 0.5 * u_next + 0.5 * candidate  # damped fixed point
@@ -199,8 +201,6 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                 u_next = new
                 if delta <= 1e-12 * (1 + float(np.max(np.abs(u_next)))):
                     break
-        else:
-            raise NumericError(f"unknown method {method!r}")
 
         if dirichlet:
             u_next[0], u_next[-1] = left, right

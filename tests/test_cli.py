@@ -142,6 +142,27 @@ def test_simulate_csv(eq_file, capsys):
     assert out.splitlines()[0] == "t,x,u"
 
 
+SIMULATE_ARGS = ["--initial", "x^3/15", "--left", "1/15", "--right", "8/15",
+                 "--xa", "1", "--xb", "2", "--m", "21", "--t-final", "0.01"]
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("classify", []), ("symmetries", []),
+    ("transform", ["--map", "10-to-11"]), ("reduce", ["--sub", "1"]),
+    ("simulate", SIMULATE_ARGS), ("residual", ["--solution", "x^3/15"]),
+])
+def test_tol_only_where_a_tolerance_is_read(eq_file, capsys, command, extra):
+    argv = [command, "--eq", eq_file(CASE4), *extra]
+    assert main([*argv, "--tol", "1e-3"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_simulate_has_no_json_flag(eq_file, capsys):
+    assert main(["simulate", "--eq", eq_file(CASE4), *SIMULATE_ARGS,
+                 "--json"]) == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_residual_subcommand(eq_file, capsys):
     doc_eq = {"D": {"family": "power_u", "n": 1},
               "h": {"family": "power_x", "q": 1, "eps": -1}}

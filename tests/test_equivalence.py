@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from finsym.equivalence import (
 from finsym.classify import classify
 from finsym.expressions import equivalent, parse
 from finsym.model import (
-    ConstantH, FinEquation, FreeH, H1, PowerU, PowerX,
+    ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, PowerU, PowerX,
     ReciprocalShift, ShiftedPowerU, Solution, equations_equal,
 )
 from finsym.numeric import pde_residual_grid
@@ -62,6 +64,76 @@ def test_condition_tags_enforced():
                            eq=FinEquation(PowerU(2), PowerX(1, 1)))
     with pytest.raises(DeltaConstraintError):
         make_group_element("G3", (1, 0, 1, 0, 1))
+
+    # each condition is a shape match: near misses are refused, free-form
+    # coefficients of the required shape accepted
+    with pytest.raises(ConditionError, match="G1 requires D"):
+        apply_to_equation(T1, FinEquation(PowerU(-4 / 3 + 1e-10), H1(0, 1, 1)))
+    apply_to_equation(T1, FinEquation(FreeD(parse("u^(-4/3)")), H1(0, 1, 1)))
+
+    T8, _ = map_by_label("case8-out", {"eps": 1})
+    with pytest.raises(ConditionError, match="case8-out requires h"):
+        apply_to_equation(T8, FinEquation(ReciprocalShift(), ConstantH(2)))
+    with pytest.raises(ConditionError, match="case8-out requires D"):
+        apply_to_equation(T8, FinEquation(PowerU(2), ConstantH(1)))
+    apply_to_equation(T8, FinEquation(FreeD(parse("(u+1)^(-1)")),
+                                      FreeH(parse("1"))))
+
+    T3 = make_group_element("G3", (1, 0, 1, 0, 1),
+                            eq=FinEquation(PowerU(2), ConstantH(1)))
+    with pytest.raises(ConditionError, match="G3 requires h"):
+        apply_to_equation(T3, FinEquation(PowerU(2), ConstantH(2)))
+    with pytest.raises(ConditionError, match="G3 requires D"):
+        apply_to_equation(T3, FinEquation(PowerU(3), ConstantH(1)))
+    image = apply_to_equation(T3, FinEquation(FreeD(parse("u^2")),
+                                              FreeH(parse("1"))))
+    assert equations_equal(image, FinEquation(PowerU(2), ConstantH(0)))
+
+
+#: (source, element family, deltas, coefficient): elements whose rule for
+#: that coefficient is not the identity but maps it into its own family
+RETAG_CASES = {
+    "exp_u": (FinEquation(ExpU(), ConstantH(0)), "G2",
+              (1 / math.e, 0, 1, 0, 1, 1), "D"),
+    "shifted_power_u": (FinEquation(ShiftedPowerU(2, 1), ConstantH(0)), "G2",
+                        (1, 0, 2, 0, 2, 1), "D"),
+    "power_u": (FinEquation(PowerU(2), ConstantH(1)), "Gsim",
+                (1, 0, 2, 0, 2), "D"),
+    "exp_x": (FinEquation(PowerU(2), ExpX(-1)), "Gsim",
+              (1 / math.e, 0, 1, 1, 1), "h"),
+    "power_x": (FinEquation(PowerU(2), PowerX(2, -1)), "Gsim",
+                (0.25, 0, 2, 0, 1), "h"),
+    "h1": (FinEquation(PowerU(2), H1(0, 1, -1)), "Gsim", (1, 0, 2, 0, 1), "h"),
+    "constant": (FinEquation(PowerU(2), ConstantH(3)), "Gsim",
+                 (2, 0, 1, 0, 1), "h"),
+}
+
+
+def _rule_image(T, src, coeff):
+    if coeff == "D":
+        return T.d_rule, "u", T.d_rule.apply(src.d_expr(), "u")
+    return T.h_rule, "x", T.h_rule.apply(src.h_expr(), "x")
+
+
+@pytest.mark.parametrize("family", RETAG_CASES)
+def test_image_in_the_same_family_is_retagged(family):
+    src, element, deltas, coeff = RETAG_CASES[family]
+    T = make_group_element(element, deltas)
+    rule, var, want = _rule_image(T, src, coeff)
+    assert not rule.is_identity(var)
+    spec = getattr(apply_to_equation(T, src), coeff)
+    assert spec.family == family
+    assert equivalent(spec.expression(), want, seed=5, tol=1e-12)
+
+
+@pytest.mark.parametrize("family", [f for f in RETAG_CASES if f != "constant"])
+def test_image_off_the_family_coefficient_stays_free_form(family):
+    src, element, deltas, coeff = RETAG_CASES[family]
+    T = make_group_element(element, (deltas[0] / (1 + 1e-6), *deltas[1:]))
+    _, _, want = _rule_image(T, src, coeff)
+    spec = getattr(apply_to_equation(T, src), coeff)
+    assert spec.family == "free"
+    assert spec.expression() == want
 
 
 def test_round_trip_identity_on_equations():

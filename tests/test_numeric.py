@@ -22,6 +22,13 @@ def test_zero_horizon_returns_initial_sample():
     assert np.allclose(f.values[0], evaluate(EXACT4, {"x": f.x}))
 
 
+@pytest.mark.parametrize("t_final", [0.0, 0.01])
+def test_unknown_method_is_refused_before_any_work(t_final):
+    with pytest.raises(NumericError, match="unknown method 'bogus'"):
+        solve_pde(EQ4, EXACT4, BC4, Grid(1.0, 2.0, 21, t_final),
+                  method="bogus")
+
+
 def test_grid_validation():
     with pytest.raises(NumericError):
         Grid(2.0, 1.0, 21, 1.0)
