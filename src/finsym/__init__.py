@@ -21,8 +21,7 @@ from .model import (
 )
 from .classify import ClassificationResult, classify, h1_closed_form
 from .symmetry import (
-    JetResidual, prolonged_residual, is_lie_symmetry, symmetry_residual,
-    conditional_residual,
+    JetResidual, prolonged_residual, symmetry_residual, conditional_residual,
 )
 from .equivalence import (
     PointTransformation, OutsideClassReport, make_group_element,

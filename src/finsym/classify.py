@@ -53,15 +53,9 @@ _ARBITRARY_D = DShape("arbitrary")
 _ARBITRARY_H = HShape("arbitrary")
 
 
-def _values(expr: Expression, var: str, xs) -> np.ndarray:
-    """``expr`` at the sample points, as float64 of their shape."""
-    return np.broadcast_to(
-        np.asarray(evaluate(expr, {var: xs}), dtype=np.float64), xs.shape)
-
-
 def _verified(got, candidate: Expression, var: str, xs) -> bool:
     """Whether ``candidate`` matches the sampled values ``got``."""
-    want = _values(candidate, var, xs)
+    want = evaluate(candidate, {var: xs})
     finite = np.isfinite(got) & np.isfinite(want)
     if finite.sum() < max(8, xs.size // 2):
         return False
@@ -126,8 +120,8 @@ def _power_fit(var: str, xs, vals, dvals):
 def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
     """Match a u-expression against c*e^(k u) and c*(u+beta)^n."""
     xs = np.random.default_rng(seed).uniform(0.5, 3.0, size=FIT_SAMPLES)
-    vals = _values(expr, "u", xs)
-    dvals = _values(expr.diff("u"), "u", xs)
+    vals = evaluate(expr, {"u": xs})
+    dvals = evaluate(expr.diff("u"), {"u": xs})
     exp = _exp_fit("u", xs, vals, dvals)
     if exp is not None:
         return DShape("exp", coeff=exp[0], k=exp[1])
@@ -142,7 +136,7 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     """Match an x-expression against 0, const, c*(x+s)^q, c*e^(kx) and the
     integral profile c*h1(x+s; p, q)."""
     xs = np.random.default_rng(seed).uniform(0.5, 3.0, size=FIT_SAMPLES)
-    vals = _values(expr, "x", xs)
+    vals = evaluate(expr, {"x": xs})
     finite = np.isfinite(vals)
     if finite.sum() < 8:
         return _ARBITRARY_H
@@ -153,7 +147,7 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     if spread <= 1e-12 * (1 + vmax):
         return HShape("const", coeff=float(np.median(vals[finite])))
 
-    dvals = _values(expr.diff("x"), "x", xs)
+    dvals = evaluate(expr.diff("x"), {"x": xs})
     exp = _exp_fit("x", xs, vals, dvals)
     if exp is not None:
         return HShape("exp", coeff=exp[0], k=exp[1])
@@ -173,7 +167,7 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
             p = int(round(p_hat))
             if p in (-1, 0, 1) and abs(p_hat - p) <= 1e-6:
                 base = h1_expression(p, q, 1, var=add(_X, num(s)))
-                c = _median_coeff(vals, _values(base, "x", xs))
+                c = _median_coeff(vals, evaluate(base, {"x": xs}))
                 if c is not None and _verified(vals, mul(num(c), base), "x", xs):
                     if abs(s) <= 1e-9:
                         s = 0.0

@@ -20,8 +20,8 @@ from .equivalence import (
 )
 from .expressions import ExpressionError, parse
 from .model import (
-    ModelError, Solution, VectorField, equation_to_json, equations_equal,
-    load_equation_file,
+    ModelError, SchemaError, Solution, VectorField, equation_to_json,
+    equations_equal, load_equation_file,
 )
 from .numeric import (
     DirichletBC, Grid, NoFluxBC, NumericError, pde_residual_grid, solve_pde,
@@ -34,10 +34,6 @@ from .symmetry import symmetry_residual
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
-
-
-class VerificationFailure(Exception):
-    pass
 
 
 def _default_seed() -> int:
@@ -133,6 +129,15 @@ def _pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+def _merge(fixed: dict, params: dict) -> dict:
+    """The classified parameters with the file's extra ``params``; a key
+    that the classification already fixes is refused."""
+    clash = sorted(set(fixed) & set(params))
+    if clash:
+        raise SchemaError(f"params {clash} are fixed by the classification")
+    return {**fixed, **params}
+
+
 def _cmd_classify(args) -> int:
     eq, _ = load_equation_file(args.eq)
     result = classify(eq, seed=args.seed)
@@ -155,7 +160,7 @@ def _cmd_verify_symmetry(args) -> int:
 def _cmd_transform(args) -> int:
     eq, params = load_equation_file(args.eq)
     source = classify(eq, seed=args.seed)
-    merged = {**source.params, **params}
+    merged = _merge(source.params, params)
     transformation, target = map_by_label(args.map_label, merged)
     image = apply_to_equation(transformation, eq)
     if isinstance(image, OutsideClassReport):
@@ -181,9 +186,7 @@ def _cmd_reduce(args) -> int:
     if case != result.case:
         raise ModelError(
             f"--case {case} does not match the equation (case {result.case})")
-    if case not in (4, 5, 6):
-        raise ModelError(f"no reduction catalog for case {case}")
-    reduction = build_reduction(case, args.sub, {**result.params, **params})
+    reduction = build_reduction(case, args.sub, _merge(result.params, params))
     _emit(reduction.to_json(), args.as_json)
     return EXIT_OK
 
@@ -196,10 +199,7 @@ def _cmd_exact(args) -> int:
         case_label = "nonclassical"
     else:
         result = classify(eq, seed=args.seed)
-        if result.case not in (4, 5, 6):
-            raise ModelError(
-                f"no exact solution catalog for case {result.case}")
-        solution = exact_solution(result.case, {**result.params, **params})
+        solution = exact_solution(result.case, _merge(result.params, params))
         case_label = result.case
     t_hi = 1.0
     x_lo, x_hi = 0.5, 2.0

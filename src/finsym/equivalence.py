@@ -29,9 +29,9 @@ from .expressions import (
     substitute, sym,
 )
 from .model import (
-    FOUR_THIRDS_TOL, ConstantH, DShape, ExpU, ExpX, FinEquation, FreeD,
-    FreeH, H1, HShape, ModelError, PowerU, PowerX, ShiftedPowerU, Solution,
-    VectorField, shapes_match, validate,
+    FOUR_THIRDS, FOUR_THIRDS_TOL, ConstantH, DShape, ExpU, ExpX, FinEquation,
+    FreeD, FreeH, H1, HShape, ModelError, PowerU, PowerX, ShiftedPowerU,
+    Solution, VectorField, shapes_match, validate,
 )
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _T, _X, _U = sym("t"), sym("x"), sym("u")
-_FOUR_THIRDS = -4.0 / 3.0
 
 
 class EquivalenceError(ModelError):
@@ -194,9 +193,9 @@ def make_group_element(family: str, deltas, sign: int = 1,
             x_old=x_old,
             u_old=mul(mul(u_coeff_old,
                           pow_(add(mul(num(-d5), _X), num(d3)), num(3))), _U),
-            d_rule=CoefficientRule(override=pow_(_U, num(_FOUR_THIRDS))),
+            d_rule=CoefficientRule(override=pow_(_U, num(FOUR_THIRDS))),
             h_rule=CoefficientRule(num(1 / d1), x_old),
-            requires_d=DShape("power", n=_FOUR_THIRDS),
+            requires_d=DShape("power", n=FOUR_THIRDS),
             family="G1", deltas=deltas, sign=sign)
 
     if family == "G2":
@@ -279,22 +278,22 @@ def _first_match(shape, candidates, free):
                  if shapes_match(spec.shape(), shape, 1e-9)), free)
 
 
-def _retag_d(expr: Expression, seed: int = 13):
-    s = fit_d_shape(expr, seed)
+def _retag_d(expr: Expression):
+    s = fit_d_shape(expr, 13)
     return _first_match(s, (PowerU(s.n), ShiftedPowerU(s.n, 1.0), ExpU()),
                         FreeD(expr))
 
 
-def _retag_h(expr: Expression, seed: int = 13):
+def _retag_h(expr: Expression):
     if isinstance(expr, Num):
         return ConstantH(expr.value)
-    s = fit_h_shape(expr, seed)
+    s = fit_h_shape(expr, 13)
     sign = 1 if s.coeff > 0 else -1
     return _first_match(s, (ConstantH(s.coeff), PowerX(s.q, sign), ExpX(sign),
                             H1(s.p, s.q, sign)), FreeH(expr))
 
 
-def apply_to_equation(T: PointTransformation, eq: FinEquation, seed: int = 13):
+def apply_to_equation(T: PointTransformation, eq: FinEquation):
     """Transform an equation; returns the new equation, or an
     :class:`OutsideClassReport` when the image leaves the class."""
     validate(eq)
@@ -306,11 +305,11 @@ def apply_to_equation(T: PointTransformation, eq: FinEquation, seed: int = 13):
     if T.d_rule.is_identity("u"):
         d_spec = eq.D
     else:
-        d_spec = _retag_d(T.d_rule.apply(eq.d_expr(), "u"), seed)
+        d_spec = _retag_d(T.d_rule.apply(eq.d_expr(), "u"))
     if T.h_rule.is_identity("x"):
         h_spec = eq.h
     else:
-        h_spec = _retag_h(T.h_rule.apply(eq.h_expr(), "x"), seed)
+        h_spec = _retag_h(T.h_rule.apply(eq.h_expr(), "x"))
     return validate(FinEquation(d_spec, h_spec))
 
 
@@ -369,12 +368,12 @@ def additional_equivalence(case_from: int, params: dict):
         if p == 0:
             T = make_group_element("G1", (1, 0, 0, 1, 1, 0), sign=1)
             T = replace(T, label="6p0-to-5")
-            return T, (5, {"n": _FOUR_THIRDS, "eps": eps})
+            return T, (5, {"n": FOUR_THIRDS, "eps": eps})
         if p == -1:
             r = _INV_SQRT2
             T = make_group_element("G1", (1, 0, r, -r, r, r), sign=1)
             T = replace(T, label="6pm1-to-4")
-            return T, (4, {"n": _FOUR_THIRDS, "q": q / 2.0, "eps": eps})
+            return T, (4, {"n": FOUR_THIRDS, "q": q / 2.0, "eps": eps})
         raise EquivalenceError("case 6 requires p in {-1, 0, 1}")
 
     if case_from in (11, 13):
@@ -391,7 +390,7 @@ def additional_equivalence(case_from: int, params: dict):
 
     if case_from in (10, 12):
         eps = int(params.get("eps", 1))
-        n = _FOUR_THIRDS if case_from == 12 else float(params["n"])
+        n = FOUR_THIRDS if case_from == 12 else float(params["n"])
         source = FinEquation(PowerU(n), ConstantH(float(eps)))
         T = make_group_element("G3", (1, 0, 1, 0, 1), eq=source)
         T = replace(T, label=f"{case_from}-to-{11 if case_from == 10 else 13}")

@@ -33,6 +33,8 @@ FUNCTIONS = ("exp", "ln", "abs", "arctan", "sign")
 #: singular sets x = 0, u = 0 of the coefficient families.
 DEFAULT_SAMPLING_RANGES = {"t": (0.1, 2.0), "x": (0.5, 3.0), "u": (0.5, 3.0)}
 _FALLBACK_RANGE = (0.5, 3.0)
+#: points at which :func:`equivalent` compares the two sides
+_TRIALS = 50
 
 
 class ExpressionError(Exception):
@@ -116,8 +118,8 @@ class Expression:
                 stack.extend(e.children())
         return frozenset(out)
 
-    def diff(self, var: str, deps=None) -> "Expression":
-        return differentiate(self, var, deps)
+    def diff(self, var: str) -> "Expression":
+        return differentiate(self, var)
 
     def subs(self, mapping) -> "Expression":
         return substitute(self, mapping)
@@ -620,18 +622,27 @@ def _op(e: Expression):
         raise TypeError(f"not an expression: {e!r}") from None
 
 
-def _float64_values(bindings: Mapping[str, object]) -> dict:
-    return {k: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray)
-            else np.float64(v) for k, v in bindings.items()}
+def _float64_values(bindings: Mapping[str, object]) -> tuple[dict, tuple]:
+    """The bindings as float64, and the shape of all of them broadcast
+    together."""
+    values = {k: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray)
+              else np.float64(v) for k, v in bindings.items()}
+    shape = ()
+    for v in values.values():
+        if v.shape and v.shape != shape:  # a scalar never widens the shape
+            shape = np.broadcast_shapes(shape, v.shape) if shape else v.shape
+    return values, shape
 
 
 def evaluate(e: Expression, bindings: Mapping[str, object]):
     """Evaluate with IEEE double semantics: NaN and infinities propagate.
 
-    Bindings may be scalars or numpy arrays (broadcast together); the
-    result has the broadcast shape.  Every free symbol must be bound.
+    Bindings may be scalars or numpy arrays.  The result is float64 of
+    the shape of all the bindings broadcast together, as from
+    :func:`compile_expressions`; an array result is fresh, never a bound
+    array.  Every free symbol must be bound.
     """
-    values = _float64_values(bindings)
+    values, shape = _float64_values(bindings)
     memo: dict[int, object] = {}
 
     def ev(e: Expression):
@@ -653,7 +664,11 @@ def evaluate(e: Expression, bindings: Mapping[str, object]):
         return r
 
     with np.errstate(all="ignore"):
-        return ev(e)
+        r = ev(e)
+    if r.shape != shape:
+        return np.broadcast_to(r, shape).copy()
+    # a bare symbol evaluates to the bound array, which the caller owns
+    return r.copy() if isinstance(e, Sym) and isinstance(r, np.ndarray) else r
 
 
 def compile_expressions(*exprs: Expression):
@@ -718,11 +733,7 @@ def compile_expressions(*exprs: Expression):
     slots = tuple(symbols.items())
 
     def run(bindings: Mapping[str, object]) -> tuple:
-        values = _float64_values(bindings)
-        shape = ()
-        for v in values.values():
-            if v.shape != shape:
-                shape = np.broadcast_shapes(shape, v.shape) if shape else v.shape
+        values, shape = _float64_values(bindings)
         regs = constants.copy()
         for name, r in slots:
             try:
@@ -769,7 +780,8 @@ def sample_finite(fn, symbols, seed: int, count: int, need: int,
 
     Draws up to ``rounds`` rounds of ``count`` points from
     ``default_rng(seed)`` with :func:`sample_bindings`, and calls ``fn`` on
-    each round's bindings; ``fn`` returns two arrays of shape ``(count,)``.
+    each round's bindings; ``fn`` returns two arrays of shape ``(count,)``
+    (two scalars, one point a round, when ``symbols`` is empty).
     Keeps, in draw order, the points where both are finite, and stops after
     the round that brings the points kept to ``need``.  Returns the two
     arrays at the kept points, empty when no point was finite.
@@ -787,27 +799,23 @@ def sample_finite(fn, symbols, seed: int, count: int, need: int,
     return np.concatenate(kept_a), np.concatenate(kept_b)
 
 
-def equivalent(a: Expression, b: Expression, seed: int = 0, trials: int = 50,
+def equivalent(a: Expression, b: Expression, seed: int = 0,
                tol: float = 1e-9, ranges=None) -> bool:
     """Randomized equality test: ``|a-b| <= tol*(1+|a|+|b|)`` at the first
-    ``trials`` sampled points where both sides are finite.
+    50 sampled points where both sides are finite.
 
     Sampling is seeded and reproducible.  Points where either side is
     non-finite are resampled a bounded number of times; if no admissible
     point is ever found, :class:`NoAdmissibleSampleError` is raised.
     """
-    batch = max(4 * trials, 16)
-
     def sides(bindings):
-        return tuple(np.broadcast_to(np.asarray(evaluate(e, bindings),
-                                                dtype=np.float64), (batch,))
-                     for e in (a, b))
+        return evaluate(a, bindings), evaluate(b, bindings)
 
     symbols = sorted(a.free_symbols() | b.free_symbols())
-    va, vb = sample_finite(sides, symbols, seed, batch, need=trials,
+    va, vb = sample_finite(sides, symbols, seed, 4 * _TRIALS, need=_TRIALS,
                            rounds=10, ranges=ranges)
     if va.size == 0:
         raise NoAdmissibleSampleError(
             "no admissible sample: all trials hit non-finite values")
-    va, vb = va[:trials], vb[:trials]
+    va, vb = va[:_TRIALS], vb[:_TRIALS]
     return bool(np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va) + np.abs(vb))))

@@ -30,8 +30,10 @@ __all__ = [
     "FOUR_THIRDS_TOL",
 ]
 
-#: n = -4/3 is a structural branch point; floats are matched to it with
-#: this absolute tolerance.
+#: n = -4/3 is a structural branch point of the classification table
+FOUR_THIRDS = -4.0 / 3.0
+#: a float n is -4/3 when within this tolerance relative to 1 + |n| + 4/3,
+#: the closeness :func:`shapes_match` applies to shape parameters
 FOUR_THIRDS_TOL = 1e-12
 
 _T, _X, _U = sym("t"), sym("x"), sym("u")
@@ -53,8 +55,12 @@ class SchemaError(ModelError):
     pass
 
 
+def _close(a: float, b: float, tol: float) -> bool:
+    return abs(a - b) <= tol * (1 + abs(a) + abs(b))
+
+
 def is_four_thirds(n: float) -> bool:
-    return abs(n + 4.0 / 3.0) <= FOUR_THIRDS_TOL
+    return _close(n, FOUR_THIRDS, FOUR_THIRDS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +410,7 @@ def validate(eq: FinEquation, seed: int = 0) -> FinEquation:
         dd = eq.D.expr.diff("u")
 
         def slope_and_value(bindings):
-            return tuple(np.broadcast_to(np.asarray(evaluate(e, bindings)),
-                                         (20,)) for e in (dd, eq.D.expr))
+            return evaluate(dd, bindings), evaluate(eq.D.expr, bindings)
 
         dv, v = sample_finite(slope_and_value, ("u",), seed, 20, need=20,
                               rounds=1)
@@ -445,16 +450,14 @@ def _require_keys(obj: dict, required: set, what: str):
                           f"got {sorted(keys)}")
 
 
-def _number(obj: dict, field) -> float | int:
-    """A spec parameter read from JSON: a finite number that is not a bool,
-    and a whole number for an integer field."""
-    value, integral = obj[field.name], field.type == "int"
+def _number(value, name: str, integral: bool = False):
+    """A parameter read from JSON: a finite number that is not a bool, and
+    a whole number when ``integral``."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not abs(value) <= sys.float_info.max
             or integral and value != int(value)):
         expected = "an integer" if integral else "a finite number"
-        raise SchemaError(f"{obj['family']}.{field.name} must be {expected}, "
-                          f"got {value!r}")
+        raise SchemaError(f"{name} must be {expected}, got {value!r}")
     return int(value) if integral else float(value)
 
 
@@ -474,7 +477,8 @@ def spec_from_json(obj: dict, kind: str):
         raise SchemaError(f"unknown {kind}-spec family: {family!r}")
     params = fields(cls)
     _require_keys(obj, {"family", *(f.name for f in params)}, family)
-    return cls(*(_number(obj, f) for f in params))
+    return cls(*(_number(obj[f.name], f"{family}.{f.name}", f.type == "int")
+                 for f in params))
 
 
 def equation_to_json(eq: FinEquation) -> dict:
@@ -504,6 +508,8 @@ def load_equation_file(path: str) -> tuple[FinEquation, dict]:
     params = obj.get("params", {}) if isinstance(obj, dict) else {}
     if params is not None and not isinstance(params, dict):
         raise SchemaError("'params' must be an object")
+    for key, value in (params or {}).items():
+        _number(value, f"params.{key}")
     return equation_from_json(obj), dict(params or {})
 
 
@@ -517,8 +523,7 @@ def shapes_match(a: DShape | HShape, b: DShape | HShape, tol: float) -> bool:
     kind_a, *values_a = vars(a).values()
     kind_b, *values_b = vars(b).values()
     return kind_a == kind_b and all(
-        abs(x - y) <= tol * (1 + abs(x) + abs(y))
-        for x, y in zip(values_a, values_b))
+        _close(x, y, tol) for x, y in zip(values_a, values_b))
 
 
 def _specs_equal(a, b, tol: float, seed: int, ranges=None) -> bool:
@@ -529,8 +534,9 @@ def _specs_equal(a, b, tol: float, seed: int, ranges=None) -> bool:
 
 
 def equations_equal(a: FinEquation, b: FinEquation, tol: float = 1e-9,
-                    seed: int = 7, ranges=None) -> bool:
+                    ranges=None) -> bool:
     """Equality of equations: matching shapes of tagged coefficients, with
-    free-form coefficients compared by randomized sampling."""
-    return (_specs_equal(a.D, b.D, tol, seed, ranges)
-            and _specs_equal(a.h, b.h, tol, seed + 1, ranges))
+    free-form coefficients compared by randomized sampling (seeds 7 for D
+    and 8 for h)."""
+    return (_specs_equal(a.D, b.D, tol, 7, ranges)
+            and _specs_equal(a.h, b.h, tol, 8, ranges))

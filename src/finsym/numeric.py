@@ -104,14 +104,14 @@ class Field:
     times: np.ndarray
     values: np.ndarray  # shape (len(times), len(x))
 
-    def to_csv(self, stream=None) -> str:
-        out = stream or io.StringIO()
+    def to_csv(self) -> str:
+        out = io.StringIO()
         out.write("t,x,u\n")
         for k, t in enumerate(self.times):
             for j, xv in enumerate(self.x):
                 out.write(f"{float(t)!r},{float(xv)!r},"
                           f"{float(self.values[k, j])!r}\n")
-        return out.getvalue() if stream is None else ""
+        return out.getvalue()
 
 
 def _max_abs_d(d_at, u0: np.ndarray) -> float:
@@ -126,8 +126,7 @@ def _max_abs_d(d_at, u0: np.ndarray) -> float:
 
 
 def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
-              method: str = "explicit", n_store: int = 11,
-              max_iter: int = 200) -> Field:
+              method: str = "explicit") -> Field:
     """March the equation forward and return stored time levels.
 
     ``boundary`` is a :class:`DirichletBC` (expressions in t) or
@@ -161,7 +160,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     n_steps = max(1, int(np.ceil(grid.t_final / dt - 1e-12)))
     dt = grid.t_final / n_steps
 
-    store_every = max(1, n_steps // max(1, n_store - 1))
+    store_every = max(1, n_steps // 10)  # about 11 levels, t = 0 included
     times = [0.0]
     levels = [u.copy()]
     dirichlet = isinstance(boundary, DirichletBC)
@@ -192,7 +191,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
             u_next = u + dt * rate(u)
         else:
             u_next = u.copy()
-            for _ in range(max_iter):
+            for _ in range(200):
                 candidate = u + dt * rate(u_next)
                 if dirichlet:
                     candidate[0], candidate[-1] = left, right
@@ -280,7 +279,7 @@ def integrate_reduced_ode(reduction, phi0: float, dphi0: float,
 
 def shoot_reduced_ode(reduction, phi0: float, w_end: float, phi_end: float,
                       slope_bracket: tuple, steps: int = 400,
-                      tol: float = 1e-10, max_iter: int = 200) -> float:
+                      tol: float = 1e-10) -> float:
     """Initial slope hitting phi(w_end) = phi_end, by bisection shooting.
 
     ``slope_bracket`` must straddle the target (the endpoint misses at the
@@ -296,7 +295,7 @@ def shoot_reduced_ode(reduction, phi0: float, w_end: float, phi_end: float,
     f_lo, f_hi = miss(lo), miss(hi)
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi > 0:
         raise NumericError("slope bracket does not straddle the target")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = miss(mid)
         if f_lo * f_mid <= 0:

@@ -19,8 +19,8 @@ from .expressions import (
 from .model import FinEquation, VectorField, validate
 
 __all__ = [
-    "JetResidual", "prolonged_residual", "is_lie_symmetry",
-    "symmetry_residual", "conditional_residual", "SymmetryError",
+    "JetResidual", "prolonged_residual", "symmetry_residual",
+    "conditional_residual", "SymmetryError",
     "DEFAULT_JET_RANGES",
 ]
 
@@ -65,9 +65,7 @@ class JetResidual:
             total = np.zeros(samples)
             scale = np.ones(samples)
             for term in self.terms:
-                v = np.broadcast_to(
-                    np.asarray(evaluate(term, bindings), dtype=np.float64),
-                    (samples,))
+                v = evaluate(term, bindings)
                 total = total + v
                 scale = scale + np.abs(v)
             return total, scale
@@ -148,14 +146,9 @@ def prolonged_residual(eq: FinEquation, field: VectorField) -> JetResidual:
 
 def symmetry_residual(eq: FinEquation, field: VectorField, seed: int = 42,
                       samples: int = 50, ranges=None) -> float:
+    """Largest relative prolonged residual over seeded jet samples; a Lie
+    symmetry gives a value at rounding level."""
     return prolonged_residual(eq, field).max_relative(seed, samples, ranges)
-
-
-def is_lie_symmetry(eq: FinEquation, field: VectorField, seed: int = 42,
-                    tol: float = 1e-9, samples: int = 50,
-                    ranges=None) -> bool:
-    """Randomized zero test of the prolonged residual over jet samples."""
-    return symmetry_residual(eq, field, seed, samples, ranges) <= tol
 
 
 def conditional_residual(eq: FinEquation, field: VectorField) -> JetResidual:

@@ -116,6 +116,26 @@ def test_exact_nonclassical(eq_file, capsys):
     assert doc["max_residual"] <= 1e-10
 
 
+def test_reduce_and_exact_outside_the_catalog(eq_file, capsys):
+    case1 = {"D": {"family": "power_u", "n": 2}, "h": {"expr": "x^2+x"}}
+    assert main(["reduce", "--eq", eq_file(case1), "--sub", "1"]) == 2
+    assert "no reduction catalog for case 1" in capsys.readouterr().err
+    assert main(["exact", "--eq", eq_file(case1)]) == 2
+    assert "no exact solution catalog for case 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("exact", {**NONCLASSICAL, "params": {"C": "abc"}}, "params.C must be"),
+    ("reduce", {**CASE4, "params": {"n": "abc"}}, "params.n must be"),
+    ("reduce", {**CASE4, "params": {"eps": 7}}, "fixed by the classification"),
+], ids=["exact-C-string", "reduce-n-string", "reduce-eps-fixed"])
+def test_params_are_checked(eq_file, capsys, command, doc, message):
+    extra = ["--sub", "1"] if command == "reduce" else []
+    assert main([command, "--eq", eq_file(doc), *extra]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_exact_reality_violation_is_input_error(eq_file, capsys):
     bad = {"D": {"family": "power_u", "n": -4 / 3},
            "h": {"family": "h1", "p": -1, "q": 1, "eps": 1}}

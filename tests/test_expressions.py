@@ -160,23 +160,32 @@ def test_evaluate_unbound_symbol():
         run({"x": np.ones(3)})
 
 
+def _walked(*exprs):
+    """``evaluate`` with the calling convention of a compiled tape."""
+    return lambda bindings: tuple(evaluate(e, bindings) for e in exprs)
+
+
 def test_compile_broadcasts_to_the_bindings_shape():
+    # both evaluators keep one contract: float64 of the bindings' shape,
+    # fresh arrays, never a bound array
     xs = np.linspace(0.5, 2.0, 7)
-    run = compile_expressions(parse("2"), parse("x"), parse("t*3"),
-                              parse("t*x"), parse("t*x"))
-    outs = run({"t": 0.5, "x": xs})
-    for v in outs:
-        assert isinstance(v, np.ndarray) and v.dtype == np.float64
-        assert v.shape == (7,) and v.flags.writeable
-    assert np.all(outs[0] == 2.0) and np.all(outs[2] == 1.5)
-    assert np.array_equal(outs[1], xs) and not np.shares_memory(outs[1], xs)
-    assert np.array_equal(outs[3], 0.5 * xs)
-    assert np.array_equal(outs[4], outs[3])
-    assert not np.shares_memory(outs[3], outs[4])
-    # scalar bindings give shape (); no bindings at all, too
-    assert [np.shape(v) for v in run({"t": 1.0, "x": 2.0})] == [()] * 5
-    (c,) = compile_expressions(parse("2"))({})
-    assert np.shape(c) == () and c == 2.0
+    for make in (compile_expressions, _walked):
+        run = make(parse("2"), parse("x"), parse("t*3"), parse("t*x"),
+                   parse("t*x"))
+        outs = run({"t": 0.5, "x": xs})
+        for v in outs:
+            assert isinstance(v, np.ndarray) and v.dtype == np.float64
+            assert v.shape == (7,) and v.flags.writeable
+        assert np.all(outs[0] == 2.0) and np.all(outs[2] == 1.5)
+        assert np.array_equal(outs[1], xs)
+        assert not np.shares_memory(outs[1], xs)
+        assert np.array_equal(outs[3], 0.5 * xs)
+        assert np.array_equal(outs[4], outs[3])
+        assert not np.shares_memory(outs[3], outs[4])
+        # scalar bindings give shape (); no bindings at all, too
+        assert [np.shape(v) for v in run({"t": 1.0, "x": 2.0})] == [()] * 5
+        (c,) = make(parse("2"))({})
+        assert np.shape(c) == () and c == 2.0
 
 
 def test_compile_keeps_signed_zeros_apart():

@@ -225,6 +225,8 @@ def test_bad_inputs():
         build_reduction(7, "1", {})
     with pytest.raises(ReductionError):
         build_reduction(4, "1", {"n": 0, "q": 1, "eps": 1})
+    with pytest.raises(ReductionError, match="case 10"):
+        build_reduction(4, "1", {"n": 2, "q": 0, "eps": 1})  # table case 10
     with pytest.raises(ReductionError):
         verify_reduction(EQ4(1, 1, -1),
                          build_reduction(4, "0", {"n": 1, "q": 1, "eps": -1}))
