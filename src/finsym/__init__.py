@@ -19,7 +19,7 @@ from .model import (
     FinEquation, VectorField, Solution, validate, equations_equal,
     equation_to_json, equation_from_json, load_equation_file,
 )
-from .classify import ClassificationResult, classify, h1_closed_form
+from .classify import ClassificationResult, classify
 from .symmetry import (
     JetResidual, prolonged_residual, symmetry_residual, conditional_residual,
 )

@@ -16,33 +16,20 @@ import numpy as np
 
 from .expressions import Expression, add, call, evaluate, mul, neg, num, pow_, sym
 from .model import (
-    D_T, D_X, DShape, FinEquation, FreeD, FreeH, HShape, ModelError,
-    VectorField, _num_out, h1_expression, is_four_thirds, validate,
+    D_T, D_X, DShape, FinEquation, FreeD, FreeH, HShape, VectorField,
+    _num_out, h1_expression, is_four_thirds,
 )
 
 __all__ = [
-    "ClassificationResult", "classify", "h1_closed_form",
+    "ClassificationResult", "classify",
     "DShape", "HShape", "fit_d_shape", "fit_h_shape", "spec_shape",
-    "ClassifyError", "FIT_SAMPLES", "FIT_TOL",
+    "FIT_SAMPLES", "FIT_TOL",
 ]
 
 FIT_SAMPLES = 50
 FIT_TOL = 1e-8
 
 _T, _X, _U = sym("t"), sym("x"), sym("u")
-
-
-class ClassifyError(ModelError):
-    pass
-
-
-def h1_closed_form(p: int, q: float, eps: int) -> Expression:
-    """Closed form of the h1 profile for p in {-1, 0, 1}."""
-    if p not in (-1, 0, 1):
-        raise ClassifyError(f"p must be in {{-1, 0, 1}}, got {p}")
-    if q == 0:
-        raise ClassifyError("h1 profile requires q != 0")
-    return h1_expression(p, q, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +40,11 @@ _ARBITRARY_D = DShape("arbitrary")
 _ARBITRARY_H = HShape("arbitrary")
 
 
-def _verified(got, candidate: Expression, var: str, xs) -> bool:
-    """Whether ``candidate`` matches the sampled values ``got``."""
-    want = evaluate(candidate, {var: xs})
+def _verified(got, want) -> bool:
+    """Whether a candidate's values ``want`` match the sampled values
+    ``got``."""
     finite = np.isfinite(got) & np.isfinite(want)
-    if finite.sum() < max(8, xs.size // 2):
+    if finite.sum() < max(8, got.size // 2):
         return False
     err = np.abs(got[finite] - want[finite])
     return bool(np.all(err <= FIT_TOL * (1 + np.abs(got[finite])
@@ -85,21 +72,22 @@ def _median_coeff(vals, shape_vals):
     return float(np.median(vals[ok] / shape_vals[ok]))
 
 
-def _exp_fit(var: str, xs, vals, dvals):
+def _exp_fit(xs, vals, dvals):
     """(c, k) when the samples fit c*e^(k v): their ratio to the derivative
     is constant."""
     fit = _ratio_fit(xs, vals, dvals, (0,))
     if fit is None or fit[0] == 0:
         return None
     k = 1.0 / fit[0]
-    c = _median_coeff(vals, np.exp(k * xs))
-    if c is None or not _verified(
-            vals, mul(num(c), call("exp", mul(num(k), sym(var)))), var, xs):
+    with np.errstate(all="ignore"):
+        shape = np.exp(k * xs)
+    c = _median_coeff(vals, shape)
+    if c is None or not _verified(vals, c * shape):
         return None
     return c, k
 
 
-def _power_fit(var: str, xs, vals, dvals):
+def _power_fit(xs, vals, dvals):
     """(c, n, s) when the samples fit c*(v+s)^n: their ratio to the
     derivative is linear.  A shift within 1e-9 of 0 is returned as 0."""
     fit = _ratio_fit(xs, vals, dvals, (0, 1))
@@ -111,8 +99,7 @@ def _power_fit(var: str, xs, vals, dvals):
     with np.errstate(all="ignore"):
         shape = (xs + s) ** n
     c = _median_coeff(vals, shape)
-    if c is None or not _verified(
-            vals, mul(num(c), pow_(add(sym(var), num(s)), num(n))), var, xs):
+    if c is None or not _verified(vals, c * shape):
         return None
     return c, n, 0.0 if abs(s) <= 1e-9 else s
 
@@ -122,10 +109,10 @@ def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
     xs = np.random.default_rng(seed).uniform(0.5, 3.0, size=FIT_SAMPLES)
     vals = evaluate(expr, {"u": xs})
     dvals = evaluate(expr.diff("u"), {"u": xs})
-    exp = _exp_fit("u", xs, vals, dvals)
+    exp = _exp_fit(xs, vals, dvals)
     if exp is not None:
         return DShape("exp", coeff=exp[0], k=exp[1])
-    power = _power_fit("u", xs, vals, dvals)
+    power = _power_fit(xs, vals, dvals)
     if power is not None:
         c, n, beta = power
         return DShape("shifted" if beta else "power", coeff=c, n=n, beta=beta)
@@ -148,10 +135,10 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
         return HShape("const", coeff=float(np.median(vals[finite])))
 
     dvals = evaluate(expr.diff("x"), {"x": xs})
-    exp = _exp_fit("x", xs, vals, dvals)
+    exp = _exp_fit(xs, vals, dvals)
     if exp is not None:
         return HShape("exp", coeff=exp[0], k=exp[1])
-    power = _power_fit("x", xs, vals, dvals)
+    power = _power_fit(xs, vals, dvals)
     if power is not None:
         c, q, s = power
         return HShape("power", coeff=c, q=q, shift=s)
@@ -166,9 +153,10 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
             p_hat = g * q - s * s
             p = int(round(p_hat))
             if p in (-1, 0, 1) and abs(p_hat - p) <= 1e-6:
-                base = h1_expression(p, q, 1, var=add(_X, num(s)))
-                c = _median_coeff(vals, evaluate(base, {"x": xs}))
-                if c is not None and _verified(vals, mul(num(c), base), "x", xs):
+                base = evaluate(h1_expression(p, q, 1, var=add(_X, num(s))),
+                                {"x": xs})
+                c = _median_coeff(vals, base)
+                if c is not None and _verified(vals, c * base):
                     if abs(s) <= 1e-9:
                         s = 0.0
                     return HShape("h1", coeff=c, q=q, p=p, shift=s)
@@ -238,7 +226,6 @@ def classify(eq: FinEquation, seed: int = 42) -> ClassificationResult:
     returned generators are symmetries of the input equation as given (no
     renormalization is applied to the equation itself).
     """
-    validate(eq, seed)
     d = spec_shape(eq.D, seed)
     h = spec_shape(eq.h, seed + 1)
     u = _U

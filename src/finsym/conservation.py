@@ -17,7 +17,7 @@ from .expressions import (
     Expression, add, call, differentiate, div, evaluate, mul, neg, num,
     pow_, sub, sym, to_string,
 )
-from .model import DShape, FinEquation, ModelError, validate
+from .model import DShape, FinEquation, ModelError
 from .numeric import Field, Grid, NoFluxBC, solve_pde
 from .symmetry import JetResidual
 
@@ -62,7 +62,6 @@ def _antiderivative(d: DShape) -> Expression:
 
 def conservation_laws(eq: FinEquation) -> list[ConservationLaw]:
     """The two basis laws when h is constant, the empty list otherwise."""
-    validate(eq)
     c = spec_shape(eq.h, seed=11).constant()
     if c is None:
         return []
@@ -87,7 +86,6 @@ def divergence_residual(cl: ConservationLaw, eq: FinEquation,
                         seed: int = 42, tol: float = 1e-9
                         ) -> tuple[JetResidual, bool]:
     """D_t rho + D_x F - lambda * Delta on jet space, plus its zero test."""
-    validate(eq)
     dt_rho = differentiate(cl.density, "t", deps={"u": ("t",)})
     dx_flux = differentiate(cl.flux, "x",
                             deps={"u": ("x",), "u_x": ("x",)})

@@ -2,7 +2,9 @@
 
 Coefficient specs are tagged families (plus free-form expressions), so the
 classifier can branch on structure instead of re-deriving it.  All values
-are immutable.
+are immutable.  A :class:`FinEquation` checks its own membership in the
+class (:func:`validate`) when it is constructed, so every equation that
+exists is valid and no function taking one checks it again.
 """
 from __future__ import annotations
 
@@ -291,9 +293,16 @@ _H_KINDS = (*_FAMILIES["x"].values(), FreeH)
 
 @dataclass(frozen=True)
 class FinEquation:
-    """One member of the class u_t = (D(u) u_x)_x + h(x) u."""
+    """One member of the class u_t = (D(u) u_x)_x + h(x) u.
+
+    Construction (``dataclasses.replace`` included) runs :func:`validate`
+    and raises its exception for a spec outside the class.
+    """
     D: DSpec
     h: HSpec
+
+    def __post_init__(self):
+        validate(self)
 
     def d_expr(self) -> Expression:
         return self.D.expression()
@@ -380,11 +389,13 @@ def _free_symbol_check(expr: Expression, allowed: set, what: str):
             f"{what} may only involve {sorted(allowed)}, found {sorted(extra)}")
 
 
-def validate(eq: FinEquation, seed: int = 0) -> FinEquation:
+def validate(eq: FinEquation) -> FinEquation:
     """Check kinds, parameter constraints and nonlinearity; return eq.
 
-    Free D specs are tested for constancy by sampling dD/du at 20 seeded
-    points; a constant D means the excluded linear case.  Idempotent.
+    Free D specs are tested for constancy by sampling dD/du at 20 points
+    drawn at seed 0; a constant D means the excluded linear case.  Free
+    specs may involve only their own variable.  Idempotent;
+    :class:`FinEquation` runs it on construction, so callers need not.
     """
     if not isinstance(eq.D, _D_KINDS):
         raise SpecKindError(f"not a diffusion spec: {eq.D!r}")
@@ -412,7 +423,7 @@ def validate(eq: FinEquation, seed: int = 0) -> FinEquation:
         def slope_and_value(bindings):
             return evaluate(dd, bindings), evaluate(eq.D.expr, bindings)
 
-        dv, v = sample_finite(slope_and_value, ("u",), seed, 20, need=20,
+        dv, v = sample_finite(slope_and_value, ("u",), 0, 20, need=20,
                               rounds=1)
         if dv.size == 0:
             raise SpecKindError("free D not evaluable on the sampling range")
@@ -493,9 +504,8 @@ def equation_from_json(obj: dict) -> FinEquation:
         raise SchemaError(f"unknown keys in equation document: {sorted(extra)}")
     if "D" not in obj or "h" not in obj:
         raise SchemaError("equation document requires 'D' and 'h'")
-    eq = FinEquation(spec_from_json(obj["D"], "u"),
-                     spec_from_json(obj["h"], "x"))
-    return validate(eq)
+    return FinEquation(spec_from_json(obj["D"], "u"),
+                       spec_from_json(obj["h"], "x"))
 
 
 def load_equation_file(path: str) -> tuple[FinEquation, dict]:

@@ -23,7 +23,7 @@ from .expressions import (
     Expression, compile_expressions, differentiate, mul, parse, sample_finite,
     sub, substitute,
 )
-from .model import FinEquation, ModelError, Solution, validate
+from .model import FinEquation, ModelError, Solution
 
 __all__ = [
     "Grid", "Field", "DirichletBC", "NoFluxBC", "solve_pde",
@@ -136,7 +136,6 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     """
     if method not in ("explicit", "implicit"):
         raise NumericError(f"unknown method {method!r}")
-    validate(eq)
     xs = grid.nodes()
     dx = grid.dx
     u, h_nodes = compile_expressions(initial, eq.h_expr())({"x": xs})

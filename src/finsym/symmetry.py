@@ -16,7 +16,7 @@ from .expressions import (
     ONE, ZERO, Expression, Num, add, differentiate, evaluate, mul, neg,
     sample_finite, sub, substitute, sym,
 )
-from .model import FinEquation, VectorField, validate
+from .model import FinEquation, VectorField
 
 __all__ = [
     "JetResidual", "prolonged_residual", "symmetry_residual",
@@ -137,7 +137,6 @@ def prolonged_residual(eq: FinEquation, field: VectorField) -> JetResidual:
     The result vanishes identically on (t, x, u, u_x, u_xx) iff the field
     is a Lie point symmetry of the equation.
     """
-    validate(eq)
     rhs = _rhs(eq)
     terms = tuple(substitute(term, {"u_t": rhs})
                   for term in _raw_terms(eq, field))
@@ -159,8 +158,6 @@ def conditional_residual(eq: FinEquation, field: VectorField) -> JetResidual:
     condition Q = eta - tau u_t - xi u_x = 0, with the needed differential
     consequences, are imposed.
     """
-    validate(eq)
-    _check_shapes(field)
     tau, xi, eta = field.tau, field.xi, field.eta
     raw = _raw_terms(eq, field)
     u, u_x = sym("u"), sym("u_x")

@@ -1,15 +1,20 @@
+import dataclasses
 import json
 
 import pytest
 
+import finsym.model
+from finsym.classify import classify
+from finsym.conservation import AntiderivativeError, conservation_laws
 from finsym.equivalence import apply_to_equation, make_group_element
-from finsym.expressions import parse
+from finsym.expressions import parse, sample_finite
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
     LinearCaseError, PowerU, PowerX, ReciprocalShift, SchemaError,
     ShiftedPowerU, Solution, SpecKindError, VectorField, equation_from_json,
     equation_to_json, equations_equal, validate,
 )
+from finsym.symmetry import prolonged_residual
 
 
 def test_validate_accepts_power_constant():
@@ -43,6 +48,35 @@ def test_validate_parameter_constraints():
         validate(FinEquation(PowerU(2), H1(2, 1, 1)))
     with pytest.raises(SpecKindError):
         validate(FinEquation(PowerU(2), PowerX(2, 3)))
+
+
+def test_construction_validates():
+    with pytest.raises(LinearCaseError):
+        FinEquation(PowerU(0), ConstantH(1))
+    with pytest.raises(SpecKindError):
+        FinEquation(PowerU(2), PowerX(2, 3))
+    with pytest.raises(SpecKindError):
+        FinEquation(PowerX(1, 1), ConstantH(1))
+    eq = FinEquation(PowerU(2), ConstantH(1))
+    with pytest.raises(LinearCaseError):
+        dataclasses.replace(eq, D=PowerU(0))
+
+
+def test_free_d_is_probed_once(monkeypatch):
+    probes = []
+
+    def counting(*args, **kwargs):
+        probes.append(args)
+        return sample_finite(*args, **kwargs)
+
+    monkeypatch.setattr(finsym.model, "sample_finite", counting)
+    eq = FinEquation(FreeD(parse("u^2+1")), ConstantH(1))
+    assert len(probes) == 1
+    for vf in classify(eq).basis:
+        prolonged_residual(eq, vf)
+    with pytest.raises(AntiderivativeError):
+        conservation_laws(eq)
+    assert len(probes) == 1
 
 
 def test_validate_checks_free_symbols():
