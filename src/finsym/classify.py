@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expression, add, call, evaluate, mul, neg, num, pow_, sym
+from .expressions import (
+    Expression, _close, add, call, evaluate, mul, neg, num, pow_,
+    sample_bindings, sym,
+)
 from .model import (
     D_T, D_X, DShape, FinEquation, FreeD, FreeH, HShape, VectorField,
     _num_out, h1_expression, is_four_thirds,
@@ -46,9 +49,7 @@ def _verified(got, want) -> bool:
     finite = np.isfinite(got) & np.isfinite(want)
     if finite.sum() < max(8, got.size // 2):
         return False
-    err = np.abs(got[finite] - want[finite])
-    return bool(np.all(err <= FIT_TOL * (1 + np.abs(got[finite])
-                                         + np.abs(want[finite]))))
+    return bool(np.all(_close(got[finite], want[finite], FIT_TOL)))
 
 
 def _ratio_fit(xs, vals, dvals, degree_mask):
@@ -106,7 +107,7 @@ def _power_fit(xs, vals, dvals):
 
 def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
     """Match a u-expression against c*e^(k u) and c*(u+beta)^n."""
-    xs = np.random.default_rng(seed).uniform(0.5, 3.0, size=FIT_SAMPLES)
+    xs = sample_bindings(("u",), np.random.default_rng(seed), FIT_SAMPLES)["u"]
     vals = evaluate(expr, {"u": xs})
     dvals = evaluate(expr.diff("u"), {"u": xs})
     exp = _exp_fit(xs, vals, dvals)
@@ -122,7 +123,7 @@ def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
 def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     """Match an x-expression against 0, const, c*(x+s)^q, c*e^(kx) and the
     integral profile c*h1(x+s; p, q)."""
-    xs = np.random.default_rng(seed).uniform(0.5, 3.0, size=FIT_SAMPLES)
+    xs = sample_bindings(("x",), np.random.default_rng(seed), FIT_SAMPLES)["x"]
     vals = evaluate(expr, {"x": xs})
     finite = np.isfinite(vals)
     if finite.sum() < 8:

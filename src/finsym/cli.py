@@ -83,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=sorted(ADDITIONAL_MAP_LABELS))
 
     p = common("reduce", _cmd_reduce, "similarity reduction")
-    p.add_argument("--case", type=int, default=None)
     p.add_argument("--sub", required=True, choices=["0", "1", "2"])
 
     common("exact", _cmd_exact, "closed-form solution + residual", tol=True)
@@ -160,6 +159,10 @@ def _cmd_verify_symmetry(args) -> int:
 def _cmd_transform(args) -> int:
     eq, params = load_equation_file(args.eq)
     source = classify(eq, seed=args.seed)
+    case_from = ADDITIONAL_MAP_LABELS[args.map_label][0]
+    if source.case != case_from:
+        raise ModelError(f"map {args.map_label!r} takes case {case_from}; "
+                         f"the equation is case {source.case}")
     merged = _merge(source.params, params)
     transformation, target = map_by_label(args.map_label, merged)
     image = apply_to_equation(transformation, eq)
@@ -182,11 +185,8 @@ def _cmd_transform(args) -> int:
 def _cmd_reduce(args) -> int:
     eq, params = load_equation_file(args.eq)
     result = classify(eq, seed=args.seed)
-    case = args.case if args.case is not None else result.case
-    if case != result.case:
-        raise ModelError(
-            f"--case {case} does not match the equation (case {result.case})")
-    reduction = build_reduction(case, args.sub, _merge(result.params, params))
+    reduction = build_reduction(result.case, args.sub,
+                                _merge(result.params, params))
     _emit(reduction.to_json(), args.as_json)
     return EXIT_OK
 

@@ -2,9 +2,11 @@
 
 Four element families are constructible:
 
-* ``Gsim``   affine scalings/translations acting on the whole class,
+* ``Gsim``   affine scalings/translations acting on the whole class: the
+             d6 = 0 slice of G2's map, with h's general rule,
 * ``G1``     Moebius maps valid on the subclass D = u^(-4/3),
-* ``G2``     affine maps with a u-translation, valid when h = 0,
+* ``G2``     the affine map t -> d1 t + d2, x -> d3 x + d4, u -> d5 u + d6,
+             valid when h = 0,
 * ``G3``     exponential time reparameterization, valid for constant h and
              power D (the variable change depends on the equation's h).
 
@@ -110,14 +112,11 @@ class PointTransformation:
     sign: int = 1
 
     def inverse(self) -> "PointTransformation":
-        if self.family == "Gsim":
-            d1, d2, d3, d4, d5 = self.deltas
+        if self.family in ("Gsim", "G2"):
+            d1, d2, d3, d4, d5, *d6 = self.deltas
             return make_group_element(
-                "Gsim", (1 / d1, -d2 / d1, 1 / d3, -d4 / d3, 1 / d5))
-        if self.family == "G2":
-            d1, d2, d3, d4, d5, d6 = self.deltas
-            return make_group_element(
-                "G2", (1 / d1, -d2 / d1, 1 / d3, -d4 / d3, 1 / d5, -d6 / d5))
+                self.family, (1 / d1, -d2 / d1, 1 / d3, -d4 / d3, 1 / d5,
+                              *(-v / d5 for v in d6)))
         if self.family == "G1":
             d1, d2, d3, d4, d5, d6 = self.deltas
             det = d3 * d6 - d4 * d5
@@ -142,6 +141,26 @@ class OutsideClassReport:
 # group element constructors
 
 
+def _affine(family: str, deltas: tuple) -> PointTransformation:
+    """The map t -> d1 t + d2, x -> d3 x + d4, u -> d5 u + d6, with its D
+    rule and its general h rule; five ``deltas`` leave out d6 = 0."""
+    d1, d2, d3, d4, d5, d6 = (*deltas, 0.0)[:6]
+    if d1 * d3 * d5 == 0:
+        raise DeltaConstraintError(f"{family} requires d1*d3*d5 != 0")
+    x_old = div(sub(_X, num(d4)), num(d3))
+    u_old = div(sub(_U, num(d6)), num(d5))
+    return PointTransformation(
+        label=family,
+        t_new=add(mul(num(d1), _T), num(d2)),
+        x_new=add(mul(num(d3), _X), num(d4)),
+        u_new=add(mul(num(d5), _U), num(d6)),
+        t_old=div(sub(_T, num(d2)), num(d1)),
+        x_old=x_old, u_old=u_old,
+        d_rule=CoefficientRule(num(d3 * d3 / d1), u_old),
+        h_rule=CoefficientRule(num(1 / d1), x_old),
+        family=family, deltas=deltas)
+
+
 def make_group_element(family: str, deltas, sign: int = 1,
                        eq: FinEquation | None = None) -> PointTransformation:
     """Build one group element; see the module docstring for families.
@@ -151,23 +170,15 @@ def make_group_element(family: str, deltas, sign: int = 1,
     h and the power exponent from ``eq``.
     """
     deltas = tuple(float(v) for v in deltas)
-    if family == "Gsim":
-        if len(deltas) != 5:
-            raise DeltaConstraintError("Gsim takes five constants")
-        d1, d2, d3, d4, d5 = deltas
-        if d1 * d3 * d5 == 0:
-            raise DeltaConstraintError("Gsim requires d1*d3*d5 != 0")
-        return PointTransformation(
-            label="Gsim",
-            t_new=add(mul(num(d1), _T), num(d2)),
-            x_new=add(mul(num(d3), _X), num(d4)),
-            u_new=mul(num(d5), _U),
-            t_old=div(sub(_T, num(d2)), num(d1)),
-            x_old=div(sub(_X, num(d4)), num(d3)),
-            u_old=div(_U, num(d5)),
-            d_rule=CoefficientRule(num(d3 * d3 / d1), div(_U, num(d5))),
-            h_rule=CoefficientRule(num(1 / d1), div(sub(_X, num(d4)), num(d3))),
-            family="Gsim", deltas=deltas)
+    if family in ("Gsim", "G2"):
+        size, word = (5, "five") if family == "Gsim" else (6, "six")
+        if len(deltas) != size:
+            raise DeltaConstraintError(f"{family} takes {word} constants")
+        T = _affine(family, deltas)
+        if family == "G2":
+            T = replace(T, h_rule=CoefficientRule(override=ZERO),
+                        requires_h=HShape("zero"))
+        return T
 
     if family == "G1":
         if len(deltas) != 6:
@@ -198,26 +209,6 @@ def make_group_element(family: str, deltas, sign: int = 1,
             requires_d=DShape("power", n=FOUR_THIRDS),
             family="G1", deltas=deltas, sign=sign)
 
-    if family == "G2":
-        if len(deltas) != 6:
-            raise DeltaConstraintError("G2 takes six constants")
-        d1, d2, d3, d4, d5, d6 = deltas
-        if d1 * d3 * d5 == 0:
-            raise DeltaConstraintError("G2 requires d1*d3*d5 != 0")
-        return PointTransformation(
-            label="G2",
-            t_new=add(mul(num(d1), _T), num(d2)),
-            x_new=add(mul(num(d3), _X), num(d4)),
-            u_new=add(mul(num(d5), _U), num(d6)),
-            t_old=div(sub(_T, num(d2)), num(d1)),
-            x_old=div(sub(_X, num(d4)), num(d3)),
-            u_old=div(sub(_U, num(d6)), num(d5)),
-            d_rule=CoefficientRule(num(d3 * d3 / d1),
-                                   div(sub(_U, num(d6)), num(d5))),
-            h_rule=CoefficientRule(override=ZERO),
-            requires_h=HShape("zero"),
-            family="G2", deltas=deltas)
-
     if family == "G3":
         if len(deltas) != 5:
             raise DeltaConstraintError("G3 takes the five Gsim constants")
@@ -231,9 +222,8 @@ def make_group_element(family: str, deltas, sign: int = 1,
         n, power = d.n, DShape("power", n=d.n)
         if not shapes_match(d, power, FOUR_THIRDS_TOL):
             raise ConditionError("G3 requires a power diffusion D = u^n")
-        d1, d2, d3, d4, d5 = deltas
-        if d1 * d3 * d5 == 0:
-            raise DeltaConstraintError("G3 requires d1*d3*d5 != 0")
+        affine = _affine("G3", deltas)  # the x map of Gsim
+        d1, d2, d3, _, d5 = deltas
         coeff = d3 * d3 / (d1 * d5 ** n)
         if not np.isfinite(coeff):
             raise DeltaConstraintError(
@@ -241,19 +231,16 @@ def make_group_element(family: str, deltas, sign: int = 1,
         cn = c * n
         t_core = div(call("exp", mul(num(cn), _T)), num(cn))
         t_arg = div(mul(num(cn), sub(_T, num(d2))), num(d1))
-        return PointTransformation(
-            label="G3",
+        return replace(
+            affine,
             t_new=add(mul(num(d1), t_core), num(d2)),
-            x_new=add(mul(num(d3), _X), num(d4)),
             u_new=mul(num(d5), mul(call("exp", mul(num(-c), _T)), _U)),
             t_old=div(call("ln", t_arg), num(cn)),
-            x_old=div(sub(_X, num(d4)), num(d3)),
             u_old=mul(div(_U, num(d5)), pow_(t_arg, num(1.0 / n))),
             d_rule=CoefficientRule(override=mul(num(coeff),
                                                 pow_(_U, num(n)))),
             h_rule=CoefficientRule(override=ZERO),
-            requires_d=power, requires_h=HShape("const", coeff=c),
-            family="G3", deltas=deltas)
+            requires_d=power, requires_h=HShape("const", coeff=c))
 
     raise EquivalenceError(f"unknown group family {family!r}")
 

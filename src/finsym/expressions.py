@@ -316,17 +316,21 @@ def call(fn: str, a) -> Expression:
 # printing
 
 
+#: infix node kinds: symbol, precedence, and the precedence at which the
+#: left and the right operand print without parentheses.  ``^`` is
+#: right-associative, and a unary minus prints bare in its exponent.
+_INFIX = {Add: ("+", 1, 1, 2), Sub: ("-", 1, 1, 2), Mul: ("*", 2, 2, 3),
+          Div: ("/", 2, 2, 3), Pow: ("^", 4, 5, 3)}
+#: the smart constructor that rebuilds each node kind from new operands
+_BUILD = {Neg: neg, Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_}
+
+
 def _prec(e: Expression) -> int:
-    if isinstance(e, (Add, Sub)):
-        return 1
-    if isinstance(e, (Mul, Div)):
-        return 2
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, Num) and e.value < 0:
+    infix = _INFIX.get(type(e))
+    if infix is not None:
+        return infix[1]
+    if isinstance(e, Neg) or (isinstance(e, Num) and e.value < 0):
         return 3  # prints with a leading minus sign
-    if isinstance(e, Pow):
-        return 4
     return 9
 
 
@@ -338,6 +342,10 @@ def _fmt_number(v: float) -> str:
 
 def to_string(e: Expression) -> str:
     """Render with minimal parentheses; re-parsing yields the same tree."""
+    infix = _INFIX.get(type(e))
+    if infix is not None:
+        symbol, _, left, right = infix
+        return _wrap(e.left, left) + symbol + _wrap(e.right, right)
     if isinstance(e, Num):
         return _fmt_number(e.value)
     if isinstance(e, Sym):
@@ -346,25 +354,12 @@ def to_string(e: Expression) -> str:
         return f"{e.fn}({to_string(e.arg)})"
     if isinstance(e, Neg):
         return "-" + _wrap(e.arg, 3)
-    if isinstance(e, Add):
-        return _wrap(e.left, 1) + "+" + _wrap(e.right, 2)
-    if isinstance(e, Sub):
-        return _wrap(e.left, 1) + "-" + _wrap(e.right, 2)
-    if isinstance(e, Mul):
-        return _wrap(e.left, 2) + "*" + _wrap(e.right, 3)
-    if isinstance(e, Div):
-        return _wrap(e.left, 2) + "/" + _wrap(e.right, 3)
-    if isinstance(e, Pow):
-        # right-associative; unary minus allowed bare in the exponent
-        return _wrap(e.left, 5) + "^" + _wrap(e.right, 3)
     raise TypeError(f"not an expression: {e!r}")
 
 
 def _wrap(e: Expression, minimum: int) -> str:
     s = to_string(e)
-    if _prec(e) < minimum:
-        return "(" + s + ")"
-    return s
+    return "(" + s + ")" if _prec(e) < minimum else s
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +525,8 @@ def differentiate(e: Expression, var: str,
             return ZERO
         if isinstance(e, Neg):
             return neg(d(e.arg))
-        if isinstance(e, Add):
-            return add(d(e.left), d(e.right))
-        if isinstance(e, Sub):
-            return sub(d(e.left), d(e.right))
+        if isinstance(e, (Add, Sub)):  # linear in the operands
+            return _BUILD[type(e)](d(e.left), d(e.right))
         if isinstance(e, Mul):
             return add(mul(d(e.left), e.right), mul(e.left, d(e.right)))
         if isinstance(e, Div):
@@ -574,24 +567,16 @@ def substitute(e: Expression, mapping: Mapping[str, Union[Expression, float]]
     table = {k: _coerce(v) for k, v in mapping.items()}
 
     def walk(e: Expression) -> Expression:
-        if isinstance(e, Num):
-            return e
+        if isinstance(e, _Binary):
+            return _BUILD[type(e)](walk(e.left), walk(e.right))
         if isinstance(e, Sym):
             return table.get(e.name, e)
+        if isinstance(e, Num):
+            return e
         if isinstance(e, Neg):
             return neg(walk(e.arg))
         if isinstance(e, Call):
             return call(e.fn, walk(e.arg))
-        if isinstance(e, Add):
-            return add(walk(e.left), walk(e.right))
-        if isinstance(e, Sub):
-            return sub(walk(e.left), walk(e.right))
-        if isinstance(e, Mul):
-            return mul(walk(e.left), walk(e.right))
-        if isinstance(e, Div):
-            return div(walk(e.left), walk(e.right))
-        if isinstance(e, Pow):
-            return pow_(walk(e.left), walk(e.right))
         raise TypeError(f"not an expression: {e!r}")
 
     return walk(e)
@@ -767,6 +752,11 @@ def _resolve_ranges(symbols, ranges=None):
     return {s: merged.get(s, _FALLBACK_RANGE) for s in symbols}
 
 
+def _close(a, b, tol):
+    """``|a-b| <= tol*(1+|a|+|b|)``, on floats or elementwise on arrays."""
+    return abs(a - b) <= tol * (1 + abs(a) + abs(b))
+
+
 def sample_bindings(symbols, rng, count: int, ranges=None):
     """Draw ``count`` points for each symbol as arrays (seeded, uniform)."""
     resolved = _resolve_ranges(symbols, ranges)
@@ -817,5 +807,4 @@ def equivalent(a: Expression, b: Expression, seed: int = 0,
     if va.size == 0:
         raise NoAdmissibleSampleError(
             "no admissible sample: all trials hit non-finite values")
-    va, vb = va[:_TRIALS], vb[:_TRIALS]
-    return bool(np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va) + np.abs(vb))))
+    return bool(np.all(_close(va[:_TRIALS], vb[:_TRIALS], tol)))

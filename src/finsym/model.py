@@ -16,8 +16,8 @@ from typing import Union
 import numpy as np
 
 from .expressions import (
-    Expression, Num, add, call, div, equivalent, evaluate, mul, neg, num,
-    parse, pow_, sample_finite, sub, sym, to_string, ZERO, ONE,
+    Expression, Num, _close, add, call, div, equivalent, evaluate, mul, neg,
+    num, parse, pow_, sample_finite, sub, sym, to_string, ZERO, ONE,
 )
 
 __all__ = [
@@ -55,10 +55,6 @@ class LinearCaseError(ModelError):
 
 class SchemaError(ModelError):
     pass
-
-
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * (1 + abs(a) + abs(b))
 
 
 def is_four_thirds(n: float) -> bool:

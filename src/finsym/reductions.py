@@ -18,8 +18,8 @@ import numpy as np
 
 from .classify import classify
 from .expressions import (
-    Expression, add, call, div, evaluate, mul, neg, num, pow_, sub,
-    substitute, sym, to_string,
+    Expression, add, call, compile_expressions, div, evaluate, mul, neg, num,
+    pow_, sub, substitute, sym, to_string,
 )
 from .model import (
     FOUR_THIRDS, ExpX, FinEquation, FreeH, H1, ModelError, PowerU, PowerX,
@@ -264,45 +264,38 @@ def exact_solution(case, params: dict, branch: int = 1) -> Solution:
     ``case`` is 4, 5, 6 or "nonclassical".  Reality conditions on the
     parameter signs are enforced and reported when violated.  For cases
     4, 5 and 6 the solution is the ansatz of subalgebra "0" with C bound
-    to the closed-form root of its algebraic reduction.
+    to the closed-form root of its algebraic reduction; the parameters
+    and their checks are those of :func:`build_reduction`.
     """
+    if case == "nonclassical":
+        s = Solution(mul(_C, call("exp", mul(_T, _X))), ("C",),
+                     "solves u_t = (u^(-1) u_x)_x + x u for any C != 0")
+        return s.bind(C=float(params["C"])) if "C" in params else s
+    if case not in (4, 5, 6):
+        raise ReductionError(f"no exact solution catalog for case {case!r}")
+    r = build_reduction(case, "0", params)
+    par = r.params
     if case == 4:
-        n, q, eps = float(params["n"]), float(params["q"]), int(params["eps"])
-        _require(n != 0, "case 4 requires n != 0")
+        n, q, eps = par["n"], par["q"], par["eps"]
         lead = (q + 2.0) * (n * q + n + q + 2.0)
         _require(lead != 0, "case 4 solution requires (q+2)(nq+n+q+2) != 0")
-        base = -lead / (eps * n * n)
-        c = _real_power(base, -1.0 / n, "case 4 amplitude")
+        c = _real_power(-lead / (eps * n * n), -1.0 / n, "case 4 amplitude")
         domain = "x > 0"
     elif case == 5:
-        n, eps = float(params["n"]), int(params["eps"])
-        _require(n != 0, "case 5 requires n != 0")
+        n, eps = par["n"], par["eps"]
         _require(n != -1.0, "case 5 solution requires n != -1")
-        base = -(n + 1.0) / (eps * n * n)
-        c = _real_power(base, -1.0 / n, "case 5 amplitude")
+        c = _real_power(-(n + 1.0) / (eps * n * n), -1.0 / n,
+                        "case 5 amplitude")
         domain = "all (t, x)"
-    elif case == 6:
-        p, q, eps = int(params["p"]), float(params["q"]), int(params["eps"])
+    else:
+        p, q = par["p"], par["q"]
         disc = q * q + 16.0 * p
         if disc <= 0:
             raise RealityError(
                 f"case 6 solution requires q^2 + 16 p > 0, got {disc:.6g}")
-        if eps != 1:
-            raise RealityError(
-                "case 6 solution takes (h1)^(-3/4); real only for eps = +1")
         c = branch * (3.0 ** 0.75 / 8.0) * disc ** 0.75
         domain = "x^2 + p > 0" + ("; x > 1" if p == -1 else "")
-    elif case == "nonclassical":
-        expr = mul(_C, call("exp", mul(_T, _X)))
-        s = Solution(expr, ("C",),
-                     "solves u_t = (u^(-1) u_x)_x + x u for any C != 0")
-        if "C" in params:
-            return s.bind(C=float(params["C"]))
-        return s
-    else:
-        raise ReductionError(f"no exact solution catalog for case {case!r}")
-    ansatz = build_reduction(case, "0", params).ansatz
-    return Solution(substitute(ansatz, {"C": c}), (), domain)
+    return Solution(substitute(r.ansatz, {"C": c}), (), domain)
 
 
 def nonclassical_equation() -> FinEquation:
@@ -327,6 +320,14 @@ def _cubic(rng, lo: float, hi: float) -> Expression:
     for k in (1, 2, 3):
         e = add(e, mul(num(coeffs[k]), pow_(_W, num(k))))
     return e
+
+
+def _ratio_spread(ratios) -> tuple[float, float]:
+    """The median of ``ratios``, and their largest distance from it
+    relative to it."""
+    ratios = np.asarray(ratios)
+    ref = float(np.median(ratios))
+    return ref, float(np.max(np.abs(ratios - ref))) / max(abs(ref), 1e-300)
 
 
 def verify_reduction(eq: FinEquation, r: Reduction, seed: int = 42,
@@ -369,12 +370,10 @@ def verify_reduction(eq: FinEquation, r: Reduction, seed: int = 42,
             raise ReductionError("sampling hit non-finite values everywhere")
         ratios.extend((pv[ok] / rv[ok]).tolist())
 
-    ratios = np.asarray(ratios)
-    ref = float(np.median(ratios))
+    ref, deviation = _ratio_spread(ratios)
     if ref == 0 or not np.isfinite(ref):
         return ReductionReport(r.label, False, float("inf"), ref,
                                "degenerate multiplier")
-    deviation = float(np.max(np.abs(ratios - ref))) / abs(ref)
     passed = bool(deviation <= tol)
     note = None
     if not passed and r.label == "6.2":
@@ -435,6 +434,7 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
     if eps != 1:
         raise RealityError("the (h1)^(-1/4) weight is real only for eps = +1")
     red = order_reduce_61(p, q, eps)
+    ode = compile_expressions(red.ode)
     r61 = build_reduction(6, "1", {"p": p, "q": q, "eps": eps})
     rng = np.random.default_rng(42)
     lo, hi = r61.slice_range
@@ -458,18 +458,15 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
             dpsi = float(evaluate(psi_of_w.diff("w"), vals))
             if abs(dy) < 1e-12:
                 continue
-            g = float(evaluate(red.ode, {"y": y_v, "psi": psi_v,
-                                         "psi_y": dpsi / dy}))
+            g = float(ode({"y": y_v, "psi": psi_v, "psi_y": dpsi / dy})[0])
             r = float(evaluate(substitute(r61.reduced, subs), vals))
             if abs(r) < 1e-12:
                 continue
             ratios.append(g / r)
         if len(ratios) < 2:
             raise ReductionError("not enough admissible samples")
-        last_ref = float(np.median(ratios))
-        worst = max(worst,
-                    float(np.max(np.abs(np.asarray(ratios) - last_ref)))
-                    / max(abs(last_ref), 1e-300))
+        last_ref, spread = _ratio_spread(ratios)
+        worst = max(worst, spread)
     return ReductionReport("6.1-order", worst <= 1e-8, worst, last_ref)
 
 
@@ -480,23 +477,20 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
 def solve_algebraic(case: int, params: dict) -> float:
     """Positive root of the algebraic reduction in (1e-8, 1e4], found by
     bracketing and bisection (independent of the closed-form amplitude)."""
-    r = build_reduction(case, "0", params)
-    expr = r.algebraic
+    algebraic = compile_expressions(build_reduction(case, "0", params).algebraic)
 
     def g(c: float) -> float:
-        return float(evaluate(expr, {"C": c}))
+        return float(algebraic({"C": c})[0])
 
     grid = np.logspace(-8, 4, 400)
     vals = np.array([g(c) for c in grid])
     finite = np.isfinite(vals)
-    bracket = None
     for i in range(len(grid) - 1):
         if finite[i] and finite[i + 1] and vals[i] * vals[i + 1] < 0:
-            bracket = (grid[i], grid[i + 1])
+            a, b = grid[i], grid[i + 1]
             break
-    if bracket is None:
+    else:
         raise ReductionError("no positive root bracketed")
-    a, b = bracket
     fa = g(a)
     for _ in range(200):
         mid = 0.5 * (a + b)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    ONE, ZERO, Expression, Num, add, differentiate, evaluate, mul, neg,
-    sample_finite, sub, substitute, sym,
+    DEFAULT_SAMPLING_RANGES, ONE, ZERO, Expression, Num, add, differentiate,
+    evaluate, mul, neg, sample_finite, sub, substitute, sym,
 )
 from .model import FinEquation, VectorField
 
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 DEFAULT_JET_RANGES = {
-    "t": (0.1, 2.0), "x": (0.5, 3.0), "u": (0.5, 3.0),
+    **DEFAULT_SAMPLING_RANGES,
     "u_t": (-2.0, 2.0), "u_x": (-2.0, 2.0), "u_xx": (-2.0, 2.0),
 }
 

@@ -218,3 +218,19 @@ def test_env_seed_override(eq_file, monkeypatch, capsys):
     assert main(["classify", "--eq", eq_file(CASE4), "--json"]) == 0
     monkeypatch.setenv("FINSYM_SEED", "not-an-int")
     assert main(["classify", "--eq", eq_file(CASE4), "--json"]) == 2
+
+
+@pytest.mark.parametrize("label,params", [
+    ("10-to-11", None), ("13a-to-13", {"alpha": 1}),
+], ids=["10-to-11", "13a-to-13-alpha"])
+def test_transform_refuses_a_map_from_another_case(eq_file, capsys, label,
+                                                   params):
+    doc = {"D": {"family": "exp_u"}, "h": {"family": "constant", "c": 0}}
+    if params is not None:
+        doc["params"] = params
+    assert main(["transform", "--eq", eq_file(doc), "--map", label]) == 2
+    captured = capsys.readouterr()
+    case_from = label.split("-")[0].rstrip("a")
+    assert f"takes case {case_from}" in captured.err
+    assert "the equation is case 9" in captured.err
+    assert captured.out == ""

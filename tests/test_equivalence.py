@@ -265,3 +265,17 @@ def test_symmetry_transport_through_named_maps():
             pushed = push_forward_field(T, field)
             assert symmetry_residual(image, pushed, ranges=ranges) <= 1e-9, \
                 label
+
+
+@pytest.mark.parametrize("deltas", [
+    (1, 0, 1, 0, 1), (2, 0.5, -3, 1.25, -0.5), (-0.7, -2, 0.4, 0, 3),
+    (1.5, 0, -1, -4, 2.5),
+])
+@pytest.mark.parametrize("d6", [0.0, -0.0])
+def test_gsim_is_the_translation_free_slice_of_g2(deltas, d6):
+    gsim = make_group_element("Gsim", deltas)
+    g2 = make_group_element("G2", (*deltas, d6))
+    # repr tells Num(0.0) from Num(-0.0), which compare equal
+    for name in ("t_new", "x_new", "u_new", "t_old", "x_old", "u_old",
+                 "d_rule"):
+        assert repr(getattr(g2, name)) == repr(getattr(gsim, name)), name
