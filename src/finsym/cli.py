@@ -26,9 +26,7 @@ from .model import (
 from .numeric import (
     DirichletBC, Grid, NoFluxBC, NumericError, pde_residual_grid, solve_pde,
 )
-from .reductions import (
-    RealityError, build_reduction, exact_solution, nonclassical_equation,
-)
+from .reductions import build_reduction, exact_solution, nonclassical_equation
 from .symmetry import symmetry_residual
 
 EXIT_OK = 0
@@ -128,17 +126,26 @@ def _pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _merge(fixed: dict, params: dict) -> dict:
-    """The classified parameters with the file's extra ``params``; a key
-    that the classification already fixes is refused."""
+def _check_params(params: dict, command: str, fixed=(), read=()):
+    """Refuse every key of the file's ``params`` but those in ``read``; a
+    key that the classification already fixes is named as such."""
     clash = sorted(set(fixed) & set(params))
     if clash:
         raise SchemaError(f"params {clash} are fixed by the classification")
-    return {**fixed, **params}
+    unread = sorted(set(params) - set(read))
+    if unread:
+        raise SchemaError(f"params {unread} are not read by {command}")
+
+
+def _load(args):
+    """The equation of a file whose ``params`` the subcommand reads none of."""
+    eq, params = load_equation_file(args.eq)
+    _check_params(params, args.command)
+    return eq
 
 
 def _cmd_classify(args) -> int:
-    eq, _ = load_equation_file(args.eq)
+    eq = _load(args)
     result = classify(eq, seed=args.seed)
     doc = result.to_json()
     if args.basis_only:
@@ -148,7 +155,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_symmetry(args) -> int:
-    eq, _ = load_equation_file(args.eq)
+    eq = _load(args)
     field = VectorField.parse_triple(args.field)
     residual = symmetry_residual(eq, field, seed=args.seed)
     passed = residual <= args.tol
@@ -163,8 +170,8 @@ def _cmd_transform(args) -> int:
     if source.case != case_from:
         raise ModelError(f"map {args.map_label!r} takes case {case_from}; "
                          f"the equation is case {source.case}")
-    merged = _merge(source.params, params)
-    transformation, target = map_by_label(args.map_label, merged)
+    _check_params(params, args.command, fixed=source.params)
+    transformation, target = map_by_label(args.map_label, source.params)
     image = apply_to_equation(transformation, eq)
     if isinstance(image, OutsideClassReport):
         _emit({"map": args.map_label, "outside_class": True,
@@ -185,8 +192,8 @@ def _cmd_transform(args) -> int:
 def _cmd_reduce(args) -> int:
     eq, params = load_equation_file(args.eq)
     result = classify(eq, seed=args.seed)
-    reduction = build_reduction(result.case, args.sub,
-                                _merge(result.params, params))
+    _check_params(params, args.command, fixed=result.params)
+    reduction = build_reduction(result.case, args.sub, result.params)
     _emit(reduction.to_json(), args.as_json)
     return EXIT_OK
 
@@ -194,12 +201,14 @@ def _cmd_reduce(args) -> int:
 def _cmd_exact(args) -> int:
     eq, params = load_equation_file(args.eq)
     if equations_equal(eq, nonclassical_equation(), tol=1e-9):
+        _check_params(params, args.command, read={"C"})
         solution = exact_solution("nonclassical",
                                   {"C": params.get("C", 1.0)})
         case_label = "nonclassical"
     else:
         result = classify(eq, seed=args.seed)
-        solution = exact_solution(result.case, _merge(result.params, params))
+        _check_params(params, args.command, fixed=result.params)
+        solution = exact_solution(result.case, result.params)
         case_label = result.case
     t_hi = 1.0
     x_lo, x_hi = 0.5, 2.0
@@ -214,7 +223,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_conserve(args) -> int:
-    eq, _ = load_equation_file(args.eq)
+    eq = _load(args)
     laws = conservation_laws(eq)
     entries = []
     all_passed = True
@@ -228,7 +237,7 @@ def _cmd_conserve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    eq, _ = load_equation_file(args.eq)
+    eq = _load(args)
     if args.noflux:
         bc = NoFluxBC()
     else:
@@ -243,7 +252,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    eq, _ = load_equation_file(args.eq)
+    eq = _load(args)
     solution = Solution(parse(args.solution))
     region = (_pair(args.t_range), _pair(args.x_range))
     residual = pde_residual_grid(eq, solution, region,
@@ -266,7 +275,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except (ModelError, ExpressionError, RealityError, OSError) as exc:
+    except (ModelError, ExpressionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

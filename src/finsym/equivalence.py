@@ -225,7 +225,7 @@ def make_group_element(family: str, deltas, sign: int = 1,
         affine = _affine("G3", deltas)  # the x map of Gsim
         d1, d2, d3, _, d5 = deltas
         coeff = d3 * d3 / (d1 * d5 ** n)
-        if not np.isfinite(coeff):
+        if isinstance(coeff, complex) or not np.isfinite(coeff):
             raise DeltaConstraintError(
                 "d5 must be positive for a fractional exponent")
         cn = c * n
@@ -411,5 +411,8 @@ def map_by_label(label: str, params: dict):
         raise NoAdditionalMapError(
             f"unknown map {label!r}; known: {sorted(ADDITIONAL_MAP_LABELS)}")
     case_from, fixed = ADDITIONAL_MAP_LABELS[label]
-    merged = {**fixed, **params}
-    return additional_equivalence(case_from, merged)
+    for key, value in fixed.items():
+        if params.get(key, value) != value:
+            raise ConditionError(f"map {label!r} requires {key} = {value}, "
+                                 f"got {key} = {params[key]}")
+    return additional_equivalence(case_from, {**fixed, **params})

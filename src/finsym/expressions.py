@@ -317,10 +317,14 @@ def call(fn: str, a) -> Expression:
 
 
 #: infix node kinds: symbol, precedence, and the precedence at which the
-#: left and the right operand print without parentheses.  ``^`` is
+#: left and the right operand print without parentheses.  ``to_string``
+#: prints and ``_Parser`` parses by this one table.  ``^`` is
 #: right-associative, and a unary minus prints bare in its exponent.
 _INFIX = {Add: ("+", 1, 1, 2), Sub: ("-", 1, 1, 2), Mul: ("*", 2, 2, 3),
           Div: ("/", 2, 2, 3), Pow: ("^", 4, 5, 3)}
+_UNARY = 3  #: the precedence of a leading minus sign
+#: the node kind of each infix symbol, for the parser
+_SYMBOLS = {infix[0]: node for node, infix in _INFIX.items()}
 #: the smart constructor that rebuilds each node kind from new operands
 _BUILD = {Neg: neg, Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_}
 
@@ -330,7 +334,7 @@ def _prec(e: Expression) -> int:
     if infix is not None:
         return infix[1]
     if isinstance(e, Neg) or (isinstance(e, Num) and e.value < 0):
-        return 3  # prints with a leading minus sign
+        return _UNARY  # prints with a leading minus sign
     return 9
 
 
@@ -353,7 +357,7 @@ def to_string(e: Expression) -> str:
     if isinstance(e, Call):
         return f"{e.fn}({to_string(e.arg)})"
     if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, 3)
+        return "-" + _wrap(e.arg, _UNARY)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -383,19 +387,17 @@ def _tokenize(text: str):
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}",
                              len(text) - len(stripped))
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    """Recursive descent over: ^  >  unary-  >  * /  >  + -  (^ right-assoc)."""
+    """Precedence climbing by the ``_INFIX`` table, a leading minus binding
+    at ``_UNARY``: ``^`` > unary minus > ``* /`` > ``+ -``; ``^`` is
+    right-associative, its right operand parsing below its own precedence."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -421,46 +423,25 @@ class _Parser:
             raise ParseError(f"unexpected token {value!r}", offset)
         return e
 
-    def expr(self) -> Expression:
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                rhs = self.term()
-                e = add(e, rhs) if value == "+" else sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expression:
-        e = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.take()
-                rhs = self.unary()
-                e = mul(e, rhs) if value == "*" else div(e, rhs)
-            else:
-                return e
-
-    def unary(self) -> Expression:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+    def expr(self, minimum: int = 1) -> Expression:
+        """An operand, then each infix operator of precedence >= minimum."""
+        if self.peek()[1] == "-":  # only an operator token reads "-"
             self.take()
-            return neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expression:
-        base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
+            e = neg(self.expr(_UNARY))
+        else:
+            e = self.atom()
+        while True:
+            node = _SYMBOLS.get(self.peek()[1])
+            if node is None or _INFIX[node][1] < minimum:
+                return e
             self.take()
-            return pow_(base, self.unary())
-        return base
+            e = _BUILD[node](e, self.expr(_INFIX[node][3]))
 
     def atom(self) -> Expression:
         kind, value, offset = self.take()
         if kind == "num":
+            if float(value) == np.inf:  # the tree could not be printed
+                raise ParseError(f"number {value} overflows", offset)
             return num(float(value))
         if kind == "ident":
             nxt_kind, nxt_value, _ = self.peek()

@@ -16,7 +16,7 @@ from .expressions import (
     DEFAULT_SAMPLING_RANGES, ONE, ZERO, Expression, Num, add, differentiate,
     evaluate, mul, neg, sample_finite, sub, substitute, sym,
 )
-from .model import FinEquation, VectorField
+from .model import FinEquation, ModelError, VectorField
 
 __all__ = [
     "JetResidual", "prolonged_residual", "symmetry_residual",
@@ -32,7 +32,7 @@ DEFAULT_JET_RANGES = {
 _TOTAL_X_DEPS = {"u": ("x",), "u_x": ("x",), "u_xx": ("x",)}
 
 
-class SymmetryError(ValueError):
+class SymmetryError(ModelError):
     pass
 
 

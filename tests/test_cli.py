@@ -234,3 +234,48 @@ def test_transform_refuses_a_map_from_another_case(eq_file, capsys, label,
     assert f"takes case {case_from}" in captured.err
     assert "the equation is case 9" in captured.err
     assert captured.out == ""
+
+
+CASE6_PM1 = {"D": {"family": "power_u", "n": -1.3333333333333333},
+             "h": {"family": "h1", "p": -1, "q": 2, "eps": 1}}
+
+
+@pytest.mark.parametrize("label,p", [("6p0-to-5", -1), ("6pm1-to-4", 0)])
+def test_transform_refuses_a_map_for_another_p(eq_file, capsys, label, p):
+    doc = {**CASE6_PM1, "h": {**CASE6_PM1["h"], "p": p}}
+    assert main(["transform", "--eq", eq_file(doc), "--map", label]) == 2
+    captured = capsys.readouterr()
+    assert f"map {label!r} requires p = {-1 - p}, got p = {p}" in captured.err
+    assert captured.out == ""
+
+
+CONST_H = {"D": {"family": "power_u", "n": 1},
+           "h": {"family": "constant", "c": 1}}
+
+
+@pytest.mark.parametrize("command,doc,extra,named", [
+    ("classify", CASE4, [], "['C', 'foo']"),
+    ("reduce", CASE4, ["--sub", "1"], "['C', 'foo']"),
+    ("conserve", CONST_H, [], "['C', 'foo']"),
+    ("verify-symmetry", CASE4, ["--field", "1;0;0"], "['C', 'foo']"),
+    ("exact", CASE4, [], "['C', 'foo']"),
+    ("exact", NONCLASSICAL, [], "['foo']"),
+], ids=["classify", "reduce", "conserve", "verify-symmetry", "exact",
+        "exact-nonclassical"])
+def test_unread_params_are_refused(eq_file, capsys, command, doc, extra,
+                                   named):
+    doc = {**doc, "params": {"C": 5, "foo": 1}}
+    assert main([command, "--eq", eq_file(doc), *extra]) == 2
+    captured = capsys.readouterr()
+    assert f"params {named} are not read by {command}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field,message", [
+    ("u;0;0", "tau may depend on t only"),
+    ("0;u_x;0", "xi may depend on (t, x) only"),
+])
+def test_malformed_field_is_usage_error(eq_file, capsys, field, message):
+    assert main(["verify-symmetry", "--eq", eq_file(CASE4),
+                 "--field", field]) == 2
+    assert f"error: {message}" in capsys.readouterr().err

@@ -279,3 +279,17 @@ def test_gsim_is_the_translation_free_slice_of_g2(deltas, d6):
     for name in ("t_new", "x_new", "u_new", "t_old", "x_old", "u_old",
                  "d_rule"):
         assert repr(getattr(g2, name)) == repr(getattr(gsim, name)), name
+
+
+def test_a_named_map_refuses_params_contradicting_its_own():
+    with pytest.raises(ConditionError, match="requires p = 0, got p = -1"):
+        map_by_label("6p0-to-5", {"p": -1, "q": 2.0, "eps": 1})
+
+
+def test_g3_refuses_a_negative_d5_for_a_fractional_exponent():
+    with pytest.raises(DeltaConstraintError, match="d5 must be positive"):
+        make_group_element("G3", (1, 0, 1, 0, -1),
+                           eq=FinEquation(PowerU(0.5), ConstantH(-2.0)))
+    T = make_group_element("G3", (1, 0, 1, 0, -1),
+                           eq=FinEquation(PowerU(2), ConstantH(-2.0)))
+    assert T.d_rule.override == parse("u^2")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finsym.expressions import (
-    Mul, Neg, Num, Pow, Sym,
+    Div, Mul, Neg, Num, Pow, Sub, Sym,
     NoAdmissibleSampleError, ParseError, UnboundSymbolError,
     UnknownFunctionError, compile_expressions, differentiate, equivalent,
     evaluate, parse, substitute, sym, to_string,
@@ -57,6 +57,34 @@ def test_parse_errors_carry_offset():
         parse("sinh(x)")
     with pytest.raises(ParseError):
         parse("x + $")
+
+
+X, Y, Z = Sym("x"), Sym("y"), Sym("z")
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("x*-y", Mul(X, Neg(Y))),
+    ("x^-y^-z", Pow(X, Neg(Pow(Y, Neg(Z))))),
+    ("-x*y", Mul(Neg(X), Y)),
+    ("x- -y", Sub(X, Neg(Y))),
+    ("x/-y^2", Div(X, Neg(Pow(Y, Num(2.0))))),
+])
+def test_unary_minus_after_each_operator(text, tree):
+    assert parse(text) == tree
+    assert parse(to_string(tree)) == tree
+
+
+@pytest.mark.parametrize("text,error,offset", [
+    ("x*/y", ParseError, 2), ("2^", ParseError, 2), ("(x", ParseError, 2),
+    ("2^^3", ParseError, 2), ("x y", ParseError, 2), ("exp x", ParseError, 0),
+    ("sinh(x)", UnknownFunctionError, 0),
+    # a literal that overflows would make a tree to_string cannot print
+    ("x+1e999", ParseError, 2),
+])
+def test_malformed_inputs_carry_offsets(text, error, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert type(err.value) is error and err.value.offset == offset
 
 
 CORPUS = [
