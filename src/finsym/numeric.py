@@ -15,6 +15,7 @@ expression tree.  The tape gives the same bits as ``evaluate``.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,13 +277,77 @@ def integrate_reduced_ode(reduction, phi0: float, dphi0: float,
     return ws, phis, slopes
 
 
+#: ITP constants (Oliveira & Takahashi, "An Enhancement of the Bisection
+#: Method Average Performance Preserving Minmax Optimality", ACM TOMS
+#: 47(1), 2021): the truncation is kappa1 * width**kappa2 with kappa1 =
+#: _ITP_KAPPA1 / (initial width), and _ITP_N0 is the number of steps
+#: allowed beyond bisection's
+_ITP_KAPPA1 = 0.2
+_ITP_KAPPA2 = 2.0
+_ITP_N0 = 1
+
+
+def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
+                    tol: float) -> float:
+    """Root of ``f`` in [lo, hi] by ITP steps (interpolate, truncate,
+    project).
+
+    ``f_lo`` and ``f_hi`` are ``f`` at the ends, of opposite signs or zero;
+    a zero end is returned as it is.  Each step evaluates ``f`` once, at a
+    point strictly inside the bracket: the regula falsi point, moved toward
+    the midpoint by the truncation and then projected to within
+    ``width0 * 2**(N0 - 1 - j) - width / 2`` of it (clamped at 0) on step j.
+    That is ITP's ``eps * 2**(n_max - j) - width / 2`` with ``eps`` set so
+    that bisection needs exactly ``n_max - N0`` steps, which spares a
+    relative ``tol`` an absolute ``eps``.  So after k steps the bracket is no wider than bisection's after
+    k - N0, and the search takes at most N0 = 1 step more than bisection.
+    It stops when ``hi - lo <= tol * max(1, |mid|)``, when no float lies
+    strictly between ``lo`` and ``hi``, or at an exact zero, and returns
+    the bracket's midpoint (the zero itself in the last case).
+    """
+    lo, hi, f_lo, f_hi = float(lo), float(hi), float(f_lo), float(f_hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    width0 = hi - lo
+    kappa1 = _ITP_KAPPA1 / width0
+    j = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        width = hi - lo
+        if width <= tol * max(1.0, abs(mid)) or math.nextafter(lo, hi) == hi:
+            return mid
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        sigma = math.copysign(1.0, mid - x)
+        delta = kappa1 * width ** _ITP_KAPPA2
+        x = x + sigma * delta if delta <= abs(mid - x) else mid
+        radius = max(0.0, width0 * 2.0 ** (_ITP_N0 - 1 - j) - 0.5 * width)
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        if not lo < x < hi:
+            # rounding, or a non-finite value of f, put x on or past an end
+            x = mid
+        f_x = float(f(x))
+        j += 1
+        if f_x == 0.0:
+            return x
+        if (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, f_x
+        else:
+            hi, f_hi = x, f_x
+
+
 def shoot_reduced_ode(reduction, phi0: float, w_end: float, phi_end: float,
                       slope_bracket: tuple, steps: int = 400,
                       tol: float = 1e-10) -> float:
-    """Initial slope hitting phi(w_end) = phi_end, by bisection shooting.
+    """Initial slope hitting phi(w_end) = phi_end, by ITP shooting.
 
     ``slope_bracket`` must straddle the target (the endpoint misses at the
-    two bracket slopes have opposite signs).
+    two bracket slopes have opposite signs, or one is zero).  The two ends
+    cost one RK4 integration each, and so does each ITP step.  The search
+    stops when the bracket is no wider than ``tol * max(1, |slope|)``, in
+    at most one step more than bisection would take.
     """
     lo, hi = float(slope_bracket[0]), float(slope_bracket[1])
 
@@ -294,16 +359,7 @@ def shoot_reduced_ode(reduction, phi0: float, w_end: float, phi_end: float,
     f_lo, f_hi = miss(lo), miss(hi)
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi > 0:
         raise NumericError("slope bracket does not straddle the target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = miss(mid)
-        if f_lo * f_mid <= 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    return _bracketed_root(miss, lo, hi, f_lo, f_hi, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .model import (
     FOUR_THIRDS, ExpX, FinEquation, FreeH, H1, ModelError, PowerU, PowerX,
     Solution, VectorField, h1_expression,
 )
-from .numeric import pde_residual_expression
+from .numeric import _bracketed_root, pde_residual_expression
 
 __all__ = [
     "Reduction", "ReductionReport", "OrderReduction",
@@ -476,32 +476,28 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
 
 def solve_algebraic(case: int, params: dict) -> float:
     """Positive root of the algebraic reduction in (1e-8, 1e4], found by
-    bracketing and bisection (independent of the closed-form amplitude)."""
+    bracketing on a log grid and ITP steps (independent of the closed-form
+    amplitude).
+
+    The grid is evaluated in one call, and its first cell whose finite end
+    values have opposite signs is the bracket.  ITP steps, each one
+    evaluation, narrow it until no float lies strictly inside, in at most
+    one step more than bisection would take.
+    """
     algebraic = compile_expressions(build_reduction(case, "0", params).algebraic)
 
-    def g(c: float) -> float:
-        return float(algebraic({"C": c})[0])
+    def g(c: float):
+        return algebraic({"C": c})[0]
 
     grid = np.logspace(-8, 4, 400)
-    vals = np.array([g(c) for c in grid])
-    finite = np.isfinite(vals)
-    for i in range(len(grid) - 1):
-        if finite[i] and finite[i + 1] and vals[i] * vals[i + 1] < 0:
-            a, b = grid[i], grid[i + 1]
-            break
-    else:
+    vals = algebraic({"C": grid})[0]
+    signs = np.where(np.isfinite(vals), np.sign(vals), 0.0)
+    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    if cells.size == 0:
         raise ReductionError("no positive root bracketed")
-    fa = g(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = g(mid)
-        if fa * fm <= 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a <= 1e-16 * max(1.0, b):
-            break
-    return 0.5 * (a + b)
+    i = cells[0]
+    return _bracketed_root(g, grid[i], grid[i + 1], vals[i], vals[i + 1],
+                           1e-16)
 
 
 def reduction_chain_solution(case: int, params: dict) -> Expression:

@@ -168,6 +168,136 @@ def test_shoot_reduced_ode_recovers_exact_slope():
     assert phis[-1] == pytest.approx(2.0 ** 6 / 225.0, rel=1e-8)
 
 
+def _recorded_shooting(monkeypatch, phi_end):
+    """Record (slope, endpoint miss) of every integration shooting makes."""
+    import finsym.numeric as numeric
+
+    real = numeric.integrate_reduced_ode
+    probes = []
+
+    def recording(reduction, phi0, slope, w_end, steps):
+        out = real(reduction, phi0, slope, w_end, steps)
+        probes.append((slope, out[1][-1] - phi_end))
+        return out
+
+    monkeypatch.setattr(numeric, "integrate_reduced_ode", recording)
+    return probes
+
+
+def _bisect(f, lo, hi, tol):
+    """Reference bisection, as shooting ran before ITP: (root, calls of f)."""
+    f_lo = f(lo)
+    f(hi)
+    calls = 2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        calls += 1
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+        if hi - lo <= tol * max(1.0, abs(mid)):
+            break
+    return 0.5 * (lo + hi), calls
+
+
+def test_itp_shooting_against_reference_bisection(monkeypatch):
+    # seeded brackets and targets on the 4.1 reduction: never more than
+    # one integration beyond bisection, every probe strictly inside the
+    # bracket of its step, and the same slope to within tol
+    from finsym.numeric import integrate_reduced_ode, shoot_reduced_ode
+    from finsym.reductions import build_reduction
+
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    w0 = r.slice_range[0]
+    phi0 = w0 ** 6 / 225.0
+    rng = np.random.default_rng(29)
+    for trial in range(9):
+        w_end = rng.uniform(1.5, 2.5)
+        true_slope = 6.0 * w0 ** 5 / 225.0 * 10.0 ** rng.uniform(0.0, 3.5)
+        lo = true_slope * rng.uniform(0.0, 0.9)
+        hi = true_slope * rng.uniform(1.1, 10.0)
+        tol = (1e-8, 1e-10, 1e-12)[trial % 3]
+        phi_end = integrate_reduced_ode(r, phi0, true_slope, w_end, 40)[1][-1]
+
+        def miss(slope):
+            return integrate_reduced_ode(r, phi0, slope, w_end, 40)[1][-1] \
+                - phi_end
+
+        want, bisections = _bisect(miss, lo, hi, tol)
+        probes = _recorded_shooting(monkeypatch, phi_end)
+        got = shoot_reduced_ode(r, phi0, w_end, phi_end, (lo, hi), steps=40,
+                                tol=tol)
+        monkeypatch.undo()
+        assert type(got) is float
+        assert len(probes) <= bisections + 1, (trial, len(probes), bisections)
+        assert abs(got - want) <= tol * max(1.0, abs(want)), trial
+        assert [s for s, _ in probes[:2]] == [lo, hi]
+        (a, f_a), (b, _) = probes[:2]
+        for slope, f in probes[2:]:
+            assert a < slope < b, (trial, a, slope, b)
+            if (f < 0) == (f_a < 0):
+                a, f_a = slope, f
+            else:
+                b = slope
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: (x - 0.3) ** 9,
+    lambda x: -1.0 if x < 0.3 else 1e6,
+    lambda x: np.arctan(50.0 * (x - 0.7)),
+], ids=["flat", "step", "steep"])
+def test_itp_takes_at_most_one_step_more_than_bisection(f):
+    # functions on which regula falsi stalls, so the projection must act
+    from finsym.numeric import _bracketed_root
+
+    probes = []
+
+    def recording(x):
+        probes.append(x)
+        return f(x)
+
+    want, bisections = _bisect(f, 0.0, 1.0, 1e-12)
+    got = _bracketed_root(recording, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+    assert 2 + len(probes) <= bisections + 1
+    assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("w_end", [1.8, 2.0, 2.2])
+def test_itp_shooting_integrations_on_the_benchmark_problem(monkeypatch,
+                                                            w_end):
+    # the shooting problem of the fd-oracle workload: bisection takes 22
+    from finsym.numeric import shoot_reduced_ode
+    from finsym.reductions import build_reduction
+
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    w0 = r.slice_range[0]
+    slope = 6.0 * w0 ** 5 / 225.0
+    probes = _recorded_shooting(monkeypatch, w_end ** 6 / 225.0)
+    got = shoot_reduced_ode(r, w0 ** 6 / 225.0, w_end, w_end ** 6 / 225.0,
+                            (0.0, 10.0 * slope), steps=80, tol=1e-8)
+    assert len(probes) <= 11
+    assert abs(got - slope) <= 1e-4 * slope
+
+
+def test_shooting_returns_a_root_on_a_bracket_end(monkeypatch):
+    from finsym.numeric import integrate_reduced_ode, shoot_reduced_ode
+    from finsym.reductions import build_reduction
+
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    w0 = r.slice_range[0]
+    phi0 = w0 ** 6 / 225.0
+    slope = 6.0 * w0 ** 5 / 225.0
+    phi_end = integrate_reduced_ode(r, phi0, slope, 2.0, 40)[1][-1]
+    for bracket in ((slope, 2.0 * slope), (0.0, slope)):
+        probes = _recorded_shooting(monkeypatch, phi_end)
+        got = shoot_reduced_ode(r, phi0, 2.0, phi_end, bracket, steps=40)
+        monkeypatch.undo()
+        assert got == slope and type(got) is float
+        assert len(probes) == 2
+
+
 def test_reduced_ode_guards():
     from finsym.numeric import integrate_reduced_ode, shoot_reduced_ode
     from finsym.reductions import build_reduction

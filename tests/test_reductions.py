@@ -188,6 +188,36 @@ def test_algebraic_chain_reproduces_closed_forms():
         assert equivalent(chain, closed, seed=9, tol=1e-12), (case, params)
 
 
+def test_solve_algebraic_stops_once_the_bracket_collapses(monkeypatch):
+    # the roots of case 6 lie above 1, where 1e-16 * root is below the
+    # float spacing; one call evaluates the whole grid
+    import finsym.reductions as reductions
+
+    real = reductions.compile_expressions
+    calls = []
+
+    def counting(*exprs):
+        tape = real(*exprs)
+
+        def run(bindings):
+            calls.append(bindings)
+            return tape(bindings)
+        return run
+
+    monkeypatch.setattr(reductions, "compile_expressions", counting)
+    for case, params in [
+        (6, {"p": 1, "q": 1, "eps": 1}),
+        (6, {"p": 0, "q": 4, "eps": 1}),
+        (4, {"n": 1, "q": 1, "eps": -1}),
+        (5, {"n": 1, "eps": -1}),
+    ]:
+        calls.clear()
+        root = solve_algebraic(case, params)
+        assert type(root) is float
+        assert len(calls) <= 64, (case, params, len(calls))
+        assert np.shape(calls[0]["C"]) == (400,)
+
+
 def test_order_reduction_instantiations():
     red = order_reduce_61(1, 1, 1)
     want = parse("(4*psi-y)*psi_y + psi + 4*y - (4/3)*y^-3")
