@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -120,10 +121,14 @@ def _emit(doc: dict, as_json: bool):
 
 
 def _pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ModelError(f"expected 'lo,hi', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:
+        lo = hi = math.nan
+    if not -math.inf < lo < hi < math.inf:
+        raise ModelError(
+            f"expected finite 'lo,hi' with lo < hi, got {text!r}")
+    return lo, hi
 
 
 def _check_params(params: dict, command: str, fixed=(), read=()):

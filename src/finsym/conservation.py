@@ -19,7 +19,7 @@ from .expressions import (
 )
 from .model import DShape, FinEquation, ModelError
 from .numeric import Field, Grid, NoFluxBC, solve_pde
-from .symmetry import JetResidual
+from .symmetry import JetResidual, _rhs
 
 __all__ = [
     "ConservationLaw", "conservation_laws", "divergence_residual",
@@ -89,11 +89,7 @@ def divergence_residual(cl: ConservationLaw, eq: FinEquation,
     dt_rho = differentiate(cl.density, "t", deps={"u": ("t",)})
     dx_flux = differentiate(cl.flux, "x",
                             deps={"u": ("x",), "u_x": ("x",)})
-    u_t, u_x, u_xx = sym("u_t"), _U_X, sym("u_xx")
-    d = eq.d_expr()
-    delta = sub(sub(sub(u_t, mul(d, u_xx)),
-                    mul(d.diff("u"), mul(u_x, u_x))),
-                mul(eq.h_expr(), _U))
+    delta = sub(sym("u_t"), _rhs(eq))
     residual = JetResidual((dt_rho, dx_flux, neg(mul(cl.characteristic,
                                                      delta))))
     return residual, residual.max_relative(seed=seed) <= tol

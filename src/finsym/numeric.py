@@ -4,7 +4,7 @@ The solver is a conservative second-order discretization of
 (D(u) u_x)_x with interface coefficients D((u_i + u_{i+1})/2), a nodal
 source h(x_i) u_i, and explicit Euler stepping (implicit Euler with a
 damped fixed-point iteration behind a flag).  Singular coefficients are
-handled by domain restriction only; blow-up aborts loudly.
+handled by domain restriction only; stalls and blow-up abort loudly.
 
 Every expression evaluated more than once (D in the step loop, the
 Dirichlet boundary values, the reduced-ODE right-hand side inside RK4 and
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    Expression, compile_expressions, differentiate, mul, parse, sample_finite,
+    Expression, compile_expressions, differentiate, mul, sample_finite,
     sub, substitute,
 )
 from .model import FinEquation, ModelError, Solution
@@ -31,7 +31,7 @@ __all__ = [
     "pde_residual_expression", "pde_residual_grid",
     "integrate_reduced_ode", "shoot_reduced_ode",
     "NumericError", "StabilityError", "BlowUpError", "CoefficientFailure",
-    "STABILITY_FACTOR", "BLOWUP_THRESHOLD",
+    "ConvergenceError", "STABILITY_FACTOR", "BLOWUP_THRESHOLD",
 ]
 
 STABILITY_FACTOR = 0.45
@@ -47,6 +47,10 @@ class StabilityError(NumericError):
 
 
 class CoefficientFailure(NumericError):
+    pass
+
+
+class ConvergenceError(NumericError):
     pass
 
 
@@ -66,14 +70,14 @@ class Grid:
     dt: float | None = None
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise NumericError("grid requires a < b")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise NumericError("grid requires finite a < b")
         if self.m < 8:
             raise NumericError("grid requires at least 8 nodes")
-        if self.t_final < 0:
-            raise NumericError("time horizon must be nonnegative")
-        if self.dt is not None and self.dt <= 0:
-            raise NumericError("dt must be positive")
+        if not 0 <= self.t_final < math.inf:
+            raise NumericError("time horizon must be finite and nonnegative")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise NumericError("dt must be positive and finite")
 
     @property
     def dx(self) -> float:
@@ -87,10 +91,6 @@ class Grid:
 class DirichletBC:
     left: Expression
     right: Expression
-
-    @classmethod
-    def from_strings(cls, left: str, right: str) -> "DirichletBC":
-        return cls(parse(left), parse(right))
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,9 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                 u_next = new
                 if delta <= 1e-12 * (1 + float(np.max(np.abs(u_next)))):
                     break
+            else:
+                raise ConvergenceError(
+                    f"implicit iteration did not converge at t={t_next:g}")
 
         if dirichlet:
             u_next[0], u_next[-1] = left, right
@@ -378,6 +381,8 @@ def pde_residual_expression(eq: FinEquation, u_expr: Expression) -> Expression:
 def pde_residual_grid(eq: FinEquation, s: Solution, region, samples: int = 100,
                       seed: int = 42) -> float:
     """Max relative residual of a solution over a sampled (t, x) box."""
+    if samples < 1:
+        raise ModelError(f"need at least one sample, got {samples}")
     if s.parameters:
         raise ModelError(
             f"solution has unbound parameters: {list(s.parameters)}")

@@ -2,9 +2,9 @@
 
 For X = tau(t) d_t + xi(t,x) d_x + eta(t,x,u) d_u acting on
 Delta = u_t - D u_xx - D_u u_x^2 - h u, the prolonged action is assembled
-symbolically over jet coordinates (t, x, u, u_t, u_x, u_xx) and then u_t
-is eliminated through the equation.  Because tau depends on t only, no
-u_tx term ever appears.
+symbolically over jet coordinates (t, x, u, u_x, u_xx) on solutions: eta^t,
+the one piece holding u_t, takes the value of u_t from the equation.
+Because tau depends on t only, no u_tx term ever appears.
 """
 from __future__ import annotations
 
@@ -88,16 +88,12 @@ def _check_shapes(field: VectorField):
         raise SymmetryError("eta may depend on (t, x, u) only")
 
 
-def _total_x(e: Expression) -> Expression:
-    return differentiate(e, "x", deps=_TOTAL_X_DEPS)
-
-
-def _raw_terms(eq: FinEquation, field: VectorField
+def _raw_terms(eq: FinEquation, field: VectorField, u_t: Expression
                ) -> tuple[Expression, ...]:
-    """Additive pieces of pr X(Delta) before any on-shell substitution."""
-    _check_shapes(field)
+    """Additive pieces of pr X(Delta) with ``u_t`` put for u_t in eta^t,
+    the only piece that holds it."""
     tau, xi, eta = field.tau, field.xi, field.eta
-    u, u_t, u_x, u_xx = sym("u"), sym("u_t"), sym("u_x"), sym("u_xx")
+    u, u_x, u_xx = sym("u"), sym("u_x"), sym("u_xx")
 
     d = eq.d_expr()
     d1 = d.diff("u")
@@ -112,7 +108,8 @@ def _raw_terms(eq: FinEquation, field: VectorField
     # first and second prolongation coefficients (tau_x = tau_u = 0)
     eta_xp = add(eta_x, mul(u_x, sub(eta_u, xi_x)))
     eta_tp = add(eta_t, sub(mul(u_t, sub(eta_u, tau_t)), mul(u_x, xi_t)))
-    eta_xxp = sub(_total_x(eta_xp), mul(u_xx, xi_x))
+    eta_xxp = sub(differentiate(eta_xp, "x", deps=_TOTAL_X_DEPS),
+                  mul(u_xx, xi_x))
 
     return (
         eta_tp,
@@ -132,15 +129,13 @@ def _rhs(eq: FinEquation) -> Expression:
 
 
 def prolonged_residual(eq: FinEquation, field: VectorField) -> JetResidual:
-    """Prolonged action on the equation with u_t eliminated.
+    """Prolonged action on the equation, on its solutions.
 
     The result vanishes identically on (t, x, u, u_x, u_xx) iff the field
     is a Lie point symmetry of the equation.
     """
-    rhs = _rhs(eq)
-    terms = tuple(substitute(term, {"u_t": rhs})
-                  for term in _raw_terms(eq, field))
-    return JetResidual(terms)
+    _check_shapes(field)
+    return JetResidual(_raw_terms(eq, field, _rhs(eq)))
 
 
 def symmetry_residual(eq: FinEquation, field: VectorField, seed: int = 42,
@@ -158,28 +153,26 @@ def conditional_residual(eq: FinEquation, field: VectorField) -> JetResidual:
     condition Q = eta - tau u_t - xi u_x = 0, with the needed differential
     consequences, are imposed.
     """
+    _check_shapes(field)
     tau, xi, eta = field.tau, field.xi, field.eta
-    raw = _raw_terms(eq, field)
-    u, u_x = sym("u"), sym("u_x")
-    d = eq.d_expr()
-    d1 = d.diff("u")
-    h = eq.h_expr()
 
     if tau == ONE:
         # u_t = eta - xi u_x; combined with the equation this pins u_xx
-        u_t_sub = sub(eta, mul(xi, u_x))
-        u_xx_sub = (u_t_sub - mul(d1, mul(u_x, u_x)) - mul(h, u)) / d
-        mapping = {"u_t": u_t_sub, "u_xx": u_xx_sub}
+        u, u_x, d = sym("u"), sym("u_x"), eq.d_expr()
+        u_t = sub(eta, mul(xi, u_x))
+        u_xx = (u_t - mul(d.diff("u"), mul(u_x, u_x))
+                - mul(eq.h_expr(), u)) / d
+        mapping = {"u_xx": u_xx}
     elif tau == ZERO:
         if xi == ZERO:
             raise SymmetryError("tau = 0 requires a nonzero xi")
         w = eta / xi  # u_x on the invariant surface
         w_total = add(w.diff("x"), mul(w.diff("u"), w))  # u_xx consequence
-        u_t_sub = add(add(mul(d, w_total),
-                          mul(d1, mul(w, w))), mul(h, u))
-        mapping = {"u_x": w, "u_xx": w_total, "u_t": u_t_sub}
+        mapping = {"u_x": w, "u_xx": w_total}
+        u_t = substitute(_rhs(eq), mapping)
     else:
         raise SymmetryError(
             "unsupported tau shape: only tau = 1 or tau = 0 are handled")
 
-    return JetResidual(tuple(substitute(t, mapping) for t in raw))
+    return JetResidual(tuple(substitute(t, mapping)
+                             for t in _raw_terms(eq, field, u_t)))

@@ -193,6 +193,27 @@ def test_residual_subcommand(eq_file, capsys):
     assert doc["max_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("command,extra,code,message", [
+    ("residual", ["--t-range", "0,abc"], 2, "error: expected finite 'lo,hi'"),
+    ("residual", ["--t-range", "1,0"], 2, "error: expected finite 'lo,hi'"),
+    ("residual", ["--x-range", "nan,1"], 2, "error: expected finite 'lo,hi'"),
+    ("residual", ["--samples", "-3"], 2, "error: need at least one sample"),
+    ("residual", ["--samples", "0"], 2, "error: need at least one sample"),
+    ("simulate", [*SIMULATE_ARGS, "--dt", "nan"], 1,
+     "numeric failure: dt must be positive and finite"),
+    ("simulate", [*SIMULATE_ARGS, "--t-final", "inf"], 1,
+     "numeric failure: time horizon must be finite and nonnegative"),
+])
+def test_malformed_numbers_are_refused(eq_file, capsys, command, extra, code,
+                                       message):
+    if command == "residual":
+        extra = ["--solution", "x^3/15", *extra]
+    assert main([command, "--eq", eq_file(CASE4), *extra]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_byte_identical_output_for_same_seed(eq_file, capsys):
     path = eq_file(CASE6)
     main(["classify", "--eq", path, "--json", "--seed", "7"])

@@ -6,8 +6,8 @@ from finsym.model import (
     ConstantH, FinEquation, FreeH, ModelError, PowerU, PowerX, Solution,
 )
 from finsym.numeric import (
-    BlowUpError, CoefficientFailure, DirichletBC, Grid, NoFluxBC,
-    NumericError, StabilityError, pde_residual_grid, solve_pde,
+    BlowUpError, CoefficientFailure, ConvergenceError, DirichletBC, Grid,
+    NoFluxBC, NumericError, StabilityError, pde_residual_grid, solve_pde,
 )
 
 EQ4 = FinEquation(PowerU(1), PowerX(1, -1))  # stationary solution x^3/15
@@ -36,6 +36,12 @@ def test_grid_validation():
         Grid(0.0, 1.0, 4, 1.0)
     with pytest.raises(NumericError):
         Grid(0.0, 1.0, 21, 1.0, dt=-0.1)
+    nan, inf = float("nan"), float("inf")
+    for args, dt in [((0.0, inf, 21, 1.0), None), ((-inf, 1.0, 21, 1.0), None),
+                     ((0.0, 1.0, 21, nan), None), ((0.0, 1.0, 21, inf), 1e-3),
+                     ((0.0, 1.0, 21, 1.0), nan), ((0.0, 1.0, 21, 1.0), inf)]:
+        with pytest.raises(NumericError):
+            Grid(*args, dt=dt)
 
 
 def test_stationary_solution_accuracy_and_order():
@@ -66,6 +72,18 @@ def test_implicit_accepts_larger_steps():
     f = solve_pde(EQ4, EXACT4, BC4, g, method="implicit")
     exact = evaluate(EXACT4, {"x": f.x})
     assert float(np.max(np.abs(f.values[-1] - exact))) <= 1e-3
+
+
+def test_implicit_step_that_does_not_converge_raises():
+    # the damped iteration stalls for dt from about 1.02e-3 to 1.22e-3 here
+    with pytest.raises(ConvergenceError,
+                       match=r"did not converge at t=0\.0010989"):
+        solve_pde(EQ4, EXACT4, BC4, Grid(1.0, 2.0, 41, 0.2, dt=1.1e-3),
+                  method="implicit")
+    f = solve_pde(EQ4, EXACT4, BC4, Grid(1.0, 2.0, 41, 0.2, dt=1e-3),
+                  method="implicit")
+    exact = evaluate(EXACT4, {"x": f.x})
+    assert float(np.max(np.abs(f.values[-1] - exact))) <= 1e-4
 
 
 def test_nan_diffusivity_raises_coefficient_failure():

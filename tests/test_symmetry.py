@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from finsym.expressions import evaluate, parse
+from finsym.classify import classify
+from finsym.expressions import add, evaluate, mul, parse, sub, substitute, sym
 from finsym.model import (
     ConstantH, ExpU, FinEquation, FreeD, FreeH, H1, InverseSquareX, PowerU,
     PowerX, VectorField,
 )
 from finsym.symmetry import (
-    JetResidual, SymmetryError, conditional_residual, prolonged_residual,
-    symmetry_residual,
+    JetResidual, SymmetryError, _raw_terms, _rhs, conditional_residual,
+    prolonged_residual, symmetry_residual,
 )
+from test_acceptance import TABLE_CORPUS
 
 D_T = VectorField.from_strings("1", "0", "0")
 D_X = VectorField.from_strings("0", "1", "0")
@@ -146,3 +148,37 @@ def test_scaling_transport_of_verdicts():
     for field in classify(eq).basis:
         pushed = push_forward_field(T, field)
         assert symmetry_residual(image, pushed) <= 1e-9
+
+
+def _built_free_then_substituted(eq, field, mapping):
+    """The pieces built with a free u_t, then substituted by ``mapping``."""
+    return tuple(substitute(term, mapping)
+                 for term in _raw_terms(eq, field, sym("u_t")))
+
+
+def test_pieces_built_on_shell_equal_the_substituted_pieces():
+    # repr tells Num(0.0) from Num(-0.0), which compare equal
+    for entries in TABLE_CORPUS.values():
+        for eq, _ in entries:
+            for field in classify(eq).basis:
+                want = _built_free_then_substituted(eq, field,
+                                                    {"u_t": _rhs(eq)})
+                got = prolonged_residual(eq, field).terms
+                assert repr(got) == repr(want), (eq, field.to_string())
+
+    eq = NONCLASSICAL_EQ
+    u, u_x = sym("u"), sym("u_x")
+    d, d1, h = eq.d_expr(), eq.d_expr().diff("u"), eq.h_expr()
+    unit = VectorField.parse_triple("1; 0; x*u")
+    u_t = sub(unit.eta, mul(unit.xi, u_x))
+    u_xx = (u_t - mul(d1, mul(u_x, u_x)) - mul(h, u)) / d
+    want = _built_free_then_substituted(eq, unit, {"u_t": u_t, "u_xx": u_xx})
+    assert repr(conditional_residual(eq, unit).terms) == repr(want)
+
+    zero = VectorField.parse_triple("0; 1; t*u")
+    w = zero.eta / zero.xi
+    w_total = add(w.diff("x"), mul(w.diff("u"), w))
+    u_t = add(add(mul(d, w_total), mul(d1, mul(w, w))), mul(h, u))
+    want = _built_free_then_substituted(
+        eq, zero, {"u_x": w, "u_xx": w_total, "u_t": u_t})
+    assert repr(conditional_residual(eq, zero).terms) == repr(want)
