@@ -6,14 +6,18 @@ source h(x_i) u_i, and explicit Euler stepping (implicit Euler with a
 damped fixed-point iteration behind a flag).  Singular coefficients are
 handled by domain restriction only; stalls and blow-up abort loudly.
 
-Every expression evaluated more than once (D in the step loop, the
-Dirichlet boundary values, the reduced-ODE right-hand side inside RK4 and
-shooting, the sampled residual) is compiled once per call with
+Every expression evaluated more than once is compiled with
 :func:`~finsym.expressions.compile_expressions`, so no loop walks an
-expression tree.  The tape gives the same bits as ``evaluate``.
+expression tree.  The tape gives the same bits as ``evaluate``.  In the
+FD step loop one tape per solve returns D at the interfaces together with
+the interface flux D u_x; the Dirichlet boundary values and the sampled
+residual get one tape each.  One whole RK4 step of a reduced equation is
+one tape, compiled once per residual and kept for later integrations of
+the same residual, so a shoot compiles it once.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -21,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    Expression, compile_expressions, differentiate, mul, sample_finite,
-    sub, substitute,
+    Add, Div, Expression, Mul, Neg, Num, Sub, Sym, UnboundSymbolError,
+    compile_expressions, differentiate, evaluate, mul, sample_finite, sub,
+    substitute,
 )
 from .model import FinEquation, ModelError, Solution
 
@@ -71,13 +76,13 @@ class Grid:
 
     def __post_init__(self):
         if not -math.inf < self.a < self.b < math.inf:
-            raise NumericError("grid requires finite a < b")
+            raise ModelError("grid requires finite a < b")
         if self.m < 8:
-            raise NumericError("grid requires at least 8 nodes")
+            raise ModelError("grid requires at least 8 nodes")
         if not 0 <= self.t_final < math.inf:
-            raise NumericError("time horizon must be finite and nonnegative")
+            raise ModelError("time horizon must be finite and nonnegative")
         if self.dt is not None and not 0 < self.dt < math.inf:
-            raise NumericError("dt must be positive and finite")
+            raise ModelError("dt must be positive and finite")
 
     @property
     def dx(self) -> float:
@@ -115,11 +120,11 @@ class Field:
         return out.getvalue()
 
 
-def _max_abs_d(d_at, u0: np.ndarray) -> float:
+def _max_abs_d(d_expr: Expression, u0: np.ndarray) -> float:
     lo, hi = float(np.min(u0)), float(np.max(u0))
     pad = 0.1 * (hi - lo + 1e-12)
     us = np.linspace(lo - pad, hi + pad, 101)
-    (dv,) = d_at({"u": us})
+    dv = evaluate(d_expr, {"u": us})
     dv = dv[np.isfinite(dv)]
     if dv.size == 0:
         raise CoefficientFailure("D not evaluable on the initial data range")
@@ -145,8 +150,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     if not np.all(np.isfinite(h_nodes)):
         raise CoefficientFailure("h not evaluable at a node")
 
-    d_at = compile_expressions(eq.d_expr())
-    max_d = _max_abs_d(d_at, u)
+    max_d = _max_abs_d(eq.d_expr(), u)
     dt_stable = STABILITY_FACTOR * dx * dx / max(max_d, 1e-300)
 
     if grid.t_final == 0:
@@ -167,12 +171,18 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     if dirichlet:
         boundary_at = compile_expressions(boundary.left, boundary.right)
 
+    # D((u_l + u_r)/2) and the flux D u_x at the interfaces, u_l = v[:-1]
+    # and u_r = v[1:]; raw nodes, so the tape applies the array operations
+    # in the order 0.5*(u_l+u_r) and (D*(u_r-u_l))/dx, with the same bits
+    u_l, u_r = Sym("u_l"), Sym("u_r")
+    d_mid = substitute(eq.d_expr(), {"u": Mul(Num(0.5), Add(u_l, u_r))})
+    interfaces_at = compile_expressions(
+        d_mid, Div(Mul(d_mid, Sub(u_r, u_l)), Num(dx)))
+
     def rate(v: np.ndarray) -> np.ndarray:
-        mid = 0.5 * (v[:-1] + v[1:])
-        (d_half,) = d_at({"u": mid})
-        if not np.all(np.isfinite(d_half)):
+        d_half, flux = interfaces_at({"u_l": v[:-1], "u_r": v[1:]})
+        if not np.isfinite(d_half).all():
             raise CoefficientFailure("D evaluation failed (NaN) at a node")
-        flux = d_half * (v[1:] - v[:-1]) / dx  # D u_x at interfaces
         out = np.empty_like(v)
         out[1:-1] = (flux[1:] - flux[:-1]) / dx + h_nodes[1:-1] * v[1:-1]
         if isinstance(boundary, NoFluxBC):
@@ -207,8 +217,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
         if dirichlet:
             u_next[0], u_next[-1] = left, right
 
-        if not np.all(np.isfinite(u_next)) \
-                or float(np.max(np.abs(u_next))) > BLOWUP_THRESHOLD:
+        if not np.abs(u_next).max() <= BLOWUP_THRESHOLD:  # NaN fails too
             partial = Field(xs, np.asarray(times), np.asarray(levels))
             raise BlowUpError(f"solution blew up at t={t_next:g}", partial)
 
@@ -224,22 +233,50 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
 # reduced ODEs: generic integration and shooting (no closed-form catalog)
 
 
-def _phi_ww_rhs(residual: Expression):
-    """Solve a reduced-equation residual, linear in phi_ww, for phi_ww."""
-    # one tape: the two residuals share every subtree without phi_ww
-    at = compile_expressions(substitute(residual, {"phi_ww": 0.0}),
-                             substitute(residual, {"phi_ww": 1.0}))
+@functools.lru_cache(maxsize=64)
+def _rk4_step(residual: Expression, key: str):
+    """One classical RK4 step of ``residual = 0`` as one compiled tape.
 
-    def rhs(w: float, phi: float, phi_w: float) -> float:
-        at0, at1 = at({"w": w, "phi": phi, "phi_w": phi_w})
-        b = float(at0)
-        a = float(at1) - b
-        if not np.isfinite(a) or a == 0.0:
-            raise NumericError(
-                f"reduced equation is degenerate in phi_ww at w={w:g}")
-        return -b / a
+    The tape takes the step start ``w``, ``y`` = phi, ``v`` = phi_w and the
+    step ``h``, and returns (y', v', a1, a2, a3, a4).  Stage i solves for
+    phi_ww = (-b)/a_i, b = r(phi_ww=0) and a_i = r(phi_ww=1) - b, and the
+    caller checks each a_i.  Raw nodes in the association ``(0.5*h)*k`` and
+    ``(h/6)*(((k1+2*k2)+2*k3)+k4)`` give the bits of the same step in
+    Python floats.  ``key`` is ``repr(residual)``: trees that differ only
+    in the sign of a zero constant compare equal.
+    """
+    foreign = residual.free_symbols() - {"w", "phi", "phi_w", "phi_ww"}
+    if foreign:  # else the step's own y, v or h could capture one
+        raise UnboundSymbolError(f"unbound symbol {min(foreign)!r}")
+    at0 = substitute(residual, {"phi_ww": 0.0})
+    at1 = substitute(residual, {"phi_ww": 1.0})
 
-    return rhs
+    def phi_ww(w, y, v):
+        # stage values are never a number or a negation, so substituting
+        # them folds nothing and keeps the residual's own operations
+        point = {"w": w, "phi": y, "phi_w": v}
+        b = substitute(at0, point)
+        a = Sub(substitute(at1, point), b)
+        return Div(Neg(b), a), a
+
+    w, y, v, h = Sym("w"), Sym("y"), Sym("v"), Sym("h")
+    half, two = Mul(Num(0.5), h), Num(2.0)
+    k1v, a1 = phi_ww(w, y, v)
+    k2y = Add(v, Mul(half, k1v))
+    k2v, a2 = phi_ww(Add(w, half), Add(y, Mul(half, v)), k2y)
+    k3y = Add(v, Mul(half, k2v))
+    k3v, a3 = phi_ww(Add(w, half), Add(y, Mul(half, k2y)), k3y)
+    k4y = Add(v, Mul(h, k3v))
+    k4v, a4 = phi_ww(Add(w, h), Add(y, Mul(h, k3y)), k4y)
+    sixth = Div(h, Num(6.0))
+
+    def combine(start, k1, k2, k3, k4):
+        return Add(start, Mul(sixth, Add(Add(Add(k1, Mul(two, k2)),
+                                             Mul(two, k3)), k4)))
+
+    return compile_expressions(combine(y, v, k2y, k3y, k4y),
+                               combine(v, k1v, k2v, k3v, k4v),
+                               a1, a2, a3, a4)
 
 
 def integrate_reduced_ode(reduction, phi0: float, dphi0: float,
@@ -248,15 +285,16 @@ def integrate_reduced_ode(reduction, phi0: float, dphi0: float,
 
     ``reduction`` carries the residual in (w, phi, phi_w, phi_ww); the
     residual is linear in phi_ww, so the second derivative is isolated
-    numerically at each stage.  Returns (w, phi, phi_w) arrays from the
+    numerically at each stage.  Each step is one call of a tape compiled
+    once per residual.  Returns (w, phi, phi_w) arrays from the
     reduction's slice start to ``w_end``.
     """
     if reduction.reduced is None:
         raise NumericError("algebraic reduction has no ODE to integrate")
-    rhs = _phi_ww_rhs(reduction.reduced)
     w0 = reduction.slice_range[0]
     if steps < 1 or w_end == w0:
         raise NumericError("need w_end != slice start and steps >= 1")
+    step = _rk4_step(reduction.reduced, repr(reduction.reduced))
     hstep = (w_end - w0) / steps
     ws = np.empty(steps + 1)
     phis = np.empty(steps + 1)
@@ -264,17 +302,14 @@ def integrate_reduced_ode(reduction, phi0: float, dphi0: float,
     w, y, v = w0, float(phi0), float(dphi0)
     ws[0], phis[0], slopes[0] = w, y, v
     for k in range(1, steps + 1):
-        k1y, k1v = v, rhs(w, y, v)
-        k2y = v + 0.5 * hstep * k1v
-        k2v = rhs(w + 0.5 * hstep, y + 0.5 * hstep * k1y, k2y)
-        k3y = v + 0.5 * hstep * k2v
-        k3v = rhs(w + 0.5 * hstep, y + 0.5 * hstep * k2y, k3y)
-        k4y = v + hstep * k3v
-        k4v = rhs(w + hstep, y + hstep * k3y, k4y)
-        y = y + hstep / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        v = v + hstep / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        y, v, *coefficients = step({"w": w, "y": y, "v": v, "h": hstep})
+        for stage, a in enumerate(coefficients):
+            if not math.isfinite(a) or a == 0.0:
+                at = (w, w + 0.5 * hstep, w + 0.5 * hstep, w + hstep)[stage]
+                raise NumericError(
+                    f"reduced equation is degenerate in phi_ww at w={at:g}")
         w = w0 + k * hstep
-        if not (np.isfinite(y) and np.isfinite(v)):
+        if not (math.isfinite(y) and math.isfinite(v)):
             raise NumericError(f"reduced-ODE integration blew up at w={w:g}")
         ws[k], phis[k], slopes[k] = w, y, v
     return ws, phis, slopes

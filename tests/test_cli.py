@@ -199,10 +199,16 @@ def test_residual_subcommand(eq_file, capsys):
     ("residual", ["--x-range", "nan,1"], 2, "error: expected finite 'lo,hi'"),
     ("residual", ["--samples", "-3"], 2, "error: need at least one sample"),
     ("residual", ["--samples", "0"], 2, "error: need at least one sample"),
-    ("simulate", [*SIMULATE_ARGS, "--dt", "nan"], 1,
-     "numeric failure: dt must be positive and finite"),
-    ("simulate", [*SIMULATE_ARGS, "--t-final", "inf"], 1,
-     "numeric failure: time horizon must be finite and nonnegative"),
+    pytest.param("simulate", [*SIMULATE_ARGS, "--dt", "nan"], 2,
+                 "error: dt must be positive and finite",
+                 id="simulate-dt-nan"),
+    pytest.param("simulate", [*SIMULATE_ARGS, "--t-final", "inf"], 2,
+                 "error: time horizon must be finite and nonnegative",
+                 id="simulate-t-final-inf"),
+    pytest.param("simulate", [*SIMULATE_ARGS, "--m", "5"], 2,
+                 "error: grid requires at least 8 nodes", id="simulate-m-5"),
+    pytest.param("simulate", [*SIMULATE_ARGS, "--xb", "1"], 2,
+                 "error: grid requires finite a < b", id="simulate-xb-xa"),
 ])
 def test_malformed_numbers_are_refused(eq_file, capsys, command, extra, code,
                                        message):

@@ -30,17 +30,17 @@ def test_unknown_method_is_refused_before_any_work(t_final):
 
 
 def test_grid_validation():
-    with pytest.raises(NumericError):
+    with pytest.raises(ModelError):
         Grid(2.0, 1.0, 21, 1.0)
-    with pytest.raises(NumericError):
+    with pytest.raises(ModelError):
         Grid(0.0, 1.0, 4, 1.0)
-    with pytest.raises(NumericError):
+    with pytest.raises(ModelError):
         Grid(0.0, 1.0, 21, 1.0, dt=-0.1)
     nan, inf = float("nan"), float("inf")
     for args, dt in [((0.0, inf, 21, 1.0), None), ((-inf, 1.0, 21, 1.0), None),
                      ((0.0, 1.0, 21, nan), None), ((0.0, 1.0, 21, inf), 1e-3),
                      ((0.0, 1.0, 21, 1.0), nan), ((0.0, 1.0, 21, 1.0), inf)]:
-        with pytest.raises(NumericError):
+        with pytest.raises(ModelError):
             Grid(*args, dt=dt)
 
 
@@ -102,6 +102,63 @@ def test_blow_up_aborts_with_partial_field():
     partial = err.value.partial
     assert partial is not None
     assert np.all(np.isfinite(partial.values))
+
+
+@pytest.mark.parametrize("h,initial,t_final", [
+    (1e308, "1+x", 0.01),           # h u overflows: u_next is inf
+    (0.0, "1e300*(1+x)", 1e-303),   # every flux overflows: u_next is NaN
+], ids=["inf", "nan"])
+def test_non_finite_step_with_finite_d_is_a_blow_up(h, initial, t_final):
+    # D stays finite at the interfaces, so the one blow-up test must catch
+    # inf and NaN in u_next; numpy's own overflow warnings are not the point
+    eq = FinEquation(PowerU(1), ConstantH(h))
+    with pytest.raises(BlowUpError, match="blew up at t=") as err, \
+            np.errstate(over="ignore", invalid="ignore"):
+        solve_pde(eq, parse(initial), NoFluxBC(), Grid(0.0, 1.0, 21, t_final))
+    partial = err.value.partial
+    assert partial.times.tolist() == [0.0]
+    assert np.isfinite(partial.values).all()
+
+
+def _reference_explicit(eq, initial, boundary, grid):
+    """The conservative explicit Euler scheme as numpy array operations:
+    the last time level on a grid with a given dt."""
+    xs, dx = grid.nodes(), grid.dx
+    u = evaluate(initial, {"x": xs})
+    h = evaluate(eq.h_expr(), {"x": xs})
+    n_steps = int(np.ceil(grid.t_final / grid.dt - 1e-12))
+    dt = grid.t_final / n_steps
+    for step in range(1, n_steps + 1):
+        t = step * dt if step < n_steps else grid.t_final
+        mid = 0.5 * (u[:-1] + u[1:])
+        flux = evaluate(eq.d_expr(), {"u": mid}) * (u[1:] - u[:-1]) / dx
+        out = np.empty_like(u)
+        out[1:-1] = (flux[1:] - flux[:-1]) / dx + h[1:-1] * u[1:-1]
+        if isinstance(boundary, NoFluxBC):
+            out[0] = flux[0] / dx + h[0] * u[0]
+            out[-1] = -flux[-1] / dx + h[-1] * u[-1]
+        else:
+            out[0] = out[-1] = 0.0
+        u = u + dt * out
+        if isinstance(boundary, DirichletBC):
+            u[0] = evaluate(boundary.left, {"t": t})
+            u[-1] = evaluate(boundary.right, {"t": t})
+    return u
+
+
+@pytest.mark.parametrize("eq,initial,boundary,grid", [
+    (EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4, Grid(1.0, 2.0, 41, 0.02, 1e-4)),
+    (FinEquation(PowerU(2), ConstantH(-0.7)), parse("1+0.3*x*(1-x)"),
+     NoFluxBC(), Grid(0.0, 1.0, 33, 0.03, 2e-4)),
+    (FinEquation(PowerU(-1), FreeH(parse("x"))), parse("2"),
+     DirichletBC(parse("2*exp(0.5*t)"), parse("2*exp(1.5*t)")),
+     Grid(0.5, 1.5, 41, 0.05, 1e-4)),
+], ids=["dirichlet", "noflux", "moving"])
+def test_explicit_steps_are_bit_identical_to_array_operations(
+        eq, initial, boundary, grid):
+    field = solve_pde(eq, initial, boundary, grid)
+    assert np.array_equal(field.values[-1],
+                          _reference_explicit(eq, initial, boundary, grid))
 
 
 def test_deterministic_for_fixed_inputs():
@@ -184,6 +241,127 @@ def test_shoot_reduced_ode_recovers_exact_slope():
     assert slope == pytest.approx(6 * w0 ** 5 / 225.0, rel=1e-6)
     ws, phis, _ = integrate_reduced_ode(r, phi0, slope, 2.0)
     assert phis[-1] == pytest.approx(2.0 ** 6 / 225.0, rel=1e-8)
+
+
+def _reference_rk4(reduction, phi0, dphi0, w_end, steps):
+    """Classical RK4 in Python floats, each stage solving the residual for
+    phi_ww as (-b)/a; ``evaluate`` gives the bits of the compiled tape."""
+    from finsym.expressions import substitute
+
+    at0 = substitute(reduction.reduced, {"phi_ww": 0.0})
+    at1 = substitute(reduction.reduced, {"phi_ww": 1.0})
+
+    def rhs(w, phi, phi_w):
+        point = {"w": w, "phi": phi, "phi_w": phi_w}
+        b = float(evaluate(at0, point))
+        a = float(evaluate(at1, point)) - b
+        return -b / a
+
+    w0 = reduction.slice_range[0]
+    hstep = (w_end - w0) / steps
+    w, y, v = w0, float(phi0), float(dphi0)
+    ws, phis, slopes = [w], [y], [v]
+    for k in range(1, steps + 1):
+        k1y, k1v = v, rhs(w, y, v)
+        k2y = v + 0.5 * hstep * k1v
+        k2v = rhs(w + 0.5 * hstep, y + 0.5 * hstep * k1y, k2y)
+        k3y = v + 0.5 * hstep * k2v
+        k3v = rhs(w + 0.5 * hstep, y + 0.5 * hstep * k2y, k3y)
+        k4y = v + hstep * k3v
+        k4v = rhs(w + hstep, y + hstep * k3y, k4y)
+        y = y + hstep / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        v = v + hstep / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        w = w0 + k * hstep
+        ws.append(w)
+        phis.append(y)
+        slopes.append(v)
+    return np.array(ws), np.array(phis), np.array(slopes)
+
+
+@pytest.mark.parametrize("case,params,phi0,dphi0,w_end,steps", [
+    (4, {"n": 1, "q": 1, "eps": -1}, 0.5 ** 6 / 225, 6 * 0.5 ** 5 / 225, 2.0,
+     80),
+    (6, {"p": 1, "q": 1, "eps": 1}, 0.9, -0.3, 2.5, 400),
+], ids=["4.1", "6.1"])
+def test_fused_rk4_step_is_bit_identical_to_a_float_loop(case, params, phi0,
+                                                         dphi0, w_end, steps):
+    from finsym.numeric import integrate_reduced_ode
+    from finsym.reductions import build_reduction
+
+    r = build_reduction(case, "1", params)
+    got = integrate_reduced_ode(r, phi0, dphi0, w_end, steps)
+    want = _reference_rk4(r, phi0, dphi0, w_end, steps)
+    assert np.isfinite(want[1]).all()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_degenerate_phi_ww_at_an_interior_stage_names_that_stage():
+    # the phi_ww coefficient w - c vanishes at the midpoint stages of the
+    # third step, not at any step start
+    from dataclasses import replace
+
+    from finsym.numeric import integrate_reduced_ode
+    from finsym.reductions import build_reduction
+
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    w0, hstep = r.slice_range[0], 0.1
+    c = (w0 + 2 * hstep) + 0.5 * hstep
+    singular = replace(r, reduced=parse(f"(w-{c!r})*phi_ww+phi"))
+    with pytest.raises(NumericError,
+                       match=r"degenerate in phi_ww at w=0\.75$"):
+        integrate_reduced_ode(singular, 1.0, 0.0, w0 + 10 * hstep, 10)
+
+
+@pytest.mark.parametrize("text", ["phi_ww-h*phi", "phi_ww-y", "phi_ww+v*w"])
+def test_a_free_symbol_in_the_residual_stays_unbound(text):
+    # y, v and h name the RK4 step's own inputs; a residual's may not bind
+    from dataclasses import replace
+
+    from finsym.expressions import UnboundSymbolError
+    from finsym.numeric import integrate_reduced_ode
+    from finsym.reductions import build_reduction
+
+    r = replace(build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1}),
+                reduced=parse(text))
+    with pytest.raises(UnboundSymbolError, match="unbound symbol"):
+        integrate_reduced_ode(r, 1.0, 0.0, 2.0, 10)
+
+
+def test_residuals_equal_but_for_the_sign_of_a_zero_get_their_own_step():
+    # Num(0.0) == Num(-0.0), so the two trees compare and hash equal
+    from dataclasses import replace
+
+    from finsym.numeric import integrate_reduced_ode
+    from finsym.reductions import build_reduction
+
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    trees = [parse(f"phi_ww-arctan(1/({zero}))") for zero in ("0", "-0")]
+    assert trees[0] == trees[1]
+    slopes = [integrate_reduced_ode(replace(r, reduced=t), 1.0, 0.0, 2.0,
+                                    10)[2][-1] for t in trees]
+    assert slopes[0] == -slopes[1] == pytest.approx(1.5 * np.pi / 2)
+
+
+def test_a_shoot_compiles_its_rk4_step_once(monkeypatch):
+    import finsym.numeric as numeric
+    from finsym.reductions import build_reduction
+
+    compiles = []
+    real = numeric.compile_expressions
+
+    def counting(*exprs):
+        compiles.append(exprs)
+        return real(*exprs)
+
+    monkeypatch.setattr(numeric, "compile_expressions", counting)
+    numeric._rk4_step.cache_clear()
+    for _ in range(2):  # an equal residual built anew reuses the tape
+        r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+        w0 = r.slice_range[0]
+        numeric.shoot_reduced_ode(r, w0 ** 6 / 225.0, 2.0, 2.0 ** 6 / 225.0,
+                                  (0.0, 0.01), steps=80)
+        assert len(compiles) == 1
 
 
 def _recorded_shooting(monkeypatch, phi_end):
