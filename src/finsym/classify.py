@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    Expression, _close, add, call, evaluate, mul, neg, num, pow_,
-    sample_bindings, sym,
+    Expression, _close, add, call, compile_expressions, evaluate, mul, neg,
+    num, pow_, sample_bindings, sym,
 )
 from .model import (
     D_T, D_X, DShape, FinEquation, FreeD, FreeH, HShape, VectorField,
@@ -108,8 +108,7 @@ def _power_fit(xs, vals, dvals):
 def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
     """Match a u-expression against c*e^(k u) and c*(u+beta)^n."""
     xs = sample_bindings(("u",), np.random.default_rng(seed), FIT_SAMPLES)["u"]
-    vals = evaluate(expr, {"u": xs})
-    dvals = evaluate(expr.diff("u"), {"u": xs})
+    vals, dvals = compile_expressions(expr, expr.diff("u"))({"u": xs})
     exp = _exp_fit(xs, vals, dvals)
     if exp is not None:
         return DShape("exp", coeff=exp[0], k=exp[1])
@@ -124,7 +123,7 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     """Match an x-expression against 0, const, c*(x+s)^q, c*e^(kx) and the
     integral profile c*h1(x+s; p, q)."""
     xs = sample_bindings(("x",), np.random.default_rng(seed), FIT_SAMPLES)["x"]
-    vals = evaluate(expr, {"x": xs})
+    vals, dvals = compile_expressions(expr, expr.diff("x"))({"x": xs})
     finite = np.isfinite(vals)
     if finite.sum() < 8:
         return _ARBITRARY_H
@@ -135,7 +134,6 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     if spread <= 1e-12 * (1 + vmax):
         return HShape("const", coeff=float(np.median(vals[finite])))
 
-    dvals = evaluate(expr.diff("x"), {"x": xs})
     exp = _exp_fit(xs, vals, dvals)
     if exp is not None:
         return HShape("exp", coeff=exp[0], k=exp[1])

@@ -566,9 +566,9 @@ def substitute(e: Expression, mapping: Mapping[str, Union[Expression, float]]
 # ---------------------------------------------------------------------------
 # evaluation
 
-#: the numpy operation at each interior node, by node type or function name.
-#: ``evaluate`` and ``compile_expressions`` both read it, so both apply the
-#: same operations and give bit-identical results under IEEE semantics.
+#: the numpy operation at each interior node, by node type or function
+#: name.  The tape of :func:`compile_expressions` is the only code that
+#: applies them to arrays; :func:`call` folds a literal argument by them.
 _OPS = {
     Neg: operator.neg, Add: operator.add, Sub: operator.sub,
     Mul: operator.mul, Div: operator.truediv, Pow: operator.pow,
@@ -577,83 +577,23 @@ _OPS = {
 }
 
 
-def _op(e: Expression):
-    """The operation applied at the interior node ``e``."""
-    key = e.fn if isinstance(e, Call) else type(e)
-    try:
-        return _OPS[key]
-    except KeyError:
-        if isinstance(e, Call):
-            raise ExpressionError(f"unknown function {e.fn!r}") from None
-        raise TypeError(f"not an expression: {e!r}") from None
-
-
-def _float64_values(bindings: Mapping[str, object]) -> tuple[dict, tuple]:
-    """The bindings as float64, and the shape of all of them broadcast
-    together."""
-    values = {k: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray)
-              else np.float64(v) for k, v in bindings.items()}
-    shape = ()
-    for v in values.values():
-        if v.shape and v.shape != shape:  # a scalar never widens the shape
-            shape = np.broadcast_shapes(shape, v.shape) if shape else v.shape
-    return values, shape
-
-
-def evaluate(e: Expression, bindings: Mapping[str, object]):
-    """Evaluate with IEEE double semantics: NaN and infinities propagate.
-
-    Bindings may be scalars or numpy arrays.  The result is float64 of
-    the shape of all the bindings broadcast together, as from
-    :func:`compile_expressions`; an array result is fresh, never a bound
-    array.  Every free symbol must be bound.
-    """
-    values, shape = _float64_values(bindings)
-    memo: dict[int, object] = {}
-
-    def ev(e: Expression):
-        key = id(e)
-        if key in memo:
-            return memo[key]
-        if isinstance(e, Num):
-            r = np.float64(e.value)
-        elif isinstance(e, Sym):
-            try:
-                r = values[e.name]
-            except KeyError:
-                raise UnboundSymbolError(f"unbound symbol {e.name!r}") from None
-        elif isinstance(e, _Binary):
-            r = _OPS[type(e)](ev(e.left), ev(e.right))
-        else:
-            r = _op(e)(ev(e.arg))
-        memo[key] = r
-        return r
-
-    with np.errstate(all="ignore"):
-        r = ev(e)
-    if r.shape != shape:
-        return np.broadcast_to(r, shape).copy()
-    # a bare symbol evaluates to the bound array, which the caller owns
-    return r.copy() if isinstance(e, Sym) and isinstance(r, np.ndarray) else r
-
-
 def compile_expressions(*exprs: Expression):
-    """Compile expressions once for repeated evaluation on new bindings.
+    """Compile expressions into one tape: the package's one evaluator.
 
+    Evaluation has IEEE double semantics: NaN and infinities propagate.
     The trees are walked once.  Every structurally equal subtree, within
     one expression or across several, gets one register and is computed
     once per call, as one step ``(out, op, a, b)`` of a flat tape.  The
-    returned function takes the same bindings as :func:`evaluate` and
-    returns a tuple with one float64 value per expression, each broadcast
-    to the shape of all the bindings together; arrays returned are fresh
-    and writable.  It applies the same numpy operations as
-    :func:`evaluate`, so the values are bit-identical.
-    An unbound symbol raises :class:`UnboundSymbolError` when the function
-    is called.
+    returned function takes bindings, scalars or numpy arrays, and returns
+    a tuple with one float64 value per expression, each broadcast to the
+    shape of all the bindings together; arrays returned are fresh and
+    writable, never a bound array.  An unbound symbol raises
+    :class:`UnboundSymbolError` when the function is called.
 
-    Compiling costs about as much as one :func:`evaluate` call, so use
-    this where the same expressions are evaluated many times, and
-    :func:`evaluate` for a one-shot value.
+    Compile together the expressions evaluated at the same points, so the
+    subtrees they share are computed once, and keep the function where
+    the same expressions meet new bindings: compiling costs about as much
+    as one call.
     """
     constants: list = []     # per register: its constant, or None
     symbols: dict = {}       # symbol name -> register
@@ -672,8 +612,13 @@ def compile_expressions(*exprs: Expression):
             key = (Num, struct.pack("<d", e.value))
         elif isinstance(e, Sym):
             key = (Sym, e.name)
-        else:
-            key = (_op(e), register(e.arg), None)
+        else:  # a Neg, or a Call by its function name
+            op = _OPS.get(e.fn if isinstance(e, Call) else type(e))
+            if op is None:
+                if isinstance(e, Call):
+                    raise ExpressionError(f"unknown function {e.fn!r}")
+                raise TypeError(f"not an expression: {e!r}")
+            key = (op, register(e.arg), None)
         r = numbered.get(key)
         if r is None:
             r = numbered[key] = len(constants)
@@ -689,6 +634,7 @@ def compile_expressions(*exprs: Expression):
         return r
 
     registers = [register(e) for e in exprs]
+    del register  # it calls itself: free its tables now, not at a gc pass
     computed = {out for out, *_ in steps}
     outputs = []
     for r in registers:
@@ -699,7 +645,14 @@ def compile_expressions(*exprs: Expression):
     slots = tuple(symbols.items())
 
     def run(bindings: Mapping[str, object]) -> tuple:
-        values, shape = _float64_values(bindings)
+        values = {k: np.asarray(v, dtype=np.float64)
+                  if isinstance(v, np.ndarray) else np.float64(v)
+                  for k, v in bindings.items()}
+        shape = ()  # of all the bindings broadcast together
+        for v in values.values():
+            if v.shape and v.shape != shape:  # a scalar never widens it
+                shape = (np.broadcast_shapes(shape, v.shape) if shape
+                         else v.shape)
         regs = constants.copy()
         for name, r in slots:
             try:
@@ -713,13 +666,24 @@ def compile_expressions(*exprs: Expression):
         for r, fresh in outputs:
             v = regs[r]
             if v.shape != shape:
-                v = np.broadcast_to(v, shape).copy()
+                v = np.full(shape, v)
             elif not fresh and isinstance(v, np.ndarray):
                 v = v.copy()
             results.append(v)
         return tuple(results)
 
     return run
+
+
+def evaluate(e: Expression, bindings: Mapping[str, object]):
+    """The value of ``e`` at ``bindings``: its tape, compiled and run once.
+
+    The contract is that of :func:`compile_expressions`: float64 of the
+    bindings' broadcast shape, a fresh array, and
+    :class:`UnboundSymbolError` for a free symbol left unbound.
+    """
+    (value,) = compile_expressions(e)(bindings)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +743,7 @@ def equivalent(a: Expression, b: Expression, seed: int = 0,
     non-finite are resampled a bounded number of times; if no admissible
     point is ever found, :class:`NoAdmissibleSampleError` is raised.
     """
-    def sides(bindings):
-        return evaluate(a, bindings), evaluate(b, bindings)
-
+    sides = compile_expressions(a, b)
     symbols = sorted(a.free_symbols() | b.free_symbols())
     va, vb = sample_finite(sides, symbols, seed, 4 * _TRIALS, need=_TRIALS,
                            rounds=10, ranges=ranges)

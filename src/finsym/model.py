@@ -16,8 +16,9 @@ from typing import Union
 import numpy as np
 
 from .expressions import (
-    Expression, Num, _close, add, call, div, equivalent, evaluate, mul, neg,
-    num, parse, pow_, sample_finite, sub, sym, to_string, ZERO, ONE,
+    Expression, Num, _close, add, call, compile_expressions, div,
+    equivalent, mul, neg, num, parse, pow_, sample_finite, sub, sym,
+    to_string, ZERO, ONE,
 )
 
 __all__ = [
@@ -414,11 +415,7 @@ def validate(eq: FinEquation) -> FinEquation:
 
     if isinstance(eq.D, FreeD):
         _free_symbol_check(eq.D.expr, {"u"}, "free D")
-        dd = eq.D.expr.diff("u")
-
-        def slope_and_value(bindings):
-            return evaluate(dd, bindings), evaluate(eq.D.expr, bindings)
-
+        slope_and_value = compile_expressions(eq.D.expr.diff("u"), eq.D.expr)
         dv, v = sample_finite(slope_and_value, ("u",), 0, 20, need=20,
                               rounds=1)
         if dv.size == 0:

@@ -6,11 +6,11 @@ source h(x_i) u_i, and explicit Euler stepping (implicit Euler with a
 damped fixed-point iteration behind a flag).  Singular coefficients are
 handled by domain restriction only; stalls and blow-up abort loudly.
 
-Every expression evaluated more than once is compiled with
-:func:`~finsym.expressions.compile_expressions`, so no loop walks an
-expression tree.  The tape gives the same bits as ``evaluate``.  In the
-FD step loop one tape per solve returns D at the interfaces together with
-the interface flux D u_x; the Dirichlet boundary values and the sampled
+Expressions evaluated at the same points are compiled together with
+:func:`~finsym.expressions.compile_expressions`, the one evaluator, and
+every tape is compiled before the loop that calls it.  In the FD step
+loop one tape per solve returns D at the interfaces together with the
+interface flux D u_x; the Dirichlet boundary values and the sampled
 residual get one tape each.  One whole RK4 step of a reduced equation is
 one tape, compiled once per residual and kept for later integrations of
 the same residual, so a shoot compiles it once.
@@ -192,39 +192,41 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
             out[0] = out[-1] = 0.0
         return out
 
+    # the blow-up test below reports an overflow or an inf - inf, not numpy
     t = 0.0
-    for step in range(1, n_steps + 1):
-        t_next = step * dt if step < n_steps else grid.t_final
-        if dirichlet:
-            left, right = map(float, boundary_at({"t": t_next}))
-        if method == "explicit":
-            u_next = u + dt * rate(u)
-        else:
-            u_next = u.copy()
-            for _ in range(200):
-                candidate = u + dt * rate(u_next)
-                if dirichlet:
-                    candidate[0], candidate[-1] = left, right
-                new = 0.5 * u_next + 0.5 * candidate  # damped fixed point
-                delta = float(np.max(np.abs(new - u_next)))
-                u_next = new
-                if delta <= 1e-12 * (1 + float(np.max(np.abs(u_next)))):
-                    break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            t_next = step * dt if step < n_steps else grid.t_final
+            if dirichlet:
+                left, right = map(float, boundary_at({"t": t_next}))
+            if method == "explicit":
+                u_next = u + dt * rate(u)
             else:
-                raise ConvergenceError(
-                    f"implicit iteration did not converge at t={t_next:g}")
+                u_next = u.copy()
+                for _ in range(200):
+                    candidate = u + dt * rate(u_next)
+                    if dirichlet:
+                        candidate[0], candidate[-1] = left, right
+                    new = 0.5 * u_next + 0.5 * candidate  # damped fixed point
+                    delta = float(np.max(np.abs(new - u_next)))
+                    u_next = new
+                    if delta <= 1e-12 * (1 + float(np.max(np.abs(u_next)))):
+                        break
+                else:
+                    raise ConvergenceError(
+                        f"implicit iteration did not converge at t={t_next:g}")
 
-        if dirichlet:
-            u_next[0], u_next[-1] = left, right
+            if dirichlet:
+                u_next[0], u_next[-1] = left, right
 
-        if not np.abs(u_next).max() <= BLOWUP_THRESHOLD:  # NaN fails too
-            partial = Field(xs, np.asarray(times), np.asarray(levels))
-            raise BlowUpError(f"solution blew up at t={t_next:g}", partial)
+            if not np.abs(u_next).max() <= BLOWUP_THRESHOLD:  # NaN fails too
+                partial = Field(xs, np.asarray(times), np.asarray(levels))
+                raise BlowUpError(f"solution blew up at t={t_next:g}", partial)
 
-        u, t = u_next, t_next
-        if step % store_every == 0 or step == n_steps:
-            times.append(t)
-            levels.append(u.copy())
+            u, t = u_next, t_next
+            if step % store_every == 0 or step == n_steps:
+                times.append(t)
+                levels.append(u.copy())
 
     return Field(xs, np.asarray(times), np.asarray(levels))
 

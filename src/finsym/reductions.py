@@ -307,8 +307,16 @@ def nonclassical_equation() -> FinEquation:
 # consistency oracle
 
 
-def _cubic(rng, lo: float, hi: float) -> Expression:
-    """Random cubic in w, shifted so its minimum on [lo, hi] is >= 0.5."""
+#: the oracle's test function: a cubic in w whose coefficients c0..c3 are
+#: bound per draw, so its residuals are built and compiled once
+_CUBIC = add(add(add(sym("c0"), mul(sym("c1"), _W)),
+                 mul(sym("c2"), pow_(_W, num(2)))),
+             mul(sym("c3"), pow_(_W, num(3))))
+
+
+def _cubic_draw(rng, lo: float, hi: float) -> dict:
+    """Random coefficients of :data:`_CUBIC`, the constant one shifted so
+    the cubic's minimum on [lo, hi] is >= 0.5."""
     coeffs = rng.uniform(-1.0, 1.0, size=4)
     grid = np.linspace(lo, hi, 201)
     vals = coeffs[0] + coeffs[1] * grid + coeffs[2] * grid ** 2 \
@@ -316,10 +324,22 @@ def _cubic(rng, lo: float, hi: float) -> Expression:
     shift = 0.5 - float(np.min(vals))
     if shift > 0:
         coeffs[0] += shift
-    e = num(coeffs[0])
-    for k in (1, 2, 3):
-        e = add(e, mul(num(coeffs[k]), pow_(_W, num(k))))
-    return e
+    return {f"c{k}": coeffs[k] for k in range(4)}
+
+
+def _jet(phi: Expression) -> dict:
+    """phi, phi_w and phi_ww of a test function of w."""
+    phi_w = phi.diff("w")
+    return {"phi": phi, "phi_w": phi_w, "phi_ww": phi_w.diff("w")}
+
+
+def _oracle_residuals(eq: FinEquation, r: Reduction, phi: Expression
+                      ) -> tuple[Expression, Expression]:
+    """The PDE residual of the ansatz at the test function ``phi`` of w,
+    in (t, x), and the reduced residual at ``phi``, in w."""
+    u_test = substitute(r.ansatz, {"phi": substitute(phi, {"w": r.omega})})
+    return (pde_residual_expression(eq, u_test),
+            substitute(r.reduced, _jet(phi)))
 
 
 def _ratio_spread(ratios) -> tuple[float, float]:
@@ -352,19 +372,12 @@ def verify_reduction(eq: FinEquation, r: Reduction, seed: int = 42,
 
     omega_vals = evaluate(r.omega, {"t": ts, "x": xs})
     w_lo, w_hi = float(np.min(omega_vals)), float(np.max(omega_vals))
+    residuals = compile_expressions(*_oracle_residuals(eq, r, _CUBIC))
+    points = {"t": ts, "x": xs, "w": omega_vals}
 
     ratios = []
     for _ in range(3):
-        phi = _cubic(rng, w_lo, w_hi)
-        phi_w = phi.diff("w")
-        phi_ww = phi_w.diff("w")
-        u_test = substitute(r.ansatz,
-                            {"phi": substitute(phi, {"w": r.omega})})
-        pde_res = pde_residual_expression(eq, u_test)
-        red_res = substitute(r.reduced, {"phi": phi, "phi_w": phi_w,
-                                         "phi_ww": phi_ww})
-        pv = evaluate(pde_res, {"t": ts, "x": xs})
-        rv = evaluate(red_res, {"w": omega_vals})
+        pv, rv = residuals({**points, **_cubic_draw(rng, w_lo, w_hi)})
         ok = np.isfinite(pv) & np.isfinite(rv) & (np.abs(rv) > 1e-12)
         if ok.sum() < n_points // 2:
             raise ReductionError("sampling hit non-finite values everywhere")
@@ -440,26 +453,23 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
     lo, hi = r61.slice_range
     anchors = rng.uniform(lo, hi, size=4)
 
+    subs = _jet(_CUBIC)
+    y_of_w = substitute(red.y, subs)
+    psi_of_w = substitute(red.psi, subs)
+    along_cubic = compile_expressions(
+        y_of_w, psi_of_w, y_of_w.diff("w"), psi_of_w.diff("w"),
+        substitute(r61.reduced, subs))
+
     worst = 0.0
     last_ref = float("nan")
     for w0 in anchors:
         ratios = []
         for _ in range(5):
-            phi = _cubic(rng, lo, hi)
-            phi_w = phi.diff("w")
-            phi_ww = phi_w.diff("w")
-            subs = {"phi": phi, "phi_w": phi_w, "phi_ww": phi_ww}
-            y_of_w = substitute(red.y, subs)
-            psi_of_w = substitute(red.psi, subs)
-            vals = {"w": float(w0)}
-            y_v = float(evaluate(y_of_w, vals))
-            psi_v = float(evaluate(psi_of_w, vals))
-            dy = float(evaluate(y_of_w.diff("w"), vals))
-            dpsi = float(evaluate(psi_of_w.diff("w"), vals))
+            y_v, psi_v, dy, dpsi, r = map(float, along_cubic(
+                {"w": float(w0), **_cubic_draw(rng, lo, hi)}))
             if abs(dy) < 1e-12:
                 continue
             g = float(ode({"y": y_v, "psi": psi_v, "psi_y": dpsi / dy})[0])
-            r = float(evaluate(substitute(r61.reduced, subs), vals))
             if abs(r) < 1e-12:
                 continue
             ratios.append(g / r)

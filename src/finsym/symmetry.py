@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    DEFAULT_SAMPLING_RANGES, ONE, ZERO, Expression, Num, add, differentiate,
-    evaluate, mul, neg, sample_finite, sub, substitute, sym,
+    DEFAULT_SAMPLING_RANGES, ONE, ZERO, Expression, Num, add,
+    compile_expressions, differentiate, mul, neg, sample_finite, sub,
+    substitute, sym,
 )
 from .model import FinEquation, ModelError, VectorField
 
@@ -61,11 +62,12 @@ class JetResidual:
     def max_relative(self, seed: int = 42, samples: int = 50,
                      ranges=None) -> float:
         """Largest |sum of pieces| / (1 + sum |pieces|) over jet samples."""
+        terms = compile_expressions(*self.terms)
+
         def pieces(bindings):
             total = np.zeros(samples)
             scale = np.ones(samples)
-            for term in self.terms:
-                v = evaluate(term, bindings)
+            for v in terms(bindings):
                 total = total + v
                 scale = scale + np.abs(v)
             return total, scale

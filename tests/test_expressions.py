@@ -4,19 +4,56 @@ import numpy as np
 import pytest
 
 from finsym.expressions import (
-    Div, Mul, Neg, Num, Pow, Sub, Sym,
+    Add, Call, Div, Mul, Neg, Num, Pow, Sub, Sym,
     NoAdmissibleSampleError, ParseError, UnboundSymbolError,
     UnknownFunctionError, compile_expressions, differentiate, equivalent,
     evaluate, parse, substitute, sym, to_string,
 )
 
+_FUNCTIONS = {"exp": np.exp, "ln": np.log, "abs": np.abs,
+              "arctan": np.arctan, "sign": np.sign}
+
+
+def _reference(e, values):
+    """A plain recursive evaluator, one numpy operation per node kind,
+    written apart from the package's tape.
+
+    Arithmetic is written with operators: on two numpy scalars they run
+    numpy's scalar math, whose power can differ from ``np.power``'s in the
+    last bit, and whose sum or product of two NaNs from the ufunc's in the
+    sign bit.
+    """
+    if isinstance(e, Num):
+        return np.float64(e.value)
+    if isinstance(e, Sym):
+        return values[e.name]
+    if isinstance(e, Neg):
+        return -_reference(e.arg, values)
+    if isinstance(e, Call):
+        return _FUNCTIONS[e.fn](_reference(e.arg, values))
+    a, b = _reference(e.left, values), _reference(e.right, values)
+    if isinstance(e, Add):
+        return a + b
+    if isinstance(e, Sub):
+        return a - b
+    if isinstance(e, Mul):
+        return a * b
+    if isinstance(e, Div):
+        return a / b
+    assert isinstance(e, Pow)
+    return a ** b
+
 
 def _tape(e, bindings):
-    """``e`` through a compiled tape, checked bit for bit against evaluate."""
+    """``e`` through a compiled tape, checked bit for bit against
+    :func:`_reference`."""
     (got,) = compile_expressions(e)(bindings)
-    want = np.broadcast_to(evaluate(e, bindings), np.shape(got))
+    values = {k: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray)
+              else np.float64(v) for k, v in bindings.items()}
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(_reference(e, values), np.shape(got))
     assert np.asarray(got).dtype == np.float64
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.asarray(got).tobytes() == want.tobytes()
     return got
 
 
@@ -188,16 +225,17 @@ def test_evaluate_unbound_symbol():
         run({"x": np.ones(3)})
 
 
-def _walked(*exprs):
-    """``evaluate`` with the calling convention of a compiled tape."""
+def _one_by_one(*exprs):
+    """Each expression through ``evaluate`` on its own, with the calling
+    convention of a compiled tape."""
     return lambda bindings: tuple(evaluate(e, bindings) for e in exprs)
 
 
 def test_compile_broadcasts_to_the_bindings_shape():
-    # both evaluators keep one contract: float64 of the bindings' shape,
-    # fresh arrays, never a bound array
+    # one tape or one tape per expression, the contract is the same:
+    # float64 of the bindings' shape, fresh arrays, never a bound array
     xs = np.linspace(0.5, 2.0, 7)
-    for make in (compile_expressions, _walked):
+    for make in (compile_expressions, _one_by_one):
         run = make(parse("2"), parse("x"), parse("t*3"), parse("t*x"),
                    parse("t*x"))
         outs = run({"t": 0.5, "x": xs})
@@ -326,3 +364,15 @@ def test_random_trees_round_trip_through_the_printer():
     for _ in range(500):
         tree = _random_full_tree(rng, int(rng.integers(1, 6)))
         assert parse(to_string(tree)) == tree, to_string(tree)
+
+
+def test_random_trees_evaluate_to_the_reference_bits():
+    # the printer's corpus, on arrays (non-finite points included) and on
+    # scalars, where a power of two scalars takes numpy's scalar path
+    rng = np.random.default_rng(424242)
+    xs, ys = np.linspace(-2.5, 3.0, 12), np.linspace(3.0, -0.5, 12)
+    for _ in range(500):
+        tree = _random_full_tree(rng, int(rng.integers(1, 6)))
+        _tape(tree, {"x": xs, "y": ys})
+        _tape(tree, {"x": xs, "y": 0.75})
+        _tape(tree, {"x": -1.5, "y": 2.5})

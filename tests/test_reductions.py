@@ -3,13 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from finsym.expressions import equivalent, evaluate, parse, substitute, to_string
+from finsym.expressions import (
+    add, compile_expressions, equivalent, evaluate, mul, num, parse, pow_,
+    substitute, to_string,
+)
 from finsym.model import ExpX, FinEquation, H1, PowerU, PowerX
 from finsym.numeric import pde_residual_grid
 from finsym.reductions import (
-    RealityError, ReductionError, build_reduction, check_order_reduction_61,
-    exact_solution, nonclassical_equation, order_reduce_61,
-    reduction_chain_solution, solve_algebraic, verify_reduction,
+    _CUBIC, _cubic_draw, _oracle_residuals, RealityError, ReductionError,
+    build_reduction, check_order_reduction_61, exact_solution,
+    nonclassical_equation, order_reduce_61, reduction_chain_solution,
+    solve_algebraic, verify_reduction,
 )
 
 EQ4 = lambda n, q, eps: FinEquation(PowerU(n), PowerX(q, eps))
@@ -100,6 +104,42 @@ def test_verify_reduction_passes(case, sub, params, eq):
     report = verify_reduction(eq, r)
     assert report.passed, (report.label, report.deviation)
     assert report.deviation <= 1e-8
+
+
+def _numeric_cubic(draw):
+    """The test function with the draw as literal coefficients: one tree
+    per draw, built term by term by the smart constructors."""
+    w = parse("w")
+    e = num(draw["c0"])
+    for k in (1, 2, 3):
+        e = add(e, mul(num(draw[f"c{k}"]), pow_(w, num(k))))
+    return e
+
+
+@pytest.mark.parametrize("case,sub,params,eq", [
+    (4, "1", {"n": 2, "q": 1, "eps": 1}, EQ4(2, 1, 1)),
+    (4, "2", {"n": 1, "q": 1, "eps": 1}, EQ4(1, 1, 1)),
+    (5, "2", {"n": 1, "eps": 1}, EQ5(1, 1)),
+    (6, "1", {"p": 1, "q": 1, "eps": 1}, EQ6(1, 1, 1)),
+    (6, "2", {"p": 1, "q": 1, "eps": 1}, EQ6(1, 1, 1)),
+], ids=["4.1", "4.2", "5.2", "6.1", "6.2"])
+def test_a_draw_bound_to_the_symbolic_cubic_gives_the_literal_trees_bits(
+        case, sub, params, eq):
+    r = build_reduction(case, sub, params)
+    rng = np.random.default_rng(5)
+    along = {r.slice_var: rng.uniform(*r.slice_range, size=20),
+             r.anchor[0]: np.full(20, r.anchor[1])}
+    ws = evaluate(r.omega, along)
+    symbolic = compile_expressions(*_oracle_residuals(eq, r, _CUBIC))
+    for _ in range(3):
+        draw = _cubic_draw(rng, float(ws.min()), float(ws.max()))
+        phi = _numeric_cubic(draw)
+        assert substitute(_CUBIC, draw) == phi
+        pde_res, red_res = _oracle_residuals(eq, r, phi)
+        want = (evaluate(pde_res, along), evaluate(red_res, {"w": ws}))
+        got = symbolic({**along, "w": ws, **draw})
+        assert np.isfinite(want[0]).all() and np.isfinite(want[1]).all()
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def test_negative_time_branch():
