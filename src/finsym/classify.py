@@ -209,7 +209,7 @@ def _notes_d(d: DShape, parts: list):
             parts.append(f"D coefficient {d.coeff:.6g} rescaled to 1")
         if abs(d.k - 1.0) > 1e-9:
             parts.append(f"D exponent rate {d.k:.6g} rescaled to 1")
-    if d.kind == "shifted" and d.beta not in (0.0, 1.0):
+    if d.kind == "shifted" and min(abs(d.beta), abs(d.beta - 1.0)) > 1e-9:
         parts.append(f"u-shift {d.beta:.6g} normalized to alpha=1")
 
 

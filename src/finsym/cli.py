@@ -217,7 +217,7 @@ def _cmd_exact(args) -> int:
         case_label = result.case
     t_hi = 1.0
     x_lo, x_hi = 0.5, 2.0
-    if case_label == 6 and eq.h.family == "h1" and eq.h.p == -1:
+    if case_label == 6 and result.params["p"] == -1:
         x_lo, x_hi = 1.3, 3.0
     residual = pde_residual_grid(eq, solution, ((0.0, t_hi), (x_lo, x_hi)),
                                  samples=100, seed=args.seed)

@@ -3,7 +3,9 @@
 Cases 4, 5, 6 each carry a two-dimensional symmetry algebra; reductions
 come from the subalgebras <X1>, <X2> and <X1, X2>.  The two-dimensional
 one collapses the equation to an algebraic condition in a constant C;
-the one-dimensional ones give ODEs in phi(omega).
+the one-dimensional ones give ODEs in phi(omega).  Cases 4 and 5 are
+power diffusion u^n with source eps*P(x), P = x^q or e^x, and share one
+builder parametrized by the source profile.
 
 The consistency oracle substitutes random positive cubics for phi:
 the PDE residual of the ansatz then equals a fixed multiple of the
@@ -101,6 +103,12 @@ def _generators(case: int, eq: FinEquation) -> tuple[VectorField, ...]:
     return result.basis
 
 
+def _power_lead(case: int, n: float, q: float | None) -> float:
+    """The coefficient of C^(n+1) in the algebraic reduction of case 4
+    (source x^q) or case 5 (source e^x)."""
+    return (q + 2.0) * (n * q + n + q + 2.0) if case == 4 else n + 1.0
+
+
 def build_reduction(case: int, subalgebra: str, params: dict,
                     negative_time: bool = False) -> Reduction:
     """Construct the reduction for one case and subalgebra.
@@ -110,98 +118,32 @@ def build_reduction(case: int, subalgebra: str, params: dict,
     t < 0 branch is selected with ``negative_time``.
     """
     sub_key = str(subalgebra)
-    epsp = -1.0 if negative_time else 1.0
-    anchor_t = -1.3 if negative_time else 1.3
-
-    if case == 4:
-        n, q, eps = float(params["n"]), float(params["q"]), int(params["eps"])
-        _require(n != 0, "case 4 requires n != 0")
-        base_par = {"n": n, "q": q, "eps": eps}
-        gens = _generators(4, FinEquation(PowerU(n), PowerX(q, eps)))
-        if sub_key == "0":
-            ansatz = mul(_C, pow_(_X, num((q + 2.0) / n)))
-            algebraic = add(mul(num((q + 2.0) * (n * q + n + q + 2.0)),
-                                pow_(_C, num(n + 1.0))),
-                            mul(num(eps * n * n), _C))
-            return Reduction("4.0", 4, "0", ansatz, None, None, algebraic,
-                             gens, base_par)
-        if sub_key == "1":
-            if abs(n + 1.0) <= 1e-12:
-                ansatz = call("exp", _PHI)
-                reduced = add(_PHI_WW, mul(num(eps), mul(pow_(_W, num(q)),
-                                                         call("exp", _PHI))))
-            else:
-                ansatz = pow_(_PHI, num(1.0 / (n + 1.0)))
-                reduced = add(_PHI_WW,
-                              mul(num(eps * (n + 1.0)),
-                                  mul(pow_(_W, num(q)),
-                                      pow_(_PHI, num(1.0 / (n + 1.0))))))
-            return Reduction("4.1", 4, "1", ansatz, _X, reduced, None,
-                             gens, base_par)
-        if sub_key == "2":
-            _require(q != 0, "subalgebra 2 of case 4 requires q != 0")
-            a = -(q + 2.0) / (n * q)
-            ansatz = mul(pow_(call("abs", _T), num(a)), _PHI)
-            omega = mul(pow_(call("abs", _T), num(1.0 / q)), _X)
-            reduced = add(
-                add(mul(num(n), mul(pow_(_PHI, num(n - 1.0)),
-                                    mul(_PHI_W, _PHI_W))),
-                    mul(pow_(_PHI, num(n)), _PHI_WW)),
-                add(mul(num(eps), mul(pow_(_W, num(q)), _PHI)),
-                    sub(mul(num(epsp * (q + 2.0) / (n * q)), _PHI),
-                        mul(num(epsp / q), mul(_W, _PHI_W)))))
-            return Reduction("4.2", 4, "2", ansatz, omega, reduced, None,
-                             gens, base_par, slice_var="x",
-                             anchor=("t", anchor_t))
-        raise ReductionError(f"unknown subalgebra {subalgebra!r}")
-
-    if case == 5:
-        n, eps = float(params["n"]), int(params["eps"])
-        _require(n != 0, "case 5 requires n != 0")
-        base_par = {"n": n, "eps": eps}
-        gens = _generators(5, FinEquation(PowerU(n), ExpX(eps)))
-        if sub_key == "0":
-            ansatz = mul(_C, call("exp", div(_X, num(n))))
-            algebraic = add(mul(num(n + 1.0), pow_(_C, num(n + 1.0))),
-                            mul(num(eps * n * n), _C))
-            return Reduction("5.0", 5, "0", ansatz, None, None, algebraic,
-                             gens, base_par)
-        if sub_key == "1":
-            if abs(n + 1.0) <= 1e-12:
-                ansatz = call("exp", _PHI)
-                reduced = add(_PHI_WW, mul(num(eps),
-                                           call("exp", add(_PHI, _W))))
-            else:
-                ansatz = pow_(_PHI, num(1.0 / (n + 1.0)))
-                reduced = add(_PHI_WW,
-                              mul(num(eps * (n + 1.0)),
-                                  mul(call("exp", _W),
-                                      pow_(_PHI, num(1.0 / (n + 1.0))))))
-            return Reduction("5.1", 5, "1", ansatz, _X, reduced, None,
-                             gens, base_par)
-        if sub_key == "2":
-            ansatz = mul(pow_(call("abs", _T), num(-1.0 / n)), _PHI)
-            omega = add(_X, call("ln", call("abs", _T)))
-            reduced = add(
-                add(mul(num(n), mul(pow_(_PHI, num(n - 1.0)),
-                                    mul(_PHI_W, _PHI_W))),
-                    mul(pow_(_PHI, num(n)), _PHI_WW)),
-                add(mul(num(eps), mul(call("exp", _W), _PHI)),
-                    sub(mul(num(epsp / n), _PHI), mul(num(epsp), _PHI_W))))
-            return Reduction("5.2", 5, "2", ansatz, omega, reduced, None,
-                             gens, base_par, slice_var="x",
-                             anchor=("t", anchor_t))
-        raise ReductionError(f"unknown subalgebra {subalgebra!r}")
-
-    if case == 6:
+    if case in (4, 5):
+        n = float(params["n"])
+        q = float(params["q"]) if case == 4 else None
+        eps = int(params["eps"])
+        _require(n != 0, f"case {case} requires n != 0")
+        if case == 4:
+            base_par, source = {"n": n, "q": q, "eps": eps}, PowerX(q, eps)
+        else:
+            base_par, source = {"n": n, "eps": eps}, ExpX(eps)
+        gens = _generators(case, FinEquation(PowerU(n), source))
+    elif case == 6:
         p, q, eps = int(params["p"]), float(params["q"]), int(params["eps"])
         _require(q != 0, "case 6 requires q != 0")
         _require(p in (-1, 0, 1), "case 6 requires p in {-1, 0, 1}")
         base_par = {"p": p, "q": q, "eps": eps}
         gens = _generators(6, FinEquation(PowerU(FOUR_THIRDS), H1(p, q, eps)))
+    else:
+        raise ReductionError(f"no reduction catalog for case {case}")
+    if sub_key not in ("0", "1", "2"):
+        raise ReductionError(f"unknown subalgebra {subalgebra!r}")
+
+    omega = reduced = algebraic = None
+    slice_var, slice_range, anchor = "x", (0.5, 3.0), ("t", 1.0)
+    if case == 6:
         x_sq_p = add(pow_(_X, num(2)), num(p))
         h1_x = h1_expression(p, q, eps)
-        x_range = (1.3, 3.0) if p == -1 else (0.5, 3.0)
         if sub_key == "0":
             if eps != 1:
                 raise RealityError(
@@ -211,17 +153,13 @@ def build_reduction(case: int, subalgebra: str, params: dict,
                                  pow_(h1_x, num(-0.75))))
             algebraic = sub(pow_(_C, num(4.0 / 3.0)),
                             num(3.0 / 16.0 * (q * q + 16.0 * p)))
-            return Reduction("6.0", 6, "0", ansatz, None, None, algebraic,
-                             gens, base_par)
-        if sub_key == "1":
-            ansatz = pow_(_PHI, num(-3))
+        elif sub_key == "1":
+            ansatz, omega = pow_(_PHI, num(-3)), _X
             h1_w = h1_expression(p, q, eps, var=_W)
             reduced = sub(mul(num(3), _PHI_WW),
                           mul(h1_w, pow_(_PHI, num(-3))))
-            return Reduction("6.1", 6, "1", ansatz, _X, reduced, None,
-                             gens, base_par, slice_var="x",
-                             slice_range=x_range)
-        if sub_key == "2":
+            slice_range = (1.3, 3.0) if p == -1 else (0.5, 3.0)
+        else:
             if eps != 1:
                 raise RealityError(
                     "the scaling-subalgebra ansatz takes (h1)^(1/4); "
@@ -235,13 +173,53 @@ def build_reduction(case: int, subalgebra: str, params: dict,
                 add(neg(mul(num(3), mul(pow_(_PHI, num(-4)), _PHI_W))),
                     sub(mul(num(3.0 / 16.0 * (q * q + 16.0 * p)), _PHI),
                         mul(num(eps), pow_(_PHI, num(-3))))))
-            anchor_x = 2.0 if p == -1 else 1.7
-            return Reduction("6.2", 6, "2", ansatz, omega, reduced, None,
-                             gens, base_par, slice_var="t",
-                             slice_range=(0.2, 2.0), anchor=("x", anchor_x))
-        raise ReductionError(f"unknown subalgebra {subalgebra!r}")
+            slice_var, slice_range = "t", (0.2, 2.0)
+            anchor = ("x", 2.0 if p == -1 else 1.7)
+    else:
+        # power diffusion u^n with source eps*P: P = x^q (case 4), e^x (case 5)
+        def profile(v):
+            return pow_(v, num(q)) if case == 4 else call("exp", v)
 
-    raise ReductionError(f"no reduction catalog for case {case}")
+        if sub_key == "0":
+            x_part = (pow_(_X, num((q + 2.0) / n)) if case == 4
+                      else call("exp", div(_X, num(n))))
+            ansatz = mul(_C, x_part)
+            algebraic = add(mul(num(_power_lead(case, n, q)),
+                                pow_(_C, num(n + 1.0))),
+                            mul(num(eps * n * n), _C))
+        elif sub_key == "1":
+            omega = _X
+            if abs(n + 1.0) <= 1e-12:
+                ansatz = call("exp", _PHI)
+                source = (call("exp", add(_PHI, _W)) if case == 5
+                          else mul(profile(_W), ansatz))
+                reduced = add(_PHI_WW, mul(num(eps), source))
+            else:
+                ansatz = pow_(_PHI, num(1.0 / (n + 1.0)))
+                reduced = add(_PHI_WW, mul(num(eps * (n + 1.0)),
+                                           mul(profile(_W), ansatz)))
+        else:
+            epsp = -1.0 if negative_time else 1.0
+            if case == 4:
+                _require(q != 0, "subalgebra 2 of case 4 requires q != 0")
+                a = -(q + 2.0) / (n * q)
+                omega = mul(pow_(call("abs", _T), num(1.0 / q)), _X)
+                drift = mul(num(epsp / q), mul(_W, _PHI_W))
+            else:
+                a = -1.0 / n
+                omega = add(_X, call("ln", call("abs", _T)))
+                drift = mul(num(epsp), _PHI_W)
+            ansatz = mul(pow_(call("abs", _T), num(a)), _PHI)
+            reduced = add(
+                add(mul(num(n), mul(pow_(_PHI, num(n - 1.0)),
+                                    mul(_PHI_W, _PHI_W))),
+                    mul(pow_(_PHI, num(n)), _PHI_WW)),
+                add(mul(num(eps), mul(profile(_W), _PHI)),
+                    sub(mul(num(-epsp * a), _PHI), drift)))
+            anchor = ("t", -1.3 if negative_time else 1.3)
+    return Reduction(f"{case}.{sub_key}", case, sub_key, ansatz, omega,
+                     reduced, algebraic, gens, base_par, slice_var,
+                     slice_range, anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +253,14 @@ def exact_solution(case, params: dict, branch: int = 1) -> Solution:
         raise ReductionError(f"no exact solution catalog for case {case!r}")
     r = build_reduction(case, "0", params)
     par = r.params
-    if case == 4:
-        n, q, eps = par["n"], par["q"], par["eps"]
-        lead = (q + 2.0) * (n * q + n + q + 2.0)
-        _require(lead != 0, "case 4 solution requires (q+2)(nq+n+q+2) != 0")
-        c = _real_power(-lead / (eps * n * n), -1.0 / n, "case 4 amplitude")
-        domain = "x > 0"
-    elif case == 5:
+    if case in (4, 5):
         n, eps = par["n"], par["eps"]
-        _require(n != -1.0, "case 5 solution requires n != -1")
-        c = _real_power(-(n + 1.0) / (eps * n * n), -1.0 / n,
-                        "case 5 amplitude")
-        domain = "all (t, x)"
+        lead = _power_lead(case, n, par.get("q"))
+        _require(lead != 0, "case 4 solution requires (q+2)(nq+n+q+2) != 0"
+                 if case == 4 else "case 5 solution requires n != -1")
+        c = _real_power(-lead / (eps * n * n), -1.0 / n,
+                        f"case {case} amplitude")
+        domain = "x > 0" if case == 4 else "all (t, x)"
     else:
         p, q = par["p"], par["q"]
         disc = q * q + 16.0 * p
@@ -312,19 +286,18 @@ def nonclassical_equation() -> FinEquation:
 _CUBIC = add(add(add(sym("c0"), mul(sym("c1"), _W)),
                  mul(sym("c2"), pow_(_W, num(2)))),
              mul(sym("c3"), pow_(_W, num(3))))
+_CUBIC_TAPE = compile_expressions(_CUBIC)
 
 
 def _cubic_draw(rng, lo: float, hi: float) -> dict:
     """Random coefficients of :data:`_CUBIC`, the constant one shifted so
     the cubic's minimum on [lo, hi] is >= 0.5."""
-    coeffs = rng.uniform(-1.0, 1.0, size=4)
-    grid = np.linspace(lo, hi, 201)
-    vals = coeffs[0] + coeffs[1] * grid + coeffs[2] * grid ** 2 \
-        + coeffs[3] * grid ** 3
+    draw = dict(zip(("c0", "c1", "c2", "c3"), rng.uniform(-1.0, 1.0, size=4)))
+    (vals,) = _CUBIC_TAPE({"w": np.linspace(lo, hi, 201), **draw})
     shift = 0.5 - float(np.min(vals))
     if shift > 0:
-        coeffs[0] += shift
-    return {f"c{k}": coeffs[k] for k in range(4)}
+        draw["c0"] += shift
+    return draw
 
 
 def _jet(phi: Expression) -> dict:

@@ -194,3 +194,12 @@ def test_to_json_shape():
     assert doc == {"case": 4, "params": {"n": 2, "q": 3, "eps": 1},
                    "basis": ["d_t", "-6*t*d_t+2*x*d_x+5*u*d_u"],
                    "note": None}
+
+
+@pytest.mark.parametrize("h,case", [
+    (ConstantH(1), 8), (ConstantH(0), 11), (FreeH(parse("x^2+x")), 1),
+])
+def test_fitted_unit_shift_prints_no_note(h, case):
+    # the fit reads the shift of (u+1)^(-1) as 1 up to rounding
+    r = classify(FinEquation(FreeD(parse("(u+1)^(-1)")), h))
+    assert r.case == case and r.note is None

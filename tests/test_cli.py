@@ -136,6 +136,19 @@ def test_params_are_checked(eq_file, capsys, command, doc, message):
     assert message in captured.err and captured.out == ""
 
 
+def test_exact_free_form_pm1_source_prints_the_tagged_bytes(eq_file, capsys):
+    # a free-form h that classifies as case 6 with p = -1 is sampled on the
+    # solution's domain x > 1, as the tagged one is
+    tagged = {"D": {"family": "power_u", "n": -4 / 3},
+              "h": {"family": "h1", "p": -1, "q": 5, "eps": 1}}
+    free = {"D": {"expr": "u^(-4/3)"}, "h": {"expr": "abs((x-1)/(x+1))^2.5"}}
+    outputs = []
+    for doc in (tagged, free):
+        assert main(["exact", "--eq", eq_file(doc), "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+
+
 def test_exact_reality_violation_is_input_error(eq_file, capsys):
     bad = {"D": {"family": "power_u", "n": -4 / 3},
            "h": {"family": "h1", "p": -1, "q": 1, "eps": 1}}

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,30 @@ from finsym.reductions import (
 EQ4 = lambda n, q, eps: FinEquation(PowerU(n), PowerX(q, eps))
 EQ5 = lambda n, eps: FinEquation(PowerU(n), ExpX(eps))
 EQ6 = lambda p, q, eps: FinEquation(PowerU(-4 / 3), H1(p, q, eps))
+
+
+#: the printed catalog of cases 4 and 5 over n in {2, -1, 1/2}, q in {3, -1},
+#: eps = +-1 and both time branches, one record per build_reduction call
+CATALOG = json.loads(
+    (Path(__file__).with_name("reduction_catalog.json")).read_text())
+
+
+def _catalog_id(rec):
+    par = " ".join(f"{k}={v}" for k, v in rec["params"].items())
+    return f"{rec['label']} {par}" + (" t<0" if rec["negative_time"] else "")
+
+
+@pytest.mark.parametrize("rec", CATALOG, ids=_catalog_id)
+def test_power_diffusion_catalog_is_pinned(rec):
+    r = build_reduction(rec["case"], rec["subalgebra"], rec["params"],
+                        negative_time=rec["negative_time"])
+    printed = {field: None if getattr(r, field) is None
+               else to_string(getattr(r, field))
+               for field in ("ansatz", "omega", "reduced", "algebraic")}
+    assert r.label == rec["label"]
+    assert printed == {field: rec[field] for field in printed}
+    assert (r.slice_var, list(r.slice_range), list(r.anchor)) == (
+        rec["slice_var"], rec["slice_range"], rec["anchor"])
 
 
 def test_41_instantiation():
