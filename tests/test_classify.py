@@ -1,3 +1,5 @@
+import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -7,7 +9,8 @@ from finsym.classify import classify, fit_d_shape, fit_h_shape
 from finsym.expressions import equivalent, parse
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
-    PowerU, PowerX, ReciprocalShift, ShiftedPowerU, h1_expression,
+    PowerU, PowerX, ReciprocalShift, ShiftedPowerU, equation_from_json,
+    h1_expression,
 )
 from finsym.symmetry import symmetry_residual
 
@@ -203,3 +206,23 @@ def test_fitted_unit_shift_prints_no_note(h, case):
     # the fit reads the shift of (u+1)^(-1) as 1 up to rounding
     r = classify(FinEquation(FreeD(parse("(u+1)^(-1)")), h))
     assert r.case == case and r.note is None
+
+
+CATALOG = pathlib.Path(__file__).with_name("classification_catalog.json")
+
+
+def test_classification_catalog_is_pinned():
+    # a grid of tagged and free-form D and h specs at seed 42: a tagged row
+    # pins the whole result; a free-form row pins case, note and basis size
+    # and checks each generator, so no fitted bit is pinned
+    catalog = json.loads(CATALOG.read_text())
+    for row in catalog["tagged"]:
+        eq = equation_from_json({"D": row["D"], "h": row["h"]})
+        assert classify(eq).to_json() == row["result"], row
+    for row in catalog["free_form"]:
+        eq = equation_from_json({"D": row["D"], "h": row["h"]})
+        r = classify(eq)
+        assert (r.case, r.note, len(r.basis)) == (
+            row["case"], row["note"], row["generators"]), row
+        for vf in r.basis:
+            assert symmetry_residual(eq, vf) <= 1e-9, (row, vf.to_string())
