@@ -43,15 +43,6 @@ _ARBITRARY_D = DShape("arbitrary")
 _ARBITRARY_H = HShape("arbitrary")
 
 
-def _verified(got, want) -> bool:
-    """Whether a candidate's values ``want`` match the sampled values
-    ``got``."""
-    finite = np.isfinite(got) & np.isfinite(want)
-    if finite.sum() < max(8, got.size // 2):
-        return False
-    return bool(np.all(_close(got[finite], want[finite], FIT_TOL)))
-
-
 def _ratio_fit(xs, vals, dvals, degree_mask):
     """Least squares of vals/dvals against monomials selected by mask."""
     ok = np.isfinite(vals) & np.isfinite(dvals) & (np.abs(dvals) > 1e-300)
@@ -66,11 +57,18 @@ def _ratio_fit(xs, vals, dvals, degree_mask):
     return coeffs
 
 
-def _median_coeff(vals, shape_vals):
-    ok = np.isfinite(vals) & np.isfinite(shape_vals) & (np.abs(shape_vals) > 1e-300)
+def _verified_coeff(vals, shape) -> float | None:
+    """The median ratio c of the samples ``vals`` to a candidate ``shape``,
+    when c*shape matches them at FIT_TOL; otherwise None."""
+    ok = np.isfinite(vals) & np.isfinite(shape) & (np.abs(shape) > 1e-300)
     if ok.sum() < 8:
         return None
-    return float(np.median(vals[ok] / shape_vals[ok]))
+    c = float(np.median(vals[ok] / shape[ok]))
+    want = c * shape
+    finite = np.isfinite(vals) & np.isfinite(want)
+    if finite.sum() < max(8, vals.size // 2):
+        return None
+    return c if np.all(_close(vals[finite], want[finite], FIT_TOL)) else None
 
 
 def _exp_fit(xs, vals, dvals):
@@ -82,10 +80,8 @@ def _exp_fit(xs, vals, dvals):
     k = 1.0 / fit[0]
     with np.errstate(all="ignore"):
         shape = np.exp(k * xs)
-    c = _median_coeff(vals, shape)
-    if c is None or not _verified(vals, c * shape):
-        return None
-    return c, k
+    c = _verified_coeff(vals, shape)
+    return None if c is None else (c, k)
 
 
 def _power_fit(xs, vals, dvals):
@@ -99,10 +95,8 @@ def _power_fit(xs, vals, dvals):
     s = g / a
     with np.errstate(all="ignore"):
         shape = (xs + s) ** n
-    c = _median_coeff(vals, shape)
-    if c is None or not _verified(vals, c * shape):
-        return None
-    return c, n, 0.0 if abs(s) <= 1e-9 else s
+    c = _verified_coeff(vals, shape)
+    return None if c is None else (c, n, 0.0 if abs(s) <= 1e-9 else s)
 
 
 def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
@@ -144,22 +138,21 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
 
     # integral profile: h/h' quadratic in x, ((x+s)^2 + p)/q with p in {-1,0,1}
     fit = _ratio_fit(xs, vals, dvals, (0, 1, 2))
-    if fit is not None:
-        g, a, b = fit
-        if b != 0:
-            q = 1.0 / b
-            s = a * q / 2.0
-            p_hat = g * q - s * s
-            p = int(round(p_hat))
-            if p in (-1, 0, 1) and abs(p_hat - p) <= 1e-6:
-                base = evaluate(h1_expression(p, q, 1, var=add(_X, num(s))),
-                                {"x": xs})
-                c = _median_coeff(vals, base)
-                if c is not None and _verified(vals, c * base):
-                    if abs(s) <= 1e-9:
-                        s = 0.0
-                    return HShape("h1", coeff=c, q=q, p=p, shift=s)
-    return _ARBITRARY_H
+    if fit is None or fit[2] == 0:
+        return _ARBITRARY_H
+    g, a, b = fit
+    q = 1.0 / b
+    s = a * q / 2.0
+    p_hat = g * q - s * s
+    p = int(round(p_hat))
+    if p not in (-1, 0, 1) or abs(p_hat - p) > 1e-6:
+        return _ARBITRARY_H
+    base = evaluate(h1_expression(p, q, 1, var=add(_X, num(s))), {"x": xs})
+    c = _verified_coeff(vals, base)
+    if c is None:
+        return _ARBITRARY_H
+    return HShape("h1", coeff=c, q=q, p=p,
+                  shift=0.0 if abs(s) <= 1e-9 else s)
 
 
 def spec_shape(spec, seed: int = 42) -> DShape | HShape:
@@ -192,25 +185,25 @@ class ClassificationResult:
         }
 
 
-def _scaling_vf(shift: float) -> VectorField:
-    return VectorField(mul(num(2), _T), add(_X, num(shift)) if shift else _X,
-                       num(0))
+def _scaling_vf(xs: Expression) -> VectorField:
+    """2t d_t + xs d_x, the scaling of a profile in xs."""
+    return VectorField(mul(num(2), _T), xs, num(0))
 
 
-def _exp_t(rate: float) -> Expression:
-    return call("exp", mul(num(rate), _T))
+def _exp_time_vf(rate: float, c: float, su: Expression) -> VectorField:
+    """e^(rate t) d_t + c e^(rate t) su d_u, of cases 8, 10 and 12."""
+    e = call("exp", mul(num(rate), _T))
+    return VectorField(e, num(0), mul(mul(num(c), e), su))
 
 
-def _notes_d(d: DShape, parts: list):
-    if d.kind in ("power", "shifted") and abs(d.coeff - 1.0) > 1e-9:
-        parts.append(f"D coefficient {d.coeff:.6g} rescaled to 1")
-    if d.kind == "exp":
-        if abs(d.coeff - 1.0) > 1e-9:
-            parts.append(f"D coefficient {d.coeff:.6g} rescaled to 1")
-        if abs(d.k - 1.0) > 1e-9:
-            parts.append(f"D exponent rate {d.k:.6g} rescaled to 1")
-    if d.kind == "shifted" and min(abs(d.beta), abs(d.beta - 1.0)) > 1e-9:
-        parts.append(f"u-shift {d.beta:.6g} normalized to alpha=1")
+def _power_xu_vfs(n: float, su: Expression) -> list:
+    """The x-u generators of D = su^n (cases 10-13): the projective pair
+    when n = -4/3, otherwise the dilation n x d_x + 2 su d_u."""
+    if is_four_thirds(n):
+        return [VectorField(num(0), mul(num(2), _X), mul(num(-3), su)),
+                VectorField(num(0), pow_(_X, num(2)),
+                            mul(num(-3), mul(_X, su)))]
+    return [VectorField(num(0), mul(num(n), _X), mul(num(2), su))]
 
 
 def _sign(v: float) -> int:
@@ -227,124 +220,92 @@ def classify(eq: FinEquation, seed: int = 42) -> ClassificationResult:
     """
     d = spec_shape(eq.D, seed)
     h = spec_shape(eq.h, seed + 1)
-    u = _U
+    # an arbitrary shape keeps the defaults coeff = k = 1, beta = 0; only
+    # an exp D has k != 1 and only a shifted D has beta != 0
     notes: list = []
-    _notes_d(d, notes)
-
-    eps_flip = _sign(d.coeff) if d.kind != "arbitrary" else 1
+    if abs(d.coeff - 1.0) > 1e-9:
+        notes.append(f"D coefficient {d.coeff:.6g} rescaled to 1")
+    if abs(d.k - 1.0) > 1e-9:
+        notes.append(f"D exponent rate {d.k:.6g} rescaled to 1")
+    if min(abs(d.beta), abs(d.beta - 1.0)) > 1e-9:
+        notes.append(f"u-shift {d.beta:.6g} normalized to alpha=1")
+    eps_flip = _sign(d.coeff)
     if eps_flip < 0:
         notes.append("negative D coefficient absorbed by time reflection")
-
-    def note_h_coeff(c, target):
-        if abs(abs(c) - abs(target)) > 1e-9 or abs(c - target) > 1e-9:
-            notes.append(f"h coefficient {c:.6g} rescaled to {target}")
 
     def done(case, params, basis):
         return ClassificationResult(case, params, tuple(basis),
                                     "; ".join(notes) or None)
 
+    def normalize_h(target) -> Expression:
+        """Note the rescaling of h's coefficient to ``target`` and its
+        x-translation; return the translated x."""
+        if abs(h.coeff - target) > 1e-9:
+            notes.append(f"h coefficient {h.coeff:.6g} rescaled to {target}")
+        if h.shift:
+            notes.append(f"x-translation by {h.shift:.6g} absorbed")
+        return add(_X, num(h.shift)) if h.shift else _X
+
+    su = add(_U, num(d.beta)) if d.beta else _U
     c = h.constant()
+    if c == 0.0:
+        base = [D_T, D_X, _scaling_vf(_X)]
+        if d.kind == "exp":
+            eta = num(2.0 / d.k if abs(d.k - 1.0) > 1e-9 else 2)
+            return done(9, {}, [*base, VectorField(num(0), _X, eta)])
+        if d.kind in ("power", "shifted"):
+            alpha = d.beta if d.beta in (0.0, 1.0) else 1.0
+            basis = [*base, *_power_xu_vfs(d.n, su)]
+            if is_four_thirds(d.n):
+                return done(13, {"alpha": alpha}, basis)
+            return done(11, {"n": d.n, "alpha": alpha}, basis)
+        return done(7, {}, base)
     if c is not None:
-        if c != 0.0:
-            eps = _sign(c) * eps_flip
-            if d.kind == "shifted" and abs(d.n + 1.0) <= 1e-9:
-                # any nonzero shift rescales onto (u+1)^(-1)
-                if abs(abs(c) - 1) > 1e-9:
-                    notes.append(f"h={c:.6g} rescaled to eps={eps}")
-                shifted_u = add(u, num(d.beta))
-                basis = [D_T, D_X,
-                         VectorField(_exp_t(c), num(0),
-                                     mul(mul(num(c), _exp_t(c)), shifted_u))]
-                return done(8, {"eps": eps}, basis)
-            if d.kind == "power":
-                if abs(abs(c) - 1) > 1e-9:
-                    notes.append(f"h={c:.6g} rescaled to eps={eps}")
-                if is_four_thirds(d.n):
-                    basis = [D_T, D_X,
-                             VectorField(_exp_t(4.0 * c / 3.0), num(0),
-                                         mul(mul(num(c), _exp_t(4.0 * c / 3.0)), u)),
-                             VectorField(num(0), mul(num(2), _X),
-                                         mul(num(-3), u)),
-                             VectorField(num(0), pow_(_X, num(2)),
-                                         mul(num(-3), mul(_X, u)))]
-                    return done(12, {"eps": eps}, basis)
-                basis = [D_T, D_X,
-                         VectorField(_exp_t(-c * d.n), num(0),
-                                     mul(mul(num(c), _exp_t(-c * d.n)), u)),
-                         VectorField(num(0), mul(num(d.n), _X),
-                                     mul(num(2), u))]
-                return done(10, {"n": d.n, "eps": eps}, basis)
+        eps = _sign(c) * eps_flip
+        # any nonzero shift rescales onto (u+1)^(-1)
+        reciprocal = d.kind == "shifted" and abs(d.n + 1.0) <= 1e-9
+        if not reciprocal and d.kind != "power":
             # arbitrary D (also exp or off-table shifts) with constant h
             if abs(c - 1.0) > 1e-9:
                 notes.append(f"h={c:.6g} rescaled to 1")
             return done(2, {"c": c}, [D_T, D_X])
-        # h identically zero
-        if d.kind == "exp":
-            if abs(d.k - 1.0) > 1e-9:
-                eta4 = num(2.0 / d.k)
-            else:
-                eta4 = num(2)
-            basis = [D_T, D_X, _scaling_vf(0.0),
-                     VectorField(num(0), _X, eta4)]
-            return done(9, {}, basis)
-        if d.kind in ("power", "shifted"):
-            beta = d.beta if d.kind == "shifted" else 0.0
-            alpha = beta if beta in (0.0, 1.0) else 1.0
-            shifted_u = add(u, num(beta)) if beta else u
-            if is_four_thirds(d.n):
-                basis = [D_T, D_X, _scaling_vf(0.0),
-                         VectorField(num(0), mul(num(2), _X),
-                                     mul(num(-3), shifted_u)),
-                         VectorField(num(0), pow_(_X, num(2)),
-                                     mul(num(-3), mul(_X, shifted_u)))]
-                return done(13, {"alpha": alpha}, basis)
-            basis = [D_T, D_X, _scaling_vf(0.0),
-                     VectorField(num(0), mul(num(d.n), _X),
-                                 mul(num(2), shifted_u))]
-            return done(11, {"n": d.n, "alpha": alpha}, basis)
-        return done(7, {}, [D_T, D_X, _scaling_vf(0.0)])
+        if abs(abs(c) - 1) > 1e-9:
+            notes.append(f"h={c:.6g} rescaled to eps={eps}")
+        if reciprocal:
+            return done(8, {"eps": eps}, [D_T, D_X, _exp_time_vf(c, c, su)])
+        four_thirds = is_four_thirds(d.n)
+        rate = 4.0 * c / 3.0 if four_thirds else -c * d.n
+        basis = [D_T, D_X, _exp_time_vf(rate, c, su),
+                 *_power_xu_vfs(d.n, su)]
+        if four_thirds:
+            return done(12, {"eps": eps}, basis)
+        return done(10, {"n": d.n, "eps": eps}, basis)
 
     # nonconstant h
-    if d.kind == "power":
+    if d.kind == "power" and (h.kind in ("power", "exp")
+                              or (h.kind == "h1" and is_four_thirds(d.n))):
+        eps = _sign(h.coeff) * eps_flip
+        xs = normalize_h(eps)
         if h.kind == "power":
-            eps = _sign(h.coeff) * eps_flip
-            note_h_coeff(h.coeff, eps)
-            if h.shift:
-                notes.append(f"x-translation by {h.shift:.6g} absorbed")
-            xs = add(_X, num(h.shift)) if h.shift else _X
             basis = [D_T,
                      VectorField(mul(num(-h.q * d.n), _T),
                                  mul(num(d.n), xs),
-                                 mul(num(h.q + 2.0), u))]
+                                 mul(num(h.q + 2.0), _U))]
             return done(4, {"n": d.n, "q": h.q, "eps": eps}, basis)
         if h.kind == "exp":
-            eps = _sign(h.coeff) * eps_flip
-            note_h_coeff(h.coeff, eps)
             if abs(h.k - 1.0) > 1e-9:
                 notes.append(f"x rescaled by {h.k:.6g} to unit exponent rate")
             basis = [D_T,
-                     VectorField(mul(num(-d.n), _T), num(d.n / h.k), u)]
+                     VectorField(mul(num(-d.n), _T), num(d.n / h.k), _U)]
             return done(5, {"n": d.n, "eps": eps}, basis)
-        if h.kind == "h1" and is_four_thirds(d.n):
-            eps = _sign(h.coeff) * eps_flip
-            note_h_coeff(h.coeff, eps)
-            if h.shift:
-                notes.append(f"x-translation by {h.shift:.6g} absorbed")
-            xs = add(_X, num(h.shift)) if h.shift else _X
-            basis = [D_T,
-                     VectorField(mul(num(-4.0 * h.q), _T),
-                                 mul(num(4), add(pow_(xs, num(2)), num(h.p))),
-                                 neg(mul(num(3), mul(add(mul(num(4), xs),
-                                                         num(h.q)), u))))]
-            return done(6, {"p": h.p, "q": h.q, "eps": eps}, basis)
-        return done(1, {}, [D_T])
+        basis = [D_T,
+                 VectorField(mul(num(-4.0 * h.q), _T),
+                             mul(num(4), add(pow_(xs, num(2)), num(h.p))),
+                             neg(mul(num(3), mul(add(mul(num(4), xs),
+                                                     num(h.q)), _U))))]
+        return done(6, {"p": h.p, "q": h.q, "eps": eps}, basis)
 
-    # arbitrary D with special h: constant already handled; x^-2 remains
+    # a non-power D with special h: constant already handled; x^-2 remains
     if h.kind == "power" and abs(h.q + 2.0) <= 1e-9:
-        if abs(h.coeff - 1.0) > 1e-9:
-            notes.append(f"h coefficient {h.coeff:.6g} rescaled to 1")
-        if h.shift:
-            notes.append(f"x-translation by {h.shift:.6g} absorbed")
-        basis = [D_T, _scaling_vf(h.shift)]
-        return done(3, {"c": h.coeff}, basis)
+        return done(3, {"c": h.coeff}, [D_T, _scaling_vf(normalize_h(1))])
     return done(1, {}, [D_T])

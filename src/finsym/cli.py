@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="machine-readable output")
         p.add_argument("--seed", type=int, default=None)
         if tol:
-            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument("--tol", type=_tolerance, default=1e-9)
         return p
 
     common("classify", _cmd_classify, "table case and symmetry basis"
@@ -129,6 +129,18 @@ def _pair(text: str) -> tuple[float, float]:
         raise ModelError(
             f"expected finite 'lo,hi' with lo < hi, got {text!r}")
     return lo, hi
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _check_params(params: dict, command: str, fixed=(), read=()):
@@ -224,7 +236,7 @@ def _cmd_exact(args) -> int:
     doc = {"case": case_label, "solution": str(solution.expr),
            "domain": solution.domain, "max_residual": residual}
     _emit(doc, args.as_json)
-    return EXIT_OK if residual <= max(args.tol, 1e-10) else EXIT_VERIFICATION
+    return EXIT_OK if residual <= args.tol else EXIT_VERIFICATION
 
 
 def _cmd_conserve(args) -> int:
@@ -244,6 +256,8 @@ def _cmd_conserve(args) -> int:
 def _cmd_simulate(args) -> int:
     eq = _load(args)
     if args.noflux:
+        if args.left is not None or args.right is not None:
+            raise ModelError("--noflux excludes --left and --right")
         bc = NoFluxBC()
     else:
         if not (args.left and args.right):

@@ -10,10 +10,11 @@ Expressions evaluated at the same points are compiled together with
 :func:`~finsym.expressions.compile_expressions`, the one evaluator, and
 every tape is compiled before the loop that calls it.  In the FD step
 loop one tape per solve returns D at the interfaces together with the
-interface flux D u_x; the Dirichlet boundary values and the sampled
-residual get one tape each.  One whole RK4 step of a reduced equation is
-one tape, compiled once per residual and kept for later integrations of
-the same residual, so a shoot compiles it once.
+interface flux D u_x; the same tape gives max|D| for the stability bound.
+The Dirichlet boundary values and the sampled residual get one tape each.
+One whole RK4 step of a reduced equation is one tape, compiled once per
+residual and kept for later integrations of the same residual, so a
+shoot compiles it once.
 """
 from __future__ import annotations
 
@@ -26,8 +27,7 @@ import numpy as np
 
 from .expressions import (
     Add, Div, Expression, Mul, Neg, Num, Sub, Sym, UnboundSymbolError,
-    compile_expressions, differentiate, evaluate, mul, sample_finite, sub,
-    substitute,
+    compile_expressions, differentiate, mul, sample_finite, sub, substitute,
 )
 from .model import FinEquation, ModelError, Solution
 
@@ -120,11 +120,13 @@ class Field:
         return out.getvalue()
 
 
-def _max_abs_d(d_expr: Expression, u0: np.ndarray) -> float:
+def _max_abs_d(interfaces_at, u0: np.ndarray) -> float:
+    """max|D| at 101 points over the range of ``u0`` padded by 10%, read
+    from the interface tape at u_l = u_r (0.5*(v+v) is v)."""
     lo, hi = float(np.min(u0)), float(np.max(u0))
     pad = 0.1 * (hi - lo + 1e-12)
     us = np.linspace(lo - pad, hi + pad, 101)
-    dv = evaluate(d_expr, {"u": us})
+    dv, _ = interfaces_at({"u_l": us, "u_r": us})
     dv = dv[np.isfinite(dv)]
     if dv.size == 0:
         raise CoefficientFailure("D not evaluable on the initial data range")
@@ -150,7 +152,15 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     if not np.all(np.isfinite(h_nodes)):
         raise CoefficientFailure("h not evaluable at a node")
 
-    max_d = _max_abs_d(eq.d_expr(), u)
+    # D((u_l + u_r)/2) and the flux D u_x at the interfaces, u_l = v[:-1]
+    # and u_r = v[1:]; raw nodes, so the tape applies the array operations
+    # in the order 0.5*(u_l+u_r) and (D*(u_r-u_l))/dx, with the same bits
+    u_l, u_r = Sym("u_l"), Sym("u_r")
+    d_mid = substitute(eq.d_expr(), {"u": Mul(Num(0.5), Add(u_l, u_r))})
+    interfaces_at = compile_expressions(
+        d_mid, Div(Mul(d_mid, Sub(u_r, u_l)), Num(dx)))
+
+    max_d = _max_abs_d(interfaces_at, u)
     dt_stable = STABILITY_FACTOR * dx * dx / max(max_d, 1e-300)
 
     if grid.t_final == 0:
@@ -170,14 +180,6 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     dirichlet = isinstance(boundary, DirichletBC)
     if dirichlet:
         boundary_at = compile_expressions(boundary.left, boundary.right)
-
-    # D((u_l + u_r)/2) and the flux D u_x at the interfaces, u_l = v[:-1]
-    # and u_r = v[1:]; raw nodes, so the tape applies the array operations
-    # in the order 0.5*(u_l+u_r) and (D*(u_r-u_l))/dx, with the same bits
-    u_l, u_r = Sym("u_l"), Sym("u_r")
-    d_mid = substitute(eq.d_expr(), {"u": Mul(Num(0.5), Add(u_l, u_r))})
-    interfaces_at = compile_expressions(
-        d_mid, Div(Mul(d_mid, Sub(u_r, u_l)), Num(dx)))
 
     def rate(v: np.ndarray) -> np.ndarray:
         d_half, flux = interfaces_at({"u_l": v[:-1], "u_r": v[1:]})

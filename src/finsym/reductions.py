@@ -201,7 +201,6 @@ def build_reduction(case: int, subalgebra: str, params: dict,
         else:
             epsp = -1.0 if negative_time else 1.0
             if case == 4:
-                _require(q != 0, "subalgebra 2 of case 4 requires q != 0")
                 a = -(q + 2.0) / (n * q)
                 omega = mul(pow_(call("abs", _T), num(1.0 / q)), _X)
                 drift = mul(num(epsp / q), mul(_W, _PHI_W))

@@ -190,6 +190,57 @@ def test_tol_only_where_a_tolerance_is_read(eq_file, capsys, command, extra):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("verify-symmetry", ["--field=-6*t;2*x;5*u"]), ("exact", []),
+    ("conserve", []),
+])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3", "abc"])
+def test_tol_must_be_finite_and_nonnegative(eq_file, capsys, command, extra,
+                                            tol):
+    doc = CASE6 if command == "exact" else CASE4
+    assert main([command, "--eq", eq_file(doc), *extra, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "error: argument --tol: expected a finite number >= 0" in (
+        captured.err)
+    assert captured.out == ""
+
+
+def test_exact_compares_with_tol_as_given(eq_file, capsys):
+    # the case-6 residual at seed 42 is 4.347571131218279e-15
+    argv = ["exact", "--eq", eq_file(CASE6), "--json", "--seed", "42"]
+    assert main([*argv, "--tol", "1e-15"]) == 1
+    assert main([*argv, "--tol", "1e-14"]) == 0
+
+
+@pytest.mark.parametrize("given", [["--left", "1"], ["--right", "1"],
+                                   ["--left", "1", "--right", "1"]])
+def test_noflux_excludes_dirichlet_values(eq_file, capsys, given):
+    argv = ["simulate", "--eq", eq_file(CASE4), "--initial", "x", "--noflux",
+            *given, "--xa", "1", "--xb", "2", "--m", "9", "--t-final", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: --noflux excludes --left and --right" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_needs_both_dirichlet_values(eq_file, capsys):
+    argv = ["simulate", "--eq", eq_file(CASE4), "--initial", "x",
+            "--left", "1", "--xa", "1", "--xb", "2", "--t-final", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: simulate requires --left and --right" in captured.err
+    assert captured.out == ""
+
+
+def test_numeric_failure_exits_1(eq_file, capsys):
+    # dt = 1 is far above the explicit stability bound 0.45 dx^2 / max|D|
+    assert main(["simulate", "--eq", eq_file(CASE4), *SIMULATE_ARGS,
+                 "--dt", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "numeric failure: explicit step dt=1 exceeds" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_has_no_json_flag(eq_file, capsys):
     assert main(["simulate", "--eq", eq_file(CASE4), *SIMULATE_ARGS,
                  "--json"]) == 2

@@ -166,6 +166,14 @@ def test_differentiate_power_rule():
     assert equivalent(d, parse("n*u^(n-1)"), seed=2)
 
 
+def test_differentiate_general_power_rule():
+    # an exponent that depends on the variable brings in ln of the base
+    assert equivalent(differentiate(parse("x^x"), "x"),
+                      parse("x^x*(ln(x)+1)"), seed=5)
+    assert equivalent(differentiate(parse("2^(t*x)"), "t"),
+                      parse("ln(2)*x*2^(t*x)"), seed=6)
+
+
 def test_differentiate_chain_rule():
     d = differentiate(parse("eps*exp(q*arctan(x))"), "x")
     want = parse("eps*q/(1+x^2)*exp(q*arctan(x))")

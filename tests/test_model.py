@@ -194,6 +194,10 @@ def test_vector_field_triple_parsing():
     assert VectorField.parse_triple("1;0;0").to_string() == "d_t"
 
 
+def test_vector_field_prints_a_minus_one_coefficient_as_a_sign():
+    assert VectorField.parse_triple("-1;0;-u").to_string() == "-d_t-u*d_u"
+
+
 def test_solution_bind():
     s = Solution(parse("C*exp(t*x)"), ("C",))
     bound = s.bind(C=2)
