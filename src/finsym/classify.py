@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    Expression, _close, add, call, compile_expressions, evaluate, mul, neg,
-    num, pow_, sample_bindings, sym,
+    Expression, _close, add, call, compile_expressions, differentiate,
+    evaluate, mul, neg, num, pow_, sample_bindings, sym,
 )
 from .model import (
     D_T, D_X, DShape, FinEquation, FreeD, FreeH, HShape, VectorField,
@@ -102,7 +102,8 @@ def _power_fit(xs, vals, dvals):
 def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
     """Match a u-expression against c*e^(k u) and c*(u+beta)^n."""
     xs = sample_bindings(("u",), np.random.default_rng(seed), FIT_SAMPLES)["u"]
-    vals, dvals = compile_expressions(expr, expr.diff("u"))({"u": xs})
+    vals, dvals = compile_expressions(
+        expr, differentiate(expr, "u"))({"u": xs})
     exp = _exp_fit(xs, vals, dvals)
     if exp is not None:
         return DShape("exp", coeff=exp[0], k=exp[1])
@@ -117,7 +118,8 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     """Match an x-expression against 0, const, c*(x+s)^q, c*e^(kx) and the
     integral profile c*h1(x+s; p, q)."""
     xs = sample_bindings(("x",), np.random.default_rng(seed), FIT_SAMPLES)["x"]
-    vals, dvals = compile_expressions(expr, expr.diff("x"))({"x": xs})
+    vals, dvals = compile_expressions(
+        expr, differentiate(expr, "x"))({"x": xs})
     finite = np.isfinite(vals)
     if finite.sum() < 8:
         return _ARBITRARY_H

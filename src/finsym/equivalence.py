@@ -21,14 +21,13 @@ fitted shape, and stays free-form otherwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .classify import fit_d_shape, fit_h_shape, spec_shape
 from .expressions import (
-    Expression, Num, ZERO, add, call, div, mul, num, pow_, sub,
-    substitute, sym,
+    Expression, Num, ZERO, add, call, differentiate, div, mul, num, pow_,
+    sub, substitute, sym,
 )
 from .model import (
     FOUR_THIRDS, FOUR_THIRDS_TOL, ConstantH, DShape, ExpU, ExpX, FinEquation,
@@ -225,7 +224,7 @@ def make_group_element(family: str, deltas, sign: int = 1,
         affine = _affine("G3", deltas)  # the x map of Gsim
         d1, d2, d3, _, d5 = deltas
         coeff = d3 * d3 / (d1 * d5 ** n)
-        if isinstance(coeff, complex) or not np.isfinite(coeff):
+        if isinstance(coeff, complex) or not math.isfinite(coeff):
             raise DeltaConstraintError(
                 "d5 must be positive for a fractional exponent")
         cn = c * n
@@ -311,8 +310,9 @@ def push_forward_solution(T: PointTransformation, s: Solution) -> Solution:
 def push_forward_field(T: PointTransformation, X: VectorField) -> VectorField:
     """Push a generator forward through the transformation (chain rule)."""
     def act(f: Expression) -> Expression:
-        total = add(add(mul(X.tau, f.diff("t")), mul(X.xi, f.diff("x"))),
-                    mul(X.eta, f.diff("u")))
+        total = add(add(mul(X.tau, differentiate(f, "t")),
+                        mul(X.xi, differentiate(f, "x"))),
+                    mul(X.eta, differentiate(f, "u")))
         return substitute(total, {"t": T.t_old, "x": T.x_old, "u": T.u_old})
 
     return VectorField(act(T.t_new), act(T.x_new), act(T.u_new))

@@ -8,6 +8,7 @@ structural normalization.
 """
 from __future__ import annotations
 
+import math
 import operator
 import re
 import struct
@@ -68,39 +69,6 @@ class Expression:
 
     __slots__ = ()
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __pow__(self, other):
-        return pow_(self, other)
-
-    def __rpow__(self, other):
-        return pow_(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __str__(self):
         return to_string(self)
 
@@ -117,12 +85,6 @@ class Expression:
             else:
                 stack.extend(e.children())
         return frozenset(out)
-
-    def diff(self, var: str) -> "Expression":
-        return differentiate(self, var)
-
-    def subs(self, mapping) -> "Expression":
-        return substitute(self, mapping)
 
 
 @dataclass(frozen=True)
@@ -214,7 +176,7 @@ def _is_const(e: Expression, v: float) -> bool:
 
 
 def _fold(value: float) -> Num | None:
-    return Num(float(value)) if np.isfinite(value) else None
+    return Num(float(value)) if math.isfinite(value) else None
 
 
 def add(a, b) -> Expression:
@@ -440,7 +402,7 @@ class _Parser:
     def atom(self) -> Expression:
         kind, value, offset = self.take()
         if kind == "num":
-            if float(value) == np.inf:  # the tree could not be printed
+            if float(value) == math.inf:  # the tree could not be printed
                 raise ParseError(f"number {value} overflows", offset)
             return num(float(value))
         if kind == "ident":

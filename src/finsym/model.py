@@ -16,9 +16,9 @@ from typing import Union
 import numpy as np
 
 from .expressions import (
-    Expression, Num, _close, add, call, compile_expressions, div,
-    equivalent, mul, neg, num, parse, pow_, sample_finite, sub, sym,
-    to_string, ZERO, ONE,
+    Expression, Num, _close, add, call, compile_expressions,
+    differentiate, div, equivalent, mul, neg, num, parse, pow_,
+    sample_finite, sub, substitute, sym, to_string, ZERO, ONE,
 )
 
 __all__ = [
@@ -319,16 +319,12 @@ class VectorField:
     eta: Expression
 
     @classmethod
-    def from_strings(cls, tau: str, xi: str, eta: str) -> "VectorField":
-        return cls(parse(tau), parse(xi), parse(eta))
-
-    @classmethod
     def parse_triple(cls, triple: str) -> "VectorField":
         parts = triple.split(";")
         if len(parts) != 3:
             raise ModelError(
                 "vector field must be three ';'-separated expressions")
-        return cls.from_strings(*[p.strip() for p in parts])
+        return cls(*(parse(p.strip()) for p in parts))
 
     def to_string(self) -> str:
         parts = []
@@ -372,7 +368,7 @@ class Solution:
         if unknown:
             raise ModelError(f"unknown solution parameters: {sorted(unknown)}")
         remaining = tuple(p for p in self.parameters if p not in values)
-        return Solution(self.expr.subs(values), remaining, self.domain)
+        return Solution(substitute(self.expr, values), remaining, self.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +411,8 @@ def validate(eq: FinEquation) -> FinEquation:
 
     if isinstance(eq.D, FreeD):
         _free_symbol_check(eq.D.expr, {"u"}, "free D")
-        slope_and_value = compile_expressions(eq.D.expr.diff("u"), eq.D.expr)
+        slope_and_value = compile_expressions(
+            differentiate(eq.D.expr, "u"), eq.D.expr)
         dv, v = sample_finite(slope_and_value, ("u",), 0, 20, need=20,
                               rounds=1)
         if dv.size == 0:

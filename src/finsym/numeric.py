@@ -41,6 +41,7 @@ __all__ = [
 
 STABILITY_FACTOR = 0.45
 BLOWUP_THRESHOLD = 1e12
+_BOUNDARY_BLOCK = 1 << 16  # steps per boundary tape call: bounded memory
 
 
 class NumericError(RuntimeError):
@@ -133,6 +134,16 @@ def _max_abs_d(interfaces_at, u0: np.ndarray) -> float:
     return float(np.max(np.abs(dv)))
 
 
+def _boundary_values(boundary: DirichletBC, n_steps: int, dt: float,
+                     t_final: float):
+    """(left, right) at each step time, one tape call per block of steps."""
+    values_at = compile_expressions(boundary.left, boundary.right)
+    for start in range(1, n_steps + 1, _BOUNDARY_BLOCK):
+        k = np.arange(start, min(start + _BOUNDARY_BLOCK, n_steps + 1))
+        t = np.where(k < n_steps, k * dt, t_final)  # the last at t_final
+        yield from zip(*values_at({"t": t}))
+
+
 def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
               method: str = "explicit") -> Field:
     """March the equation forward and return stored time levels.
@@ -179,7 +190,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     levels = [u.copy()]
     dirichlet = isinstance(boundary, DirichletBC)
     if dirichlet:
-        boundary_at = compile_expressions(boundary.left, boundary.right)
+        bounds = _boundary_values(boundary, n_steps, dt, grid.t_final)
 
     def rate(v: np.ndarray) -> np.ndarray:
         d_half, flux = interfaces_at({"u_l": v[:-1], "u_r": v[1:]})
@@ -200,7 +211,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
         for step in range(1, n_steps + 1):
             t_next = step * dt if step < n_steps else grid.t_final
             if dirichlet:
-                left, right = map(float, boundary_at({"t": t_next}))
+                left, right = next(bounds)
             if method == "explicit":
                 u_next = u + dt * rate(u)
             else:
@@ -341,8 +352,9 @@ def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
     ``width0 * 2**(N0 - 1 - j) - width / 2`` of it (clamped at 0) on step j.
     That is ITP's ``eps * 2**(n_max - j) - width / 2`` with ``eps`` set so
     that bisection needs exactly ``n_max - N0`` steps, which spares a
-    relative ``tol`` an absolute ``eps``.  So after k steps the bracket is no wider than bisection's after
-    k - N0, and the search takes at most N0 = 1 step more than bisection.
+    relative ``tol`` an absolute ``eps``.  So after k steps the bracket is
+    no wider than bisection's after k - N0, and the search takes at most
+    N0 = 1 step more than bisection.
     It stops when ``hi - lo <= tol * max(1, |mid|)``, when no float lies
     strictly between ``lo`` and ``hi``, or at an exact zero, and returns
     the bracket's midpoint (the zero itself in the last case).

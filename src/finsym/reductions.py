@@ -20,8 +20,8 @@ import numpy as np
 
 from .classify import classify
 from .expressions import (
-    Expression, add, call, compile_expressions, div, evaluate, mul, neg, num,
-    pow_, sub, substitute, sym, to_string,
+    Expression, add, call, compile_expressions, differentiate, div, evaluate,
+    mul, neg, num, pow_, sub, substitute, sym, to_string,
 )
 from .model import (
     FOUR_THIRDS, ExpX, FinEquation, FreeH, H1, ModelError, PowerU, PowerX,
@@ -301,8 +301,8 @@ def _cubic_draw(rng, lo: float, hi: float) -> dict:
 
 def _jet(phi: Expression) -> dict:
     """phi, phi_w and phi_ww of a test function of w."""
-    phi_w = phi.diff("w")
-    return {"phi": phi, "phi_w": phi_w, "phi_ww": phi_w.diff("w")}
+    phi_w = differentiate(phi, "w")
+    return {"phi": phi, "phi_w": phi_w, "phi_ww": differentiate(phi_w, "w")}
 
 
 def _oracle_residuals(eq: FinEquation, r: Reduction, phi: Expression
@@ -379,10 +379,6 @@ class OrderReduction:
     ode: Expression        # residual in (y, psi, psi_y)
     params: dict
 
-    def to_json(self) -> dict:
-        return {"y": to_string(self.y), "psi": to_string(self.psi),
-                "ode": to_string(self.ode), "params": self.params}
-
 
 def order_reduce_61(p: int, q: float, eps: int = 1) -> OrderReduction:
     """Variables (y, psi) lowering 6.1 to a first-order ODE.
@@ -429,8 +425,8 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
     y_of_w = substitute(red.y, subs)
     psi_of_w = substitute(red.psi, subs)
     along_cubic = compile_expressions(
-        y_of_w, psi_of_w, y_of_w.diff("w"), psi_of_w.diff("w"),
-        substitute(r61.reduced, subs))
+        y_of_w, psi_of_w, differentiate(y_of_w, "w"),
+        differentiate(psi_of_w, "w"), substitute(r61.reduced, subs))
 
     worst = 0.0
     last_ref = float("nan")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .expressions import (
     DEFAULT_SAMPLING_RANGES, ONE, ZERO, Expression, Num, add,
-    compile_expressions, differentiate, mul, neg, sample_finite, sub,
+    compile_expressions, differentiate, div, mul, neg, sample_finite, sub,
     substitute, sym,
 )
 from .model import FinEquation, ModelError, VectorField
@@ -98,14 +98,14 @@ def _raw_terms(eq: FinEquation, field: VectorField, u_t: Expression
     u, u_x, u_xx = sym("u"), sym("u_x"), sym("u_xx")
 
     d = eq.d_expr()
-    d1 = d.diff("u")
-    d2 = d1.diff("u")
+    d1 = differentiate(d, "u")
+    d2 = differentiate(d1, "u")
     h = eq.h_expr()
-    h1 = h.diff("x")
+    h1 = differentiate(h, "x")
 
-    tau_t = tau.diff("t")
-    xi_t, xi_x = xi.diff("t"), xi.diff("x")
-    eta_t, eta_x, eta_u = eta.diff("t"), eta.diff("x"), eta.diff("u")
+    tau_t = differentiate(tau, "t")
+    xi_t, xi_x = differentiate(xi, "t"), differentiate(xi, "x")
+    eta_t, eta_x, eta_u = (differentiate(eta, v) for v in ("t", "x", "u"))
 
     # first and second prolongation coefficients (tau_x = tau_u = 0)
     eta_xp = add(eta_x, mul(u_x, sub(eta_u, xi_x)))
@@ -126,7 +126,7 @@ def _rhs(eq: FinEquation) -> Expression:
     """u_t on solutions: D u_xx + D_u u_x^2 + h u."""
     u, u_x, u_xx = sym("u"), sym("u_x"), sym("u_xx")
     d = eq.d_expr()
-    return add(add(mul(d, u_xx), mul(d.diff("u"), mul(u_x, u_x))),
+    return add(add(mul(d, u_xx), mul(differentiate(d, "u"), mul(u_x, u_x))),
                mul(eq.h_expr(), u))
 
 
@@ -162,15 +162,15 @@ def conditional_residual(eq: FinEquation, field: VectorField) -> JetResidual:
         # u_t = eta - xi u_x; combined with the equation this pins u_xx
         u, u_x, d = sym("u"), sym("u_x"), eq.d_expr()
         u_t = sub(eta, mul(xi, u_x))
-        u_xx = (u_t - mul(d.diff("u"), mul(u_x, u_x))
-                - mul(eq.h_expr(), u)) / d
+        u_xx = div(sub(sub(u_t, mul(differentiate(d, "u"), mul(u_x, u_x))),
+                       mul(eq.h_expr(), u)), d)
         mapping = {"u_xx": u_xx}
     elif tau == ZERO:
         if xi == ZERO:
             raise SymmetryError("tau = 0 requires a nonzero xi")
-        w = eta / xi  # u_x on the invariant surface
-        w_total = add(w.diff("x"), mul(w.diff("u"), w))  # u_xx consequence
-        mapping = {"u_x": w, "u_xx": w_total}
+        w = div(eta, xi)  # u_x on the invariant surface
+        w_total = add(differentiate(w, "x"), mul(differentiate(w, "u"), w))
+        mapping = {"u_x": w, "u_xx": w_total}  # u_xx = D_x w on the surface
         u_t = substitute(_rhs(eq), mapping)
     else:
         raise SymmetryError(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finsym.classify import classify, fit_d_shape, fit_h_shape
-from finsym.expressions import equivalent, parse
+from finsym.expressions import add, differentiate, equivalent, mul, parse
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
     PowerU, PowerX, ReciprocalShift, ShiftedPowerU, equation_from_json,
@@ -87,8 +87,8 @@ def test_h1_closed_forms():
 @pytest.mark.parametrize("q", [1.0, -2.5])
 def test_h1_satisfies_defining_ode(p, q):
     h = h1_expression(p, q, 1)
-    lhs = (parse("x^2") + p) * h.diff("x")
-    rhs = q * h
+    lhs = mul(add(parse("x^2"), p), differentiate(h, "x"))
+    rhs = mul(q, h)
     ranges = {"x": (1.2, 3.0)} if p == -1 else None
     assert equivalent(lhs, rhs, seed=7, tol=1e-9, ranges=ranges)
 

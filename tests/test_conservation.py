@@ -6,7 +6,7 @@ from finsym.conservation import (
     AntiderivativeError, conservation_laws, discrete_balance_error,
     divergence_residual,
 )
-from finsym.expressions import equivalent, parse
+from finsym.expressions import equivalent, neg, parse
 from finsym.model import (
     ConstantH, ExpU, FinEquation, FreeD, FreeH, PowerU, ReciprocalShift,
     ShiftedPowerU,
@@ -65,7 +65,7 @@ def test_divergence_identity_on_jet_space(eq):
 def test_flux_sign_flip_fails():
     eq = FinEquation(PowerU(1), ConstantH(1))
     law = conservation_laws(eq)[1]
-    broken = dataclasses.replace(law, flux=-law.flux)
+    broken = dataclasses.replace(law, flux=neg(law.flux))
     _, ok = divergence_residual(broken, eq)
     assert not ok
 

@@ -6,8 +6,8 @@ import pytest
 from finsym.expressions import (
     Add, Call, Div, Mul, Neg, Num, Pow, Sub, Sym,
     NoAdmissibleSampleError, ParseError, UnboundSymbolError,
-    UnknownFunctionError, compile_expressions, differentiate, equivalent,
-    evaluate, parse, substitute, sym, to_string,
+    UnknownFunctionError, add, compile_expressions, differentiate, div,
+    equivalent, evaluate, mul, parse, pow_, sub, substitute, sym, to_string,
 )
 
 _FUNCTIONS = {"exp": np.exp, "ln": np.log, "abs": np.abs,
@@ -218,7 +218,8 @@ def test_evaluate_vectorized():
         vals = ev(parse("x^2+1"), {"x": xs})
         assert np.allclose(vals, xs ** 2 + 1)
     # a derivative tree with shared subtrees, including non-finite points
-    e = parse("ln(x-1)*abs(u)^n/(x-u)+arctan(exp(-u/x))").diff("x").diff("u")
+    e = differentiate(differentiate(
+        parse("ln(x-1)*abs(u)^n/(x-u)+arctan(exp(-u/x))"), "x"), "u")
     us = np.linspace(-1.0, 2.0, 7)
     _tape(e, {"x": xs, "u": us, "n": 1.5})
     _tape(e, {"x": 1.5, "u": us, "n": 2.0})
@@ -263,7 +264,8 @@ def test_compile_broadcasts_to_the_bindings_shape():
 
 
 def test_compile_keeps_signed_zeros_apart():
-    run = compile_expressions(Num(1.0) / Num(0.0), Num(1.0) / Num(-0.0))
+    run = compile_expressions(div(Num(1.0), Num(0.0)),
+                              div(Num(1.0), Num(-0.0)))
     pos, neg = run({})
     assert pos == np.inf and neg == -np.inf
 
@@ -300,9 +302,9 @@ def _random_tree(rng, depth):
     op = rng.integers(0, 4)
     left = _random_tree(rng, depth - 1)
     if op == 3:
-        return left ** int(rng.integers(1, 4))
+        return pow_(left, int(rng.integers(1, 4)))
     right = _random_tree(rng, depth - 1)
-    return [left + right, left - right, left * right][op]
+    return [add, sub, mul][op](left, right)
 
 
 def test_derivative_matches_finite_differences():

@@ -161,6 +161,59 @@ def test_explicit_steps_are_bit_identical_to_array_operations(
                           _reference_explicit(eq, initial, boundary, grid))
 
 
+def _boundary_tape_times(monkeypatch, boundary):
+    """The t bound at each call of the tape compiled from ``boundary``."""
+    import finsym.numeric as numeric
+
+    times = []
+    real = numeric.compile_expressions
+
+    def recording(*exprs):
+        run = real(*exprs)
+        if exprs != (boundary.left, boundary.right):
+            return run
+
+        def recorded(bindings):
+            times.append(bindings["t"])
+            return run(bindings)
+        return recorded
+
+    monkeypatch.setattr(numeric, "compile_expressions", recording)
+    return times
+
+
+MOVING = (FinEquation(PowerU(-1), FreeH(parse("x"))), parse("2"),
+          DirichletBC(parse("2*exp(0.5*t)"), parse("2*exp(1.5*t)")),
+          Grid(0.5, 1.5, 41, 0.05, 3.1e-4))  # 162 steps: 162*dt < 0.05
+
+
+@pytest.mark.parametrize("method", ["explicit", "implicit"])
+def test_a_dirichlet_solve_calls_its_boundary_tape_once(monkeypatch, method):
+    eq, initial, boundary, grid = MOVING
+    times = _boundary_tape_times(monkeypatch, boundary)
+    field = solve_pde(eq, initial, boundary, grid, method)
+    dt = grid.t_final / 162
+    assert len(times) == 1
+    assert times[0].tolist() == [
+        step * dt if step < 162 else grid.t_final for step in range(1, 163)]
+    assert field.times[-1] == grid.t_final
+
+
+@pytest.mark.parametrize("block", [6, 7, 161])
+def test_boundary_blocks_give_the_bits_of_one_block(monkeypatch, block):
+    import finsym.numeric as numeric
+
+    eq, initial, boundary, grid = MOVING
+    whole = solve_pde(eq, initial, boundary, grid)
+    monkeypatch.setattr(numeric, "_BOUNDARY_BLOCK", block)
+    times = _boundary_tape_times(monkeypatch, boundary)
+    blocked = solve_pde(eq, initial, boundary, grid)
+    assert len(times) == -(-162 // block)
+    assert np.concatenate(times)[-1] == grid.t_final
+    assert np.array_equal(blocked.times, whole.times)
+    assert np.array_equal(blocked.values, whole.values)
+
+
 def test_deterministic_for_fixed_inputs():
     g = Grid(1.0, 2.0, 41, 0.02)
     a = solve_pde(EQ4, EXACT4, BC4, g)
@@ -210,14 +263,14 @@ def test_integrate_reduced_ode_tracks_closed_form_profile():
     # Its closed-form profile comes from the exact solution u = phi^-3.
     from finsym.numeric import integrate_reduced_ode
     from finsym.reductions import build_reduction, exact_solution
-    from finsym.expressions import substitute
+    from finsym.expressions import differentiate, substitute
 
     params = {"p": 1, "q": 1, "eps": 1}
     r = build_reduction(6, "1", params)
     u_exact = exact_solution(6, params).expr
     phi_exact = substitute(parse("u^(-1/3)"),
                            {"u": substitute(u_exact, {"x": parse("w")})})
-    dphi_exact = phi_exact.diff("w")
+    dphi_exact = differentiate(phi_exact, "w")
 
     w0 = r.slice_range[0]
     phi0 = float(evaluate(phi_exact, {"w": w0}))
