@@ -223,7 +223,10 @@ def make_group_element(family: str, deltas, sign: int = 1,
             raise ConditionError("G3 requires a power diffusion D = u^n")
         affine = _affine("G3", deltas)  # the x map of Gsim
         d1, d2, d3, _, d5 = deltas
-        coeff = d3 * d3 / (d1 * d5 ** n)
+        try:
+            coeff = d3 * d3 / (d1 * d5 ** n)
+        except ArithmeticError:  # under- or overflow
+            raise DeltaConstraintError("d1*d5^n out of float range") from None
         if isinstance(coeff, complex) or not math.isfinite(coeff):
             raise DeltaConstraintError(
                 "d5 must be positive for a fractional exponent")

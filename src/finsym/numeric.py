@@ -10,7 +10,7 @@ Expressions evaluated at the same points are compiled together with
 :func:`~finsym.expressions.compile_expressions`, the one evaluator, and
 every tape is compiled before the loop that calls it.  In the FD step
 loop one tape per solve returns D at the interfaces together with the
-interface flux D u_x; the same tape gives max|D| for the stability bound.
+interface flux D u_x; each explicit step checks its dt against those D.
 The Dirichlet boundary values and the sampled residual get one tape each.
 One whole RK4 step of a reduced equation is one tape, compiled once per
 residual and kept for later integrations of the same residual, so a
@@ -41,6 +41,9 @@ __all__ = [
 
 STABILITY_FACTOR = 0.45
 BLOWUP_THRESHOLD = 1e12
+# forward Euler's diffusion limit dt max|D| / dx^2 <= 1/2 (Hundsdorfer &
+# Verwer 2003, ch. I); STABILITY_FACTOR sets an automatic dt 11% under it
+_EULER_LIMIT = 0.5
 _BOUNDARY_BLOCK = 1 << 16  # steps per boundary tape call: bounded memory
 
 
@@ -121,19 +124,6 @@ class Field:
         return out.getvalue()
 
 
-def _max_abs_d(interfaces_at, u0: np.ndarray) -> float:
-    """max|D| at 101 points over the range of ``u0`` padded by 10%, read
-    from the interface tape at u_l = u_r (0.5*(v+v) is v)."""
-    lo, hi = float(np.min(u0)), float(np.max(u0))
-    pad = 0.1 * (hi - lo + 1e-12)
-    us = np.linspace(lo - pad, hi + pad, 101)
-    dv, _ = interfaces_at({"u_l": us, "u_r": us})
-    dv = dv[np.isfinite(dv)]
-    if dv.size == 0:
-        raise CoefficientFailure("D not evaluable on the initial data range")
-    return float(np.max(np.abs(dv)))
-
-
 def _boundary_values(boundary: DirichletBC, n_steps: int, dt: float,
                      t_final: float):
     """(left, right) at each step time, one tape call per block of steps."""
@@ -150,8 +140,9 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
 
     ``boundary`` is a :class:`DirichletBC` (expressions in t) or
     :class:`NoFluxBC` (reflecting ghost nodes, zero interface flux).
-    The explicit scheme requires dt <= 0.45 dx^2 / max|D| over the initial
-    data range; when ``grid.dt`` is None that bound sets the step.
+    When ``grid.dt`` is None, dt is 0.45 dx^2 / max|D| on the initial
+    interfaces.  Each explicit step checks dt max|D| / dx^2 <= 1/2 on the
+    D values it computes; a :class:`StabilityError` names its dt and t.
     """
     if method not in ("explicit", "implicit"):
         raise NumericError(f"unknown method {method!r}")
@@ -162,6 +153,8 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
         raise NumericError("initial data not finite on the grid")
     if not np.all(np.isfinite(h_nodes)):
         raise CoefficientFailure("h not evaluable at a node")
+    if grid.t_final == 0:
+        return Field(xs, np.array([0.0]), u[None, :].copy())
 
     # D((u_l + u_r)/2) and the flux D u_x at the interfaces, u_l = v[:-1]
     # and u_r = v[1:]; raw nodes, so the tape applies the array operations
@@ -171,19 +164,17 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     interfaces_at = compile_expressions(
         d_mid, Div(Mul(d_mid, Sub(u_r, u_l)), Num(dx)))
 
-    max_d = _max_abs_d(interfaces_at, u)
-    dt_stable = STABILITY_FACTOR * dx * dx / max(max_d, 1e-300)
-
-    if grid.t_final == 0:
-        return Field(xs, np.array([0.0]), u[None, :].copy())
-
-    dt = grid.dt if grid.dt is not None else dt_stable
-    if method == "explicit" and dt > dt_stable * (1 + 1e-12):
-        raise StabilityError(
-            f"explicit step dt={dt:g} exceeds the stability bound "
-            f"{dt_stable:g}; pass a smaller dt or method='implicit'")
+    dt = grid.dt
+    if dt is None:
+        d_half, _ = interfaces_at({"u_l": u[:-1], "u_r": u[1:]})
+        max_d = float(np.abs(d_half).max())
+        if not math.isfinite(max_d):
+            raise CoefficientFailure("D not finite on the initial data")
+        dt = STABILITY_FACTOR * dx * dx / max(max_d, 1e-300)
     n_steps = max(1, int(np.ceil(grid.t_final / dt - 1e-12)))
     dt = grid.t_final / n_steps
+    d_bound = (_EULER_LIMIT * dx * dx / dt if method == "explicit"
+               else np.finfo(float).max)  # implicit: any finite max|D|
 
     store_every = max(1, n_steps // 10)  # about 11 levels, t = 0 included
     times = [0.0]
@@ -194,8 +185,14 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
 
     def rate(v: np.ndarray) -> np.ndarray:
         d_half, flux = interfaces_at({"u_l": v[:-1], "u_r": v[1:]})
-        if not np.isfinite(d_half).all():
-            raise CoefficientFailure("D evaluation failed (NaN) at a node")
+        max_d = float(np.abs(d_half).max())
+        if not max_d <= d_bound:  # NaN and inf fail too
+            if not math.isfinite(max_d):
+                raise CoefficientFailure("D not finite at an interface")
+            raise StabilityError(
+                f"explicit step dt={dt:g} exceeds the stability bound "
+                f"{_EULER_LIMIT * dx * dx / max_d:g} at t={t:g}; pass a "
+                "smaller dt or method='implicit'")
         out = np.empty_like(v)
         out[1:-1] = (flux[1:] - flux[:-1]) / dx + h_nodes[1:-1] * v[1:-1]
         if isinstance(boundary, NoFluxBC):

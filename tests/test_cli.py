@@ -233,11 +233,13 @@ def test_simulate_needs_both_dirichlet_values(eq_file, capsys):
 
 
 def test_numeric_failure_exits_1(eq_file, capsys):
-    # dt = 1 is far above the explicit stability bound 0.45 dx^2 / max|D|
+    # --dt 1 to t = 0.01 is one step of dt = 0.01, far above the explicit
+    # stability bound dx^2 / (2 max|D|)
     assert main(["simulate", "--eq", eq_file(CASE4), *SIMULATE_ARGS,
                  "--dt", "1"]) == 1
     captured = capsys.readouterr()
-    assert "numeric failure: explicit step dt=1 exceeds" in captured.err
+    assert "numeric failure: explicit step dt=0.01 exceeds" in captured.err
+    assert "at t=0;" in captured.err
     assert captured.out == ""
 
 

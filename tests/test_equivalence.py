@@ -286,6 +286,14 @@ def test_a_named_map_refuses_params_contradicting_its_own():
         map_by_label("6p0-to-5", {"p": -1, "q": 2.0, "eps": 1})
 
 
+@pytest.mark.parametrize("d5", [1e-300, 1e100], ids=["under", "over"])
+def test_g3_refuses_a_d5_whose_power_leaves_the_float_range(d5):
+    # d5^5 underflows to 0 or overflows
+    with pytest.raises(DeltaConstraintError, match="out of float range"):
+        make_group_element("G3", (1, 0, 1, 0, d5),
+                           eq=FinEquation(PowerU(5), ConstantH(1)))
+
+
 def test_g3_refuses_a_negative_d5_for_a_fractional_exponent():
     with pytest.raises(DeltaConstraintError, match="d5 must be positive"):
         make_group_element("G3", (1, 0, 1, 0, -1),

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from finsym.expressions import evaluate, parse
+from finsym.expressions import evaluate, parse, substitute
 from finsym.model import (
-    ConstantH, FinEquation, FreeH, ModelError, PowerU, PowerX, Solution,
+    ConstantH, ExpX, FinEquation, FreeH, H1, ModelError, PowerU, PowerX,
+    Solution,
 )
 from finsym.numeric import (
     BlowUpError, CoefficientFailure, ConvergenceError, DirichletBC, Grid,
     NoFluxBC, NumericError, StabilityError, pde_residual_grid, solve_pde,
 )
+from finsym.reductions import exact_solution, nonclassical_equation
 
 EQ4 = FinEquation(PowerU(1), PowerX(1, -1))  # stationary solution x^3/15
 EXACT4 = parse("x^3/15")
@@ -67,6 +69,47 @@ def test_explicit_stability_guard():
         solve_pde(EQ4, EXACT4, BC4, Grid(1.0, 2.0, 81, 0.1, dt=0.1))
 
 
+CASE6 = FinEquation(PowerU(-4 / 3), H1(1, 1, 1))
+EXACT6 = exact_solution(6, {"p": 1, "q": 1, "eps": 1}).expr
+BC6 = DirichletBC(substitute(EXACT6, {"x": 0.5}),
+                  substitute(EXACT6, {"x": 2.0}))
+
+
+def test_a_step_stable_on_the_data_is_accepted():
+    # on the case-6 data max|D| = 23.7 at the interfaces, so m = 41 allows
+    # dt up to dx^2 / (2 max|D|) = 3.07e-5; a bound taken from a padded u
+    # range refused 2e-5 with 1.09e-6
+    initial = substitute(EXACT6, {"t": 0.0})
+    f = solve_pde(CASE6, initial, BC6, Grid(0.5, 2.0, 41, 0.01, 2e-5))
+    exact = evaluate(EXACT6, {"x": f.x})
+    assert float(np.max(np.abs(f.values[-1] - exact))) <= 2e-5
+    with pytest.raises(StabilityError, match=r"dt=3\.09598e-05 exceeds "
+                       r"the stability bound 3\.06661e-05 at t=0;"):
+        solve_pde(CASE6, initial, BC6, Grid(0.5, 2.0, 41, 0.01, 3.1e-5))
+
+
+@pytest.mark.parametrize("eq,solution,a,b", [
+    (EQ4, exact_solution(4, {"n": 1, "q": 1, "eps": -1}).expr, 1.0, 2.0),
+    (FinEquation(PowerU(1), ExpX(-1)),
+     exact_solution(5, {"n": 1, "eps": -1}).expr, 0.5, 2.0),
+    (CASE6, EXACT6, 0.5, 2.0),
+    (nonclassical_equation(),
+     exact_solution("nonclassical", {"C": 1}).expr, 0.5, 1.5),
+], ids=["case4", "case5", "case6", "nonclassical"])
+def test_closed_forms_converge_at_second_order(eq, solution, a, b):
+    # Dirichlet solves to T = 0.1 with the automatic dt on m = 41 and
+    # m = 81 nodes: halving dx divides the error by 4
+    bc = DirichletBC(substitute(solution, {"x": a}),
+                     substitute(solution, {"x": b}))
+    errs = []
+    for m in (41, 81):
+        f = solve_pde(eq, substitute(solution, {"t": 0.0}), bc,
+                      Grid(a, b, m, 0.1))
+        exact = evaluate(solution, {"t": 0.1, "x": f.x})
+        errs.append(float(np.max(np.abs(f.values[-1] - exact))))
+    assert 3.5 <= errs[0] / errs[1] <= 4.5, errs
+
+
 def test_implicit_accepts_larger_steps():
     g = Grid(1.0, 2.0, 41, 0.05, dt=5e-4)
     f = solve_pde(EQ4, EXACT4, BC4, g, method="implicit")
@@ -94,13 +137,36 @@ def test_nan_diffusivity_raises_coefficient_failure():
             solve_pde(eq, parse("x-1.5"), bc, Grid(1.0, 2.0, 21, 0.01))
 
 
-def test_blow_up_aborts_with_partial_field():
+def test_growing_diffusivity_is_an_instability_not_a_blow_up():
+    # D = u grows with u ~ e^(60 t), so the step that was stable at t = 0
+    # breaks the bound long before |u| nears the blow-up threshold
     eq = FinEquation(PowerU(1), ConstantH(60.0))
+    with pytest.raises(StabilityError, match=r"at t=0\.00362319;"):
+        solve_pde(eq, parse("1+x"), NoFluxBC(), Grid(0.0, 1.0, 9, 1.0))
+
+
+@pytest.mark.parametrize("method", ["explicit", "implicit"])
+@pytest.mark.parametrize("n,initial", [(0.5, "x-1.5"), (-1, "0")],
+                         ids=["nan", "inf"])
+def test_non_finite_diffusivity_in_a_step_raises_coefficient_failure(
+        method, n, initial):
+    # with dt given, the first step's own D values are the ones checked
+    eq = FinEquation(PowerU(n), PowerX(1, -1))
+    with pytest.raises(CoefficientFailure, match="at an interface"):
+        solve_pde(eq, parse(initial), NoFluxBC(),
+                  Grid(1.0, 2.0, 21, 0.01, 1e-4), method)
+
+
+def test_blow_up_aborts_with_partial_field():
+    # D = 1/u falls as u ~ e^(60 t) grows, so the step stays stable and
+    # the run ends in a genuine blow-up
+    eq = FinEquation(PowerU(-1), ConstantH(60.0))
     g = Grid(0.0, 1.0, 9, 1.0)
-    with pytest.raises(BlowUpError) as err:
+    with pytest.raises(BlowUpError, match=r"blew up at t=0\.54") as err:
         solve_pde(eq, parse("1+x"), NoFluxBC(), g)
     partial = err.value.partial
     assert partial is not None
+    assert partial.times[-1] > 0.4
     assert np.all(np.isfinite(partial.values))
 
 
