@@ -225,11 +225,14 @@ def make_group_element(family: str, deltas, sign: int = 1,
         d1, d2, d3, _, d5 = deltas
         try:
             coeff = d3 * d3 / (d1 * d5 ** n)
-        except ArithmeticError:  # under- or overflow
-            raise DeltaConstraintError("d1*d5^n out of float range") from None
-        if isinstance(coeff, complex) or not math.isfinite(coeff):
+        except ArithmeticError:  # d1*d5^n under- or overflows
+            coeff = math.inf
+        if isinstance(coeff, complex):
             raise DeltaConstraintError(
                 "d5 must be positive for a fractional exponent")
+        if coeff == 0 or not math.isfinite(coeff):  # d3 != 0 by _affine
+            raise DeltaConstraintError(
+                "D coefficient d3^2/(d1*d5^n) out of float range")
         cn = c * n
         t_core = div(call("exp", mul(num(cn), _T)), num(cn))
         t_arg = div(mul(num(cn), sub(_T, num(d2))), num(d1))

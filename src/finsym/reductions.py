@@ -11,6 +11,9 @@ The consistency oracle substitutes random positive cubics for phi:
 the PDE residual of the ansatz then equals a fixed multiple of the
 reduced-equation residual, with the multiplier constant along a suitable
 coordinate slice (and independent of the test function everywhere).
+One kernel, ``_ratios``, computes the residual ratios for this check and
+for the first-order form of 6.1, and one rule admits a ratio: both
+residuals finite and the reduced one farther than 1e-12 from 0.
 """
 from __future__ import annotations
 
@@ -314,12 +317,31 @@ def _oracle_residuals(eq: FinEquation, r: Reduction, phi: Expression
             substitute(r.reduced, _jet(phi)))
 
 
-def _ratio_spread(ratios) -> tuple[float, float]:
-    """The median of ``ratios``, and their largest distance from it
-    relative to it."""
-    ratios = np.asarray(ratios)
-    ref = float(np.median(ratios))
-    return ref, float(np.max(np.abs(ratios - ref))) / max(abs(ref), 1e-300)
+def _ratios(residuals, points: dict, rng, lo: float, hi: float,
+            draws: int) -> np.ndarray:
+    """The oracle's kernel: the (draws, N) ratios of a residual pair at
+    ``draws`` cubics from :func:`_cubic_draw` on [lo, hi], bound as columns,
+    and the N ``points``, in one call of ``residuals``.  An entry is NaN
+    where either residual is not finite or the second is within 1e-12 of 0.
+    """
+    cubics = [_cubic_draw(rng, lo, hi) for _ in range(draws)]
+    columns = {c: np.array([[d[c]] for d in cubics]) for c in cubics[0]}
+    top, bottom = residuals({**points, **columns})
+    ok = np.isfinite(top) & np.isfinite(bottom) & (np.abs(bottom) > 1e-12)
+    return np.divide(top, bottom, out=np.full(ok.shape, np.nan), where=ok)
+
+
+def _ratio_spread(ratios: np.ndarray, min_count: int) -> tuple[float, float]:
+    """The median of the admissible (non-NaN) ``ratios``, and their largest
+    distance from it relative to it; fewer than ``min_count`` admissible
+    ratios raise :class:`ReductionError`."""
+    kept = ratios[~np.isnan(ratios)]
+    if kept.size < min_count:
+        raise ReductionError(
+            f"{kept.size} of {ratios.size} samples admissible, {min_count} "
+            "needed: the residuals are not finite or the reduced one is 0")
+    ref = float(np.median(kept))
+    return ref, float(np.max(np.abs(kept - ref))) / max(abs(ref), 1e-300)
 
 
 def verify_reduction(eq: FinEquation, r: Reduction, seed: int = 42,
@@ -328,34 +350,21 @@ def verify_reduction(eq: FinEquation, r: Reduction, seed: int = 42,
 
     Three random positive cubics stand in for phi.  All residual ratios,
     across 20 sample points on the reduction's constant-multiplier slice
-    and across test functions, must agree with a single constant.
+    and across test functions, must agree with a single constant; at
+    least half of them must be admissible.
     """
-    n_points = 20
+    n_points, draws = 20, 3
     if r.reduced is None:
         raise ReductionError(
             "algebraic reduction: solve it and substitute instead")
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(r.slice_range[0], r.slice_range[1], size=n_points)
-    _, anchor_val = r.anchor
-    if r.slice_var == "x":
-        xs, ts = pts, np.full(n_points, anchor_val)
-    else:
-        ts, xs = pts, np.full(n_points, anchor_val)
-
-    omega_vals = evaluate(r.omega, {"t": ts, "x": xs})
-    w_lo, w_hi = float(np.min(omega_vals)), float(np.max(omega_vals))
+    along = {r.slice_var: rng.uniform(*r.slice_range, size=n_points),
+             r.anchor[0]: np.full(n_points, r.anchor[1])}
+    ws = evaluate(r.omega, along)
     residuals = compile_expressions(*_oracle_residuals(eq, r, _CUBIC))
-    points = {"t": ts, "x": xs, "w": omega_vals}
-
-    ratios = []
-    for _ in range(3):
-        pv, rv = residuals({**points, **_cubic_draw(rng, w_lo, w_hi)})
-        ok = np.isfinite(pv) & np.isfinite(rv) & (np.abs(rv) > 1e-12)
-        if ok.sum() < n_points // 2:
-            raise ReductionError("sampling hit non-finite values everywhere")
-        ratios.extend((pv[ok] / rv[ok]).tolist())
-
-    ref, deviation = _ratio_spread(ratios)
+    ratios = _ratios(residuals, {**along, "w": ws}, rng,
+                     float(np.min(ws)), float(np.max(ws)), draws)
+    ref, deviation = _ratio_spread(ratios, n_points * draws // 2)
     if ref == 0 or not np.isfinite(ref):
         return ReductionReport(r.label, False, float("inf"), ref,
                                "degenerate multiplier")
@@ -408,14 +417,14 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
     """Consistency of the first-order form against the 6.1 residual.
 
     At each fixed w the ratio of the first-order residual (evaluated along
-    a test phi) to the 6.1 residual is independent of the test function:
-    five seeded test functions at each of four seeded anchors w must give
-    ratios within 1e-8 of their median, relatively.
+    a test phi, with psi_y = dpsi/dy) to the 6.1 residual is independent
+    of the test function: five seeded test functions at each of four
+    seeded anchors w must give ratios within 1e-8 of their median,
+    relatively, and at least two of the five must be admissible.
     """
     if eps != 1:
         raise RealityError("the (h1)^(-1/4) weight is real only for eps = +1")
     red = order_reduce_61(p, q, eps)
-    ode = compile_expressions(red.ode)
     r61 = build_reduction(6, "1", {"p": p, "q": q, "eps": eps})
     rng = np.random.default_rng(42)
     lo, hi = r61.slice_range
@@ -424,28 +433,17 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
     subs = _jet(_CUBIC)
     y_of_w = substitute(red.y, subs)
     psi_of_w = substitute(red.psi, subs)
+    psi_y = div(differentiate(psi_of_w, "w"), differentiate(y_of_w, "w"))
     along_cubic = compile_expressions(
-        y_of_w, psi_of_w, differentiate(y_of_w, "w"),
-        differentiate(psi_of_w, "w"), substitute(r61.reduced, subs))
+        substitute(red.ode, {"y": y_of_w, "psi": psi_of_w, "psi_y": psi_y}),
+        substitute(r61.reduced, subs))
 
     worst = 0.0
-    last_ref = float("nan")
     for w0 in anchors:
-        ratios = []
-        for _ in range(5):
-            y_v, psi_v, dy, dpsi, r = map(float, along_cubic(
-                {"w": float(w0), **_cubic_draw(rng, lo, hi)}))
-            if abs(dy) < 1e-12:
-                continue
-            g = float(ode({"y": y_v, "psi": psi_v, "psi_y": dpsi / dy})[0])
-            if abs(r) < 1e-12:
-                continue
-            ratios.append(g / r)
-        if len(ratios) < 2:
-            raise ReductionError("not enough admissible samples")
-        last_ref, spread = _ratio_spread(ratios)
+        ref, spread = _ratio_spread(
+            _ratios(along_cubic, {"w": w0}, rng, lo, hi, 5), 2)
         worst = max(worst, spread)
-    return ReductionReport("6.1-order", worst <= 1e-8, worst, last_ref)
+    return ReductionReport("6.1-order", worst <= 1e-8, worst, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,15 @@ def test_g3_refuses_a_d5_whose_power_leaves_the_float_range(d5):
                            eq=FinEquation(PowerU(5), ConstantH(1)))
 
 
+@pytest.mark.parametrize("d3", [1e-200, 1e200], ids=["under", "over"])
+def test_g3_refuses_a_d3_whose_square_leaves_the_float_range(d3):
+    # d3^2 underflows to 0 (the D rule would be 0*u^5) or overflows to inf,
+    # for the integer n = 5, so no fractional-exponent message
+    with pytest.raises(DeltaConstraintError, match="out of float range"):
+        make_group_element("G3", (1, 0, d3, 0, 1),
+                           eq=FinEquation(PowerU(5), ConstantH(1)))
+
+
 def test_g3_refuses_a_negative_d5_for_a_fractional_exponent():
     with pytest.raises(DeltaConstraintError, match="d5 must be positive"):
         make_group_element("G3", (1, 0, 1, 0, -1),

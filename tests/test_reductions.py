@@ -308,6 +308,43 @@ def test_order_reduction_consistency():
         check_order_reduction_61(1, 1, -1)
 
 
+def test_order_check_admits_by_the_kernels_rule():
+    # at q = 800 every sample is non-finite: refused, not passed with a NaN
+    # multiplier; at q = 120 dy is small at some draws, but dy enters only
+    # through psi_y = dpsi/dy, and the ratios agree
+    with pytest.raises(ReductionError, match="0 of 5 samples admissible"):
+        check_order_reduction_61(1, 800.0)
+    report = check_order_reduction_61(1, 120.0)
+    assert report.passed and report.deviation <= 1e-8, report
+    assert np.isfinite(report.multiplier)
+
+
+def test_reduction_error_paths():
+    eq = EQ4(2, 1, 1)
+    r41 = build_reduction(4, "1", {"n": 2, "q": 1, "eps": 1})
+    # u = 0 solves the PDE: every ratio is 0
+    report = verify_reduction(eq, dataclasses.replace(r41, ansatz=num(0)))
+    assert (report.passed, report.deviation, report.multiplier,
+            report.note) == (False, float("inf"), 0.0, "degenerate multiplier")
+    # phi > 0, so ln(-phi) is NaN at every sample
+    with pytest.raises(ReductionError, match="0 of 60 samples admissible"):
+        verify_reduction(eq, dataclasses.replace(r41, ansatz=parse("ln(-phi)")))
+    # a reduced residual of 0 admits no ratio
+    with pytest.raises(ReductionError, match="0 of 60 samples admissible"):
+        verify_reduction(eq, dataclasses.replace(r41, reduced=parse("0*phi")))
+    # real only for x > 2.5, a fifth of the slice (0.5, 3): too few
+    with pytest.raises(ReductionError, match="15 of 60 samples admissible"):
+        verify_reduction(eq, dataclasses.replace(
+            r41, ansatz=parse("phi*(x-2.5)^0.5")))
+    with pytest.raises(ReductionError, match="p must be in"):
+        order_reduce_61(2, 1)
+    with pytest.raises(ReductionError, match="q must be nonzero"):
+        order_reduce_61(1, 0)
+    # 15 C^2 + C has no positive root
+    with pytest.raises(ReductionError, match="no positive root"):
+        solve_algebraic(4, {"n": 1, "q": 1, "eps": 1})
+
+
 def test_reduction_json():
     r = build_reduction(4, "1", {"n": 2, "q": 1, "eps": 1})
     doc = r.to_json()
