@@ -6,13 +6,13 @@ family shapes by seeded least-squares fits on the log-derivative ratio
 (D/D' is linear in u for power families, h/h' is quadratic in x for the
 integral profile), then confirmed against the actual shape at a strict
 relative residual.  Matches that need a scaling/translation of the
-equivalence group are annotated in the result's note.
+equivalence group are annotated in the result's note.  Only the fits use
+numpy, which they import when they first run: classifying tagged
+equations never imports it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .expressions import (
     Expression, _close, add, call, compile_expressions, differentiate,
@@ -45,6 +45,8 @@ _ARBITRARY_H = HShape("arbitrary")
 
 def _ratio_fit(xs, vals, dvals, degree_mask):
     """Least squares of vals/dvals against monomials selected by mask."""
+    import numpy as np
+
     ok = np.isfinite(vals) & np.isfinite(dvals) & (np.abs(dvals) > 1e-300)
     if ok.sum() < 8:
         return None
@@ -60,6 +62,8 @@ def _ratio_fit(xs, vals, dvals, degree_mask):
 def _verified_coeff(vals, shape) -> float | None:
     """The median ratio c of the samples ``vals`` to a candidate ``shape``,
     when c*shape matches them at FIT_TOL; otherwise None."""
+    import numpy as np
+
     ok = np.isfinite(vals) & np.isfinite(shape) & (np.abs(shape) > 1e-300)
     if ok.sum() < 8:
         return None
@@ -74,6 +78,8 @@ def _verified_coeff(vals, shape) -> float | None:
 def _exp_fit(xs, vals, dvals):
     """(c, k) when the samples fit c*e^(k v): their ratio to the derivative
     is constant."""
+    import numpy as np
+
     fit = _ratio_fit(xs, vals, dvals, (0,))
     if fit is None or fit[0] == 0:
         return None
@@ -87,6 +93,8 @@ def _exp_fit(xs, vals, dvals):
 def _power_fit(xs, vals, dvals):
     """(c, n, s) when the samples fit c*(v+s)^n: their ratio to the
     derivative is linear.  A shift within 1e-9 of 0 is returned as 0."""
+    import numpy as np
+
     fit = _ratio_fit(xs, vals, dvals, (0, 1))
     if fit is None or fit[1] == 0:
         return None
@@ -101,6 +109,8 @@ def _power_fit(xs, vals, dvals):
 
 def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
     """Match a u-expression against c*e^(k u) and c*(u+beta)^n."""
+    import numpy as np
+
     xs = sample_bindings(("u",), np.random.default_rng(seed), FIT_SAMPLES)["u"]
     vals, dvals = compile_expressions(
         expr, differentiate(expr, "u"))({"u": xs})
@@ -117,6 +127,8 @@ def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
 def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     """Match an x-expression against 0, const, c*(x+s)^q, c*e^(kx) and the
     integral profile c*h1(x+s; p, q)."""
+    import numpy as np
+
     xs = sample_bindings(("x",), np.random.default_rng(seed), FIT_SAMPLES)["x"]
     vals, dvals = compile_expressions(
         expr, differentiate(expr, "x"))({"x": xs})

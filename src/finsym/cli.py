@@ -4,6 +4,9 @@ Subcommands: classify, symmetries, verify-symmetry, transform, reduce,
 exact, conserve, simulate, residual.  Equations come from JSON files with
 "D" and "h" specs; machine output via --json.  Exit codes: 0 success,
 1 verification failure, 2 usage or input error.
+
+Each subcommand imports the modules it runs, so ``classify``,
+``symmetries`` and ``reduce`` on tagged equations never import numpy.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ import os
 import sys
 
 from .classify import classify
-from .conservation import conservation_laws, divergence_residual
 from .equivalence import (
     ADDITIONAL_MAP_LABELS, OutsideClassReport, apply_to_equation,
     map_by_label,
@@ -24,11 +26,6 @@ from .model import (
     ModelError, SchemaError, Solution, VectorField, equation_to_json,
     equations_equal, load_equation_file,
 )
-from .numeric import (
-    DirichletBC, Grid, NoFluxBC, NumericError, pde_residual_grid, solve_pde,
-)
-from .reductions import build_reduction, exact_solution, nonclassical_equation
-from .symmetry import symmetry_residual
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -172,6 +169,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_symmetry(args) -> int:
+    from .symmetry import symmetry_residual
+
     eq = _load(args)
     field = VectorField.parse_triple(args.field)
     residual = symmetry_residual(eq, field, seed=args.seed)
@@ -207,6 +206,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reductions import build_reduction
+
     eq, params = load_equation_file(args.eq)
     result = classify(eq, seed=args.seed)
     _check_params(params, args.command, fixed=result.params)
@@ -216,6 +217,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .numeric import pde_residual_grid
+    from .reductions import exact_solution, nonclassical_equation
+
     eq, params = load_equation_file(args.eq)
     if equations_equal(eq, nonclassical_equation(), tol=1e-9):
         _check_params(params, args.command, read={"C"})
@@ -240,6 +244,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_conserve(args) -> int:
+    from .conservation import conservation_laws, divergence_residual
+
     eq = _load(args)
     laws = conservation_laws(eq)
     entries = []
@@ -254,6 +260,8 @@ def _cmd_conserve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .numeric import DirichletBC, Grid, NoFluxBC, solve_pde
+
     eq = _load(args)
     if args.noflux:
         if args.left is not None or args.right is not None:
@@ -271,6 +279,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_residual(args) -> int:
+    from .numeric import pde_residual_grid
+
     eq = _load(args)
     solution = Solution(parse(args.solution))
     region = (_pair(args.t_range), _pair(args.x_range))
@@ -297,7 +307,12 @@ def main(argv=None) -> int:
     except (ModelError, ExpressionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericError as exc:
+    except RuntimeError as exc:
+        # a NumericError; numeric is imported here only to tell, so the
+        # subcommands that never run it never import it
+        from .numeric import NumericError
+        if not isinstance(exc, NumericError):
+            raise
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

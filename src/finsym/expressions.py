@@ -4,7 +4,9 @@ Everything downstream (equation specs, symmetry residuals, reductions,
 conservation laws) is built on these trees.  The engine is deliberately
 small: constant folding and identity elimination only, no canonical forms.
 Equality of expressions is decided by seeded randomized sampling, not by
-structural normalization.
+structural normalization.  Trees, parsing, printing and calculus need only
+``math``; numpy is imported by the code that evaluates (the tape,
+sampling, the folding of a literal call) when it first runs.
 """
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ import re
 import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
-
-import numpy as np
 
 __all__ = [
     "Expression", "Num", "Sym", "Neg", "Call", "Add", "Sub", "Mul", "Div", "Pow",
@@ -28,7 +28,10 @@ __all__ = [
     "UnboundSymbolError", "NoAdmissibleSampleError",
 ]
 
-FUNCTIONS = ("exp", "ln", "abs", "arctan", "sign")
+#: the numpy ufunc that evaluates each function, by its attribute name
+_UFUNCS = {"exp": "exp", "ln": "log", "abs": "abs", "arctan": "arctan",
+           "sign": "sign"}
+FUNCTIONS = tuple(_UFUNCS)
 
 #: ranges used when sampling unpinned symbols; chosen to dodge the
 #: singular sets x = 0, u = 0 of the coefficient families.
@@ -240,9 +243,12 @@ def div(a, b) -> Expression:
 def pow_(a, b) -> Expression:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Num) and isinstance(b, Num):
-        with np.errstate(all="ignore"):
-            v = np.float64(a.value) ** np.float64(b.value)
-        folded = _fold(float(v))
+        # libm's pow, as numpy's float64 power; where math.pow raises (0^-1,
+        # a negative base to a fraction, overflow) numpy's is not finite
+        try:
+            folded = _fold(math.pow(a.value, b.value))
+        except (ValueError, OverflowError, ZeroDivisionError):
+            folded = None
         if folded is not None:
             return folded
     if _is_const(b, 1.0):
@@ -266,8 +272,10 @@ def call(fn: str, a) -> Expression:
         raise ExpressionError(f"unknown function {fn!r}")
     a = _coerce(a)
     if isinstance(a, Num):
+        # numpy's ufunc, not math's: their last bits differ
+        import numpy as np
         with np.errstate(all="ignore"):
-            v = _OPS[fn](np.float64(a.value))
+            v = getattr(np, _UFUNCS[fn])(np.float64(a.value))
         folded = _fold(float(v))
         if folded is not None:
             return folded
@@ -528,14 +536,12 @@ def substitute(e: Expression, mapping: Mapping[str, Union[Expression, float]]
 # ---------------------------------------------------------------------------
 # evaluation
 
-#: the numpy operation at each interior node, by node type or function
-#: name.  The tape of :func:`compile_expressions` is the only code that
-#: applies them to arrays; :func:`call` folds a literal argument by them.
+#: the operation at each interior node but a call, by node type; a call
+#: applies the ufunc of its function, from :data:`_UFUNCS`.  The tape of
+#: :func:`compile_expressions` is the only code that applies them to arrays.
 _OPS = {
     Neg: operator.neg, Add: operator.add, Sub: operator.sub,
     Mul: operator.mul, Div: operator.truediv, Pow: operator.pow,
-    "exp": np.exp, "ln": np.log, "abs": np.abs, "arctan": np.arctan,
-    "sign": np.sign,
 }
 
 
@@ -557,6 +563,8 @@ def compile_expressions(*exprs: Expression):
     the same expressions meet new bindings: compiling costs about as much
     as one call.
     """
+    import numpy as np
+
     constants: list = []     # per register: its constant, or None
     symbols: dict = {}       # symbol name -> register
     steps: list = []         # (out, op, a, b); b is None for unary ops
@@ -574,12 +582,15 @@ def compile_expressions(*exprs: Expression):
             key = (Num, struct.pack("<d", e.value))
         elif isinstance(e, Sym):
             key = (Sym, e.name)
-        else:  # a Neg, or a Call by its function name
-            op = _OPS.get(e.fn if isinstance(e, Call) else type(e))
-            if op is None:
-                if isinstance(e, Call):
+        else:  # a Neg, or a Call by its function's ufunc
+            if isinstance(e, Call):
+                if e.fn not in _UFUNCS:
                     raise ExpressionError(f"unknown function {e.fn!r}")
-                raise TypeError(f"not an expression: {e!r}")
+                op = getattr(np, _UFUNCS[e.fn])
+            else:
+                op = _OPS.get(type(e))
+                if op is None:
+                    raise TypeError(f"not an expression: {e!r}")
             key = (op, register(e.arg), None)
         r = numbered.get(key)
         if r is None:
@@ -683,6 +694,8 @@ def sample_finite(fn, symbols, seed: int, count: int, need: int,
     the round that brings the points kept to ``need``.  Returns the two
     arrays at the kept points, empty when no point was finite.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     kept_a, kept_b = [], []
     for _ in range(rounds):
@@ -712,4 +725,4 @@ def equivalent(a: Expression, b: Expression, seed: int = 0,
     if va.size == 0:
         raise NoAdmissibleSampleError(
             "no admissible sample: all trials hit non-finite values")
-    return bool(np.all(_close(va[:_TRIALS], vb[:_TRIALS], tol)))
+    return bool(_close(va[:_TRIALS], vb[:_TRIALS], tol).all())

@@ -13,8 +13,6 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Union
 
-import numpy as np
-
 from .expressions import (
     Expression, Num, _close, add, call, compile_expressions,
     differentiate, div, equivalent, mul, neg, num, parse, pow_,
@@ -25,7 +23,7 @@ __all__ = [
     "PowerU", "ShiftedPowerU", "ExpU", "ReciprocalShift", "FreeD",
     "PowerX", "ExpX", "InverseSquareX", "ConstantH", "H1", "FreeH",
     "DShape", "HShape", "DSpec", "HSpec", "FinEquation", "VectorField",
-    "Solution",
+    "Solution", "pde_residual_expression",
     "validate", "is_four_thirds", "h1_expression",
     "spec_to_json", "spec_from_json", "equation_to_json", "equation_from_json",
     "load_equation_file", "equations_equal", "shapes_match",
@@ -371,6 +369,15 @@ class Solution:
         return Solution(substitute(self.expr, values), remaining, self.domain)
 
 
+def pde_residual_expression(eq: FinEquation, u_expr: Expression) -> Expression:
+    """u_t - (D(u) u_x)_x - h u with u replaced by the candidate."""
+    u_t = differentiate(u_expr, "t")
+    u_x = differentiate(u_expr, "x")
+    d_of_u = substitute(eq.d_expr(), {"u": u_expr})
+    flux_x = differentiate(mul(d_of_u, u_x), "x")
+    return sub(sub(u_t, flux_x), mul(eq.h_expr(), u_expr))
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -417,8 +424,8 @@ def validate(eq: FinEquation) -> FinEquation:
                               rounds=1)
         if dv.size == 0:
             raise SpecKindError("free D not evaluable on the sampling range")
-        scale = 1.0 + float(np.max(np.abs(v)))
-        if float(np.max(np.abs(dv))) <= 1e-12 * scale:
+        scale = 1.0 + float(abs(v).max())
+        if float(abs(dv).max()) <= 1e-12 * scale:
             raise LinearCaseError(
                 "linear case excluded: D does not depend on u")
     if isinstance(eq.h, FreeH):

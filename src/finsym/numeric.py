@@ -27,9 +27,9 @@ import numpy as np
 
 from .expressions import (
     Add, Div, Expression, Mul, Neg, Num, Sub, Sym, UnboundSymbolError,
-    compile_expressions, differentiate, mul, sample_finite, sub, substitute,
+    compile_expressions, differentiate, mul, sample_finite, substitute,
 )
-from .model import FinEquation, ModelError, Solution
+from .model import FinEquation, ModelError, Solution, pde_residual_expression
 
 __all__ = [
     "Grid", "Field", "DirichletBC", "NoFluxBC", "solve_pde",
@@ -414,16 +414,7 @@ def shoot_reduced_ode(reduction, phi0: float, w_end: float, phi_end: float,
 
 
 # ---------------------------------------------------------------------------
-# symbolic residual of candidate solutions
-
-
-def pde_residual_expression(eq: FinEquation, u_expr: Expression) -> Expression:
-    """u_t - (D(u) u_x)_x - h u with u replaced by the candidate."""
-    u_t = differentiate(u_expr, "t")
-    u_x = differentiate(u_expr, "x")
-    d_of_u = substitute(eq.d_expr(), {"u": u_expr})
-    flux_x = differentiate(mul(d_of_u, u_x), "x")
-    return sub(sub(u_t, flux_x), mul(eq.h_expr(), u_expr))
+# residual of candidate solutions on a sampled box
 
 
 def pde_residual_grid(eq: FinEquation, s: Solution, region, samples: int = 100,

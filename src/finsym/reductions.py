@@ -13,13 +13,14 @@ reduced-equation residual, with the multiplier constant along a suitable
 coordinate slice (and independent of the test function everywhere).
 One kernel, ``_ratios``, computes the residual ratios for this check and
 for the first-order form of 6.1, and one rule admits a ratio: both
-residuals finite and the reduced one farther than 1e-12 from 0.
+residuals finite and the reduced one farther than 1e-12 from 0.  The
+builders are symbolic; the oracle and the numeric root import numpy when
+they first run.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .classify import classify
 from .expressions import (
@@ -28,9 +29,8 @@ from .expressions import (
 )
 from .model import (
     FOUR_THIRDS, ExpX, FinEquation, FreeH, H1, ModelError, PowerU, PowerX,
-    Solution, VectorField, h1_expression,
+    Solution, VectorField, h1_expression, pde_residual_expression,
 )
-from .numeric import _bracketed_root, pde_residual_expression
 
 __all__ = [
     "Reduction", "ReductionReport", "OrderReduction",
@@ -232,6 +232,7 @@ def _real_power(base: float, expo: float, what: str) -> float:
     if base > 0:
         return float(base ** expo)
     if abs(expo - round(expo)) <= 1e-9:
+        import numpy as np
         return float(np.float64(base) ** np.float64(round(expo)))
     raise RealityError(
         f"{what}: base {base:.6g} is negative with non-integer exponent "
@@ -288,14 +289,21 @@ def nonclassical_equation() -> FinEquation:
 _CUBIC = add(add(add(sym("c0"), mul(sym("c1"), _W)),
                  mul(sym("c2"), pow_(_W, num(2)))),
              mul(sym("c3"), pow_(_W, num(3))))
-_CUBIC_TAPE = compile_expressions(_CUBIC)
+
+
+@functools.cache
+def _cubic_tape():
+    """The tape of :data:`_CUBIC`, compiled on first use."""
+    return compile_expressions(_CUBIC)
 
 
 def _cubic_draw(rng, lo: float, hi: float) -> dict:
     """Random coefficients of :data:`_CUBIC`, the constant one shifted so
     the cubic's minimum on [lo, hi] is >= 0.5."""
+    import numpy as np
+
     draw = dict(zip(("c0", "c1", "c2", "c3"), rng.uniform(-1.0, 1.0, size=4)))
-    (vals,) = _CUBIC_TAPE({"w": np.linspace(lo, hi, 201), **draw})
+    (vals,) = _cubic_tape()({"w": np.linspace(lo, hi, 201), **draw})
     shift = 0.5 - float(np.min(vals))
     if shift > 0:
         draw["c0"] += shift
@@ -318,12 +326,14 @@ def _oracle_residuals(eq: FinEquation, r: Reduction, phi: Expression
 
 
 def _ratios(residuals, points: dict, rng, lo: float, hi: float,
-            draws: int) -> np.ndarray:
+            draws: int):
     """The oracle's kernel: the (draws, N) ratios of a residual pair at
     ``draws`` cubics from :func:`_cubic_draw` on [lo, hi], bound as columns,
     and the N ``points``, in one call of ``residuals``.  An entry is NaN
     where either residual is not finite or the second is within 1e-12 of 0.
     """
+    import numpy as np
+
     cubics = [_cubic_draw(rng, lo, hi) for _ in range(draws)]
     columns = {c: np.array([[d[c]] for d in cubics]) for c in cubics[0]}
     top, bottom = residuals({**points, **columns})
@@ -331,10 +341,12 @@ def _ratios(residuals, points: dict, rng, lo: float, hi: float,
     return np.divide(top, bottom, out=np.full(ok.shape, np.nan), where=ok)
 
 
-def _ratio_spread(ratios: np.ndarray, min_count: int) -> tuple[float, float]:
+def _ratio_spread(ratios, min_count: int) -> tuple[float, float]:
     """The median of the admissible (non-NaN) ``ratios``, and their largest
     distance from it relative to it; fewer than ``min_count`` admissible
     ratios raise :class:`ReductionError`."""
+    import numpy as np
+
     kept = ratios[~np.isnan(ratios)]
     if kept.size < min_count:
         raise ReductionError(
@@ -353,6 +365,8 @@ def verify_reduction(eq: FinEquation, r: Reduction, seed: int = 42,
     and across test functions, must agree with a single constant; at
     least half of them must be admissible.
     """
+    import numpy as np
+
     n_points, draws = 20, 3
     if r.reduced is None:
         raise ReductionError(
@@ -422,6 +436,8 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
     seeded anchors w must give ratios within 1e-8 of their median,
     relatively, and at least two of the five must be admissible.
     """
+    import numpy as np
+
     if eps != 1:
         raise RealityError("the (h1)^(-1/4) weight is real only for eps = +1")
     red = order_reduce_61(p, q, eps)
@@ -460,6 +476,10 @@ def solve_algebraic(case: int, params: dict) -> float:
     evaluation, narrow it until no float lies strictly inside, in at most
     one step more than bisection would take.
     """
+    import numpy as np
+
+    from .numeric import _bracketed_root
+
     algebraic = compile_expressions(build_reduction(case, "0", params).algebraic)
 
     def g(c: float):

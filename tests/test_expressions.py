@@ -6,7 +6,7 @@ import pytest
 from finsym.expressions import (
     Add, Call, Div, Mul, Neg, Num, Pow, Sub, Sym,
     NoAdmissibleSampleError, ParseError, UnboundSymbolError,
-    UnknownFunctionError, add, compile_expressions, differentiate, div,
+    UnknownFunctionError, add, call, compile_expressions, differentiate, div,
     equivalent, evaluate, mul, parse, pow_, sub, substitute, sym, to_string,
 )
 
@@ -335,6 +335,60 @@ def test_constant_folding_and_identities():
     assert parse("x^0") == Num(1.0)
     # non-finite folds are kept as nodes, never as literals
     assert not isinstance(parse("1/0"), Num)
+
+
+def _fold_grid(rng, special, count, log_range):
+    """``special`` then ``count`` seeded values of both signs, their
+    magnitudes log-uniform over ``log_range``."""
+    magnitudes = 10.0 ** rng.uniform(*log_range, size=count)
+    return [*special, *(magnitudes * rng.choice([-1.0, 1.0], size=count))]
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_power_folds_to_the_bits_of_numpys_scalar_power():
+    rng = np.random.default_rng(1818)
+    bases = _fold_grid(rng, [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 10.0],
+                       60, (-4, 4))
+    exponents = _fold_grid(rng, [-1.0, 0.5, -0.5, 2.0, 3.0, -3.0, 1 / 3,
+                                 400.0, -400.0], 60, (-2, 2.5))
+    kept = 0
+    for a in bases:
+        for b in exponents:
+            with np.errstate(all="ignore"):
+                want = np.float64(a) ** np.float64(b)
+            got = pow_(Num(a), Num(b))
+            if np.isfinite(want):
+                assert isinstance(got, Num) and _bits(got.value) == _bits(
+                    want), (a, b)
+            else:
+                assert isinstance(got, Pow), (a, b)
+                kept += 1
+    assert kept > 100
+    # the cases that must not fold: a pole, a complex value, an overflow
+    for a, b in ((0.0, -1.0), (-2.0, 0.5), (10.0, 400.0)):
+        assert pow_(Num(a), Num(b)) == Pow(Num(a), Num(b))
+
+
+def test_call_folds_to_the_bits_of_numpys_ufunc():
+    rng = np.random.default_rng(1819)
+    args = _fold_grid(rng, [0.0, -0.0, 1.0, -1.0, 709.0, 710.0, -746.0,
+                            1e308], 2000, (-3, 3))
+    kept = 0
+    for fn, ufunc in _FUNCTIONS.items():
+        for v in args:
+            with np.errstate(all="ignore"):
+                want = ufunc(np.float64(v))
+            got = call(fn, Num(v))
+            if np.isfinite(want):
+                assert isinstance(got, Num) and _bits(got.value) == _bits(
+                    want), (fn, v)
+            else:
+                assert got == Call(fn, Num(v)), (fn, v)
+                kept += 1
+    assert kept > 1000  # ln of each negative argument, exp overflows
 
 
 def test_negative_literal_printing_round_trip():

@@ -1,0 +1,130 @@
+"""The package surface, and what a cold process imports for it."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+
+import pytest
+
+import finsym
+
+#: the names ``from finsym import *`` gives, by the module defining them
+SURFACE = {
+    "expressions": (
+        "Expression", "parse", "to_string", "differentiate", "evaluate",
+        "compile_expressions", "substitute", "equivalent",
+    ),
+    "model": (
+        "PowerU", "ShiftedPowerU", "ExpU", "ReciprocalShift", "FreeD",
+        "PowerX", "ExpX", "InverseSquareX", "ConstantH", "H1", "FreeH",
+        "FinEquation", "VectorField", "Solution", "validate",
+        "equations_equal", "equation_to_json", "equation_from_json",
+        "load_equation_file",
+    ),
+    "classify": ("ClassificationResult", "classify"),
+    "symmetry": (
+        "JetResidual", "prolonged_residual", "symmetry_residual",
+        "conditional_residual",
+    ),
+    "equivalence": (
+        "PointTransformation", "OutsideClassReport", "make_group_element",
+        "apply_to_equation", "additional_equivalence", "push_forward_field",
+        "push_forward_solution", "map_by_label",
+    ),
+    "reductions": (
+        "Reduction", "build_reduction", "exact_solution", "verify_reduction",
+        "order_reduce_61", "check_order_reduction_61", "solve_algebraic",
+        "reduction_chain_solution", "nonclassical_equation",
+    ),
+    "conservation": (
+        "ConservationLaw", "conservation_laws", "divergence_residual",
+        "discrete_balance_error",
+    ),
+    "numeric": (
+        "Grid", "Field", "DirichletBC", "NoFluxBC", "solve_pde",
+        "pde_residual_grid", "pde_residual_expression",
+        "integrate_reduced_ode", "shoot_reduced_ode",
+    ),
+}
+#: the submodules the package gives by name; ``classify`` is the function
+MODULES = ("conservation", "equivalence", "expressions", "model", "numeric",
+           "reductions", "symmetry")
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(finsym.__file__)))
+CASE4 = {"D": {"family": "power_u", "n": 2},
+         "h": {"family": "power_x", "q": 3, "eps": 1}}
+
+
+def test_star_import_gives_the_package_surface():
+    namespace = {}
+    exec("from finsym import *", namespace)
+    del namespace["__builtins__"]
+    names = {name for names in SURFACE.values() for name in names}
+    assert len(namespace) == 70
+    assert set(namespace) == names | set(MODULES)
+    for module in MODULES:
+        assert namespace[module] is sys.modules[f"finsym.{module}"]
+    assert isinstance(namespace["classify"], types.FunctionType)
+    assert finsym.classify is namespace["classify"]
+    for module, names in SURFACE.items():
+        home = importlib.import_module(f"finsym.{module}")
+        for name in names:
+            assert namespace[name] is getattr(home, name), name
+            assert getattr(finsym, name) is namespace[name], name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'solve'"):
+        finsym.solve
+
+
+#: prints, as the process exits, whether numpy was imported
+_REPORT = ("import atexit, sys\n"
+           "atexit.register(lambda: print('numpy' in sys.modules))\n")
+
+
+def _numpy_loaded(code: str, *argv: str) -> bool:
+    """Run ``code`` in a fresh interpreter with ``argv``, and tell whether
+    numpy was imported by the time it ended; the code must exit 0."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", _REPORT + code, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+
+_CLI = ("import runpy\n"
+        "runpy.run_module('finsym.cli', run_name='__main__')")
+
+
+@pytest.fixture(scope="module")
+def case4_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cold") / "case4.json"
+    path.write_text(json.dumps(CASE4))
+    return str(path)
+
+
+def test_import_and_help_skip_numpy():
+    assert not _numpy_loaded("import finsym")
+    assert not _numpy_loaded(_CLI, "--help")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--json"], ["symmetries", "--json"],
+    ["reduce", "--sub", "1", "--json"],
+])
+def test_symbolic_subcommands_skip_numpy(argv, case4_file):
+    assert not _numpy_loaded(_CLI, argv[0], "--eq", case4_file, *argv[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-symmetry", "--field=-6*t;2*x;5*u"],
+    ["simulate", "--initial", "1+x", "--left", "2", "--right", "3",
+     "--xa", "1", "--xb", "2", "--m", "9", "--t-final", "0.001"],
+])
+def test_numeric_subcommands_load_numpy(argv, case4_file):
+    # the other direction: the check above can see numpy when it is loaded
+    assert _numpy_loaded(_CLI, argv[0], "--eq", case4_file, *argv[1:])
