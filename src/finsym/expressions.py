@@ -562,6 +562,24 @@ def compile_expressions(*exprs: Expression):
     subtrees they share are computed once, and keep the function where
     the same expressions meet new bindings: compiling costs about as much
     as one call.
+
+    A loop that calls a tape many times calls its positional core,
+    ``core = run.bind(order)``, which skips the checks and the copies of
+    ``run``.  ``bind`` raises :class:`UnboundSymbolError` at once when
+    ``order`` misses a free symbol of the tape; names the tape does not
+    use are accepted and ignored.  ``core(*values)`` takes one value per
+    name of ``order``, in that order, and its contract is narrower:
+
+    - the values are float64 arrays of one shape or ``np.float64``
+      scalars (not Python floats: ``float / 0`` raises where numpy gives
+      inf, and a negative float to a fractional power is complex);
+    - the caller holds ``np.errstate(all="ignore")``, as ``run`` does;
+    - it returns a list of the output registers as computed: a constant
+      is not broadcast, and an output may be a bound array, another
+      output or the same object on every call, so it must not be written.
+
+    ``run`` binds the tape's own symbols and calls the same core, so the
+    two give the same bits.
     """
     import numpy as np
 
@@ -613,9 +631,31 @@ def compile_expressions(*exprs: Expression):
     for r in registers:
         # an output array may be returned as it is only if a step made it,
         # and only once; bound arrays and repeats are copied
-        outputs.append((r, r in computed))
+        outputs.append(r in computed)
         computed.discard(r)
-    slots = tuple(symbols.items())
+
+    def positional(places: tuple):
+        def core(*values):
+            regs = constants.copy()
+            for r, i in places:  # register r holds values[i]
+                regs[r] = values[i]
+            for out, op, a, b in steps:
+                regs[out] = op(regs[a]) if b is None else op(regs[a], regs[b])
+            return [regs[r] for r in registers]
+
+        return core
+
+    def bind(order: Sequence[str]):
+        index = dict(zip(order, range(len(order))))
+        if not index.keys() >= symbols.keys():
+            unbound = next(name for name in symbols if name not in index)
+            raise UnboundSymbolError(f"unbound symbol {unbound!r}")
+        return positional(tuple((r, index[name])
+                                for name, r in symbols.items()))
+
+    # run's own order is the tape's symbols, so its core needs no checks
+    names = tuple(symbols)
+    core = positional(tuple(zip(symbols.values(), range(len(names)))))
 
     def run(bindings: Mapping[str, object]) -> tuple:
         values = {k: np.asarray(v, dtype=np.float64)
@@ -626,18 +666,15 @@ def compile_expressions(*exprs: Expression):
             if v.shape and v.shape != shape:  # a scalar never widens it
                 shape = (np.broadcast_shapes(shape, v.shape) if shape
                          else v.shape)
-        regs = constants.copy()
-        for name, r in slots:
-            try:
-                regs[r] = values[name]
-            except KeyError:
-                raise UnboundSymbolError(f"unbound symbol {name!r}") from None
+        try:
+            args = [values[name] for name in names]
+        except KeyError as unbound:
+            raise UnboundSymbolError(
+                f"unbound symbol {unbound.args[0]!r}") from None
         with np.errstate(all="ignore"):
-            for out, op, a, b in steps:
-                regs[out] = op(regs[a]) if b is None else op(regs[a], regs[b])
+            regs = core(*args)
         results = []
-        for r, fresh in outputs:
-            v = regs[r]
+        for v, fresh in zip(regs, outputs):
             if v.shape != shape:
                 v = np.full(shape, v)
             elif not fresh and isinstance(v, np.ndarray):
@@ -645,6 +682,7 @@ def compile_expressions(*exprs: Expression):
             results.append(v)
         return tuple(results)
 
+    run.bind = bind
     return run
 
 

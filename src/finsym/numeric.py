@@ -13,8 +13,15 @@ loop one tape per solve returns D at the interfaces together with the
 interface flux D u_x; each explicit step checks its dt against those D.
 The Dirichlet boundary values and the sampled residual get one tape each.
 One whole RK4 step of a reduced equation is one tape, compiled once per
-residual and kept for later integrations of the same residual, so a
-shoot compiles it once.
+residual and kept for later integrations of the same residual; a shoot
+looks it up once and marches every probe with it.
+
+The two loops call their tape's positional core (``tape.bind(order)``),
+not the checked ``tape(bindings)``: each holds one
+``np.errstate(all="ignore")`` around the whole loop, the FD loop binds
+the (u_l, u_r) views of its float64 state and the RK4 march binds
+``np.float64`` scalars, so each call skips the tape's per-call set-up
+and the bits are the same.
 """
 from __future__ import annotations
 
@@ -163,6 +170,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     d_mid = substitute(eq.d_expr(), {"u": Mul(Num(0.5), Add(u_l, u_r))})
     interfaces_at = compile_expressions(
         d_mid, Div(Mul(d_mid, Sub(u_r, u_l)), Num(dx)))
+    interfaces = interfaces_at.bind(("u_l", "u_r"))  # the loop's core
 
     dt = grid.dt
     if dt is None:
@@ -184,7 +192,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
         bounds = _boundary_values(boundary, n_steps, dt, grid.t_final)
 
     def rate(v: np.ndarray) -> np.ndarray:
-        d_half, flux = interfaces_at({"u_l": v[:-1], "u_r": v[1:]})
+        d_half, flux = interfaces(v[:-1], v[1:])
         max_d = float(np.abs(d_half).max())
         if not max_d <= d_bound:  # NaN and inf fail too
             if not math.isfinite(max_d):
@@ -202,9 +210,10 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
             out[0] = out[-1] = 0.0
         return out
 
-    # the blow-up test below reports an overflow or an inf - inf, not numpy
+    # the interface core runs under the loop's errstate, and the blow-up
+    # test below reports an overflow or an inf - inf, not numpy
     t = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for step in range(1, n_steps + 1):
             t_next = step * dt if step < n_steps else grid.t_final
             if dirichlet:
@@ -291,6 +300,48 @@ def _rk4_step(residual: Expression, key: str):
                                a1, a2, a3, a4)
 
 
+def _rk4_core(reduction):
+    """The positional core of the reduction's RK4 step, in (w, y, v, h)."""
+    if reduction.reduced is None:
+        raise NumericError("algebraic reduction has no ODE to integrate")
+    step = _rk4_step(reduction.reduced, repr(reduction.reduced))
+    return step.bind(("w", "y", "v", "h"))
+
+
+def _march(step, w0: float, phi0: float, dphi0: float, w_end: float,
+           steps: int):
+    """RK4 from ``w0`` to ``w_end`` by calls of the core ``step``.
+
+    The values bound are ``np.float64`` scalars, as ``run`` would bind
+    them, under one errstate for the whole march, so the bits are those of
+    the tape.  Each step's a1..a4 are checked in stage order.
+    """
+    if steps < 1 or w_end == w0:
+        raise NumericError("need w_end != slice start and steps >= 1")
+    hstep = (w_end - w0) / steps
+    h = np.float64(hstep)
+    ws = np.empty(steps + 1)
+    phis = np.empty(steps + 1)
+    slopes = np.empty(steps + 1)
+    w, y, v = w0, np.float64(float(phi0)), np.float64(float(dphi0))
+    ws[0], phis[0], slopes[0] = w, y, v
+    with np.errstate(all="ignore"):
+        for k in range(1, steps + 1):
+            y, v, *coefficients = step(np.float64(w), y, v, h)
+            for stage, a in enumerate(coefficients):
+                if not math.isfinite(a) or a == 0.0:
+                    at = (w, w + 0.5 * hstep, w + 0.5 * hstep,
+                          w + hstep)[stage]
+                    raise NumericError("reduced equation is degenerate in "
+                                       f"phi_ww at w={at:g}")
+            w = w0 + k * hstep
+            if not (math.isfinite(y) and math.isfinite(v)):
+                raise NumericError(
+                    f"reduced-ODE integration blew up at w={w:g}")
+            ws[k], phis[k], slopes[k] = w, y, v
+    return ws, phis, slopes
+
+
 def integrate_reduced_ode(reduction, phi0: float, dphi0: float,
                           w_end: float, steps: int = 400):
     """March a second-order reduced equation with classical RK4.
@@ -301,30 +352,8 @@ def integrate_reduced_ode(reduction, phi0: float, dphi0: float,
     once per residual.  Returns (w, phi, phi_w) arrays from the
     reduction's slice start to ``w_end``.
     """
-    if reduction.reduced is None:
-        raise NumericError("algebraic reduction has no ODE to integrate")
-    w0 = reduction.slice_range[0]
-    if steps < 1 or w_end == w0:
-        raise NumericError("need w_end != slice start and steps >= 1")
-    step = _rk4_step(reduction.reduced, repr(reduction.reduced))
-    hstep = (w_end - w0) / steps
-    ws = np.empty(steps + 1)
-    phis = np.empty(steps + 1)
-    slopes = np.empty(steps + 1)
-    w, y, v = w0, float(phi0), float(dphi0)
-    ws[0], phis[0], slopes[0] = w, y, v
-    for k in range(1, steps + 1):
-        y, v, *coefficients = step({"w": w, "y": y, "v": v, "h": hstep})
-        for stage, a in enumerate(coefficients):
-            if not math.isfinite(a) or a == 0.0:
-                at = (w, w + 0.5 * hstep, w + 0.5 * hstep, w + hstep)[stage]
-                raise NumericError(
-                    f"reduced equation is degenerate in phi_ww at w={at:g}")
-        w = w0 + k * hstep
-        if not (math.isfinite(y) and math.isfinite(v)):
-            raise NumericError(f"reduced-ODE integration blew up at w={w:g}")
-        ws[k], phis[k], slopes[k] = w, y, v
-    return ws, phis, slopes
+    return _march(_rk4_core(reduction), reduction.slice_range[0], phi0,
+                  dphi0, w_end, steps)
 
 
 #: ITP constants (Oliveira & Takahashi, "An Enhancement of the Bisection
@@ -401,10 +430,10 @@ def shoot_reduced_ode(reduction, phi0: float, w_end: float, phi_end: float,
     at most one step more than bisection would take.
     """
     lo, hi = float(slope_bracket[0]), float(slope_bracket[1])
+    step, w0 = _rk4_core(reduction), reduction.slice_range[0]
 
     def miss(slope: float) -> float:
-        _, phis, _ = integrate_reduced_ode(reduction, phi0, slope, w_end,
-                                           steps)
+        _, phis, _ = _march(step, w0, phi0, slope, w_end, steps)
         return phis[-1] - phi_end
 
     f_lo, f_hi = miss(lo), miss(hi)

@@ -234,6 +234,46 @@ def test_evaluate_unbound_symbol():
         run({"x": np.ones(3)})
 
 
+def test_positional_core_gives_the_bits_of_run():
+    # the core runs run's steps in the same order, so its outputs carry
+    # the same bits, NaN payloads and signed zeros included; it does not
+    # broadcast a constant or copy a bound array
+    exprs = (differentiate(parse("ln(x-1)*abs(u)^n/(x-u)"), "x"), parse("x"),
+             parse("2"), parse("-u*x"), parse("-u*x"))
+    run = compile_expressions(*exprs)
+    core = run.bind(("n", "unused", "x", "u"))  # any order, extra names too
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, 1.5, -2.0]
+    xs = np.array(special * len(special))
+    us = np.repeat(special, len(special))
+    with np.errstate(all="ignore"):
+        got = core(np.float64(1.5), np.float64(np.nan), xs, us)
+    want = run({"x": xs, "u": us, "n": 1.5})
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert np.broadcast_to(g, w.shape).tobytes() == w.tobytes()
+    assert got[1] is xs and got[3] is got[4]
+    assert type(got[2]) is np.float64
+    # scalars in, scalars out
+    with np.errstate(all="ignore"):
+        got = core(np.float64(2.0), np.float64(0.0), np.float64(-0.0),
+                   np.float64(np.inf))
+    want = run({"n": 2.0, "x": -0.0, "u": np.inf})
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_bind_checks_the_order_once():
+    run = compile_expressions(parse("x+y"), parse("2*z"))
+    for order in ((), ("x", "y"), ("x", "w", "y")):
+        with pytest.raises(UnboundSymbolError, match="unbound symbol"):
+            run.bind(order)  # when bound, not when called
+    with pytest.raises(UnboundSymbolError, match="unbound symbol 'z'"):
+        run({"x": 1.0, "y": 2.0})  # run still raises on the call
+    core = run.bind(("z", "t", "y", "x"))
+    with np.errstate(all="ignore"):
+        assert core(np.float64(3.0), np.float64(np.nan), np.float64(2.0),
+                    np.float64(1.0)) == [3.0, 6.0]
+
+
 def _one_by_one(*exprs):
     """Each expression through ``evaluate`` on its own, with the calling
     convention of a compiled tape."""

@@ -1,16 +1,21 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from finsym.expressions import evaluate, parse, substitute
 from finsym.model import (
-    ConstantH, ExpX, FinEquation, FreeH, H1, ModelError, PowerU, PowerX,
-    Solution,
+    ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, ModelError, PowerU,
+    PowerX, Solution,
 )
 from finsym.numeric import (
     BlowUpError, CoefficientFailure, ConvergenceError, DirichletBC, Grid,
     NoFluxBC, NumericError, StabilityError, pde_residual_grid, solve_pde,
 )
-from finsym.reductions import exact_solution, nonclassical_equation
+from finsym.reductions import (
+    build_reduction, exact_solution, nonclassical_equation,
+)
 
 EQ4 = FinEquation(PowerU(1), PowerX(1, -1))  # stationary solution x^3/15
 EXACT4 = parse("x^3/15")
@@ -483,19 +488,39 @@ def test_a_shoot_compiles_its_rk4_step_once(monkeypatch):
         assert len(compiles) == 1
 
 
+def test_a_shoot_looks_its_rk4_step_up_once(monkeypatch):
+    # not once per integration: the lookup pays repr(residual) and a cache
+    # probe, which the shoot's ITP steps would repeat
+    import finsym.numeric as numeric
+
+    keys = []
+    real = numeric._rk4_step
+
+    def counting(residual, key):
+        keys.append(key)
+        return real(residual, key)
+
+    monkeypatch.setattr(numeric, "_rk4_step", counting)
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    w0 = r.slice_range[0]
+    numeric.shoot_reduced_ode(r, w0 ** 6 / 225.0, 2.0, 2.0 ** 6 / 225.0,
+                              (0.0, 0.01), steps=80)
+    assert keys == [repr(r.reduced)]
+
+
 def _recorded_shooting(monkeypatch, phi_end):
     """Record (slope, endpoint miss) of every integration shooting makes."""
     import finsym.numeric as numeric
 
-    real = numeric.integrate_reduced_ode
+    real = numeric._march
     probes = []
 
-    def recording(reduction, phi0, slope, w_end, steps):
-        out = real(reduction, phi0, slope, w_end, steps)
+    def recording(step, w0, phi0, slope, w_end, steps):
+        out = real(step, w0, phi0, slope, w_end, steps)
         probes.append((slope, out[1][-1] - phi_end))
         return out
 
-    monkeypatch.setattr(numeric, "integrate_reduced_ode", recording)
+    monkeypatch.setattr(numeric, "_march", recording)
     return probes
 
 
@@ -636,3 +661,160 @@ def test_reduced_ode_without_phi_ww_is_degenerate():
     first_order = replace(r, reduced=parse("phi_w-w*phi"))
     with pytest.raises(NumericError, match="degenerate in phi_ww"):
         integrate_reduced_ode(first_order, 1.0, 0.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the loops call the positional core of their tape; the bits are run's
+
+#: special values mixed into the core's inputs
+SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0)
+
+
+def _interface_tape(monkeypatch, eq):
+    """The interface tape solve_pde compiles for ``eq``: (D, flux) in
+    (u_l, u_r)."""
+    import finsym.numeric as numeric
+
+    tapes = []
+    real = numeric.compile_expressions
+
+    def recording(*exprs):
+        run = real(*exprs)
+        names = set().union(*(e.free_symbols() for e in exprs))
+        if names == {"u_l", "u_r"}:
+            tapes.append(run)
+        return run
+
+    monkeypatch.setattr(numeric, "compile_expressions", recording)
+    solve_pde(eq, parse("1+x"), NoFluxBC(), Grid(0.0, 1.0, 41, 1e-4))
+    (tape,) = tapes
+    return tape
+
+
+@pytest.mark.parametrize("d", [
+    PowerU(2), PowerU(-4 / 3), PowerU(0.5), ExpU(), FreeD(parse("1/u")),
+], ids=["u^2", "u^-4/3", "u^0.5", "exp", "pole"])
+def test_interface_core_gives_the_bits_of_run(monkeypatch, d):
+    tape = _interface_tape(monkeypatch, FinEquation(d, ConstantH(1.0)))
+    core = tape.bind(("u_l", "u_r"))
+    rng = np.random.default_rng(19)
+    for trial in range(20):
+        v = rng.uniform(-2.0, 3.0, 41)
+        v[rng.choice(41, trial, replace=False)] = rng.choice(SPECIAL, trial)
+        with np.errstate(all="ignore"):
+            got = core(v[:-1], v[1:])
+        want = tape({"u_l": v[:-1], "u_r": v[1:]})
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == (40,) and g.tobytes() == w.tobytes(), trial
+
+
+@pytest.mark.parametrize("case,params", [
+    (4, {"n": 1, "q": 1, "eps": -1}), (6, {"p": 1, "q": 1, "eps": 1}),
+], ids=["4.1", "6.1"])
+def test_rk4_core_gives_the_bits_of_run(case, params):
+    from finsym.numeric import _rk4_step
+
+    residual = build_reduction(case, "1", params).reduced
+    tape = _rk4_step(residual, repr(residual))
+    core = tape.bind(("w", "y", "v", "h"))
+    values = (*SPECIAL, 0.7, 1.5, -2.0)
+    for point in itertools.product(values, repeat=4):
+        with np.errstate(all="ignore"):
+            got = core(*map(np.float64, point))
+        want = tape(dict(zip("wyvh", point)))
+        assert len(got) == 6
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), point
+
+
+def _stability_error():
+    solve_pde(EQ4, EXACT4, BC4, Grid(1.0, 2.0, 81, 0.1, dt=0.1))
+
+
+def _blow_up():
+    solve_pde(FinEquation(PowerU(1), ConstantH(1e308)), parse("1+x"),
+              NoFluxBC(), Grid(0.0, 1.0, 21, 0.01))
+
+
+def _coefficient_failure():
+    solve_pde(FinEquation(PowerU(0.5), PowerX(1, -1)), parse("x-1.5"),
+              NoFluxBC(), Grid(1.0, 2.0, 21, 0.01, 1e-4))
+
+
+def _degenerate():
+    from finsym.numeric import integrate_reduced_ode
+
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    integrate_reduced_ode(replace(r, reduced=parse("phi_w-w*phi")), 1.0, 0.0,
+                          2.0)
+
+
+def _ode_blow_up():
+    from finsym.numeric import integrate_reduced_ode
+
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    integrate_reduced_ode(replace(r, reduced=parse("phi_ww-1")), 0.0, 0.0,
+                          1e200, 1)
+
+
+#: an outer error state unlike both numpy's default and the loops' own
+PRINTING = {"divide": "print", "over": "print", "under": "ignore",
+            "invalid": "print"}
+
+
+@pytest.mark.parametrize("outer", [None, PRINTING], ids=["default", "print"])
+@pytest.mark.parametrize("fail,error,message", [
+    (_stability_error, StabilityError, "exceeds the stability bound"),
+    (_blow_up, BlowUpError, "blew up at t="),
+    (_coefficient_failure, CoefficientFailure, "not finite at an interface"),
+    (_degenerate, NumericError, "degenerate in phi_ww"),
+    (_ode_blow_up, NumericError, "integration blew up"),
+], ids=["stability", "blow-up", "coefficient", "degenerate", "ode-blow-up"])
+def test_numpy_error_state_is_restored_after_a_raise(outer, fail, error,
+                                                     message):
+    with np.errstate(**(outer or {})):
+        before = np.geterr()
+        with pytest.raises(error, match=message):
+            fail()
+        assert np.geterr() == before
+
+
+def test_initial_data_and_h_must_be_finite_at_every_node():
+    # ln(x-1.5) is NaN left of x = 1.5 and -inf at it
+    with pytest.raises(NumericError, match="initial data not finite"):
+        solve_pde(EQ4, parse("ln(x-1.5)"), BC4, Grid(1.0, 2.0, 21, 0.1))
+    with pytest.raises(CoefficientFailure, match="h not evaluable at a node"):
+        solve_pde(FinEquation(PowerU(1), FreeH(parse("ln(x-1.5)"))), EXACT4,
+                  BC4, Grid(1.0, 2.0, 21, 0.1))
+
+
+def test_reduced_ode_needs_steps_and_a_span():
+    from finsym.numeric import integrate_reduced_ode, shoot_reduced_ode
+
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    w0 = r.slice_range[0]
+    for w_end, steps in ((w0, 10), (2.0, 0), (2.0, -1)):
+        with pytest.raises(NumericError, match=r"need w_end != slice start "
+                           r"and steps >= 1"):
+            integrate_reduced_ode(r, 1.0, 0.0, w_end, steps)
+        with pytest.raises(NumericError, match=r"need w_end != slice start"):
+            shoot_reduced_ode(r, 1.0, w_end, 1.0, (0.0, 1.0), steps)
+
+
+def test_reduced_ode_blow_up_names_the_step_end():
+    # phi'' = 1 over one step of h = 1e200: every stage value is finite,
+    # so no stage is degenerate, but phi = h^2 / 2 overflows
+    with pytest.raises(NumericError, match=r"^reduced-ODE integration "
+                       r"blew up at w=1e\+200$"):
+        _ode_blow_up()
+
+
+@pytest.mark.parametrize("text", ["phi_ww-w/(w-w)", "phi_ww-(-w)^(w/3)*phi"])
+def test_w_alone_follows_ieee_arithmetic(text):
+    # the march binds np.float64 scalars, as run does: with a Python float
+    # w, w/(w-w) would raise ZeroDivisionError and (-w)^(w/3) be complex
+    from finsym.numeric import integrate_reduced_ode
+
+    r = replace(build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1}),
+                reduced=parse(text))
+    with pytest.raises(NumericError, match=r"degenerate in phi_ww at w=0\.5$"):
+        integrate_reduced_ode(r, 1.0, 0.0, 2.0, 10)
