@@ -6,7 +6,8 @@ exact, conserve, simulate, residual.  Equations come from JSON files with
 1 verification failure, 2 usage or input error.
 
 Each subcommand imports the modules it runs, so ``classify``,
-``symmetries`` and ``reduce`` on tagged equations never import numpy.
+``symmetries`` and ``reduce`` on tagged equations never import numpy,
+and only ``transform`` imports :mod:`finsym.equivalence`.
 """
 from __future__ import annotations
 
@@ -17,14 +18,10 @@ import os
 import sys
 
 from .classify import classify
-from .equivalence import (
-    ADDITIONAL_MAP_LABELS, OutsideClassReport, apply_to_equation,
-    map_by_label,
-)
 from .expressions import ExpressionError, parse
 from .model import (
-    ModelError, SchemaError, Solution, VectorField, equation_to_json,
-    equations_equal, load_equation_file,
+    ADDITIONAL_MAP_LABELS, ModelError, SchemaError, Solution, VectorField,
+    equation_to_json, equations_equal, load_equation_file,
 )
 
 EXIT_OK = 0
@@ -180,6 +177,10 @@ def _cmd_verify_symmetry(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .equivalence import (
+        OutsideClassReport, apply_to_equation, map_by_label,
+    )
+
     eq, params = load_equation_file(args.eq)
     source = classify(eq, seed=args.seed)
     case_from = ADDITIONAL_MAP_LABELS[args.map_label][0]

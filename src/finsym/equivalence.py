@@ -30,9 +30,9 @@ from .expressions import (
     sub, substitute, sym,
 )
 from .model import (
-    FOUR_THIRDS, FOUR_THIRDS_TOL, ConstantH, DShape, ExpU, ExpX, FinEquation,
-    FreeD, FreeH, H1, HShape, ModelError, PowerU, PowerX, ShiftedPowerU,
-    Solution, VectorField, shapes_match,
+    ADDITIONAL_MAP_LABELS, FOUR_THIRDS, FOUR_THIRDS_TOL, ConstantH, DShape,
+    ExpU, ExpX, FinEquation, FreeD, FreeH, H1, HShape, ModelError, PowerU,
+    PowerX, ShiftedPowerU, Solution, VectorField, shapes_match,
 )
 
 __all__ = [
@@ -325,18 +325,8 @@ def push_forward_field(T: PointTransformation, X: VectorField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# the named case-to-case maps
+# the named case-to-case maps (their labels: ADDITIONAL_MAP_LABELS, in model)
 
-
-ADDITIONAL_MAP_LABELS = {
-    "6p0-to-5": (6, {"p": 0}),
-    "6pm1-to-4": (6, {"p": -1}),
-    "11a-to-11": (11, {}),
-    "13a-to-13": (13, {}),
-    "10-to-11": (10, {}),
-    "12-to-13": (12, {}),
-    "case8-out": (8, {}),
-}
 
 _INV_SQRT2 = 2.0 ** -0.5
 

@@ -543,6 +543,50 @@ _OPS = {
     Neg: operator.neg, Add: operator.add, Sub: operator.sub,
     Mul: operator.mul, Div: operator.truediv, Pow: operator.pow,
 }
+#: the same operations as the generated core writes them: ``a + b`` calls
+#: what ``operator.add(a, b)`` calls, without the call
+_SOURCE = {
+    operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}",
+    operator.truediv: "{} / {}", operator.pow: "{} ** {}",
+    operator.neg: "-{}",
+}
+
+
+def _straight_line(steps: list, constants: list, registers: list,
+                   params: dict, arity: int):
+    """A tape's steps as one generated function of ``arity`` parameters.
+
+    ``params`` maps the register of each symbol to its parameter's index.
+    The source has one assignment per step, in tape order, with registers
+    as locals ``r<i>`` and parameters ``a0..aN``.  Constants and ufuncs
+    reach the function through its globals, so their bits and no symbol
+    name ever enter the source.  It returns the list of the output
+    registers, as the interpreted steps of ``run`` compute them.
+    """
+    namespace: dict = {"__builtins__": {}}
+
+    def name(r: int) -> str:
+        if r in params:
+            return f"a{params[r]}"
+        if constants[r] is not None:
+            namespace[f"c{r}"] = constants[r]
+            return f"c{r}"
+        return f"r{r}"
+
+    ufuncs: dict = {}  # ufunc -> the name of its global
+    lines = [f"def core({', '.join(f'a{i}' for i in range(arity))}):"]
+    for out, op, a, b in steps:
+        form = _SOURCE.get(op)
+        if form is None:
+            fn = ufuncs.setdefault(op, f"f{len(ufuncs)}")
+            namespace[fn] = op
+            value = f"{fn}({name(a)})"
+        else:
+            value = form.format(*map(name, (a,) if b is None else (a, b)))
+        lines.append(f"    r{out} = {value}")
+    lines.append(f"    return [{', '.join(map(name, registers))}]")
+    exec(compile("\n".join(lines), "<tape>", "exec"), namespace)
+    return namespace["core"]
 
 
 def compile_expressions(*exprs: Expression):
@@ -563,12 +607,18 @@ def compile_expressions(*exprs: Expression):
     the same expressions meet new bindings: compiling costs about as much
     as one call.
 
-    A loop that calls a tape many times calls its positional core,
-    ``core = run.bind(order)``, which skips the checks and the copies of
-    ``run``.  ``bind`` raises :class:`UnboundSymbolError` at once when
-    ``order`` misses a free symbol of the tape; names the tape does not
-    use are accepted and ignored.  ``core(*values)`` takes one value per
-    name of ``order``, in that order, and its contract is narrower:
+    ``run.symbols`` names the tape's free symbols, the names ``run`` must
+    be given.  ``run`` interprets the steps, which suits a tape called
+    once or a few times.  A loop that calls a tape many times calls its
+    positional core, ``core = run.bind(order)``: the steps generated once
+    as straight-line Python, one assignment per step, which skips the
+    step loop, the checks and the copies of ``run``.  Generating costs
+    several interpreted calls, so ``bind`` keeps the core of each order it
+    is given and returns it again for the same order.  ``bind`` raises
+    :class:`UnboundSymbolError` at once when ``order`` misses a free
+    symbol of the tape; names the tape does not use are accepted and
+    ignored.  ``core(*values)`` takes one value per name of ``order``, in
+    that order, and its contract is narrower:
 
     - the values are float64 arrays of one shape or ``np.float64``
       scalars (not Python floats: ``float / 0`` raises where numpy gives
@@ -578,8 +628,8 @@ def compile_expressions(*exprs: Expression):
       is not broadcast, and an output may be a bound array, another
       output or the same object on every call, so it must not be written.
 
-    ``run`` binds the tape's own symbols and calls the same core, so the
-    two give the same bits.
+    The core and ``run`` apply the same operations to the same registers
+    in the same order, so the two give the same bits.
     """
     import numpy as np
 
@@ -634,28 +684,20 @@ def compile_expressions(*exprs: Expression):
         outputs.append(r in computed)
         computed.discard(r)
 
-    def positional(places: tuple):
-        def core(*values):
-            regs = constants.copy()
-            for r, i in places:  # register r holds values[i]
-                regs[r] = values[i]
-            for out, op, a, b in steps:
-                regs[out] = op(regs[a]) if b is None else op(regs[a], regs[b])
-            return [regs[r] for r in registers]
-
-        return core
+    cores: dict = {}  # order -> its generated core
 
     def bind(order: Sequence[str]):
-        index = dict(zip(order, range(len(order))))
-        if not index.keys() >= symbols.keys():
-            unbound = next(name for name in symbols if name not in index)
-            raise UnboundSymbolError(f"unbound symbol {unbound!r}")
-        return positional(tuple((r, index[name])
-                                for name, r in symbols.items()))
-
-    # run's own order is the tape's symbols, so its core needs no checks
-    names = tuple(symbols)
-    core = positional(tuple(zip(symbols.values(), range(len(names)))))
+        order = tuple(order)
+        core = cores.get(order)
+        if core is None:
+            index = dict(zip(order, range(len(order))))
+            if not index.keys() >= symbols.keys():
+                unbound = next(name for name in symbols if name not in index)
+                raise UnboundSymbolError(f"unbound symbol {unbound!r}")
+            core = cores[order] = _straight_line(
+                steps, constants, registers,
+                {r: index[name] for name, r in symbols.items()}, len(order))
+        return core
 
     def run(bindings: Mapping[str, object]) -> tuple:
         values = {k: np.asarray(v, dtype=np.float64)
@@ -666,15 +708,19 @@ def compile_expressions(*exprs: Expression):
             if v.shape and v.shape != shape:  # a scalar never widens it
                 shape = (np.broadcast_shapes(shape, v.shape) if shape
                          else v.shape)
+        regs = constants.copy()
         try:
-            args = [values[name] for name in names]
+            for name, r in symbols.items():
+                regs[r] = values[name]
         except KeyError as unbound:
             raise UnboundSymbolError(
                 f"unbound symbol {unbound.args[0]!r}") from None
         with np.errstate(all="ignore"):
-            regs = core(*args)
+            for out, op, a, b in steps:
+                regs[out] = op(regs[a]) if b is None else op(regs[a], regs[b])
         results = []
-        for v, fresh in zip(regs, outputs):
+        for r, fresh in zip(registers, outputs):
+            v = regs[r]
             if v.shape != shape:
                 v = np.full(shape, v)
             elif not fresh and isinstance(v, np.ndarray):
@@ -683,6 +729,7 @@ def compile_expressions(*exprs: Expression):
         return tuple(results)
 
     run.bind = bind
+    run.symbols = tuple(symbols)
     return run
 
 
@@ -757,9 +804,8 @@ def equivalent(a: Expression, b: Expression, seed: int = 0,
     point is ever found, :class:`NoAdmissibleSampleError` is raised.
     """
     sides = compile_expressions(a, b)
-    symbols = sorted(a.free_symbols() | b.free_symbols())
-    va, vb = sample_finite(sides, symbols, seed, 4 * _TRIALS, need=_TRIALS,
-                           rounds=10, ranges=ranges)
+    va, vb = sample_finite(sides, sides.symbols, seed, 4 * _TRIALS,
+                           need=_TRIALS, rounds=10, ranges=ranges)
     if va.size == 0:
         raise NoAdmissibleSampleError(
             "no admissible sample: all trials hit non-finite values")

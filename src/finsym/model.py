@@ -36,6 +36,18 @@ FOUR_THIRDS = -4.0 / 3.0
 #: a float n is -4/3 when within this tolerance relative to 1 + |n| + 4/3,
 #: the closeness :func:`shapes_match` applies to shape parameters
 FOUR_THIRDS_TOL = 1e-12
+#: the named case-to-case maps of :mod:`finsym.equivalence` by label: the
+#: table case each takes and the parameters it fixes; kept here so that
+#: the CLI offers the labels without importing the maps
+ADDITIONAL_MAP_LABELS = {
+    "6p0-to-5": (6, {"p": 0}),
+    "6pm1-to-4": (6, {"p": -1}),
+    "11a-to-11": (11, {}),
+    "13a-to-13": (13, {}),
+    "10-to-11": (10, {}),
+    "12-to-13": (12, {}),
+    "case8-out": (8, {}),
+}
 
 _T, _X, _U = sym("t"), sym("x"), sym("u")
 

@@ -21,7 +21,11 @@ not the checked ``tape(bindings)``: each holds one
 ``np.errstate(all="ignore")`` around the whole loop, the FD loop binds
 the (u_l, u_r) views of its float64 state and the RK4 march binds
 ``np.float64`` scalars, so each call skips the tape's per-call set-up
-and the bits are the same.
+and the bits are the same.  ``bind`` generates the core as straight-line
+code once per order and keeps it on the tape, where ``tape(bindings)``
+interprets the steps: the RK4 tape, kept per residual, generates its
+core once for all the integrations and shoots of that residual, and the
+interface tape of a solve pays one generation that its steps win back.
 """
 from __future__ import annotations
 

@@ -73,7 +73,7 @@ class JetResidual:
             return total, scale
 
         total, scale = sample_finite(
-            pieces, self.free_symbols(), seed, samples, need=samples, rounds=8,
+            pieces, terms.symbols, seed, samples, need=samples, rounds=8,
             ranges={**DEFAULT_JET_RANGES, **(ranges or {})})
         if total.size < max(1, samples // 2):
             raise SymmetryError(

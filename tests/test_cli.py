@@ -295,6 +295,14 @@ def test_byte_identical_output_for_same_seed(eq_file, capsys):
     assert first == second
 
 
+def test_an_unknown_map_lists_the_named_maps(eq_file, capsys):
+    from finsym.equivalence import ADDITIONAL_MAP_LABELS
+    assert main(["transform", "--eq", eq_file(CASE4), "--map", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --map: invalid choice: 'nope'" in err
+    assert all(label in err for label in ADDITIONAL_MAP_LABELS)
+
+
 def test_transform_output_round_trips_schema(eq_file, capsys):
     from finsym.model import equation_from_json
     src = {"D": {"family": "power_u", "n": 2},

@@ -274,6 +274,65 @@ def test_bind_checks_the_order_once():
                     np.float64(1.0)) == [3.0, 6.0]
 
 
+def _core_bits_match_run(run, order, values):
+    """Call ``run.bind(order)`` on ``values`` (one per name of ``order``)
+    and assert that each output has the bits of ``run``'s."""
+    core = run.bind(order)
+    with np.errstate(all="ignore"):
+        got = core(*values)
+    want = run(dict(zip(order, values)))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.broadcast_to(g, w.shape).tobytes() == w.tobytes()
+    return got
+
+
+def test_generated_core_takes_any_symbol_name():
+    # names are bound by position: none is written into the core's source,
+    # not even one that reads as a name of that source or is no identifier
+    names = ("u l", "1x", "a0", "r1", "c2", "f0", "x)+(")
+    u_l, one_x, a0, r1, c2, f0, bad = map(Sym, names)
+    exprs = (Add(Mul(u_l, one_x), Call("exp", Neg(a0))),
+             Div(Pow(r1, Num(-0.0)), Sub(c2, Call("ln", f0))),
+             Mul(bad, Num(float("nan"))))
+    run = compile_expressions(*exprs)
+    values = [np.float64(v) for v in (1.5, -0.0, 2.0, np.nan, 0.5, 3.0)]
+    values.append(np.linspace(-1.0, 1.0, 5))
+    order = names[::-1]  # parameters follow the order, not the tape
+    got = _core_bits_match_run(run, order, values[::-1])
+    assert got[0].shape == ()
+
+
+def test_generated_core_of_a_long_chained_sum():
+    # each partial sum reuses the one before, so the trees are walked
+    # shallowly; the core is 2,500 assignments, each on the previous one
+    x = Sym("x")
+    partials = [x]
+    for i in range(2500):
+        partials.append(Add(partials[-1], Num(i / 7)))
+    run = compile_expressions(*partials)
+    got = _core_bits_match_run(run, ("x",), [np.linspace(0.0, 1.0, 3)])
+    assert len(got) == 2501
+
+
+def test_generated_core_outputs():
+    # a bound symbol is returned as bound, a constant keeps its bits (a
+    # signed zero, a NaN) and is not broadcast, a repeated output is one
+    # object; bind keeps one core per order
+    nan = float("nan")
+    exprs = (parse("x"), Num(-0.0), Num(nan), Neg(Num(nan)), parse("x*y"),
+             parse("x*y"), parse("y"), parse("x"))
+    run = compile_expressions(*exprs)
+    xs = np.array([0.0, -0.0, np.nan, np.inf, -2.5])
+    got = _core_bits_match_run(run, ("y", "x"), [np.float64(-0.0), xs])
+    assert got[0] is xs and got[7] is xs and got[4] is got[5]
+    assert type(got[1]) is np.float64 and type(got[2]) is np.float64
+    assert type(got[6]) is np.float64
+    assert run.bind(("y", "x")) is run.bind(["y", "x"])
+    assert run.bind(("x", "y")) is not run.bind(("y", "x"))
+    assert run.symbols in (("x", "y"), ("y", "x"))
+
+
 def _one_by_one(*exprs):
     """Each expression through ``evaluate`` on its own, with the calling
     convention of a compiled tape."""

@@ -80,20 +80,25 @@ def test_an_unknown_name_is_an_attribute_error():
         finsym.solve
 
 
-#: prints, as the process exits, whether numpy was imported
+#: prints, as the process exits, the names of the modules it imported
 _REPORT = ("import atexit, sys\n"
-           "atexit.register(lambda: print('numpy' in sys.modules))\n")
+           "atexit.register(lambda: print(' '.join(sys.modules)))\n")
 
 
-def _numpy_loaded(code: str, *argv: str) -> bool:
-    """Run ``code`` in a fresh interpreter with ``argv``, and tell whether
-    numpy was imported by the time it ended; the code must exit 0."""
+def _loaded(code: str, *argv: str) -> set:
+    """Run ``code`` in a fresh interpreter with ``argv``, and return the
+    names of the modules imported by the time it ended; the code must
+    exit 0."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", _REPORT + code, *argv],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _numpy_loaded(code: str, *argv: str) -> bool:
+    return "numpy" in _loaded(code, *argv)
 
 
 _CLI = ("import runpy\n"
@@ -117,7 +122,20 @@ def test_import_and_help_skip_numpy():
     ["reduce", "--sub", "1", "--json"],
 ])
 def test_symbolic_subcommands_skip_numpy(argv, case4_file):
-    assert not _numpy_loaded(_CLI, argv[0], "--eq", case4_file, *argv[1:])
+    loaded = _loaded(_CLI, argv[0], "--eq", case4_file, *argv[1:])
+    assert "numpy" not in loaded
+    # only transform needs the equivalence maps
+    assert "finsym.classify" in loaded
+    assert "finsym.equivalence" not in loaded
+
+
+def test_transform_loads_equivalence(tmp_path):
+    path = tmp_path / "case10.json"
+    path.write_text(json.dumps({"D": {"family": "power_u", "n": 2},
+                                "h": {"family": "constant", "c": 1}}))
+    loaded = _loaded(_CLI, "transform", "--eq", str(path), "--map",
+                     "10-to-11")
+    assert "finsym.equivalence" in loaded
 
 
 @pytest.mark.parametrize("argv", [

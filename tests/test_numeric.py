@@ -367,6 +367,35 @@ def test_shoot_reduced_ode_recovers_exact_slope():
     assert phis[-1] == pytest.approx(2.0 ** 6 / 225.0, rel=1e-8)
 
 
+def test_rk4_core_is_generated_once_per_residual(monkeypatch):
+    # the RK4 tape is kept per residual and its core per order, so two
+    # integrations and a shoot on one residual generate code once
+    from finsym import expressions
+    from finsym.numeric import (
+        _rk4_step, integrate_reduced_ode, shoot_reduced_ode,
+    )
+
+    generated = []
+    real = expressions._straight_line
+
+    def counting(*args):
+        generated.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expressions, "_straight_line", counting)
+    _rk4_step.cache_clear()
+    r = build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1})
+    w0 = r.slice_range[0]
+    phi0 = w0 ** 6 / 225.0
+    first = integrate_reduced_ode(r, phi0, 0.01, 2.0, steps=50)
+    again = integrate_reduced_ode(r, phi0, 0.01, 2.0, steps=50)
+    shoot_reduced_ode(r, phi0, 2.0, 2.0 ** 6 / 225.0,
+                      slope_bracket=(0.0, 0.01), steps=50)
+    assert len(generated) == 1
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
+
+
 def _reference_rk4(reduction, phi0, dphi0, w_end, steps):
     """Classical RK4 in Python floats, each stage solving the residual for
     phi_ww as (-b)/a; ``evaluate`` gives the bits of the compiled tape."""
