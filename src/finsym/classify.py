@@ -19,8 +19,8 @@ from .expressions import (
     evaluate, mul, neg, num, pow_, sample_bindings, sym,
 )
 from .model import (
-    D_T, D_X, DShape, FinEquation, FreeD, FreeH, HShape, VectorField,
-    _num_out, h1_expression, is_four_thirds,
+    D_T, D_X, DShape, FinEquation, HShape, VectorField, _num_out,
+    h1_expression, is_four_thirds,
 )
 
 __all__ = [
@@ -172,10 +172,9 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
 def spec_shape(spec, seed: int = 42) -> DShape | HShape:
     """The normalized shape of a D or h spec: read off a tagged family, or
     fitted on seeded samples for a free-form expression."""
-    if isinstance(spec, FreeD):
-        return fit_d_shape(spec.expr, seed)
-    if isinstance(spec, FreeH):
-        return fit_h_shape(spec.expr, seed)
+    if spec.family == "free":
+        fit = fit_d_shape if spec.var == "u" else fit_h_shape
+        return fit(spec.params[0], seed)
     return spec.shape()
 
 

@@ -1,17 +1,18 @@
 """Core data model for equations u_t = (D(u) u_x)_x + h(x) u.
 
-Coefficient specs are tagged families (plus free-form expressions), so the
-classifier can branch on structure instead of re-deriving it.  All values
-are immutable.  A :class:`FinEquation` checks its own membership in the
-class (:func:`validate`) when it is constructed, so every equation that
-exists is valid and no function taking one checks it again.
+A coefficient spec is a family of one table with its parameters (or a
+free-form expression), so the classifier can branch on structure instead
+of re-deriving it.  All values are immutable.  A :class:`FinEquation`
+checks its own membership in the class (:func:`validate`) when it is
+constructed, so every equation that exists is valid and no function
+taking one checks it again.
 """
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields
-from typing import Union
+from collections import namedtuple
+from dataclasses import dataclass
 
 from .expressions import (
     Expression, Num, _close, add, call, compile_expressions,
@@ -22,7 +23,7 @@ from .expressions import (
 __all__ = [
     "PowerU", "ShiftedPowerU", "ExpU", "ReciprocalShift", "FreeD",
     "PowerX", "ExpX", "InverseSquareX", "ConstantH", "H1", "FreeH",
-    "DShape", "HShape", "DSpec", "HSpec", "FinEquation", "VectorField",
+    "DShape", "HShape", "Spec", "FinEquation", "VectorField",
     "Solution", "pde_residual_expression",
     "validate", "is_four_thirds", "h1_expression",
     "spec_to_json", "spec_from_json", "equation_to_json", "equation_from_json",
@@ -100,139 +101,37 @@ class HShape:
 
 
 # ---------------------------------------------------------------------------
-# diffusion coefficient specs (functions of u)
+# coefficient specs: a tagged family and its parameters, or an expression
 
 
 @dataclass(frozen=True)
-class PowerU:
-    """D = u^n, n != 0."""
-    n: float
+class Spec:
+    """A diffusion coefficient D (``var`` "u") or source profile h ("x").
 
-    family = "power_u"
-
-    def expression(self) -> Expression:
-        return pow_(_U, num(self.n))
-
-    def shape(self) -> DShape:
-        return DShape("power", n=self.n)
-
-
-@dataclass(frozen=True)
-class ShiftedPowerU:
-    """D = (u + alpha)^n with alpha in {0, 1}, n != 0."""
-    n: float
-    alpha: float
-
-    family = "shifted_power_u"
+    A tagged spec holds the JSON tag of a family in :data:`_FAMILIES` and
+    that family's parameters in order; a free-form spec has the family
+    "free" and its expression as the one parameter.  The functions
+    ``PowerU`` ... ``FreeH`` make them.  Families keep their tags, so
+    ``PowerU(2) != ShiftedPowerU(2, 0)``; :func:`equations_equal` compares
+    shapes instead.
+    """
+    var: str
+    family: str
+    params: tuple
 
     def expression(self) -> Expression:
-        return pow_(add(_U, num(self.alpha)), num(self.n))
+        if self.family == "free":
+            return self.params[0]
+        return _FAMILIES[self.family].build(*self.params)
 
-    def shape(self) -> DShape:
-        if self.alpha == 0:
-            return DShape("power", n=self.n)
-        return DShape("shifted", n=self.n, beta=float(self.alpha))
-
-
-@dataclass(frozen=True)
-class ExpU:
-    """D = e^u."""
-
-    family = "exp_u"
-
-    def expression(self) -> Expression:
-        return call("exp", _U)
-
-    def shape(self) -> DShape:
-        return DShape("exp", k=1.0)
+    def shape(self) -> DShape | HShape:
+        """The shape of a tagged family; a free-form spec's is fitted by
+        :func:`finsym.classify.spec_shape`."""
+        return _FAMILIES[self.family].shape(*self.params)
 
 
-@dataclass(frozen=True)
-class ReciprocalShift:
-    """D = (u + 1)^(-1)."""
-
-    family = "reciprocal_shift"
-
-    def expression(self) -> Expression:
-        return pow_(add(_U, ONE), num(-1))
-
-    def shape(self) -> DShape:
-        return DShape("shifted", n=-1.0, beta=1.0)
-
-
-@dataclass(frozen=True)
-class FreeD:
-    """Free-form D given as an expression in u."""
-    expr: Expression
-
-    family = "free"
-
-    def expression(self) -> Expression:
-        return self.expr
-
-
-# ---------------------------------------------------------------------------
-# source profile specs (functions of x)
-
-
-@dataclass(frozen=True)
-class PowerX:
-    """h = eps * x^q with eps = +-1."""
-    q: float
-    eps: int
-
-    family = "power_x"
-
-    def expression(self) -> Expression:
-        body = pow_(_X, num(self.q))
-        return body if self.eps > 0 else neg(body)
-
-    def shape(self) -> HShape:
-        if self.q == 0:
-            return HShape("const", coeff=float(self.eps))
-        return HShape("power", coeff=float(self.eps), q=self.q)
-
-
-@dataclass(frozen=True)
-class ExpX:
-    """h = eps * e^x."""
-    eps: int
-
-    family = "exp_x"
-
-    def expression(self) -> Expression:
-        body = call("exp", _X)
-        return body if self.eps > 0 else neg(body)
-
-    def shape(self) -> HShape:
-        return HShape("exp", coeff=float(self.eps), k=1.0)
-
-
-@dataclass(frozen=True)
-class InverseSquareX:
-    """h = x^(-2)."""
-
-    family = "inverse_square_x"
-
-    def expression(self) -> Expression:
-        return pow_(_X, num(-2))
-
-    def shape(self) -> HShape:
-        return HShape("power", coeff=1.0, q=-2.0)
-
-
-@dataclass(frozen=True)
-class ConstantH:
-    """h = c, any constant including 0."""
-    c: float
-
-    family = "constant"
-
-    def expression(self) -> Expression:
-        return num(self.c)
-
-    def shape(self) -> HShape:
-        return HShape("zero") if self.c == 0 else HShape("const", coeff=self.c)
+def _signed(eps: int, body: Expression) -> Expression:
+    return body if eps > 0 else neg(body)
 
 
 def h1_expression(p: int, q: float, eps: int, var: Expression | None = None
@@ -251,47 +150,130 @@ def h1_expression(p: int, q: float, eps: int, var: Expression | None = None
         body = call("exp", mul(num(q), call("arctan", x)))
     else:
         raise ModelError(f"p must be in {{-1, 0, 1}}, got {p}")
-    return body if eps > 0 else neg(body)
+    return _signed(eps, body)
 
 
-@dataclass(frozen=True)
-class H1:
-    """h = h1(x; p, q, eps), the profile with (x^2+p) h' = q h."""
-    p: int
-    q: float
-    eps: int
-
-    family = "h1"
-
-    def expression(self) -> Expression:
-        return h1_expression(self.p, self.q, self.eps)
-
-    def shape(self) -> HShape:
-        return HShape("h1", coeff=float(self.eps), q=self.q, p=self.p)
+def _power_rule(n: float, alpha: float = 0):
+    if n == 0:
+        raise LinearCaseError("power diffusion requires n != 0")
+    if alpha not in (0, 1):
+        raise SpecKindError("shift alpha must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class FreeH:
-    """Free-form h given as an expression in x."""
-    expr: Expression
-
-    family = "free"
-
-    def expression(self) -> Expression:
-        return self.expr
+def _sign_rule(*params):
+    """eps, the last parameter of power_x and exp_x, is +-1."""
+    if params[-1] not in (-1, 1):
+        raise SpecKindError("eps must be +-1")
 
 
-DSpec = Union[PowerU, ShiftedPowerU, ExpU, ReciprocalShift, FreeD]
-HSpec = Union[PowerX, ExpX, InverseSquareX, ConstantH, H1, FreeH]
+def _h1_rule(p: int, q: float, eps: int):
+    if q == 0:
+        raise SpecKindError("h1 profile requires q != 0")
+    if p not in (-1, 0, 1):
+        raise SpecKindError("h1 profile requires p in {-1, 0, 1}")
+    if eps not in (-1, 1):
+        raise SpecKindError("h1 profile requires eps = +-1")
 
-#: the tagged families of D ('u') and h ('x') by their JSON "family" tag
+
+#: a row of :data:`_FAMILIES`: the variable ("u" for a D family, "x" for an
+#: h family), the parameters in order, each with its type (int: a whole
+#: number), and functions of the parameters that build the expression,
+#: give the shape and raise for parameters outside the family (no rule:
+#: every value is in it)
+_Family = namedtuple("_Family", "var params build shape rule",
+                     defaults=(None,))
+
+#: the tagged families by their JSON "family" tag
 _FAMILIES = {
-    "u": {c.family: c for c in (PowerU, ShiftedPowerU, ExpU, ReciprocalShift)},
-    "x": {c.family: c for c in (PowerX, ExpX, InverseSquareX, ConstantH, H1)},
+    "power_u": _Family(
+        "u", {"n": float}, lambda n: pow_(_U, num(n)),
+        lambda n: DShape("power", n=n), _power_rule),
+    "shifted_power_u": _Family(
+        "u", {"n": float, "alpha": float},
+        lambda n, alpha: pow_(add(_U, num(alpha)), num(n)),
+        lambda n, alpha: (DShape("power", n=n) if alpha == 0
+                          else DShape("shifted", n=n, beta=float(alpha))),
+        _power_rule),
+    "exp_u": _Family(
+        "u", {}, lambda: call("exp", _U), lambda: DShape("exp", k=1.0)),
+    "reciprocal_shift": _Family(
+        "u", {}, lambda: pow_(add(_U, ONE), num(-1)),
+        lambda: DShape("shifted", n=-1.0, beta=1.0)),
+    "power_x": _Family(
+        "x", {"q": float, "eps": int},
+        lambda q, eps: _signed(eps, pow_(_X, num(q))),
+        lambda q, eps: (HShape("const", coeff=float(eps)) if q == 0
+                        else HShape("power", coeff=float(eps), q=q)),
+        _sign_rule),
+    "exp_x": _Family(
+        "x", {"eps": int}, lambda eps: _signed(eps, call("exp", _X)),
+        lambda eps: HShape("exp", coeff=float(eps), k=1.0), _sign_rule),
+    "inverse_square_x": _Family(
+        "x", {}, lambda: pow_(_X, num(-2)),
+        lambda: HShape("power", coeff=1.0, q=-2.0)),
+    "constant": _Family(
+        "x", {"c": float}, num,
+        lambda c: HShape("zero") if c == 0 else HShape("const", coeff=c)),
+    "h1": _Family(
+        "x", {"p": int, "q": float, "eps": int}, h1_expression,
+        lambda p, q, eps: HShape("h1", coeff=float(eps), q=q, p=p),
+        _h1_rule),
 }
-_FREE = {"u": FreeD, "x": FreeH}
-_D_KINDS = (*_FAMILIES["u"].values(), FreeD)
-_H_KINDS = (*_FAMILIES["x"].values(), FreeH)
+
+
+def PowerU(n: float) -> Spec:
+    """D = u^n, n != 0."""
+    return Spec("u", "power_u", (n,))
+
+
+def ShiftedPowerU(n: float, alpha: float) -> Spec:
+    """D = (u + alpha)^n with alpha in {0, 1}, n != 0."""
+    return Spec("u", "shifted_power_u", (n, alpha))
+
+
+def ExpU() -> Spec:
+    """D = e^u."""
+    return Spec("u", "exp_u", ())
+
+
+def ReciprocalShift() -> Spec:
+    """D = (u + 1)^(-1)."""
+    return Spec("u", "reciprocal_shift", ())
+
+
+def FreeD(expr: Expression) -> Spec:
+    """Free-form D given as an expression in u."""
+    return Spec("u", "free", (expr,))
+
+
+def PowerX(q: float, eps: int) -> Spec:
+    """h = eps * x^q with eps = +-1."""
+    return Spec("x", "power_x", (q, eps))
+
+
+def ExpX(eps: int) -> Spec:
+    """h = eps * e^x."""
+    return Spec("x", "exp_x", (eps,))
+
+
+def InverseSquareX() -> Spec:
+    """h = x^(-2)."""
+    return Spec("x", "inverse_square_x", ())
+
+
+def ConstantH(c: float) -> Spec:
+    """h = c, any constant including 0."""
+    return Spec("x", "constant", (c,))
+
+
+def H1(p: int, q: float, eps: int) -> Spec:
+    """h = h1(x; p, q, eps), the profile with (x^2+p) h' = q h."""
+    return Spec("x", "h1", (p, q, eps))
+
+
+def FreeH(expr: Expression) -> Spec:
+    """Free-form h given as an expression in x."""
+    return Spec("x", "free", (expr,))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +287,8 @@ class FinEquation:
     Construction (``dataclasses.replace`` included) runs :func:`validate`
     and raises its exception for a spec outside the class.
     """
-    D: DSpec
-    h: HSpec
+    D: Spec
+    h: Spec
 
     def __post_init__(self):
         validate(self)
@@ -409,29 +391,18 @@ def validate(eq: FinEquation) -> FinEquation:
     specs may involve only their own variable.  Idempotent;
     :class:`FinEquation` runs it on construction, so callers need not.
     """
-    if not isinstance(eq.D, _D_KINDS):
-        raise SpecKindError(f"not a diffusion spec: {eq.D!r}")
-    if not isinstance(eq.h, _H_KINDS):
-        raise SpecKindError(f"not a source spec: {eq.h!r}")
+    for spec, var, what in ((eq.D, "u", "diffusion"), (eq.h, "x", "source")):
+        if not isinstance(spec, Spec) or spec.var != var:
+            raise SpecKindError(f"not a {what} spec: {spec!r}")
+    for spec in (eq.D, eq.h):
+        rule = spec.family != "free" and _FAMILIES[spec.family].rule
+        if rule:
+            rule(*spec.params)
 
-    if isinstance(eq.D, (PowerU, ShiftedPowerU)) and eq.D.n == 0:
-        raise LinearCaseError("power diffusion requires n != 0")
-    if isinstance(eq.D, ShiftedPowerU) and eq.D.alpha not in (0.0, 1.0, 0, 1):
-        raise SpecKindError("shift alpha must be 0 or 1")
-    if isinstance(eq.h, H1):
-        if eq.h.q == 0:
-            raise SpecKindError("h1 profile requires q != 0")
-        if eq.h.p not in (-1, 0, 1):
-            raise SpecKindError("h1 profile requires p in {-1, 0, 1}")
-        if eq.h.eps not in (-1, 1):
-            raise SpecKindError("h1 profile requires eps = +-1")
-    if isinstance(eq.h, (PowerX, ExpX)) and eq.h.eps not in (-1, 1):
-        raise SpecKindError("eps must be +-1")
-
-    if isinstance(eq.D, FreeD):
-        _free_symbol_check(eq.D.expr, {"u"}, "free D")
-        slope_and_value = compile_expressions(
-            differentiate(eq.D.expr, "u"), eq.D.expr)
+    if eq.D.family == "free":
+        (d,) = eq.D.params
+        _free_symbol_check(d, {"u"}, "free D")
+        slope_and_value = compile_expressions(differentiate(d, "u"), d)
         dv, v = sample_finite(slope_and_value, ("u",), 0, 20, need=20,
                               rounds=1)
         if dv.size == 0:
@@ -440,8 +411,8 @@ def validate(eq: FinEquation) -> FinEquation:
         if float(abs(dv).max()) <= 1e-12 * scale:
             raise LinearCaseError(
                 "linear case excluded: D does not depend on u")
-    if isinstance(eq.h, FreeH):
-        _free_symbol_check(eq.h.expr, {"x"}, "free h")
+    if eq.h.family == "free":
+        _free_symbol_check(eq.h.params[0], {"x"}, "free h")
     return eq
 
 
@@ -454,13 +425,14 @@ def _num_out(v: float):
     return int(f) if f == int(f) and abs(f) < 1e15 else f
 
 
-def spec_to_json(spec) -> dict:
-    if isinstance(spec, (FreeD, FreeH)):
-        return {"expr": to_string(spec.expr)}
-    if not isinstance(spec, _D_KINDS + _H_KINDS):
+def spec_to_json(spec: Spec) -> dict:
+    if not isinstance(spec, Spec):
         raise SchemaError(f"not a coefficient spec: {spec!r}")
+    if spec.family == "free":
+        return {"expr": to_string(spec.params[0])}
+    names = _FAMILIES[spec.family].params
     return {"family": spec.family,
-            **{name: _num_out(v) for name, v in vars(spec).items()}}
+            **{name: _num_out(v) for name, v in zip(names, spec.params)}}
 
 
 def _require_keys(obj: dict, required: set, what: str):
@@ -481,7 +453,7 @@ def _number(value, name: str, integral: bool = False):
     return int(value) if integral else float(value)
 
 
-def spec_from_json(obj: dict, kind: str):
+def spec_from_json(obj: dict, kind: str) -> Spec:
     """Decode a D ('u') or h ('x') spec; unknown keys and malformed
     parameters are rejected."""
     if not isinstance(obj, dict):
@@ -490,15 +462,15 @@ def spec_from_json(obj: dict, kind: str):
         _require_keys(obj, {"expr"}, "free spec")
         if not isinstance(obj["expr"], str):
             raise SchemaError("free spec: 'expr' must be a string")
-        return _FREE[kind](parse(obj["expr"]))
+        return Spec(kind, "free", (parse(obj["expr"]),))
     family = obj.get("family")
-    cls = _FAMILIES[kind].get(family) if isinstance(family, str) else None
-    if cls is None:
+    row = _FAMILIES.get(family) if isinstance(family, str) else None
+    if row is None or row.var != kind:
         raise SchemaError(f"unknown {kind}-spec family: {family!r}")
-    params = fields(cls)
-    _require_keys(obj, {"family", *(f.name for f in params)}, family)
-    return cls(*(_number(obj[f.name], f"{family}.{f.name}", f.type == "int")
-                 for f in params))
+    _require_keys(obj, {"family", *row.params}, family)
+    return Spec(kind, family, tuple(
+        _number(obj[name], f"{family}.{name}", number is int)
+        for name, number in row.params.items()))
 
 
 def equation_to_json(eq: FinEquation) -> dict:

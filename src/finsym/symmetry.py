@@ -53,12 +53,6 @@ class JetResidual:
             total = add(total, term)
         return total
 
-    def free_symbols(self):
-        out = set()
-        for term in self.terms:
-            out |= set(term.free_symbols())
-        return sorted(out)
-
     def max_relative(self, seed: int = 42, samples: int = 50,
                      ranges=None) -> float:
         """Largest |sum of pieces| / (1 + sum |pieces|) over jet samples."""

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import finsym.model
-from finsym.classify import classify
+from finsym.classify import classify, fit_d_shape, fit_h_shape
 from finsym.conservation import AntiderivativeError, conservation_laws
 from finsym.equivalence import apply_to_equation, make_group_element
 from finsym.expressions import parse, sample_finite
@@ -12,7 +12,7 @@ from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
     LinearCaseError, PowerU, PowerX, ReciprocalShift, SchemaError,
     ShiftedPowerU, Solution, SpecKindError, VectorField, equation_from_json,
-    equation_to_json, equations_equal, validate,
+    equation_to_json, equations_equal, shapes_match, validate,
 )
 from finsym.symmetry import prolonged_residual
 
@@ -60,6 +60,16 @@ def test_construction_validates():
     eq = FinEquation(PowerU(2), ConstantH(1))
     with pytest.raises(LinearCaseError):
         dataclasses.replace(eq, D=PowerU(0))
+    # a spec in the other coefficient's slot
+    with pytest.raises(SpecKindError):
+        FinEquation(PowerU(2), PowerU(2))
+    with pytest.raises(SpecKindError):
+        FinEquation(FreeH(parse("x")), ConstantH(1))
+    with pytest.raises(SpecKindError):
+        FinEquation(PowerU(2), FreeD(parse("u^2")))
+    # the slots are checked before the family rules
+    with pytest.raises(SpecKindError):
+        FinEquation(PowerU(0), PowerU(2))
 
 
 def test_free_d_is_probed_once(monkeypatch):
@@ -205,6 +215,33 @@ def test_solution_bind():
     assert "C" not in bound.expr.free_symbols()
     with pytest.raises(Exception):
         s.bind(K=1)
+
+
+def test_spec_equality_and_hashing():
+    assert PowerU(2) == PowerU(2.0)
+    assert hash(PowerU(2)) == hash(PowerU(2.0))
+    # families keep their tags; equations_equal compares shapes
+    assert PowerU(2) != ShiftedPowerU(2, 0)
+    assert ReciprocalShift() != ShiftedPowerU(-1, 1)
+    assert equations_equal(FinEquation(ReciprocalShift(), ConstantH(1)),
+                           FinEquation(ShiftedPowerU(-1, 1), ConstantH(1)))
+    assert FreeD(parse("u")) != FreeH(parse("u"))
+
+
+TAGGED_SPECS = [
+    PowerU(2), PowerU(-4 / 3), ShiftedPowerU(3, 0), ShiftedPowerU(-1.5, 1),
+    ExpU(), ReciprocalShift(), PowerX(3, 1), PowerX(0.5, -1), PowerX(0, -1),
+    ExpX(1), ExpX(-1), InverseSquareX(), ConstantH(2.5), ConstantH(0),
+    H1(-1, 3, 1), H1(0, 2, -1), H1(1, 1.5, 1), H1(1, -2, -1),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", TAGGED_SPECS,
+    ids=lambda s: "-".join([s.family, *map(str, s.params)]))
+def test_family_shape_matches_the_fit_of_its_expression(spec):
+    fit = fit_d_shape if spec.var == "u" else fit_h_shape
+    assert shapes_match(spec.shape(), fit(spec.expression()), 1e-9)
 
 
 def test_equations_equal_across_representations():
