@@ -308,6 +308,9 @@ def main(argv=None) -> int:
     except (ModelError, ExpressionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
     except RuntimeError as exc:
         # a NumericError; numeric is imported here only to tell, so the
         # subcommands that never run it never import it

@@ -23,7 +23,7 @@ __all__ = [
     "ZERO", "ONE", "FUNCTIONS", "DEFAULT_SAMPLING_RANGES",
     "parse", "to_string", "differentiate", "evaluate", "compile_expressions",
     "substitute", "equivalent",
-    "sample_bindings", "sample_finite",
+    "sample_bindings", "sample_finite", "max_relative",
     "ExpressionError", "ParseError", "UnknownFunctionError",
     "UnboundSymbolError", "NoAdmissibleSampleError",
 ]
@@ -37,8 +37,6 @@ FUNCTIONS = tuple(_UFUNCS)
 #: singular sets x = 0, u = 0 of the coefficient families.
 DEFAULT_SAMPLING_RANGES = {"t": (0.1, 2.0), "x": (0.5, 3.0), "u": (0.5, 3.0)}
 _FALLBACK_RANGE = (0.5, 3.0)
-#: points at which :func:`equivalent` compares the two sides
-_TRIALS = 50
 
 
 class ExpressionError(Exception):
@@ -767,46 +765,60 @@ def sample_bindings(symbols, rng, count: int, ranges=None):
             for s, (lo, hi) in sorted(resolved.items())}
 
 
-def sample_finite(fn, symbols, seed: int, count: int, need: int,
-                  rounds: int, ranges=None):
-    """Seeded sampling kernel of the randomized zero tests.
+def sample_finite(fn, symbols, seed: int, count: int, ranges=None):
+    """Seeded sampling policy of every randomized zero test.
 
-    Draws up to ``rounds`` rounds of ``count`` points from
+    Draws rounds of ``count`` points, at most ten, from
     ``default_rng(seed)`` with :func:`sample_bindings`, and calls ``fn`` on
-    each round's bindings; ``fn`` returns two arrays of shape ``(count,)``
-    (two scalars, one point a round, when ``symbols`` is empty).
+    each round's bindings; ``fn`` returns two arrays of shape ``(count,)``.
     Keeps, in draw order, the points where both are finite, and stops after
-    the round that brings the points kept to ``need``.  Returns the two
+    the round that brings the points kept to ``count``.  Returns the two
     arrays at the kept points, empty when no point was finite.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     kept_a, kept_b = [], []
-    for _ in range(rounds):
+    for _ in range(10):
         a, b = fn(sample_bindings(symbols, rng, count, ranges))
         finite = np.isfinite(a) & np.isfinite(b)
         kept_a.append(a[finite])
         kept_b.append(b[finite])
-        need -= int(np.count_nonzero(finite))
-        if need <= 0:
+        if sum(kept.size for kept in kept_a) >= count:
             break
     return np.concatenate(kept_a), np.concatenate(kept_b)
 
 
+def max_relative(terms, seed: int, count: int, ranges=None):
+    """The relative zero test of a sum of pieces: the largest
+    ``|sum of pieces| / (1 + sum |pieces|)`` over the points
+    :func:`sample_finite` keeps, and how many it kept (NaN and 0 for none).
+    """
+    import numpy as np
+
+    pieces = compile_expressions(*terms)
+
+    def total_and_scale(bindings):
+        total, scale = np.zeros(count), np.ones(count)
+        for v in pieces(bindings):
+            total, scale = total + v, scale + np.abs(v)
+        return total, scale
+
+    total, scale = sample_finite(total_and_scale, pieces.symbols, seed, count,
+                                 ranges)
+    if total.size == 0:
+        return math.nan, 0
+    return float(np.max(np.abs(total) / scale)), total.size
+
+
 def equivalent(a: Expression, b: Expression, seed: int = 0,
                tol: float = 1e-9, ranges=None) -> bool:
-    """Randomized equality test: ``|a-b| <= tol*(1+|a|+|b|)`` at the first
-    50 sampled points where both sides are finite.
-
-    Sampling is seeded and reproducible.  Points where either side is
-    non-finite are resampled a bounded number of times; if no admissible
-    point is ever found, :class:`NoAdmissibleSampleError` is raised.
+    """Seeded randomized equality test: ``|a-b| / (1+|a|+|b|) <= tol`` at
+    every point :func:`max_relative` keeps on the pieces ``(a, -b)`` in
+    rounds of 200; :class:`NoAdmissibleSampleError` when it keeps none.
     """
-    sides = compile_expressions(a, b)
-    va, vb = sample_finite(sides, sides.symbols, seed, 4 * _TRIALS,
-                           need=_TRIALS, rounds=10, ranges=ranges)
-    if va.size == 0:
+    worst, kept = max_relative((a, neg(b)), seed, 200, ranges)
+    if not kept:
         raise NoAdmissibleSampleError(
             "no admissible sample: all trials hit non-finite values")
-    return bool(_close(va[:_TRIALS], vb[:_TRIALS], tol).all())
+    return worst <= tol

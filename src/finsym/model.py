@@ -386,8 +386,8 @@ def _free_symbol_check(expr: Expression, allowed: set, what: str):
 def validate(eq: FinEquation) -> FinEquation:
     """Check kinds, parameter constraints and nonlinearity; return eq.
 
-    Free D specs are tested for constancy by sampling dD/du at 20 points
-    drawn at seed 0; a constant D means the excluded linear case.  Free
+    Free D specs are tested for constancy by sampling dD/du in rounds of 20
+    points at seed 0; a constant D means the excluded linear case.  Free
     specs may involve only their own variable.  Idempotent;
     :class:`FinEquation` runs it on construction, so callers need not.
     """
@@ -403,8 +403,7 @@ def validate(eq: FinEquation) -> FinEquation:
         (d,) = eq.D.params
         _free_symbol_check(d, {"u"}, "free D")
         slope_and_value = compile_expressions(differentiate(d, "u"), d)
-        dv, v = sample_finite(slope_and_value, ("u",), 0, 20, need=20,
-                              rounds=1)
+        dv, v = sample_finite(slope_and_value, ("u",), 0, 20)
         if dv.size == 0:
             raise SpecKindError("free D not evaluable on the sampling range")
         scale = 1.0 + float(abs(v).max())

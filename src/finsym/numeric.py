@@ -468,7 +468,6 @@ def pde_residual_grid(eq: FinEquation, s: Solution, region, samples: int = 100,
         return r, 1.0 + np.abs(u_t) + np.abs(hu)
 
     r, scale = sample_finite(residual, ("t", "x"), seed, samples,
-                             need=samples, rounds=8,
                              ranges={"t": (t0, t1), "x": (x0, x1)})
     if r.size == 0:
         raise NumericError("all residual samples were non-finite")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .classify import classify
 from .expressions import (
     Expression, add, call, compile_expressions, differentiate, div, evaluate,
-    mul, neg, num, pow_, sub, substitute, sym, to_string,
+    mul, neg, num, pow_, sample_bindings, sub, substitute, sym, to_string,
 )
 from .model import (
     FOUR_THIRDS, ExpX, FinEquation, FreeH, H1, ModelError, PowerU, PowerX,
@@ -372,7 +372,8 @@ def verify_reduction(eq: FinEquation, r: Reduction, seed: int = 42,
         raise ReductionError(
             "algebraic reduction: solve it and substitute instead")
     rng = np.random.default_rng(seed)
-    along = {r.slice_var: rng.uniform(*r.slice_range, size=n_points),
+    along = {**sample_bindings((r.slice_var,), rng, n_points,
+                               {r.slice_var: r.slice_range}),
              r.anchor[0]: np.full(n_points, r.anchor[1])}
     ws = evaluate(r.omega, along)
     residuals = compile_expressions(*_oracle_residuals(eq, r, _CUBIC))
@@ -444,7 +445,6 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
     r61 = build_reduction(6, "1", {"p": p, "q": q, "eps": eps})
     rng = np.random.default_rng(42)
     lo, hi = r61.slice_range
-    anchors = rng.uniform(lo, hi, size=4)
 
     subs = _jet(_CUBIC)
     y_of_w = substitute(red.y, subs)
@@ -455,7 +455,7 @@ def check_order_reduction_61(p: int, q: float, eps: int = 1
         substitute(r61.reduced, subs))
 
     worst = 0.0
-    for w0 in anchors:
+    for w0 in sample_bindings(("w",), rng, 4, {"w": (lo, hi)})["w"]:
         ref, spread = _ratio_spread(
             _ratios(along_cubic, {"w": w0}, rng, lo, hi, 5), 2)
         worst = max(worst, spread)

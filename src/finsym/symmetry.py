@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .expressions import (
-    DEFAULT_SAMPLING_RANGES, ONE, ZERO, Expression, Num, add,
-    compile_expressions, differentiate, div, mul, neg, sample_finite, sub,
-    substitute, sym,
+    DEFAULT_SAMPLING_RANGES, ONE, ZERO, Expression, Num, add, differentiate,
+    div, max_relative, mul, neg, sub, substitute, sym,
 )
 from .model import FinEquation, ModelError, VectorField
 
@@ -55,24 +52,13 @@ class JetResidual:
 
     def max_relative(self, seed: int = 42, samples: int = 50,
                      ranges=None) -> float:
-        """Largest |sum of pieces| / (1 + sum |pieces|) over jet samples."""
-        terms = compile_expressions(*self.terms)
-
-        def pieces(bindings):
-            total = np.zeros(samples)
-            scale = np.ones(samples)
-            for v in terms(bindings):
-                total = total + v
-                scale = scale + np.abs(v)
-            return total, scale
-
-        total, scale = sample_finite(
-            pieces, terms.symbols, seed, samples, need=samples, rounds=8,
-            ranges={**DEFAULT_JET_RANGES, **(ranges or {})})
-        if total.size < max(1, samples // 2):
-            raise SymmetryError(
-                f"jet sampling found only {total.size} finite points")
-        return float(np.max(np.abs(total) / scale))
+        """:func:`finsym.expressions.max_relative` over jet samples; fewer
+        than ``samples // 2`` finite points raise :class:`SymmetryError`."""
+        worst, kept = max_relative(self.terms, seed, samples,
+                                   {**DEFAULT_JET_RANGES, **(ranges or {})})
+        if kept < max(1, samples // 2):
+            raise SymmetryError(f"jet sampling found only {kept} finite points")
+        return worst
 
 
 def _check_shapes(field: VectorField):

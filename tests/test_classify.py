@@ -173,6 +173,8 @@ def test_fit_shapes_directly():
     prof = fit_h_shape(parse("3*exp(-2/x)"))
     assert prof.kind == "h1"
     assert prof.p == 0 and prof.q == pytest.approx(2.0, rel=1e-8)
+    # ln(x-2.9) is finite on 4% of (0.5, 3): fewer than 8 of 50 samples
+    assert fit_h_shape(parse("ln(x-2.9)")).kind == "arbitrary"
     assert fit_h_shape(parse("x^2+x")).kind == "arbitrary"
     assert fit_d_shape(parse("u^2+1")).kind == "arbitrary"
 

@@ -243,6 +243,26 @@ def test_numeric_failure_exits_1(eq_file, capsys):
     assert captured.out == ""
 
 
+def test_deep_input_is_an_input_error(eq_file, capsys):
+    # the walks of a 1,199-term sum recurse past the interpreter's limit
+    deep = "+".join(f"x^{i}" for i in range(1, 1200))
+    assert main(["residual", "--eq", eq_file(CASE4), "--solution",
+                 deep]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: expression nested too deeply\n"
+    assert captured.out == ""
+
+
+def test_a_runtime_error_that_is_not_numeric_propagates(eq_file,
+                                                        monkeypatch):
+    def broken(args):
+        raise RuntimeError("not a numeric failure")
+
+    monkeypatch.setattr("finsym.cli._cmd_residual", broken)
+    with pytest.raises(RuntimeError, match="not a numeric failure"):
+        main(["residual", "--eq", eq_file(CASE4), "--solution", "x"])
+
+
 def test_simulate_has_no_json_flag(eq_file, capsys):
     assert main(["simulate", "--eq", eq_file(CASE4), *SIMULATE_ARGS,
                  "--json"]) == 2

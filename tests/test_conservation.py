@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from finsym.conservation import (
-    AntiderivativeError, conservation_laws, discrete_balance_error,
+    AntiderivativeError, ConservationError, conservation_laws, discrete_balance_error,
     divergence_residual,
 )
 from finsym.expressions import equivalent, neg, parse
@@ -37,6 +37,12 @@ def test_exponential_diffusion_zero_h_laws():
 
 def test_nonconstant_h_has_no_laws():
     assert conservation_laws(FinEquation(PowerU(2), FreeH(parse("x")))) == []
+
+
+def test_balance_needs_a_constant_h():
+    with pytest.raises(ConservationError, match="h is not constant"):
+        discrete_balance_error(FinEquation(PowerU(1), FreeH(parse("x"))),
+                               parse("1+x"), Grid(0.0, 1.0, 9, 0.01))
 
 
 def test_free_d_with_constant_h_unsupported():

@@ -5,7 +5,7 @@ import pytest
 
 from finsym.equivalence import (
     ComplexFieldOnlyError, ConditionError, DeltaConstraintError,
-    NoAdditionalMapError, OutsideClassReport, additional_equivalence,
+    EquivalenceError, NoAdditionalMapError, OutsideClassReport, additional_equivalence,
     apply_to_equation, make_group_element, map_by_label, push_forward_field,
     push_forward_solution,
 )
@@ -52,6 +52,27 @@ def test_delta_constraints():
         make_group_element("G2", (1, 0, 1, 0, 0, 1))
 
 
+@pytest.mark.parametrize("family,deltas,sign,message", [
+    ("Gsim", (1, 0, 1, 0), 1, "Gsim takes five constants"),
+    ("G2", (1, 0, 1, 0, 1), 1, "G2 takes six constants"),
+    ("G1", (1, 0, 0, 1, 1), 1, "G1 takes six constants"),
+    ("G1", (1, 0, 0, 1, 1, 0), 2, "sign must be"),
+    ("G3", (1, 0, 1, 0, 1, 0), 1, "G3 takes the five Gsim constants"),
+    ("G4", (1, 0, 1, 0, 1), 1, "unknown group family 'G4'"),
+])
+def test_make_group_element_refusals(family, deltas, sign, message):
+    eq = FinEquation(PowerU(2), ConstantH(1))
+    with pytest.raises(EquivalenceError, match=message):
+        make_group_element(family, deltas, sign=sign, eq=eq)
+
+
+def test_g3_has_no_closed_form_inverse_element():
+    T = make_group_element("G3", (1, 0, 1, 0, 1),
+                           eq=FinEquation(PowerU(2), ConstantH(1)))
+    with pytest.raises(EquivalenceError, match="no closed-form inverse"):
+        T.inverse()
+
+
 def test_condition_tags_enforced():
     T1 = make_group_element("G1", (1, 0, 0, 1, 1, 0))
     with pytest.raises(ConditionError):
@@ -64,6 +85,9 @@ def test_condition_tags_enforced():
                            eq=FinEquation(PowerU(2), PowerX(1, 1)))
     with pytest.raises(DeltaConstraintError):
         make_group_element("G3", (1, 0, 1, 0, 1))
+    with pytest.raises(ConditionError, match="G3 requires a power"):
+        make_group_element("G3", (1, 0, 1, 0, 1),
+                           eq=FinEquation(ExpU(), ConstantH(1)))
 
     # each condition is a shape match: near misses are refused, free-form
     # coefficients of the required shape accepted
@@ -213,6 +237,17 @@ def test_case8_map_reports_outside_class():
 def test_case6_p1_is_complex_only():
     with pytest.raises(ComplexFieldOnlyError):
         additional_equivalence(6, {"p": 1, "q": 1, "eps": 1})
+
+
+@pytest.mark.parametrize("case,params,error,message", [
+    (6, {"p": 0, "q": 0, "eps": 1}, EquivalenceError, "requires q != 0"),
+    (6, {"p": 2, "q": 1, "eps": 1}, EquivalenceError, "requires p in"),
+    (11, {"n": 2, "alpha": 0}, NoAdditionalMapError, "already in normal form"),
+    (8, {"eps": 2}, EquivalenceError, "case 8 requires eps"),
+])
+def test_additional_equivalence_refusals(case, params, error, message):
+    with pytest.raises(error, match=message):
+        additional_equivalence(case, params)
 
 
 def test_unknown_map_label():

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import finsym.expressions
 from finsym.expressions import (
     Add, Call, Div, Mul, Neg, Num, Pow, Sub, Sym,
-    NoAdmissibleSampleError, ParseError, UnboundSymbolError,
+    ExpressionError, NoAdmissibleSampleError, ParseError, UnboundSymbolError,
     UnknownFunctionError, add, call, compile_expressions, differentiate, div,
-    equivalent, evaluate, mul, parse, pow_, sub, substitute, sym, to_string,
+    equivalent, evaluate, max_relative, mul, neg, parse, pow_, sample_finite,
+    sub, substitute, sym, to_string,
 )
 
 _FUNCTIONS = {"exp": np.exp, "ln": np.log, "abs": np.abs,
@@ -390,6 +392,91 @@ def test_equivalent_symmetric_reflexive():
 def test_equivalent_no_admissible_sample():
     with pytest.raises(NoAdmissibleSampleError):
         equivalent(parse("ln(-1-x^2)"), parse("ln(-2-x^2)"), seed=11)
+    # one side finite everywhere, the other nowhere; and two constants
+    with pytest.raises(NoAdmissibleSampleError):
+        equivalent(parse("x"), parse("ln(-x)"), seed=0)
+    with pytest.raises(NoAdmissibleSampleError):
+        equivalent(parse("ln(-1)"), parse("ln(-1)"), seed=0)
+
+
+def test_equivalent_compares_every_point_it_evaluates():
+    # the two sides differ only on (2.95, 3), 2% of the x range: about 4
+    # of a round's 200 points, which the first 50 often miss
+    step = parse("x+(1+sign(x-2.95))/2")
+    for seed in range(12):
+        assert not equivalent(parse("x"), step, seed=seed)
+
+
+def test_sample_finite_draws_at_most_ten_rounds():
+    rounds = []
+
+    def never_finite(bindings):
+        rounds.append(bindings["x"].shape)
+        return np.full(7, np.nan), np.zeros(7)
+
+    a, b = sample_finite(never_finite, ("x",), 0, 7)
+    assert rounds == [(7,)] * 10
+    assert a.shape == b.shape == (0,)
+
+    def finite_above_2(bindings):
+        rounds.append(bindings["x"].shape)
+        x = bindings["x"]
+        return np.where(x > 2.0, x, np.inf), x
+
+    rounds.clear()
+    a, b = sample_finite(finite_above_2, ("x",), 0, 7)
+    # rounds are drawn until 7 points are kept, and all kept are returned
+    assert 1 < len(rounds) < 10
+    assert a.size >= 7 and np.all(a > 2.0) and np.array_equal(a, b)
+
+
+def test_max_relative_is_the_relative_zero_test_of_the_pieces():
+    x = parse("x")
+    assert max_relative((x, neg(x)), 0, 50) == (0.0, 50)
+    # no symbols: one round, broadcast to the count; |1| / (1 + |1|)
+    assert max_relative((Num(1.0),), 0, 4) == (0.5, 4)
+    worst, kept = max_relative((parse("ln(-x)"),), 0, 5)
+    assert math.isnan(worst) and kept == 0
+    # 2x against x: |x| / (1 + 3|x|) is largest at the top of (0.5, 3)
+    worst, kept = max_relative((parse("2*x"), neg(x)), 0, 200)
+    assert kept == 200 and 0.29 < worst < 3 / 10
+
+
+def test_equivalent_runs_the_relative_kernel(monkeypatch):
+    calls = []
+
+    def counting(terms, *args):
+        calls.append(terms)
+        return max_relative(terms, *args)
+
+    monkeypatch.setattr(finsym.expressions, "max_relative", counting)
+    a, b = parse("x^2+1"), parse("(x+1)^2-2*x")
+    assert equivalent(a, b, seed=9)
+    assert calls == [(a, neg(b))]
+
+
+def test_unknown_functions_are_refused():
+    with pytest.raises(ExpressionError, match="unknown function 'sin'"):
+        call("sin", sym("x"))
+    # a raw node, built past the smart constructor
+    with pytest.raises(ExpressionError, match="unknown function 'sin'"):
+        compile_expressions(Call("sin", sym("x")))
+
+
+@pytest.mark.parametrize("walk", [
+    to_string, lambda e: differentiate(e, "x"), lambda e: substitute(e, {}),
+    compile_expressions,
+], ids=["to_string", "differentiate", "substitute", "compile_expressions"])
+def test_walks_refuse_a_non_expression(walk):
+    with pytest.raises(TypeError, match="not an expression: 3"):
+        walk(3)
+
+
+def test_deep_input_raises_recursion_error():
+    # a sum parses as a left-deep chain; the walks recurse once a level
+    deep = parse("+".join(f"x^{i}" for i in range(1, 1200)))
+    with pytest.raises(RecursionError):
+        differentiate(deep, "x")
 
 
 def _random_tree(rng, depth):

@@ -76,6 +76,13 @@ def test_star_import_gives_the_package_surface():
             assert getattr(finsym, name) is namespace[name], name
 
 
+def test_dir_lists_the_lazy_names_before_they_load():
+    listed = dir(finsym)
+    assert set(finsym.__all__) <= set(listed)
+    assert "solve_pde" in listed and "symmetry" in listed
+    assert listed == sorted(listed)
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'solve'"):
         finsym.solve
@@ -127,6 +134,16 @@ def case4_file(tmp_path_factory):
 def test_import_and_help_skip_numpy():
     assert not _numpy_loaded("import finsym")
     assert not _numpy_loaded(_CLI, "--help")
+
+
+def test_symmetry_loads_no_numpy():
+    # the jet test samples through expressions, which imports numpy when
+    # it first evaluates
+    assert not _numpy_loaded("import finsym.symmetry")
+    assert _numpy_loaded("import finsym as f\n"
+                         "f.symmetry_residual(f.FinEquation(f.ExpU(), "
+                         "f.ConstantH(1)), f.VectorField.parse_triple("
+                         "'1;0;0'))")
 
 
 @pytest.mark.parametrize("argv", [

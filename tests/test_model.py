@@ -10,9 +10,10 @@ from finsym.equivalence import apply_to_equation, make_group_element
 from finsym.expressions import parse, sample_finite
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
-    LinearCaseError, PowerU, PowerX, ReciprocalShift, SchemaError,
+    LinearCaseError, ModelError, PowerU, PowerX, ReciprocalShift, SchemaError,
     ShiftedPowerU, Solution, SpecKindError, VectorField, equation_from_json,
-    equation_to_json, equations_equal, shapes_match, validate,
+    equation_to_json, equations_equal, h1_expression, load_equation_file,
+    shapes_match, spec_to_json, validate,
 )
 from finsym.symmetry import prolonged_residual
 
@@ -46,6 +47,10 @@ def test_validate_parameter_constraints():
         validate(FinEquation(PowerU(2), H1(1, 0, 1)))
     with pytest.raises(SpecKindError):
         validate(FinEquation(PowerU(2), H1(2, 1, 1)))
+    with pytest.raises(SpecKindError, match="eps = \\+-1"):
+        validate(FinEquation(PowerU(2), H1(1, 1, 2)))
+    with pytest.raises(ModelError, match="p must be in"):
+        h1_expression(2, 1, 1)
     with pytest.raises(SpecKindError):
         validate(FinEquation(PowerU(2), PowerX(2, 3)))
 
@@ -87,6 +92,16 @@ def test_free_d_is_probed_once(monkeypatch):
     with pytest.raises(AntiderivativeError):
         conservation_laws(eq)
     assert len(probes) == 1
+
+
+def test_free_d_probe_draws_rounds_until_it_finds_points():
+    # finite only for u > 2.9, 4% of the u range: the first round of 20
+    # points at seed 0 has none, so the probe draws more
+    d = parse("(u-2.9)^0.5")
+    assert FinEquation(FreeD(d), ConstantH(1)).D == FreeD(d)
+    # finite nowhere on the range: ten rounds, then a refusal
+    with pytest.raises(SpecKindError, match="not evaluable"):
+        FinEquation(FreeD(parse("ln(-u)")), ConstantH(1))
 
 
 def test_validate_checks_free_symbols():
@@ -202,6 +217,23 @@ def test_vector_field_triple_parsing():
     vf = VectorField.parse_triple("-6*t; 2*x; 5*u")
     assert vf.to_string() == "-6*t*d_t+2*x*d_x+5*u*d_u"
     assert VectorField.parse_triple("1;0;0").to_string() == "d_t"
+    with pytest.raises(ModelError, match="three ';'-separated"):
+        VectorField.parse_triple("1;0")
+
+
+def test_json_refuses_what_is_not_an_object(tmp_path):
+    h = {"family": "constant", "c": 1}
+    with pytest.raises(SchemaError, match="not a coefficient spec"):
+        spec_to_json(parse("u^2"))
+    with pytest.raises(SchemaError, match="spec must be an object"):
+        equation_from_json({"D": "u^2", "h": h})
+    with pytest.raises(SchemaError, match="document must be an object"):
+        equation_from_json(["D", "h"])
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps({"D": {"family": "power_u", "n": 2}, "h": h,
+                                "params": [1]}))
+    with pytest.raises(SchemaError, match="'params' must be an object"):
+        load_equation_file(str(path))
 
 
 def test_vector_field_prints_a_minus_one_coefficient_as_a_sign():

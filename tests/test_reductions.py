@@ -202,6 +202,14 @@ def test_exact_solution_case4_frozen():
     assert pde_residual_grid(EQ4(1, 1, -1), s, ((0, 1), (1, 2))) <= 1e-12
 
 
+def test_exact_solution_case4_odd_power_of_a_negative_base():
+    # eps = +1 makes the amplitude's base negative; its exponent -1/n is
+    # a whole number at n = 1, so the amplitude is real: -1/15
+    s = exact_solution(4, {"n": 1, "q": 1, "eps": 1})
+    assert equivalent(s.expr, parse("-x^3/15"), seed=6, tol=1e-12)
+    assert pde_residual_grid(EQ4(1, 1, 1), s, ((0, 1), (1, 2))) <= 1e-12
+
+
 def test_exact_solution_case5_frozen():
     s = exact_solution(5, {"n": 1, "eps": -1})
     assert equivalent(s.expr, parse("exp(x)/2"), seed=7, tol=1e-12)
@@ -306,6 +314,22 @@ def test_order_reduction_consistency():
     assert report0.passed
     with pytest.raises(RealityError):
         check_order_reduction_61(1, 1, -1)
+
+
+def test_oracle_figures_keep_their_bits():
+    # slice points and anchors come from sample_bindings on the oracle's
+    # rng: the stream, so every bit, of a draw with rng.uniform
+    r41 = verify_reduction(EQ4(2, 1, 1), build_reduction(
+        4, "1", {"n": 2, "q": 1, "eps": 1}), seed=42)
+    r61 = verify_reduction(EQ6(1, 1, 1), build_reduction(
+        6, "1", {"p": 1, "q": 1, "eps": 1}), seed=42)
+    order = check_order_reduction_61(1, 1)
+    assert (r41.deviation, r41.multiplier) == (1.565414464721471e-14,
+                                               -0.33333333333333326)
+    assert (r61.deviation, r61.multiplier) == (1.2534417948018108e-13,
+                                               0.9999999999999927)
+    assert (order.deviation, order.multiplier) == (2.1791653008059842e-15,
+                                                   14.81531095411339)
 
 
 def test_order_check_admits_by_the_kernels_rule():

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from finsym.classify import classify
+import finsym.symmetry
 from finsym.expressions import (
-    add, differentiate, div, evaluate, mul, parse, sub, substitute, sym,
+    add, differentiate, div, evaluate, max_relative, mul, parse, sub,
+    substitute, sym,
 )
 from finsym.model import (
     ConstantH, ExpU, FinEquation, FreeD, FreeH, H1, InverseSquareX, PowerU,
     PowerX, VectorField,
 )
 from finsym.symmetry import (
-    JetResidual, SymmetryError, _raw_terms, _rhs, conditional_residual,
+    DEFAULT_JET_RANGES, JetResidual, SymmetryError, _raw_terms, _rhs, conditional_residual,
     prolonged_residual, symmetry_residual,
 )
 from test_acceptance import TABLE_CORPUS
@@ -83,6 +85,8 @@ def test_shape_preconditions():
         prolonged_residual(eq, VectorField.parse_triple("u;0;0"))
     with pytest.raises(SymmetryError):
         prolonged_residual(eq, VectorField.parse_triple("1;u;0"))
+    with pytest.raises(SymmetryError, match="eta may depend on"):
+        prolonged_residual(eq, VectorField.parse_triple("0;0;u_x"))
 
 
 NONCLASSICAL_EQ = FinEquation(PowerU(-1), FreeH(parse("x")))
@@ -106,6 +110,22 @@ def test_jet_sampling_exits():
     partial = JetResidual((parse("ln(x-2.5)"), parse("u")))
     assert np.isfinite(partial.max_relative())
     assert np.isfinite(JetResidual((parse("ln(x-1)"),)).max_relative())
+
+
+def test_jet_test_is_the_relative_kernel_on_jet_ranges(monkeypatch):
+    residual = prolonged_residual(FinEquation(PowerU(2), PowerX(3, 1)),
+                                  VectorField.parse_triple("-6*t;2*x;4*u"))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return max_relative(*args)
+
+    monkeypatch.setattr(finsym.symmetry, "max_relative", counting)
+    value = residual.max_relative(seed=3, samples=40, ranges={"x": (1, 2)})
+    ranges = {**DEFAULT_JET_RANGES, "x": (1, 2)}
+    assert calls == [(residual.terms, 3, 40, ranges)]
+    assert value == max_relative(residual.terms, 3, 40, ranges)[0] > 0.1
 
 
 def test_x_translation_is_not_conditional_here():
