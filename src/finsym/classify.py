@@ -84,26 +84,20 @@ def _exp_fit(xs, vals, dvals):
     if fit is None or fit[0] == 0:
         return None
     k = 1.0 / fit[0]
-    with np.errstate(all="ignore"):
-        shape = np.exp(k * xs)
-    c = _verified_coeff(vals, shape)
+    c = _verified_coeff(vals, np.exp(k * xs))
     return None if c is None else (c, k)
 
 
 def _power_fit(xs, vals, dvals):
     """(c, n, s) when the samples fit c*(v+s)^n: their ratio to the
     derivative is linear.  A shift within 1e-9 of 0 is returned as 0."""
-    import numpy as np
-
     fit = _ratio_fit(xs, vals, dvals, (0, 1))
     if fit is None or fit[1] == 0:
         return None
     g, a = fit
     n = 1.0 / a
     s = g / a
-    with np.errstate(all="ignore"):
-        shape = (xs + s) ** n
-    c = _verified_coeff(vals, shape)
+    c = _verified_coeff(vals, (xs + s) ** n)
     return None if c is None else (c, n, 0.0 if abs(s) <= 1e-9 else s)
 
 
@@ -114,14 +108,16 @@ def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
     xs = sample_bindings(("u",), np.random.default_rng(seed), FIT_SAMPLES)["u"]
     vals, dvals = compile_expressions(
         expr, differentiate(expr, "u"))({"u": xs})
-    exp = _exp_fit(xs, vals, dvals)
-    if exp is not None:
-        return DShape("exp", coeff=exp[0], k=exp[1])
-    power = _power_fit(xs, vals, dvals)
-    if power is not None:
-        c, n, beta = power
-        return DShape("shifted" if beta else "power", coeff=c, n=n, beta=beta)
-    return _ARBITRARY_D
+    with np.errstate(all="ignore"):  # ratios are checked finite
+        exp = _exp_fit(xs, vals, dvals)
+        if exp is not None:
+            return DShape("exp", coeff=exp[0], k=exp[1])
+        power = _power_fit(xs, vals, dvals)
+        if power is not None:
+            c, n, beta = power
+            return DShape("shifted" if beta else "power", coeff=c, n=n,
+                          beta=beta)
+        return _ARBITRARY_D
 
 
 def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
@@ -132,41 +128,44 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     xs = sample_bindings(("x",), np.random.default_rng(seed), FIT_SAMPLES)["x"]
     vals, dvals = compile_expressions(
         expr, differentiate(expr, "x"))({"x": xs})
-    finite = np.isfinite(vals)
-    if finite.sum() < 8:
-        return _ARBITRARY_H
-    vmax = float(np.max(np.abs(vals[finite])))
-    if vmax <= 1e-12:
-        return HShape("zero")
-    spread = float(np.max(vals[finite]) - np.min(vals[finite]))
-    if spread <= 1e-12 * (1 + vmax):
-        return HShape("const", coeff=float(np.median(vals[finite])))
+    with np.errstate(all="ignore"):  # ratios are checked finite
+        finite = np.isfinite(vals)
+        if finite.sum() < 8:
+            return _ARBITRARY_H
+        vmax = float(np.max(np.abs(vals[finite])))
+        if vmax <= 1e-12:
+            return HShape("zero")
+        spread = float(np.max(vals[finite]) - np.min(vals[finite]))
+        if spread <= 1e-12 * (1 + vmax):
+            return HShape("const", coeff=float(np.median(vals[finite])))
 
-    exp = _exp_fit(xs, vals, dvals)
-    if exp is not None:
-        return HShape("exp", coeff=exp[0], k=exp[1])
-    power = _power_fit(xs, vals, dvals)
-    if power is not None:
-        c, q, s = power
-        return HShape("power", coeff=c, q=q, shift=s)
+        exp = _exp_fit(xs, vals, dvals)
+        if exp is not None:
+            return HShape("exp", coeff=exp[0], k=exp[1])
+        power = _power_fit(xs, vals, dvals)
+        if power is not None:
+            c, q, s = power
+            return HShape("power", coeff=c, q=q, shift=s)
 
-    # integral profile: h/h' quadratic in x, ((x+s)^2 + p)/q with p in {-1,0,1}
-    fit = _ratio_fit(xs, vals, dvals, (0, 1, 2))
-    if fit is None or fit[2] == 0:
-        return _ARBITRARY_H
-    g, a, b = fit
-    q = 1.0 / b
-    s = a * q / 2.0
-    p_hat = g * q - s * s
-    p = int(round(p_hat))
-    if p not in (-1, 0, 1) or abs(p_hat - p) > 1e-6:
-        return _ARBITRARY_H
-    base = evaluate(h1_expression(p, q, 1, var=add(_X, num(s))), {"x": xs})
-    c = _verified_coeff(vals, base)
-    if c is None:
-        return _ARBITRARY_H
-    return HShape("h1", coeff=c, q=q, p=p,
-                  shift=0.0 if abs(s) <= 1e-9 else s)
+        # integral profile: h/h' quadratic in x, ((x+s)^2 + p)/q with
+        # p in {-1,0,1}
+        fit = _ratio_fit(xs, vals, dvals, (0, 1, 2))
+        if fit is None or fit[2] == 0:
+            return _ARBITRARY_H
+        g, a, b = fit
+        q = 1.0 / b
+        s = a * q / 2.0
+        p_hat = g * q - s * s
+        p = int(round(p_hat))
+        if p not in (-1, 0, 1) or abs(p_hat - p) > 1e-6:
+            return _ARBITRARY_H
+        base = evaluate(h1_expression(p, q, 1, var=add(_X, num(s))),
+                        {"x": xs})
+        c = _verified_coeff(vals, base)
+        if c is None:
+            return _ARBITRARY_H
+        return HShape("h1", coeff=c, q=q, p=p,
+                      shift=0.0 if abs(s) <= 1e-9 else s)
 
 
 def spec_shape(spec, seed: int = 42) -> DShape | HShape:

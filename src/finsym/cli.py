@@ -20,8 +20,8 @@ import sys
 from .classify import classify
 from .expressions import ExpressionError, parse
 from .model import (
-    ADDITIONAL_MAP_LABELS, ModelError, SchemaError, Solution, VectorField,
-    equation_to_json, equations_equal, load_equation_file,
+    ADDITIONAL_MAP_LABELS, ModelError, NumericError, SchemaError, Solution,
+    VectorField, equation_to_json, equations_equal, load_equation_file,
 )
 
 EXIT_OK = 0
@@ -311,12 +311,7 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        # a NumericError; numeric is imported here only to tell, so the
-        # subcommands that never run it never import it
-        from .numeric import NumericError
-        if not isinstance(exc, NumericError):
-            raise
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

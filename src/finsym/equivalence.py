@@ -13,11 +13,14 @@ Four element families are constructible:
 On top of these, the named case-to-case maps identify table cases that the
 plain group does not, and one map exits the class entirely.
 
-A conditional element states the shapes it requires of D and h as a
-:class:`DShape` and an :class:`HShape`; it refuses an equation whose
-coefficient shapes do not match them at ``FOUR_THIRDS_TOL``.  An image
-coefficient is retagged as the first family whose shape matches its
-fitted shape, and stays free-form otherwise.
+An element is its six maps, its two coefficient rules and the coefficient
+specs it requires of D and h; it refuses an equation whose coefficient
+shapes do not match the required specs' shapes at ``FOUR_THIRDS_TOL``.  An
+image coefficient is retagged as the first family whose shape matches its
+fitted shape, and stays free-form otherwise.  The inverse is read off the
+maps: they swap, a factor rule new(v) = f * old(inner(v)) becomes
+(1/f) * new(forward map), and a fixed coefficient that the element
+requires stays fixed; no other element (G3, ``case8-out``) has one.
 """
 from __future__ import annotations
 
@@ -27,12 +30,13 @@ from dataclasses import dataclass, replace
 from .classify import fit_d_shape, fit_h_shape, spec_shape
 from .expressions import (
     Expression, Num, ZERO, add, call, differentiate, div, mul, num, pow_,
-    sub, substitute, sym,
+    sub, substitute, sym, to_string,
 )
 from .model import (
-    ADDITIONAL_MAP_LABELS, FOUR_THIRDS, FOUR_THIRDS_TOL, ConstantH, DShape,
-    ExpU, ExpX, FinEquation, FreeD, FreeH, H1, HShape, ModelError, PowerU,
-    PowerX, ShiftedPowerU, Solution, VectorField, shapes_match,
+    ADDITIONAL_MAP_LABELS, FOUR_THIRDS, FOUR_THIRDS_TOL, ConstantH, ExpU,
+    ExpX, FinEquation, FreeD, FreeH, H1, ModelError, PowerU, PowerX,
+    ReciprocalShift, ShiftedPowerU, Solution, Spec, VectorField,
+    shapes_match,
 )
 
 __all__ = [
@@ -91,8 +95,9 @@ class PointTransformation:
 
     Forward maps are expressions in the old variables (t, x, u); the
     stored inverse maps use the same symbol names to mean the new
-    variables.  ``requires_d`` and ``requires_h`` are the shapes a
-    conditional element needs the equation's D and h to have.
+    variables.  ``requires_d`` and ``requires_h`` are the coefficient
+    specs whose shapes a conditional element needs the equation's D and
+    h to have.
     """
     label: str
     t_new: Expression
@@ -103,29 +108,29 @@ class PointTransformation:
     u_old: Expression
     d_rule: CoefficientRule | None = None
     h_rule: CoefficientRule | None = None
-    requires_d: DShape | None = None
-    requires_h: HShape | None = None
+    requires_d: Spec | None = None
+    requires_h: Spec | None = None
     outside_class: str | None = None
-    family: str | None = None
-    deltas: tuple = ()
-    sign: int = 1
 
     def inverse(self) -> "PointTransformation":
-        if self.family in ("Gsim", "G2"):
-            d1, d2, d3, d4, d5, *d6 = self.deltas
-            return make_group_element(
-                self.family, (1 / d1, -d2 / d1, 1 / d3, -d4 / d3, 1 / d5,
-                              *(-v / d5 for v in d6)))
-        if self.family == "G1":
-            d1, d2, d3, d4, d5, d6 = self.deltas
-            det = d3 * d6 - d4 * d5
-            flip = 1 if det > 0 else -1
-            return make_group_element(
-                "G1", (1 / d1, -d2 / d1, d6, -d4, -d5, d3),
-                sign=self.sign * flip)
-        raise EquivalenceError(
-            f"no closed-form inverse element for {self.label!r}; "
-            "the inverse coordinate maps are stored on the transformation")
+        """The element with the maps swapped; see the module docstring."""
+        def back(rule, required, forward):
+            if rule is not None and rule.override is None:  # a factor rule
+                if required is None and isinstance(rule.factor, Num):
+                    return CoefficientRule(num(1 / rule.factor.value), forward)
+            elif rule is not None and required is not None:  # a fixed one
+                if rule.override == required.expression():
+                    return rule
+            raise EquivalenceError(
+                f"no closed-form inverse element for {self.label!r}; the "
+                "inverse coordinate maps are stored on the transformation")
+
+        return replace(
+            self, label=f"{self.label}^-1",
+            t_new=self.t_old, x_new=self.x_old, u_new=self.u_old,
+            t_old=self.t_new, x_old=self.x_new, u_old=self.u_new,
+            d_rule=back(self.d_rule, self.requires_d, self.u_new),
+            h_rule=back(self.h_rule, self.requires_h, self.x_new))
 
 
 @dataclass(frozen=True)
@@ -156,8 +161,7 @@ def _affine(family: str, deltas: tuple) -> PointTransformation:
         t_old=div(sub(_T, num(d2)), num(d1)),
         x_old=x_old, u_old=u_old,
         d_rule=CoefficientRule(num(d3 * d3 / d1), u_old),
-        h_rule=CoefficientRule(num(1 / d1), x_old),
-        family=family, deltas=deltas)
+        h_rule=CoefficientRule(num(1 / d1), x_old))
 
 
 def make_group_element(family: str, deltas, sign: int = 1,
@@ -175,8 +179,9 @@ def make_group_element(family: str, deltas, sign: int = 1,
             raise DeltaConstraintError(f"{family} takes {word} constants")
         T = _affine(family, deltas)
         if family == "G2":
-            T = replace(T, h_rule=CoefficientRule(override=ZERO),
-                        requires_h=HShape("zero"))
+            zero = ConstantH(0)
+            T = replace(T, h_rule=CoefficientRule(override=zero.expression()),
+                        requires_h=zero)
         return T
 
     if family == "G1":
@@ -194,6 +199,7 @@ def make_group_element(family: str, deltas, sign: int = 1,
         x_old = div(sub(mul(num(d6), _X), num(d4)),
                     add(mul(num(-d5), _X), num(d3)))
         u_coeff_old = num(sign * det / d1)
+        four_thirds = PowerU(FOUR_THIRDS)
         return PointTransformation(
             label="G1",
             t_new=add(mul(num(d1), _T), num(d2)),
@@ -203,10 +209,9 @@ def make_group_element(family: str, deltas, sign: int = 1,
             x_old=x_old,
             u_old=mul(mul(u_coeff_old,
                           pow_(add(mul(num(-d5), _X), num(d3)), num(3))), _U),
-            d_rule=CoefficientRule(override=pow_(_U, num(FOUR_THIRDS))),
+            d_rule=CoefficientRule(override=four_thirds.expression()),
             h_rule=CoefficientRule(num(1 / d1), x_old),
-            requires_d=DShape("power", n=FOUR_THIRDS),
-            family="G1", deltas=deltas, sign=sign)
+            requires_d=four_thirds)
 
     if family == "G3":
         if len(deltas) != 5:
@@ -218,8 +223,8 @@ def make_group_element(family: str, deltas, sign: int = 1,
         if c is None or c == 0:
             raise ConditionError("G3 requires a nonzero constant h")
         d = spec_shape(eq.D, 11)
-        n, power = d.n, DShape("power", n=d.n)
-        if not shapes_match(d, power, FOUR_THIRDS_TOL):
+        n, power = d.n, PowerU(d.n)
+        if not shapes_match(d, power.shape(), FOUR_THIRDS_TOL):
             raise ConditionError("G3 requires a power diffusion D = u^n")
         affine = _affine("G3", deltas)  # the x map of Gsim
         d1, d2, d3, _, d5 = deltas
@@ -245,7 +250,7 @@ def make_group_element(family: str, deltas, sign: int = 1,
             d_rule=CoefficientRule(override=mul(num(coeff),
                                                 pow_(_U, num(n)))),
             h_rule=CoefficientRule(override=ZERO),
-            requires_d=power, requires_h=HShape("const", coeff=c))
+            requires_d=power, requires_h=ConstantH(c))
 
     raise EquivalenceError(f"unknown group family {family!r}")
 
@@ -258,9 +263,9 @@ def _check_condition(T: PointTransformation, eq: FinEquation):
     for name, required, spec in (("D", T.requires_d, eq.D),
                                  ("h", T.requires_h, eq.h)):
         if required is not None and not shapes_match(
-                spec_shape(spec, 11), required, FOUR_THIRDS_TOL):
-            raise ConditionError(
-                f"{T.label} requires {name} of shape {required}")
+                spec_shape(spec, 11), required.shape(), FOUR_THIRDS_TOL):
+            raise ConditionError(f"{T.label} requires {name} = "
+                                 f"{to_string(required.expression())}")
 
 
 def _first_match(shape, candidates, free):
@@ -293,15 +298,11 @@ def apply_to_equation(T: PointTransformation, eq: FinEquation):
         return OutsideClassReport(
             label=T.label, target=T.outside_class,
             note="image is not of the form u_t = (D(u) u_x)_x + h(x) u")
-    if T.d_rule.is_identity("u"):
-        d_spec = eq.D
-    else:
-        d_spec = _retag_d(T.d_rule.apply(eq.d_expr(), "u"))
-    if T.h_rule.is_identity("x"):
-        h_spec = eq.h
-    else:
-        h_spec = _retag_h(T.h_rule.apply(eq.h_expr(), "x"))
-    return FinEquation(d_spec, h_spec)
+    return FinEquation(*(
+        spec if rule.is_identity(spec.var)
+        else retag(rule.apply(spec.expression(), spec.var))
+        for rule, spec, retag in ((T.d_rule, eq.D, _retag_d),
+                                  (T.h_rule, eq.h, _retag_h))))
 
 
 def push_forward_solution(T: PointTransformation, s: Solution) -> Solution:
@@ -393,8 +394,7 @@ def additional_equivalence(case_from: int, params: dict):
             t_old=mul(num(-1.0 / eps), call("ln", mul(num(-eps), _T))),
             x_old=_X,
             u_old=sub(div(_U, mul(num(-eps), _T)), num(1)),
-            requires_d=DShape("shifted", n=-1.0, beta=1.0),
-            requires_h=HShape("const", coeff=float(eps)),
+            requires_d=ReciprocalShift(), requires_h=ConstantH(eps),
             outside_class=f"u_t = (u^-1 u_x)_x - ({eps})")
         return T, None
 

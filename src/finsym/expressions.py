@@ -759,10 +759,19 @@ def _close(a, b, tol):
 
 
 def sample_bindings(symbols, rng, count: int, ranges=None):
-    """Draw ``count`` points for each symbol as arrays (seeded, uniform)."""
-    resolved = _resolve_ranges(symbols, ranges)
-    return {s: rng.uniform(lo, hi, size=count)
-            for s, (lo, hi) in sorted(resolved.items())}
+    """Draw ``count`` points for each symbol as arrays (seeded, uniform).
+
+    Raises :class:`ExpressionError` for a count below 1, or for a range
+    drawn from that is not finite with lo < hi.
+    """
+    if count < 1:
+        raise ExpressionError(f"need at least one sample, got {count}")
+    resolved = sorted(_resolve_ranges(symbols, ranges).items())
+    for s, (lo, hi) in resolved:
+        if not -math.inf < lo < hi < math.inf:
+            raise ExpressionError(f"the sampling range of {s} must be finite "
+                                  f"with lo < hi, got ({lo}, {hi})")
+    return {s: rng.uniform(lo, hi, size=count) for s, (lo, hi) in resolved}
 
 
 def sample_finite(fn, symbols, seed: int, count: int, ranges=None):

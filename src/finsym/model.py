@@ -29,7 +29,7 @@ __all__ = [
     "spec_to_json", "spec_from_json", "equation_to_json", "equation_from_json",
     "load_equation_file", "equations_equal", "shapes_match",
     "ModelError", "SpecKindError", "LinearCaseError", "SchemaError",
-    "FOUR_THIRDS_TOL",
+    "NumericError", "FOUR_THIRDS_TOL",
 ]
 
 #: n = -4/3 is a structural branch point of the classification table
@@ -67,6 +67,11 @@ class LinearCaseError(ModelError):
 
 class SchemaError(ModelError):
     pass
+
+
+class NumericError(RuntimeError):
+    """A numerical computation of :mod:`finsym.numeric` failed; defined
+    here so that code catching it need not import numpy."""
 
 
 def is_four_thirds(n: float) -> bool:

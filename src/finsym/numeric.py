@@ -40,7 +40,9 @@ from .expressions import (
     Add, Div, Expression, Mul, Neg, Num, Sub, Sym, UnboundSymbolError,
     compile_expressions, differentiate, mul, sample_finite, substitute,
 )
-from .model import FinEquation, ModelError, Solution, pde_residual_expression
+from .model import (
+    FinEquation, ModelError, NumericError, Solution, pde_residual_expression,
+)
 
 __all__ = [
     "Grid", "Field", "DirichletBC", "NoFluxBC", "solve_pde",
@@ -56,10 +58,6 @@ BLOWUP_THRESHOLD = 1e12
 # Verwer 2003, ch. I); STABILITY_FACTOR sets an automatic dt 11% under it
 _EULER_LIMIT = 0.5
 _BOUNDARY_BLOCK = 1 << 16  # steps per boundary tape call: bounded memory
-
-
-class NumericError(RuntimeError):
-    pass
 
 
 class StabilityError(NumericError):
@@ -150,13 +148,18 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     """March the equation forward and return stored time levels.
 
     ``boundary`` is a :class:`DirichletBC` (expressions in t) or
-    :class:`NoFluxBC` (reflecting ghost nodes, zero interface flux).
+    :class:`NoFluxBC` (reflecting ghost nodes, zero interface flux);
+    anything else raises :class:`ModelError`.
     When ``grid.dt`` is None, dt is 0.45 dx^2 / max|D| on the initial
     interfaces.  Each explicit step checks dt max|D| / dx^2 <= 1/2 on the
     D values it computes; a :class:`StabilityError` names its dt and t.
     """
     if method not in ("explicit", "implicit"):
         raise NumericError(f"unknown method {method!r}")
+    if not isinstance(boundary, (DirichletBC, NoFluxBC)):
+        raise ModelError(
+            f"boundary must be a DirichletBC or a NoFluxBC, got {boundary!r}")
+    dirichlet = isinstance(boundary, DirichletBC)
     xs = grid.nodes()
     dx = grid.dx
     u, h_nodes = compile_expressions(initial, eq.h_expr())({"x": xs})
@@ -191,7 +194,6 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     store_every = max(1, n_steps // 10)  # about 11 levels, t = 0 included
     times = [0.0]
     levels = [u.copy()]
-    dirichlet = isinstance(boundary, DirichletBC)
     if dirichlet:
         bounds = _boundary_values(boundary, n_steps, dt, grid.t_final)
 
@@ -207,11 +209,11 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                 "smaller dt or method='implicit'")
         out = np.empty_like(v)
         out[1:-1] = (flux[1:] - flux[:-1]) / dx + h_nodes[1:-1] * v[1:-1]
-        if isinstance(boundary, NoFluxBC):
+        if dirichlet:
+            out[0] = out[-1] = 0.0
+        else:
             out[0] = flux[0] / dx + h_nodes[0] * v[0]
             out[-1] = -flux[-1] / dx + h_nodes[-1] * v[-1]
-        else:
-            out[0] = out[-1] = 0.0
         return out
 
     # the interface core runs under the loop's errstate, and the blow-up
@@ -453,8 +455,6 @@ def shoot_reduced_ode(reduction, phi0: float, w_end: float, phi_end: float,
 def pde_residual_grid(eq: FinEquation, s: Solution, region, samples: int = 100,
                       seed: int = 42) -> float:
     """Max relative residual of a solution over a sampled (t, x) box."""
-    if samples < 1:
-        raise ModelError(f"need at least one sample, got {samples}")
     if s.parameters:
         raise ModelError(
             f"solution has unbound parameters: {list(s.parameters)}")

@@ -228,3 +228,26 @@ def test_classification_catalog_is_pinned():
             row["case"], row["note"], row["generators"]), row
         for vf in r.basis:
             assert symmetry_residual(eq, vf) <= 1e-9, (row, vf.to_string())
+
+
+#: free-form coefficients that each fit guard refuses, by the guard: the
+#: arbitrary shape comes back, and no numpy warning
+FIT_GUARDS = {
+    "too few finite ratios": (fit_d_shape, "ln(u-2.9)"),
+    "ratio overflows": (fit_d_shape, "1e300+1e-9*u"),
+    "no quadratic ratio fit": (fit_h_shape, "sign(x-2.9)"),
+    "integral profile not verified": (fit_h_shape,
+                                      "exp(arctan(x))*(1+1e-7*x)"),
+    # 1 + e^(-100u) rounds to 1, so D = 0 where D' is not: zero ratios
+    "zero slopes of D": (fit_d_shape, "ln(1+exp(-100*u))"),
+    # the same where h' passes the 1e-300 test; h = 2 where it does not
+    "zero slopes of h": (fit_h_shape, "ln(1+exp(-400*x))+(1+sign(x-2))"),
+}
+
+
+@pytest.mark.parametrize("guard", FIT_GUARDS)
+def test_a_fit_guard_returns_the_arbitrary_shape_without_a_warning(guard):
+    fit, text = FIT_GUARDS[guard]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit(parse(text)).kind == "arbitrary"

@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from finsym.equivalence import (
-    ComplexFieldOnlyError, ConditionError, DeltaConstraintError,
-    EquivalenceError, NoAdditionalMapError, OutsideClassReport, additional_equivalence,
+    CoefficientRule, ComplexFieldOnlyError, ConditionError,
+    DeltaConstraintError, EquivalenceError, NoAdditionalMapError,
+    OutsideClassReport, PointTransformation, additional_equivalence,
     apply_to_equation, make_group_element, map_by_label, push_forward_field,
     push_forward_solution,
 )
@@ -345,3 +348,83 @@ def test_g3_refuses_a_negative_d5_for_a_fractional_exponent():
     T = make_group_element("G3", (1, 0, 1, 0, -1),
                            eq=FinEquation(PowerU(2), ConstantH(-2.0)))
     assert T.d_rule.override == parse("u^2")
+
+
+def test_an_element_is_its_maps_rules_and_required_specs():
+    assert [f.name for f in dataclasses.fields(PointTransformation)] == [
+        "label", "t_new", "x_new", "u_new", "t_old", "x_old", "u_old",
+        "d_rule", "h_rule", "requires_d", "requires_h", "outside_class"]
+    T1 = make_group_element("G1", (1, 0, 0, 1, 1, 0))
+    assert T1.requires_d == PowerU(-4 / 3)
+    assert T1.d_rule.override == T1.requires_d.expression()
+    T2 = make_group_element("G2", (1, 0, 1, 0, 1, 1))
+    assert T2.requires_h == ConstantH(0)
+    assert T2.h_rule.override == T2.requires_h.expression()
+    T8, _ = map_by_label("case8-out", {"eps": -1})
+    assert (T8.requires_d, T8.requires_h) == (ReciprocalShift(), ConstantH(-1))
+
+
+def test_the_inverse_of_a_hand_built_affine_element_round_trips():
+    x_old, u_old = parse("(x+1)/3"), parse("(u-0.25)/0.5")
+    T = PointTransformation(
+        label="affine", t_new=parse("2*t+1"), x_new=parse("3*x-1"),
+        u_new=parse("0.5*u+0.25"), t_old=parse("(t-1)/2"), x_old=x_old,
+        u_old=u_old, d_rule=CoefficientRule(parse("4.5"), u_old),
+        h_rule=CoefficientRule(parse("0.5"), x_old))
+    inv = T.inverse()
+    assert inv.label == "affine^-1"
+    assert (inv.t_new, inv.x_old, inv.u_old) == (T.t_old, T.x_new, T.u_new)
+    for eq in (FinEquation(PowerU(2), PowerX(3, 1)),
+               FinEquation(FreeD(parse("u^2+1")), FreeH(parse("x^2+x")))):
+        back = apply_to_equation(inv, apply_to_equation(T, eq))
+        assert equations_equal(eq, back, tol=1e-12)
+
+
+@pytest.mark.parametrize("T", [
+    make_group_element("Gsim", (2, 0.5, 3, 1, 1.5)),
+    make_group_element("G1", (1, 0, 0, 1, 1, 0), sign=-1),
+    make_group_element("G2", (1, 0, 1, 0, 1, 1)),
+    map_by_label("6pm1-to-4", {"p": -1, "q": 4.0, "eps": 1})[0],
+], ids=lambda T: T.label)
+def test_the_inverse_is_labelled_with_the_element(T):
+    assert T.inverse().label == T.label + "^-1"
+    assert T.inverse().inverse().label == T.label + "^-1^-1"
+
+
+@pytest.mark.parametrize("label,src,params,want_case,want_params",
+                         MAP_CASES[:4], ids=[c[0] for c in MAP_CASES[:4]])
+def test_the_inverse_of_a_named_map_round_trips(label, src, params,
+                                                want_case, want_params):
+    T, _ = map_by_label(label, params)
+    back = apply_to_equation(T.inverse(), apply_to_equation(T, src))
+    assert equations_equal(src, back, tol=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_g1_with_determinant_minus_one_round_trips(sign):
+    d3, d4, d5 = 1.25, 0.5, -0.4
+    deltas = (1.5, -0.3, d3, d4, d5, (-1 + d4 * d5) / d3)
+    T = make_group_element("G1", deltas, sign=sign)
+    eq = FinEquation(PowerU(-4 / 3), H1(1, 2, 1))
+    back = apply_to_equation(T.inverse(), apply_to_equation(T, eq))
+    assert equations_equal(eq, back, tol=1e-12, ranges={"x": (2.0, 3.0)})
+
+
+def test_an_element_without_coefficient_rules_has_no_inverse_element():
+    T8, _ = map_by_label("case8-out", {"eps": 1})
+    with pytest.raises(EquivalenceError, match="no closed-form inverse"):
+        T8.inverse()
+
+
+def test_a_failed_condition_names_the_required_coefficient():
+    T1 = make_group_element("G1", (1, 0, 0, 1, 1, 0))
+    with pytest.raises(ConditionError, match=re.escape(
+            "G1 requires D = u^-1.3333333333333333")):
+        apply_to_equation(T1, FinEquation(PowerU(2), H1(0, 1, 1)))
+    T2 = make_group_element("G2", (1, 0, 1, 0, 1, 1))
+    with pytest.raises(ConditionError, match=re.escape("G2 requires h = 0")):
+        apply_to_equation(T2, FinEquation(PowerU(2), ConstantH(1)))
+    T8, _ = map_by_label("case8-out", {"eps": 1})
+    with pytest.raises(ConditionError,
+                       match=re.escape("case8-out requires D = (u+1)^-1")):
+        apply_to_equation(T8, FinEquation(PowerU(2), ConstantH(1)))

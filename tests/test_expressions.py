@@ -626,3 +626,23 @@ def test_random_trees_evaluate_to_the_reference_bits():
         _tape(tree, {"x": xs, "y": ys})
         _tape(tree, {"x": xs, "y": 0.75})
         _tape(tree, {"x": -1.5, "y": 2.5})
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_bindings_refuses_a_count_below_one(count):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ExpressionError,
+                       match=f"need at least one sample, got {count}"):
+        finsym.expressions.sample_bindings(("x",), rng, count)
+
+
+@pytest.mark.parametrize("bad", [(2, 1), (1, 1), (math.nan, 1), (0, math.inf),
+                                 (-math.inf, 0)])
+def test_equivalent_refuses_a_range_that_is_not_finite_with_lo_below_hi(bad):
+    with pytest.raises(ExpressionError,
+                       match=r"sampling range of x must be finite with lo < hi"):
+        equivalent(parse("x"), parse("x"), ranges={"x": bad})
+
+
+def test_a_range_that_is_not_drawn_from_is_not_checked():
+    assert equivalent(parse("x"), parse("x"), ranges={"u": (2, 1)})

@@ -7,7 +7,7 @@ import finsym.model
 from finsym.classify import classify, fit_d_shape, fit_h_shape
 from finsym.conservation import AntiderivativeError, conservation_laws
 from finsym.equivalence import apply_to_equation, make_group_element
-from finsym.expressions import parse, sample_finite
+from finsym.expressions import ExpressionError, parse, sample_finite
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
     LinearCaseError, ModelError, PowerU, PowerX, ReciprocalShift, SchemaError,
@@ -297,3 +297,12 @@ def test_equations_equal_across_representations():
     back = apply_to_equation(g.inverse(), apply_to_equation(g, eq))
     assert back.h == ConstantH(1.0)
     assert equations_equal(eq, back)
+
+
+def test_equations_equal_refuses_a_reversed_range():
+    a = FinEquation(FreeD(parse("u^2")), ConstantH(1))
+    b = FinEquation(PowerU(2), ConstantH(1))
+    assert equations_equal(a, b, ranges={"u": (1, 3)})
+    with pytest.raises(ExpressionError,
+                       match=r"sampling range of u .* got \(3, 1\)"):
+        equations_equal(a, b, ranges={"u": (3, 1)})

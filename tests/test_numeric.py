@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finsym.expressions import evaluate, parse, substitute
+from finsym.expressions import ExpressionError, evaluate, parse, substitute
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, ModelError, PowerU,
     PowerX, Solution,
@@ -847,3 +847,27 @@ def test_w_alone_follows_ieee_arithmetic(text):
                 reduced=parse(text))
     with pytest.raises(NumericError, match=r"degenerate in phi_ww at w=0\.5$"):
         integrate_reduced_ode(r, 1.0, 0.0, 2.0, 10)
+
+
+def test_pde_residual_grid_refuses_a_bad_region_or_sample_count():
+    s = Solution(parse("x^3/15"))
+    with pytest.raises(ExpressionError,
+                       match=r"sampling range of x .* got \(2, 1\)"):
+        pde_residual_grid(EQ4, s, ((0, 1), (2, 1)))
+    with pytest.raises(ExpressionError, match="need at least one sample"):
+        pde_residual_grid(EQ4, s, ((0, 1), (1, 2)), samples=0)
+
+
+@pytest.mark.parametrize("boundary", [None, "noflux"])
+def test_solve_pde_refuses_a_boundary_it_does_not_know(boundary):
+    eq = FinEquation(PowerU(2), ConstantH(1))
+    with pytest.raises(ModelError, match="boundary must be a DirichletBC "
+                                         "or a NoFluxBC"):
+        solve_pde(eq, parse("1+x"), boundary, Grid(0, 1, 9, 0.01))
+
+
+def test_numeric_error_is_the_model_class():
+    import finsym.model
+    import finsym.numeric
+    assert finsym.numeric.NumericError is finsym.model.NumericError
+    assert issubclass(StabilityError, finsym.model.NumericError)

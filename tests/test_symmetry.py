@@ -4,7 +4,7 @@ import pytest
 from finsym.classify import classify
 import finsym.symmetry
 from finsym.expressions import (
-    add, differentiate, div, evaluate, max_relative, mul, parse, sub,
+    ExpressionError, add, differentiate, div, evaluate, max_relative, mul, parse, sub,
     substitute, sym,
 )
 from finsym.model import (
@@ -204,3 +204,11 @@ def test_pieces_built_on_shell_equal_the_substituted_pieces():
     want = _built_free_then_substituted(
         eq, zero, {"u_x": w, "u_xx": w_total, "u_t": u_t})
     assert repr(conditional_residual(eq, zero).terms) == repr(want)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_symmetry_residual_refuses_a_sample_count_below_one(samples):
+    eq = FinEquation(PowerU(2), ConstantH(1))
+    with pytest.raises(ExpressionError,
+                       match=f"need at least one sample, got {samples}"):
+        symmetry_residual(eq, D_T, samples=samples)
