@@ -9,9 +9,14 @@ handled by domain restriction only; stalls and blow-up abort loudly.
 Expressions evaluated at the same points are compiled together with
 :func:`~finsym.expressions.compile_expressions`, the one evaluator, and
 every tape is compiled before the loop that calls it.  In the FD step
-loop one tape per solve returns D at the interfaces together with the
-interface flux D u_x; each explicit step checks its dt against those D.
-The Dirichlet boundary values and the sampled residual get one tape each.
+loop one tape per D, kept for every later solve of that D, returns D at
+the interfaces together with D (u_r - u_l) across each; the step divides
+that by dx for the flux D u_x, and each explicit step checks its dt
+against those D.  The Dirichlet boundary
+values and the sampled residual get one tape each.  An explicit step
+writes every stencil, update and check into arrays allocated once per
+solve: the state lives in two buffers that swap roles, so a step
+allocates only what the interface core returns.
 One whole RK4 step of a reduced equation is one tape, compiled once per
 residual and kept for later integrations of the same residual; a shoot
 looks it up once and marches every probe with it.
@@ -25,7 +30,8 @@ and the bits are the same.  ``bind`` generates the core as straight-line
 code once per order and keeps it on the tape, where ``tape(bindings)``
 interprets the steps: the RK4 tape, kept per residual, generates its
 core once for all the integrations and shoots of that residual, and the
-interface tape of a solve pays one generation that its steps win back.
+interface tape, kept per D, generates its core once for every grid and
+boundary that D is solved on.
 """
 from __future__ import annotations
 
@@ -143,6 +149,23 @@ def _boundary_values(boundary: DirichletBC, n_steps: int, dt: float,
         yield from zip(*values_at({"t": t}))
 
 
+@functools.lru_cache(maxsize=64)
+def _interface_tape(d: Expression, key: str):
+    """D at the interfaces and the interface flux times dx, as one tape.
+
+    The tape takes u_l = v[:-1] and u_r = v[1:] and returns (D_half,
+    D_half*(u_r-u_l)), D_half being D((u_l + u_r)/2).  Raw nodes, so it
+    applies the array operations in the order 0.5*(u_l+u_r) and
+    D*(u_r-u_l); the step divides by dx.  It is kept per D, and with it
+    the core ``bind`` generates, so every grid and boundary of one D
+    shares one compile.  ``key`` is ``repr(d)``: trees that differ only in
+    the sign of a zero constant compare equal.
+    """
+    u_l, u_r = Sym("u_l"), Sym("u_r")
+    d_half = substitute(d, {"u": Mul(Num(0.5), Add(u_l, u_r))})
+    return compile_expressions(d_half, Mul(d_half, Sub(u_r, u_l)))
+
+
 def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
               method: str = "explicit") -> Field:
     """March the equation forward and return stored time levels.
@@ -153,6 +176,11 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     When ``grid.dt`` is None, dt is 0.45 dx^2 / max|D| on the initial
     interfaces.  Each explicit step checks dt max|D| / dx^2 <= 1/2 on the
     D values it computes; a :class:`StabilityError` names its dt and t.
+    The interface tape is kept per D (the ``repr`` of its tree), so
+    solves of one D on any grid share one compile.  The state lives in
+    two buffers that swap roles each step, and each step writes its
+    stencil, update and checks with ``out=`` into work arrays allocated
+    once per solve; the levels stored are copies, never a buffer.
     """
     if method not in ("explicit", "implicit"):
         raise NumericError(f"unknown method {method!r}")
@@ -170,13 +198,8 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     if grid.t_final == 0:
         return Field(xs, np.array([0.0]), u[None, :].copy())
 
-    # D((u_l + u_r)/2) and the flux D u_x at the interfaces, u_l = v[:-1]
-    # and u_r = v[1:]; raw nodes, so the tape applies the array operations
-    # in the order 0.5*(u_l+u_r) and (D*(u_r-u_l))/dx, with the same bits
-    u_l, u_r = Sym("u_l"), Sym("u_r")
-    d_mid = substitute(eq.d_expr(), {"u": Mul(Num(0.5), Add(u_l, u_r))})
-    interfaces_at = compile_expressions(
-        d_mid, Div(Mul(d_mid, Sub(u_r, u_l)), Num(dx)))
+    d = eq.d_expr()
+    interfaces_at = _interface_tape(d, repr(d))
     interfaces = interfaces_at.bind(("u_l", "u_r"))  # the loop's core
 
     dt = grid.dt
@@ -197,24 +220,43 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     if dirichlet:
         bounds = _boundary_values(boundary, n_steps, dt, grid.t_final)
 
-    def rate(v: np.ndarray) -> np.ndarray:
-        d_half, flux = interfaces(v[:-1], v[1:])
-        max_d = float(np.abs(d_half).max())
+    # the work arrays and their views, made once: each step writes every
+    # stencil, update and check into them with out=
+    m = grid.m
+    flux = np.empty(m - 1)
+    flux_l, flux_r = flux[:-1], flux[1:]
+    d_abs = np.empty(m - 1)
+    inner = np.empty(m - 2)  # (flux_r - flux_l) / dx
+    source = np.empty(m - 2)  # h u at the inner nodes
+    du = np.zeros(m)  # the rate; a Dirichlet solve keeps its ends 0
+    du_in = du[1:-1]
+    u_abs = np.empty(m)
+    h_in = h_nodes[1:-1]
+    h_0, h_m = h_nodes[0], h_nodes[-1]
+    # the state's two buffers, with their (v, u_l, u_r, inner) views
+    state = np.empty((2, m))
+    state[0] = u
+    now, after = ((v, v[:-1], v[1:], v[1:-1]) for v in state)
+
+    def rate(v, v_l, v_r, v_in) -> np.ndarray:
+        d_half, flux_dx = interfaces(v_l, v_r)
+        max_d = np.maximum.reduce(np.abs(d_half, out=d_abs))
         if not max_d <= d_bound:  # NaN and inf fail too
             if not math.isfinite(max_d):
                 raise CoefficientFailure("D not finite at an interface")
             raise StabilityError(
                 f"explicit step dt={dt:g} exceeds the stability bound "
-                f"{_EULER_LIMIT * dx * dx / max_d:g} at t={t:g}; pass a "
-                "smaller dt or method='implicit'")
-        out = np.empty_like(v)
-        out[1:-1] = (flux[1:] - flux[:-1]) / dx + h_nodes[1:-1] * v[1:-1]
-        if dirichlet:
-            out[0] = out[-1] = 0.0
-        else:
-            out[0] = flux[0] / dx + h_nodes[0] * v[0]
-            out[-1] = -flux[-1] / dx + h_nodes[-1] * v[-1]
-        return out
+                f"{_EULER_LIMIT * dx * dx / float(max_d):g} at t={t:g}; "
+                "pass a smaller dt or method='implicit'")
+        np.divide(flux_dx, dx, out=flux)
+        np.subtract(flux_r, flux_l, out=inner)
+        np.divide(inner, dx, out=inner)
+        np.multiply(h_in, v_in, out=source)
+        np.add(inner, source, out=du_in)
+        if not dirichlet:
+            du[0] = flux[0] / dx + h_0 * v[0]
+            du[-1] = -flux[-1] / dx + h_m * v[-1]
+        return du
 
     # the interface core runs under the loop's errstate, and the blow-up
     # test below reports an overflow or an inf - inf, not numpy
@@ -224,34 +266,39 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
             t_next = step * dt if step < n_steps else grid.t_final
             if dirichlet:
                 left, right = next(bounds)
+            u, u_next = now[0], after[0]
             if method == "explicit":
-                u_next = u + dt * rate(u)
+                np.multiply(dt, rate(*now), out=du)
+                np.add(u, du, out=u_next)
             else:
-                u_next = u.copy()
+                iterate = u.copy()
                 for _ in range(200):
-                    candidate = u + dt * rate(u_next)
+                    candidate = u + dt * rate(iterate, iterate[:-1],
+                                              iterate[1:], iterate[1:-1])
                     if dirichlet:
                         candidate[0], candidate[-1] = left, right
-                    new = 0.5 * u_next + 0.5 * candidate  # damped fixed point
-                    delta = float(np.max(np.abs(new - u_next)))
-                    u_next = new
-                    if delta <= 1e-12 * (1 + float(np.max(np.abs(u_next)))):
+                    new = 0.5 * iterate + 0.5 * candidate  # damped fixed point
+                    delta = float(np.max(np.abs(new - iterate)))
+                    iterate = new
+                    if delta <= 1e-12 * (1 + float(np.max(np.abs(iterate)))):
                         break
                 else:
                     raise ConvergenceError(
                         f"implicit iteration did not converge at t={t_next:g}")
+                u_next[:] = iterate
 
             if dirichlet:
                 u_next[0], u_next[-1] = left, right
 
-            if not np.abs(u_next).max() <= BLOWUP_THRESHOLD:  # NaN fails too
+            size = np.maximum.reduce(np.abs(u_next, out=u_abs))
+            if not size <= BLOWUP_THRESHOLD:  # NaN fails too
                 partial = Field(xs, np.asarray(times), np.asarray(levels))
                 raise BlowUpError(f"solution blew up at t={t_next:g}", partial)
 
-            u, t = u_next, t_next
+            now, after, t = after, now, t_next
             if step % store_every == 0 or step == n_steps:
                 times.append(t)
-                levels.append(u.copy())
+                levels.append(u_next.copy())
 
     return Field(xs, np.asarray(times), np.asarray(levels))
 

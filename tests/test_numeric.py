@@ -11,7 +11,8 @@ from finsym.model import (
 )
 from finsym.numeric import (
     BlowUpError, CoefficientFailure, ConvergenceError, DirichletBC, Grid,
-    NoFluxBC, NumericError, StabilityError, pde_residual_grid, solve_pde,
+    NoFluxBC, NumericError, StabilityError, BLOWUP_THRESHOLD,
+    pde_residual_grid, solve_pde,
 )
 from finsym.reductions import (
     build_reduction, exact_solution, nonclassical_equation,
@@ -192,13 +193,16 @@ def test_non_finite_step_with_finite_d_is_a_blow_up(h, initial, t_final):
 
 
 def _reference_explicit(eq, initial, boundary, grid):
-    """The conservative explicit Euler scheme as numpy array operations:
-    the last time level on a grid with a given dt."""
+    """The conservative explicit Euler scheme as numpy array operations on
+    a grid with a given dt: the times and levels stored every
+    ``max(1, steps // 10)`` steps and at the last, up to a blow-up."""
     xs, dx = grid.nodes(), grid.dx
     u = evaluate(initial, {"x": xs})
     h = evaluate(eq.h_expr(), {"x": xs})
     n_steps = int(np.ceil(grid.t_final / grid.dt - 1e-12))
     dt = grid.t_final / n_steps
+    store_every = max(1, n_steps // 10)
+    times, levels = [0.0], [u]
     for step in range(1, n_steps + 1):
         t = step * dt if step < n_steps else grid.t_final
         mid = 0.5 * (u[:-1] + u[1:])
@@ -214,7 +218,12 @@ def _reference_explicit(eq, initial, boundary, grid):
         if isinstance(boundary, DirichletBC):
             u[0] = evaluate(boundary.left, {"t": t})
             u[-1] = evaluate(boundary.right, {"t": t})
-    return u
+        if not np.abs(u).max() <= BLOWUP_THRESHOLD:
+            break
+        if step % store_every == 0 or step == n_steps:
+            times.append(t)
+            levels.append(u)
+    return np.array(times), np.array(levels)
 
 
 @pytest.mark.parametrize("eq,initial,boundary,grid", [
@@ -227,9 +236,66 @@ def _reference_explicit(eq, initial, boundary, grid):
 ], ids=["dirichlet", "noflux", "moving"])
 def test_explicit_steps_are_bit_identical_to_array_operations(
         eq, initial, boundary, grid):
+    # every stored level, so a work buffer that aliases a stored level or
+    # the live state shows in the levels after it
     field = solve_pde(eq, initial, boundary, grid)
-    assert np.array_equal(field.values[-1],
-                          _reference_explicit(eq, initial, boundary, grid))
+    times, levels = _reference_explicit(eq, initial, boundary, grid)
+    assert len(times) == 11
+    assert field.times.tobytes() == times.tobytes()
+    assert field.values.tobytes() == levels.tobytes()
+
+
+def test_a_solve_returns_arrays_of_its_own():
+    # a second solve of the same problem reuses no array the first returned
+    g = Grid(1.0, 2.0, 41, 0.02, 1e-4)
+    first = solve_pde(EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4, g)
+    kept = [a.copy() for a in (first.x, first.times, first.values)]
+    second = solve_pde(EQ4, parse("x^3/15+0.02*x*(2-x)"), BC4, g)
+    assert not np.array_equal(first.values, second.values)
+    for a, b in zip((first.x, first.times, first.values), kept):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_blow_up_keeps_the_levels_it_stored():
+    # D = 1/u stays stable as u ~ e^(60 t) grows past the threshold
+    eq = FinEquation(PowerU(-1), ConstantH(60.0))
+    g = Grid(0.0, 1.0, 9, 1.0, 5e-3)
+    with pytest.raises(BlowUpError) as err:
+        solve_pde(eq, parse("1+x"), NoFluxBC(), g)
+    partial = err.value.partial
+    times, levels = _reference_explicit(eq, parse("1+x"), NoFluxBC(), g)
+    assert len(times) > 3 and np.isfinite(partial.values).all()
+    assert partial.times.tobytes() == times.tobytes()
+    assert partial.values.tobytes() == levels.tobytes()
+
+
+def test_a_d_gets_one_interface_tape(monkeypatch):
+    # the tape is kept per repr(D): grids and boundaries of one D share one
+    # generated core, and trees equal but for the sign of a zero do not
+    from finsym import expressions
+    from finsym.numeric import _interface_tape
+
+    generated = []
+    real = expressions._straight_line
+
+    def counting(*args):
+        generated.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expressions, "_straight_line", counting)
+    _interface_tape.cache_clear()
+    for m in (21, 41):
+        for bc in (BC4, NoFluxBC()):
+            solve_pde(EQ4, EXACT4, bc, Grid(1.0, 2.0, m, 1e-3))
+    assert len(generated) == 1
+
+    eqs = [FinEquation(FreeD(parse(f"u*(2+sign(1/({zero})))")),
+                       ConstantH(0.0)) for zero in ("0", "-0")]
+    assert eqs[0] == eqs[1]
+    fields = [solve_pde(eq, EXACT4, NoFluxBC(), Grid(1.0, 2.0, 21, 1e-3))
+              for eq in eqs]
+    assert len(generated) == 3
+    assert not np.array_equal(fields[0].values, fields[1].values)
 
 
 def _boundary_tape_times(monkeypatch, boundary):
@@ -699,32 +765,24 @@ def test_reduced_ode_without_phi_ww_is_degenerate():
 SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0)
 
 
-def _interface_tape(monkeypatch, eq):
-    """The interface tape solve_pde compiles for ``eq``: (D, flux) in
-    (u_l, u_r)."""
+def _interface_tape(eq):
+    """The interface tape solve_pde keeps for ``eq``'s D: (D, D*(u_r-u_l))
+    in (u_l, u_r), taken from the cache the solve filled."""
     import finsym.numeric as numeric
 
-    tapes = []
-    real = numeric.compile_expressions
-
-    def recording(*exprs):
-        run = real(*exprs)
-        names = set().union(*(e.free_symbols() for e in exprs))
-        if names == {"u_l", "u_r"}:
-            tapes.append(run)
-        return run
-
-    monkeypatch.setattr(numeric, "compile_expressions", recording)
     solve_pde(eq, parse("1+x"), NoFluxBC(), Grid(0.0, 1.0, 41, 1e-4))
-    (tape,) = tapes
+    d = eq.d_expr()
+    hits = numeric._interface_tape.cache_info().hits
+    tape = numeric._interface_tape(d, repr(d))
+    assert numeric._interface_tape.cache_info().hits == hits + 1
     return tape
 
 
 @pytest.mark.parametrize("d", [
     PowerU(2), PowerU(-4 / 3), PowerU(0.5), ExpU(), FreeD(parse("1/u")),
 ], ids=["u^2", "u^-4/3", "u^0.5", "exp", "pole"])
-def test_interface_core_gives_the_bits_of_run(monkeypatch, d):
-    tape = _interface_tape(monkeypatch, FinEquation(d, ConstantH(1.0)))
+def test_interface_core_gives_the_bits_of_run(d):
+    tape = _interface_tape(FinEquation(d, ConstantH(1.0)))
     core = tape.bind(("u_l", "u_r"))
     rng = np.random.default_rng(19)
     for trial in range(20):
