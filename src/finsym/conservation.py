@@ -19,7 +19,7 @@ from .expressions import (
 )
 from .model import DShape, FinEquation, ModelError
 from .numeric import Field, Grid, NoFluxBC, solve_pde
-from .symmetry import JetResidual, _rhs
+from .symmetry import JetResidual
 
 __all__ = [
     "ConservationLaw", "conservation_laws", "divergence_residual",
@@ -89,7 +89,7 @@ def divergence_residual(cl: ConservationLaw, eq: FinEquation,
     dt_rho = differentiate(cl.density, "t", deps={"u": ("t",)})
     dx_flux = differentiate(cl.flux, "x",
                             deps={"u": ("x",), "u_x": ("x",)})
-    delta = sub(sym("u_t"), _rhs(eq))
+    delta = sub(sym("u_t"), eq.jet.u_t)
     residual = JetResidual((dt_rho, dx_flux, neg(mul(cl.characteristic,
                                                      delta))))
     return residual, residual.max_relative(seed=seed) <= tol

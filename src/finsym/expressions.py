@@ -541,6 +541,8 @@ _OPS = {
     Neg: operator.neg, Add: operator.add, Sub: operator.sub,
     Mul: operator.mul, Div: operator.truediv, Pow: operator.pow,
 }
+#: a float64's eight bytes, the tape's key of a constant
+_pack_double = struct.Struct("<d").pack
 #: the same operations as the generated core writes them: ``a + b`` calls
 #: what ``operator.add(a, b)`` calls, without the call
 _SOURCE = {
@@ -641,31 +643,31 @@ def compile_expressions(*exprs: Expression):
         r = walked.get(id(e))
         if r is not None:
             return r
-        if isinstance(e, _Binary):
-            key = (_OPS[type(e)], register(e.left), register(e.right))
-        elif isinstance(e, Num):
+        kind = type(e)
+        op = _OPS.get(kind)
+        if op is not None and kind is not Neg:  # a binary node
+            key = (op, register(e.left), register(e.right))
+        elif kind is Num:
             # bits, not the float: Num(0.0) and Num(-0.0) compare equal
-            key = (Num, struct.pack("<d", e.value))
-        elif isinstance(e, Sym):
+            key = (Num, _pack_double(e.value))
+        elif kind is Sym:
             key = (Sym, e.name)
-        else:  # a Neg, or a Call by its function's ufunc
-            if isinstance(e, Call):
-                if e.fn not in _UFUNCS:
-                    raise ExpressionError(f"unknown function {e.fn!r}")
-                op = getattr(np, _UFUNCS[e.fn])
-            else:
-                op = _OPS.get(type(e))
-                if op is None:
-                    raise TypeError(f"not an expression: {e!r}")
+        elif kind is Neg:
             key = (op, register(e.arg), None)
+        elif kind is Call:  # by its function's ufunc
+            if e.fn not in _UFUNCS:
+                raise ExpressionError(f"unknown function {e.fn!r}")
+            key = (getattr(np, _UFUNCS[e.fn]), register(e.arg), None)
+        else:
+            raise TypeError(f"not an expression: {e!r}")
         r = numbered.get(key)
         if r is None:
             r = numbered[key] = len(constants)
-            if isinstance(e, Num):
+            if kind is Num:
                 constants.append(np.float64(e.value))
             else:
                 constants.append(None)
-                if isinstance(e, Sym):
+                if kind is Sym:
                     symbols[e.name] = r
                 else:
                     steps.append((r, *key))
@@ -782,18 +784,24 @@ def sample_finite(fn, symbols, seed: int, count: int, ranges=None):
     each round's bindings; ``fn`` returns two arrays of shape ``(count,)``.
     Keeps, in draw order, the points where both are finite, and stops after
     the round that brings the points kept to ``count``.  Returns the two
-    arrays at the kept points, empty when no point was finite.
+    arrays at the kept points, empty when no point was finite: the first
+    round's own arrays when all of its points are finite.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    kept_a, kept_b = [], []
+    kept_a, kept_b, kept = [], [], 0
     for _ in range(10):
         a, b = fn(sample_bindings(symbols, rng, count, ranges))
-        finite = np.isfinite(a) & np.isfinite(b)
+        finite = np.isfinite(a)
+        finite &= np.isfinite(b)
+        n = np.count_nonzero(finite)
+        if n == a.size and not kept_a:
+            return a, b  # the first round kept every point
         kept_a.append(a[finite])
         kept_b.append(b[finite])
-        if sum(kept.size for kept in kept_a) >= count:
+        kept += n
+        if kept >= count:
             break
     return np.concatenate(kept_a), np.concatenate(kept_b)
 
@@ -810,14 +818,15 @@ def max_relative(terms, seed: int, count: int, ranges=None):
     def total_and_scale(bindings):
         total, scale = np.zeros(count), np.ones(count)
         for v in pieces(bindings):
-            total, scale = total + v, scale + np.abs(v)
+            total += v
+            scale += np.abs(v)
         return total, scale
 
     total, scale = sample_finite(total_and_scale, pieces.symbols, seed, count,
                                  ranges)
     if total.size == 0:
         return math.nan, 0
-    return float(np.max(np.abs(total) / scale)), total.size
+    return float(np.maximum.reduce(np.abs(total) / scale)), total.size
 
 
 def equivalent(a: Expression, b: Expression, seed: int = 0,

@@ -13,6 +13,7 @@ import json
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expressions import (
     Expression, Num, _close, add, call, compile_expressions,
@@ -285,18 +286,36 @@ def FreeH(expr: Expression) -> Spec:
 # equations, fields, solutions
 
 
+#: the coefficient trees the jet residuals are built from: D, D_u, D_uu, h,
+#: h_x, and u_t on solutions, D u_xx + D_u u_x^2 + h u
+JetPieces = namedtuple("JetPieces", "d d_u d_uu h h_x u_t")
+
+
 @dataclass(frozen=True)
 class FinEquation:
     """One member of the class u_t = (D(u) u_x)_x + h(x) u.
 
     Construction (``dataclasses.replace`` included) runs :func:`validate`
-    and raises its exception for a spec outside the class.
+    and raises its exception for a spec outside the class.  ``jet`` holds
+    the equation's :data:`JetPieces`, derived the first time it is read and
+    kept by this object, so every generator prolonged on it shares them;
+    ``==``, ``hash`` and ``repr`` read the two specs only.
     """
     D: Spec
     h: Spec
 
     def __post_init__(self):
         validate(self)
+
+    @cached_property
+    def jet(self) -> JetPieces:
+        d, h = self.d_expr(), self.h_expr()
+        d_u = differentiate(d, "u")
+        u_x = sym("u_x")
+        u_t = add(add(mul(d, sym("u_xx")), mul(d_u, mul(u_x, u_x))),
+                  mul(h, _U))
+        return JetPieces(d, d_u, differentiate(d_u, "u"), h,
+                         differentiate(h, "x"), u_t)
 
     def d_expr(self) -> Expression:
         return self.D.expression()

@@ -4,7 +4,9 @@ For X = tau(t) d_t + xi(t,x) d_x + eta(t,x,u) d_u acting on
 Delta = u_t - D u_xx - D_u u_x^2 - h u, the prolonged action is assembled
 symbolically over jet coordinates (t, x, u, u_x, u_xx) on solutions: eta^t,
 the one piece holding u_t, takes the value of u_t from the equation.
-Because tau depends on t only, no u_tx term ever appears.
+Because tau depends on t only, no u_tx term ever appears.  Each equation's
+D, D_u, D_uu, h, h_x and u_t on solutions are built once, as
+``FinEquation.jet``, and shared by every generator prolonged on it.
 """
 from __future__ import annotations
 
@@ -76,12 +78,7 @@ def _raw_terms(eq: FinEquation, field: VectorField, u_t: Expression
     the only piece that holds it."""
     tau, xi, eta = field.tau, field.xi, field.eta
     u, u_x, u_xx = sym("u"), sym("u_x"), sym("u_xx")
-
-    d = eq.d_expr()
-    d1 = differentiate(d, "u")
-    d2 = differentiate(d1, "u")
-    h = eq.h_expr()
-    h1 = differentiate(h, "x")
+    d, d1, d2, h, h1, _ = eq.jet
 
     tau_t = differentiate(tau, "t")
     xi_t, xi_x = differentiate(xi, "t"), differentiate(xi, "x")
@@ -102,22 +99,16 @@ def _raw_terms(eq: FinEquation, field: VectorField, u_t: Expression
     )
 
 
-def _rhs(eq: FinEquation) -> Expression:
-    """u_t on solutions: D u_xx + D_u u_x^2 + h u."""
-    u, u_x, u_xx = sym("u"), sym("u_x"), sym("u_xx")
-    d = eq.d_expr()
-    return add(add(mul(d, u_xx), mul(differentiate(d, "u"), mul(u_x, u_x))),
-               mul(eq.h_expr(), u))
-
-
 def prolonged_residual(eq: FinEquation, field: VectorField) -> JetResidual:
     """Prolonged action on the equation, on its solutions.
 
     The result vanishes identically on (t, x, u, u_x, u_xx) iff the field
-    is a Lie point symmetry of the equation.
+    is a Lie point symmetry of the equation.  The equation's coefficient
+    pieces come from ``eq.jet``, derived on the first call for that
+    object; only the field is differentiated on every call.
     """
     _check_shapes(field)
-    return JetResidual(_raw_terms(eq, field, _rhs(eq)))
+    return JetResidual(_raw_terms(eq, field, eq.jet.u_t))
 
 
 def symmetry_residual(eq: FinEquation, field: VectorField, seed: int = 42,
@@ -140,10 +131,10 @@ def conditional_residual(eq: FinEquation, field: VectorField) -> JetResidual:
 
     if tau == ONE:
         # u_t = eta - xi u_x; combined with the equation this pins u_xx
-        u, u_x, d = sym("u"), sym("u_x"), eq.d_expr()
+        u, u_x, jet = sym("u"), sym("u_x"), eq.jet
         u_t = sub(eta, mul(xi, u_x))
-        u_xx = div(sub(sub(u_t, mul(differentiate(d, "u"), mul(u_x, u_x))),
-                       mul(eq.h_expr(), u)), d)
+        u_xx = div(sub(sub(u_t, mul(jet.d_u, mul(u_x, u_x))), mul(jet.h, u)),
+                   jet.d)
         mapping = {"u_xx": u_xx}
     elif tau == ZERO:
         if xi == ZERO:
@@ -151,7 +142,7 @@ def conditional_residual(eq: FinEquation, field: VectorField) -> JetResidual:
         w = div(eta, xi)  # u_x on the invariant surface
         w_total = add(differentiate(w, "x"), mul(differentiate(w, "u"), w))
         mapping = {"u_x": w, "u_xx": w_total}  # u_xx = D_x w on the surface
-        u_t = substitute(_rhs(eq), mapping)
+        u_t = substitute(eq.jet.u_t, mapping)
     else:
         raise SymmetryError(
             "unsupported tau shape: only tau = 1 or tau = 0 are handled")

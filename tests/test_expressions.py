@@ -407,6 +407,41 @@ def test_equivalent_compares_every_point_it_evaluates():
         assert not equivalent(parse("x"), step, seed=seed)
 
 
+def _reference_sample_finite(fn, symbols, seed, count, ranges=None):
+    """The sampling loop with every round filtered and concatenated."""
+    rng = np.random.default_rng(seed)
+    kept_a, kept_b = [], []
+    for _ in range(10):
+        a, b = fn(finsym.expressions.sample_bindings(symbols, rng, count,
+                                                     ranges))
+        finite = np.isfinite(a) & np.isfinite(b)
+        kept_a.append(a[finite])
+        kept_b.append(b[finite])
+        if sum(kept.size for kept in kept_a) >= count:
+            break
+    return np.concatenate(kept_a), np.concatenate(kept_b)
+
+
+def _same_bits(got, want):
+    return all(g.dtype == w.dtype and g.shape == w.shape
+               and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_sample_finite_returns_an_all_finite_first_round_as_it_is():
+    returned = []
+
+    def finite(bindings):
+        x, u = bindings["x"], bindings["u"]
+        returned.append((x * u, -0.0 * x))
+        return returned[-1]
+
+    for seed in range(4):
+        got = sample_finite(finite, ("u", "x"), seed, 9)
+        assert got[0] is returned[-1][0] and got[1] is returned[-1][1]
+        assert _same_bits(got, _reference_sample_finite(finite, ("u", "x"),
+                                                        seed, 9))
+
+
 def test_sample_finite_draws_at_most_ten_rounds():
     rounds = []
 
@@ -428,6 +463,20 @@ def test_sample_finite_draws_at_most_ten_rounds():
     # rounds are drawn until 7 points are kept, and all kept are returned
     assert 1 < len(rounds) < 10
     assert a.size >= 7 and np.all(a > 2.0) and np.array_equal(a, b)
+    assert _same_bits((a, b), _reference_sample_finite(finite_above_2, ("x",),
+                                                       0, 7))
+
+    def b_finite_above_2(bindings):
+        x = bindings["x"]
+        return x, np.log(x - 2.0, where=x > 2.0, out=np.full_like(x, -np.inf))
+
+    # the first round's non-finite points, here in the second array only,
+    # are dropped and more rounds drawn
+    for seed in range(6):
+        a, b = sample_finite(b_finite_above_2, ("x",), seed, 7)
+        assert a.size >= 7 and np.all(a > 2.0) and np.all(np.isfinite(b))
+        assert _same_bits((a, b), _reference_sample_finite(
+            b_finite_above_2, ("x",), seed, 7))
 
 
 def test_max_relative_is_the_relative_zero_test_of_the_pieces():
@@ -440,6 +489,33 @@ def test_max_relative_is_the_relative_zero_test_of_the_pieces():
     # 2x against x: |x| / (1 + 3|x|) is largest at the top of (0.5, 3)
     worst, kept = max_relative((parse("2*x"), neg(x)), 0, 200)
     assert kept == 200 and 0.29 < worst < 3 / 10
+
+
+def test_max_relative_keeps_the_bits_of_summing_into_new_arrays():
+    def reference(terms, seed, count, ranges=None):
+        pieces = compile_expressions(*terms)
+
+        def total_and_scale(bindings):
+            total, scale = np.zeros(count), np.ones(count)
+            for v in pieces(bindings):
+                total, scale = total + v, scale + np.abs(v)
+            return total, scale
+
+        total, scale = _reference_sample_finite(
+            total_and_scale, pieces.symbols, seed, count, ranges)
+        if total.size == 0:
+            return math.nan, 0
+        return float(np.max(np.abs(total) / scale)), total.size
+
+    # a constant, a -0.0, and a piece that is not finite for x < 1.7
+    terms = (Num(2.5), Num(-0.0), parse("ln(x-1.7)*u"), parse("-x*u/3"),
+             parse("exp(-u)"))
+    for seed in range(8):
+        for pieces in (terms, terms[:2] + terms[3:]):
+            got = max_relative(pieces, seed, 50)
+            want = reference(pieces, seed, 50)
+            assert got[1] == want[1] >= 50
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
 
 
 def test_equivalent_runs_the_relative_kernel(monkeypatch):

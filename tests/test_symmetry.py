@@ -1,18 +1,22 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from finsym.classify import classify
+import finsym.model
 import finsym.symmetry
 from finsym.expressions import (
-    ExpressionError, add, differentiate, div, evaluate, max_relative, mul, parse, sub,
-    substitute, sym,
+    ExpressionError, Num, add, differentiate, div, evaluate, max_relative, mul, neg,
+    parse, sub, substitute, sym,
 )
 from finsym.model import (
     ConstantH, ExpU, FinEquation, FreeD, FreeH, H1, InverseSquareX, PowerU,
     PowerX, VectorField,
 )
 from finsym.symmetry import (
-    DEFAULT_JET_RANGES, JetResidual, SymmetryError, _raw_terms, _rhs, conditional_residual,
+    DEFAULT_JET_RANGES, JetResidual, SymmetryError, _raw_terms, conditional_residual,
     prolonged_residual, symmetry_residual,
 )
 from test_acceptance import TABLE_CORPUS
@@ -172,6 +176,38 @@ def test_scaling_transport_of_verdicts():
         assert symmetry_residual(image, pushed) <= 1e-9
 
 
+def _reference_u_t(eq):
+    """u_t on solutions, D u_xx + D_u u_x^2 + h u, derived afresh."""
+    u, u_x, u_xx, d = sym("u"), sym("u_x"), sym("u_xx"), eq.d_expr()
+    return add(add(mul(d, u_xx), mul(differentiate(d, "u"), mul(u_x, u_x))),
+               mul(eq.h_expr(), u))
+
+
+def _reference_terms(eq, field):
+    """The prolonged pieces with every coefficient derivative taken afresh
+    on each call, by the public functions."""
+    tau, xi, eta = field.tau, field.xi, field.eta
+    u, u_x, u_xx = sym("u"), sym("u_x"), sym("u_xx")
+    d, h = eq.d_expr(), eq.h_expr()
+    d1 = differentiate(d, "u")
+    d2, h1 = differentiate(d1, "u"), differentiate(h, "x")
+    u_t = _reference_u_t(eq)
+    tau_t = differentiate(tau, "t")
+    xi_t, xi_x = differentiate(xi, "t"), differentiate(xi, "x")
+    eta_t, eta_x, eta_u = (differentiate(eta, v) for v in ("t", "x", "u"))
+    eta_xp = add(eta_x, mul(u_x, sub(eta_u, xi_x)))
+    eta_tp = add(eta_t, sub(mul(u_t, sub(eta_u, tau_t)), mul(u_x, xi_t)))
+    deps = {"u": ("x",), "u_x": ("x",), "u_xx": ("x",)}
+    eta_xxp = sub(differentiate(eta_xp, "x", deps=deps), mul(u_xx, xi_x))
+    return (
+        eta_tp,
+        neg(mul(xi, mul(h1, u))),
+        mul(eta, neg(add(add(mul(d1, u_xx), mul(d2, mul(u_x, u_x))), h))),
+        neg(mul(mul(Num(2.0), d1), mul(u_x, eta_xp))),
+        neg(mul(d, eta_xxp)),
+    )
+
+
 def _built_free_then_substituted(eq, field, mapping):
     """The pieces built with a free u_t, then substituted by ``mapping``."""
     return tuple(substitute(term, mapping)
@@ -183,8 +219,8 @@ def test_pieces_built_on_shell_equal_the_substituted_pieces():
     for entries in TABLE_CORPUS.values():
         for eq, _ in entries:
             for field in classify(eq).basis:
-                want = _built_free_then_substituted(eq, field,
-                                                    {"u_t": _rhs(eq)})
+                want = _built_free_then_substituted(
+                    eq, field, {"u_t": _reference_u_t(eq)})
                 got = prolonged_residual(eq, field).terms
                 assert repr(got) == repr(want), (eq, field.to_string())
 
@@ -212,3 +248,70 @@ def test_symmetry_residual_refuses_a_sample_count_below_one(samples):
     with pytest.raises(ExpressionError,
                        match=f"need at least one sample, got {samples}"):
         symmetry_residual(eq, D_T, samples=samples)
+
+
+FREE_FORM_ROWS = [
+    FinEquation(FreeD(parse("u^3+u")), FreeH(parse("x^2+x"))),
+    FinEquation(FreeD(parse("1.3*(u+0.7)^(-4/3)")), FreeH(parse("0"))),
+    FinEquation(FreeD(parse("exp(u)+u^2")), FreeH(parse("1/x^2"))),
+]
+
+
+def test_the_kept_jet_pieces_build_the_reference_trees():
+    rows = [row for entries in TABLE_CORPUS.values() for row in entries]
+    rows += [(eq, None) for eq in FREE_FORM_ROWS]
+    checked = 0
+    for eq, ranges in rows:
+        for field in classify(eq).basis:
+            want = _reference_terms(eq, field)
+            got = prolonged_residual(eq, field)
+            # repr tells Num(0.0) from Num(-0.0), which compare equal
+            assert got.terms == want, (eq, field.to_string())
+            assert repr(got.terms) == repr(want), (eq, field.to_string())
+            assert (got.max_relative(seed=5, ranges=ranges)
+                    == JetResidual(want).max_relative(seed=5, ranges=ranges))
+            checked += 1
+    assert checked == 125
+
+
+def test_an_equations_jet_pieces_are_derived_once(monkeypatch):
+    eq = FinEquation(PowerU(-4 / 3), ConstantH(-1))
+    basis = classify(eq).basis
+    assert len(basis) == 5
+    calls = Counter()
+
+    def counting(e, var, deps=None):
+        calls[repr(e), var] += 1
+        return differentiate(e, var, deps)
+
+    monkeypatch.setattr(finsym.model, "differentiate", counting)
+    monkeypatch.setattr(finsym.symmetry, "differentiate", counting)
+    for field in basis:
+        assert (prolonged_residual(eq, field).terms
+                == _reference_terms(eq, field))
+    d, h = eq.d_expr(), eq.h_expr()
+    d_u = differentiate(d, "u")
+    assert calls[repr(d), "u"] == calls[repr(d_u), "u"] == 1
+    assert calls[repr(h), "x"] == 1
+
+
+def test_a_replaced_equation_prolongs_with_its_own_coefficients():
+    eq = FinEquation(PowerU(2), ConstantH(1))
+    scaling = VectorField.parse_triple("0; x; u")  # a symmetry for D = u^2
+    assert symmetry_residual(eq, scaling) <= 1e-12
+    cubic = dataclasses.replace(eq, D=PowerU(3))
+    assert cubic.jet.d == PowerU(3).expression()
+    assert (prolonged_residual(cubic, scaling).terms
+            == _reference_terms(cubic, scaling))
+    assert symmetry_residual(cubic, scaling) > 1e-3
+    assert eq.jet.d == PowerU(2).expression()
+
+
+def test_the_jet_pieces_are_not_part_of_an_equations_value():
+    used = FinEquation(PowerU(2), PowerX(3, 1))
+    prolonged_residual(used, D_T)
+    fresh = FinEquation(PowerU(2), PowerX(3, 1))
+    assert "jet" in vars(used) and "jet" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(used)] == ["D", "h"]
