@@ -1,14 +1,16 @@
 """Structural classification of fin equations and their symmetry bases.
 
 An equation is matched against a 13-case table keyed on the shapes of D
-and h, from most to least specific.  Free-form coefficients are matched to
-family shapes by seeded least-squares fits on the log-derivative ratio
-(D/D' is linear in u for power families, h/h' is quadratic in x for the
-integral profile), then confirmed against the actual shape at a strict
-relative residual.  Matches that need a scaling/translation of the
-equivalence group are annotated in the result's note.  Only the fits use
-numpy, which they import when they first run: classifying tagged
-equations never imports it.
+and h, from most to least specific.  A free-form coefficient f is fitted
+on 50 seeded samples: its ratio f/f' is formed once, and a ladder fits it
+by a polynomial of degree 0 (c*e^(kv)), 1 (c*(v+s)^n) and, for h, 2 (the
+integral profile).  A rung's candidate counts when it is finite and within
+a relative 1e-8 of the samples wherever they are finite, at 8 or more
+points; a power candidate rounds its exponent when within 1e-9 of an
+integer, and the fitted exponent is reported unrounded.  Matches that need
+a scaling/translation of the equivalence group are annotated in the
+result's note.  Only the fits use numpy, which they import when they
+first run: classifying tagged equations never imports it.
 """
 from __future__ import annotations
 
@@ -43,80 +45,92 @@ _ARBITRARY_D = DShape("arbitrary")
 _ARBITRARY_H = HShape("arbitrary")
 
 
-def _ratio_fit(xs, vals, dvals, degree_mask):
-    """Least squares of vals/dvals against monomials selected by mask."""
+def _ratio(expr: Expression, var: str, seed: int):
+    """Seeded samples ``xs`` of ``var``, the coefficient's values there,
+    and its log-derivative ratio z = f/f' with the mask of the points where
+    z is admissible; the mask is None when no rung can fit (fewer than 8
+    such points, or a z that is not finite)."""
     import numpy as np
 
+    xs = sample_bindings((var,), np.random.default_rng(seed), FIT_SAMPLES)[var]
+    vals, dvals = compile_expressions(
+        expr, differentiate(expr, var))({var: xs})
     ok = np.isfinite(vals) & np.isfinite(dvals) & (np.abs(dvals) > 1e-300)
-    if ok.sum() < 8:
-        return None
     z = vals[ok] / dvals[ok]
-    if not np.all(np.isfinite(z)):
-        return None
-    cols = [xs[ok] ** d for d in degree_mask]
-    a = np.stack(cols, axis=1)
-    coeffs, *_ = np.linalg.lstsq(a, z, rcond=None)
-    return coeffs
+    if ok.sum() < 8 or not np.all(np.isfinite(z)):
+        ok = None
+    return xs, vals, ok, z
 
 
 def _verified_coeff(vals, shape) -> float | None:
     """The median ratio c of the samples ``vals`` to a candidate ``shape``,
-    when c*shape matches them at FIT_TOL; otherwise None."""
+    when the candidate is finite wherever the samples are, at 8 or more
+    points, and c*shape matches the samples there at FIT_TOL; else None."""
     import numpy as np
 
-    ok = np.isfinite(vals) & np.isfinite(shape) & (np.abs(shape) > 1e-300)
-    if ok.sum() < 8:
+    finite = np.isfinite(vals)
+    vals, shape = vals[finite], shape[finite]
+    live = np.abs(shape) > 1e-300
+    if vals.size < 8 or not live.any() or not np.all(np.isfinite(shape)):
         return None
-    c = float(np.median(vals[ok] / shape[ok]))
-    want = c * shape
-    finite = np.isfinite(vals) & np.isfinite(want)
-    if finite.sum() < max(8, vals.size // 2):
-        return None
-    return c if np.all(_close(vals[finite], want[finite], FIT_TOL)) else None
+    c = float(np.median(vals[live] / shape[live]))
+    return c if np.all(_close(vals, c * shape, FIT_TOL)) else None
 
 
-def _exp_fit(xs, vals, dvals):
-    """(c, k) when the samples fit c*e^(k v): their ratio to the derivative
-    is constant."""
+def _rung(degree: int, xs, vals, ok, z):
+    """Fit z at the points ``ok`` by a polynomial of ``degree`` in v:
+    1/k (c*e^(k v)), (v+s)/n (c*(v+s)^n) or ((v+s)^2+p)/q (the integral
+    profile c*h1(v+s; p, q)).  (c, k|n|q, s, p) when c times the rung's
+    candidate matches the samples, else None.  The power candidate takes
+    n rounded when it is within 1e-9 of an integer; a shift s within 1e-9
+    of 0 is returned as 0."""
     import numpy as np
 
-    fit = _ratio_fit(xs, vals, dvals, (0,))
-    if fit is None or fit[0] == 0:
+    if ok is None:
         return None
-    k = 1.0 / fit[0]
-    c = _verified_coeff(vals, np.exp(k * xs))
-    return None if c is None else (c, k)
-
-
-def _power_fit(xs, vals, dvals):
-    """(c, n, s) when the samples fit c*(v+s)^n: their ratio to the
-    derivative is linear.  A shift within 1e-9 of 0 is returned as 0."""
-    fit = _ratio_fit(xs, vals, dvals, (0, 1))
-    if fit is None or fit[1] == 0:
+    cols = np.stack([xs[ok] ** d for d in range(degree + 1)], axis=1)
+    fit, *_ = np.linalg.lstsq(cols, z, rcond=None)
+    if fit[degree] == 0:
         return None
-    g, a = fit
-    n = 1.0 / a
-    s = g / a
-    c = _verified_coeff(vals, (xs + s) ** n)
-    return None if c is None else (c, n, 0.0 if abs(s) <= 1e-9 else s)
+    s, p = 0.0, 0
+    if degree == 0:
+        lead = 1.0 / fit[0]
+        shape = np.exp(lead * xs)
+    elif degree == 1:
+        g, a = fit
+        lead, s = 1.0 / a, g / a
+        whole = np.rint(lead)
+        shape = (xs + s) ** (whole if abs(lead - whole) <= 1e-9 else lead)
+    else:
+        g, a, b = fit
+        lead = 1.0 / b
+        s = a * lead / 2.0
+        p_hat = g * lead - s * s
+        p = np.rint(p_hat)
+        if p not in (-1, 0, 1) or abs(p_hat - p) > 1e-6:
+            return None
+        p = int(p)
+        shape = evaluate(h1_expression(p, lead, 1, var=add(_X, num(s))),
+                         {"x": xs})
+    c = _verified_coeff(vals, shape)
+    if c is None:
+        return None
+    return c, float(lead), 0.0 if abs(s) <= 1e-9 else float(s), p
 
 
 def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
     """Match a u-expression against c*e^(k u) and c*(u+beta)^n."""
     import numpy as np
 
-    xs = sample_bindings(("u",), np.random.default_rng(seed), FIT_SAMPLES)["u"]
-    vals, dvals = compile_expressions(
-        expr, differentiate(expr, "u"))({"u": xs})
-    with np.errstate(all="ignore"):  # ratios are checked finite
-        exp = _exp_fit(xs, vals, dvals)
+    with np.errstate(all="ignore"):  # ratios and candidates are checked
+        ratio = _ratio(expr, "u", seed)
+        exp = _rung(0, *ratio)
         if exp is not None:
             return DShape("exp", coeff=exp[0], k=exp[1])
-        power = _power_fit(xs, vals, dvals)
+        power = _rung(1, *ratio)
         if power is not None:
-            c, n, beta = power
-            return DShape("shifted" if beta else "power", coeff=c, n=n,
-                          beta=beta)
+            return DShape("shifted" if power[2] else "power", coeff=power[0],
+                          n=power[1], beta=power[2])
         return _ARBITRARY_D
 
 
@@ -125,10 +139,9 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     integral profile c*h1(x+s; p, q)."""
     import numpy as np
 
-    xs = sample_bindings(("x",), np.random.default_rng(seed), FIT_SAMPLES)["x"]
-    vals, dvals = compile_expressions(
-        expr, differentiate(expr, "x"))({"x": xs})
-    with np.errstate(all="ignore"):  # ratios are checked finite
+    with np.errstate(all="ignore"):  # ratios and candidates are checked
+        ratio = _ratio(expr, "x", seed)
+        vals = ratio[1]
         finite = np.isfinite(vals)
         if finite.sum() < 8:
             return _ARBITRARY_H
@@ -138,34 +151,17 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
         spread = float(np.max(vals[finite]) - np.min(vals[finite]))
         if spread <= 1e-12 * (1 + vmax):
             return HShape("const", coeff=float(np.median(vals[finite])))
-
-        exp = _exp_fit(xs, vals, dvals)
+        exp = _rung(0, *ratio)
         if exp is not None:
             return HShape("exp", coeff=exp[0], k=exp[1])
-        power = _power_fit(xs, vals, dvals)
+        power = _rung(1, *ratio)
         if power is not None:
-            c, q, s = power
-            return HShape("power", coeff=c, q=q, shift=s)
-
-        # integral profile: h/h' quadratic in x, ((x+s)^2 + p)/q with
-        # p in {-1,0,1}
-        fit = _ratio_fit(xs, vals, dvals, (0, 1, 2))
-        if fit is None or fit[2] == 0:
-            return _ARBITRARY_H
-        g, a, b = fit
-        q = 1.0 / b
-        s = a * q / 2.0
-        p_hat = g * q - s * s
-        p = int(round(p_hat))
-        if p not in (-1, 0, 1) or abs(p_hat - p) > 1e-6:
-            return _ARBITRARY_H
-        base = evaluate(h1_expression(p, q, 1, var=add(_X, num(s))),
-                        {"x": xs})
-        c = _verified_coeff(vals, base)
-        if c is None:
-            return _ARBITRARY_H
-        return HShape("h1", coeff=c, q=q, p=p,
-                      shift=0.0 if abs(s) <= 1e-9 else s)
+            return HShape("power", coeff=power[0], q=power[1],
+                          shift=power[2])
+        h1 = _rung(2, *ratio)
+        if h1 is not None:
+            return HShape("h1", coeff=h1[0], q=h1[1], shift=h1[2], p=h1[3])
+        return _ARBITRARY_H
 
 
 def spec_shape(spec, seed: int = 42) -> DShape | HShape:

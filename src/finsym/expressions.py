@@ -479,7 +479,10 @@ def differentiate(e: Expression, var: str,
         if isinstance(e, Mul):
             return add(mul(d(e.left), e.right), mul(e.left, d(e.right)))
         if isinstance(e, Div):
-            return div(sub(mul(d(e.left), e.right), mul(e.left, d(e.right))),
+            dleft, dright = d(e.left), d(e.right)
+            if _is_const(dleft, 0.0) and _is_const(dright, 0.0):
+                return ZERO  # a constant quotient, 1/0 included
+            return div(sub(mul(dleft, e.right), mul(e.left, dright)),
                        pow_(e.right, 2))
         if isinstance(e, Pow):
             base, expo = e.left, e.right
@@ -494,7 +497,7 @@ def differentiate(e: Expression, var: str,
             if e.fn == "exp":
                 return mul(e, inner)
             if e.fn == "ln":
-                return div(inner, e.arg)
+                return ZERO if _is_const(inner, 0.0) else div(inner, e.arg)
             if e.fn == "abs":
                 return mul(call("sign", e.arg), inner)
             if e.fn == "arctan":

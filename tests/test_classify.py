@@ -230,11 +230,70 @@ def test_classification_catalog_is_pinned():
             assert symmetry_residual(eq, vf) <= 1e-9, (row, vf.to_string())
 
 
+def test_free_form_catalog_verdicts_do_not_depend_on_the_fit_seed():
+    catalog = json.loads(CATALOG.read_text())
+    for seed in (1, 2, 3):
+        for row in catalog["free_form"]:
+            r = classify(equation_from_json({"D": row["D"], "h": row["h"]}),
+                         seed)
+            assert (r.case, r.note, len(r.basis)) == (
+                row["case"], row["note"], row["generators"]), (seed, row)
+
+
+#: free-form shifted powers whose zero lies inside the sampling range: the
+#: power candidate is NaN past the zero unless its exponent is a whole
+#: number, and a fractional power input is itself NaN there
+SHIFTED_ZERO_ROWS = [
+    ("(u-1.9)^2", "0", 11, 4), ("(u-1.9)^-1", "1", 8, 3),
+    ("(u-1.9)^(-4/3)", "0", 13, 5), ("u^2", "(x-1.9)^2", 4, 2),
+    ("u^2", "(x-1.6)^-2", 4, 2), ("u^-2", "x-1.93", 4, 2),
+    ("u^2", "(x-1.9)^0.5", 4, 2),
+]
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d,h,case,size", SHIFTED_ZERO_ROWS)
+def test_a_shift_with_its_zero_in_the_range_keeps_the_whole_algebra(
+        d, h, case, size, seed):
+    eq = FinEquation(FreeD(parse(d)), FreeH(parse(h)))
+    r = classify(eq, seed)
+    assert (r.case, len(r.basis)) == (case, size)
+    for vf in r.basis:
+        assert symmetry_residual(eq, vf) <= 1e-9, vf.to_string()
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2, 3])
+@pytest.mark.parametrize("shift", [-0.3, -1.2, -1.6, -1.75, -1.9, -2.4])
+def test_shifted_powers_on_both_sides_of_the_range_middle(shift, seed):
+    # zeros from below the range (0.5, 3) to near its top; -1.75 sits at
+    # its middle, where a share-of-points rule flipped with the seed
+    for n in ("2", "-1", "-4/3", "3", "0.5"):
+        eq = FinEquation(FreeD(parse(f"(u{shift:+})^({n})")), ConstantH(0))
+        r = classify(eq, seed)
+        want = (13, 5) if n == "-4/3" else (11, 4)
+        assert (r.case, len(r.basis)) == want, n
+    for q in ("2", "-2", "1", "0.5", "3"):
+        eq = FinEquation(FreeD(parse("u^2")),
+                         FreeH(parse(f"(x{shift:+})^({q})")))
+        r = classify(eq, seed)
+        assert (r.case, len(r.basis)) == (4, 2), q
+
+
+def test_a_d_with_a_constant_quotient_classifies():
+    # arctan(1/0) = pi/2 does not fold, yet its derivative is 0
+    eq = FinEquation(FreeD(parse("u*(2+arctan(1/(0)))")), ConstantH(0))
+    r = classify(eq)
+    assert (r.case, len(r.basis)) == (11, 4)
+
+
 #: free-form coefficients that each fit guard refuses, by the guard: the
 #: arbitrary shape comes back, and no numpy warning
 FIT_GUARDS = {
     "too few finite ratios": (fit_d_shape, "ln(u-2.9)"),
     "ratio overflows": (fit_d_shape, "1e300+1e-9*u"),
+    # D is finite for u > 0.691, where the candidate e^(-1000u) is below
+    # 1e-300: no ratio to take a median of
+    "candidate underflows": (fit_d_shape, "exp(1400-1000*u)"),
     "no quadratic ratio fit": (fit_h_shape, "sign(x-2.9)"),
     "integral profile not verified": (fit_h_shape,
                                       "exp(arctan(x))*(1+1e-7*x)"),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,16 @@ def test_g3_refuses_a_negative_d5_for_a_fractional_exponent():
     T = make_group_element("G3", (1, 0, 1, 0, -1),
                            eq=FinEquation(PowerU(2), ConstantH(-2.0)))
     assert T.d_rule.override == parse("u^2")
+
+
+def test_g3_on_a_fitted_fractional_power_refuses_a_negative_d5_quietly():
+    # the fitted exponent is a Python float, so d5^n is complex as for the
+    # tagged PowerU(0.5), not numpy's NaN with a RuntimeWarning
+    eq = FinEquation(FreeD(parse("u^0.5")), ConstantH(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DeltaConstraintError, match="d5 must be positive"):
+            make_group_element("G3", (1, 0, 1, 0, -2), eq=eq)
 
 
 def test_an_element_is_its_maps_rules_and_required_specs():

@@ -194,6 +194,19 @@ def test_differentiate_with_dependencies():
     assert differentiate(parse("u_t"), "x", deps={"u_t": ("x",)}) == Sym("u_tx")
 
 
+def test_differentiate_gives_zero_for_a_constant_quotient():
+    # 1/0 and ln(0) do not fold, but their derivatives are 0, so a finite
+    # D built on them differentiates to a finite expression
+    d = differentiate(parse("u*(2+arctan(1/(0)))"), "u")
+    assert to_string(d) == "2+arctan(1/0)"
+    assert differentiate(parse("ln(0)"), "u") == Num(0.0)
+    # a quotient whose operands depend on the variable keeps the quotient
+    # rule, so d(x/0)/dx stays non-finite
+    with np.errstate(all="ignore"):
+        assert not math.isfinite(
+            evaluate(differentiate(parse("x/0"), "x"), {"x": 1.0}))
+
+
 def test_evaluate_examples():
     for ev in EVALUATORS:
         assert ev(parse("x^2+p"), {"x": 2, "p": 1}) == 5.0
