@@ -7,18 +7,22 @@ by a polynomial of degree 0 (c*e^(kv)), 1 (c*(v+s)^n) and, for h, 2 (the
 integral profile).  A rung's candidate counts when it is finite and within
 a relative 1e-8 of the samples wherever they are finite, at 8 or more
 points; a power candidate rounds its exponent when within 1e-9 of an
-integer, and the fitted exponent is reported unrounded.  Matches that need
+integer, and the fitted exponent is reported unrounded.  When 1 to 7 of
+the 50 samples are admissible, 50 more are drawn once, next to those.  An
+h with no free symbol is evaluated once instead.  Matches that need
 a scaling/translation of the equivalence group are annotated in the
 result's note.  Only the fits use numpy, which they import when they
 first run: classifying tagged equations never imports it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .expressions import (
-    Expression, _close, add, call, compile_expressions, differentiate,
-    evaluate, mul, neg, num, pow_, sample_bindings, sym,
+    DEFAULT_SAMPLING_RANGES, Expression, _close, add, call,
+    compile_expressions, differentiate, evaluate, mul, neg, num, pow_,
+    sample_bindings, sym,
 )
 from .model import (
     D_T, D_X, DShape, FinEquation, HShape, VectorField, _num_out,
@@ -49,15 +53,29 @@ def _ratio(expr: Expression, var: str, seed: int):
     """Seeded samples ``xs`` of ``var``, the coefficient's values there,
     and its log-derivative ratio z = f/f' with the mask of the points where
     z is admissible; the mask is None when no rung can fit (fewer than 8
-    such points, or a z that is not finite)."""
+    such points, or a z that is not finite).  When only 1 to 7 points are
+    admissible (a zero of f near an end of the range), the samples are
+    drawn once more from the same generator, between the inadmissible
+    samples nearest the admissible ones, or the range's end."""
     import numpy as np
 
-    xs = sample_bindings((var,), np.random.default_rng(seed), FIT_SAMPLES)[var]
-    vals, dvals = compile_expressions(
-        expr, differentiate(expr, var))({var: xs})
-    ok = np.isfinite(vals) & np.isfinite(dvals) & (np.abs(dvals) > 1e-300)
+    rng = np.random.default_rng(seed)
+    pieces = compile_expressions(expr, differentiate(expr, var))
+
+    def draw(lo, hi):
+        xs = sample_bindings((var,), rng, FIT_SAMPLES, {var: (lo, hi)})[var]
+        vals, dvals = pieces({var: xs})
+        ok = np.isfinite(vals) & np.isfinite(dvals) & (np.abs(dvals) > 1e-300)
+        return xs, vals, dvals, ok
+
+    lo, hi = DEFAULT_SAMPLING_RANGES[var]
+    xs, vals, dvals, ok = draw(lo, hi)
+    if 0 < np.count_nonzero(ok) < 8:
+        good, bad = xs[ok], xs[~ok]
+        xs, vals, dvals, ok = draw(max(bad[bad < good.min()], default=lo),
+                                   min(bad[bad > good.max()], default=hi))
     z = vals[ok] / dvals[ok]
-    if ok.sum() < 8 or not np.all(np.isfinite(z)):
+    if np.count_nonzero(ok) < 8 or not np.all(np.isfinite(z)):
         ok = None
     return xs, vals, ok, z
 
@@ -136,9 +154,16 @@ def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
 
 def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
     """Match an x-expression against 0, const, c*(x+s)^q, c*e^(kx) and the
-    integral profile c*h1(x+s; p, q)."""
+    integral profile c*h1(x+s; p, q).  An expression with no free symbol is
+    evaluated once, not sampled: zero when |v| <= 1e-12, const when v is
+    finite, arbitrary otherwise."""
     import numpy as np
 
+    if not expr.free_symbols():  # a number: read it, there is nothing to fit
+        v = float(evaluate(expr, {}))
+        if abs(v) <= 1e-12:
+            return HShape("zero")
+        return HShape("const", coeff=v) if math.isfinite(v) else _ARBITRARY_H
     with np.errstate(all="ignore"):  # ratios and candidates are checked
         ratio = _ratio(expr, "x", seed)
         vals = ratio[1]

@@ -151,7 +151,9 @@ class Pow(_Binary):
 
 
 # ---------------------------------------------------------------------------
-# smart constructors: constant folding + identity elimination
+# smart constructors: constant folding + identity elimination.  ``add``,
+# ``sub``, ``mul`` and ``neg`` build most nodes, so they test their
+# operands' node types inline rather than through ``_coerce``/``_is_const``.
 
 
 def num(v) -> Num:
@@ -181,46 +183,58 @@ def _fold(value: float) -> Num | None:
 
 
 def add(a, b) -> Expression:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Num) and isinstance(b, Num):
-        folded = _fold(a.value + b.value)
-        if folded is not None:
-            return folded
-    if _is_const(a, 0.0):
+    if not isinstance(a, Expression):
+        a = Num(float(a))
+    if not isinstance(b, Expression):
+        b = Num(float(b))
+    const_a, const_b = type(a) is Num, type(b) is Num
+    if const_a and const_b:
+        value = a.value + b.value
+        if math.isfinite(value):
+            return Num(float(value))
+    if const_a and a.value == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if const_b and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def sub(a, b) -> Expression:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Num) and isinstance(b, Num):
-        folded = _fold(a.value - b.value)
-        if folded is not None:
-            return folded
-    if _is_const(b, 0.0):
+    if not isinstance(a, Expression):
+        a = Num(float(a))
+    if not isinstance(b, Expression):
+        b = Num(float(b))
+    const_a, const_b = type(a) is Num, type(b) is Num
+    if const_a and const_b:
+        value = a.value - b.value
+        if math.isfinite(value):
+            return Num(float(value))
+    if const_b and b.value == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if const_a and a.value == 0.0:
         return neg(b)
     return Sub(a, b)
 
 
 def mul(a, b) -> Expression:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Num) and isinstance(b, Num):
-        folded = _fold(a.value * b.value)
-        if folded is not None:
-            return folded
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if not isinstance(a, Expression):
+        a = Num(float(a))
+    if not isinstance(b, Expression):
+        b = Num(float(b))
+    const_a, const_b = type(a) is Num, type(b) is Num
+    if const_a and const_b:
+        value = a.value * b.value
+        if math.isfinite(value):
+            return Num(float(value))
+    if const_a and a.value == 0.0 or const_b and b.value == 0.0:
         return ZERO
-    if _is_const(a, 1.0):
+    if const_a and a.value == 1.0:
         return b
-    if _is_const(b, 1.0):
+    if const_b and b.value == 1.0:
         return a
-    if _is_const(a, -1.0):
+    if const_a and a.value == -1.0:
         return neg(b)
-    if _is_const(b, -1.0):
+    if const_b and b.value == -1.0:
         return neg(a)
     return Mul(a, b)
 
@@ -257,12 +271,14 @@ def pow_(a, b) -> Expression:
 
 
 def neg(a) -> Expression:
-    a = _coerce(a)
-    if isinstance(a, Num):
+    kind = type(a)
+    if kind is Num:
         return Num(-a.value)
-    if isinstance(a, Neg):
+    if kind is Neg:
         return a.arg
-    return Neg(a)
+    if isinstance(a, Expression):
+        return Neg(a)
+    return Num(-float(a))
 
 
 def call(fn: str, a) -> Expression:
@@ -763,14 +779,18 @@ def _close(a, b, tol):
     return abs(a - b) <= tol * (1 + abs(a) + abs(b))
 
 
+def _check_count(count: int):
+    if count < 1:
+        raise ExpressionError(f"need at least one sample, got {count}")
+
+
 def sample_bindings(symbols, rng, count: int, ranges=None):
     """Draw ``count`` points for each symbol as arrays (seeded, uniform).
 
     Raises :class:`ExpressionError` for a count below 1, or for a range
     drawn from that is not finite with lo < hi.
     """
-    if count < 1:
-        raise ExpressionError(f"need at least one sample, got {count}")
+    _check_count(count)
     resolved = sorted(_resolve_ranges(symbols, ranges).items())
     for s, (lo, hi) in resolved:
         if not -math.inf < lo < hi < math.inf:
@@ -813,10 +833,26 @@ def max_relative(terms, seed: int, count: int, ranges=None):
     """The relative zero test of a sum of pieces: the largest
     ``|sum of pieces| / (1 + sum |pieces|)`` over the points
     :func:`sample_finite` keeps, and how many it kept (NaN and 0 for none).
+
+    Pieces with no free symbol cannot vary, so they are evaluated once and
+    sampled nowhere: the sums run in the pieces' order from 0 and 1, as
+    over an array, and the result is that value with ``count`` points
+    kept, or NaN and 0 when either sum is not finite.  A count below 1
+    raises :class:`ExpressionError` on both paths.
     """
     import numpy as np
 
     pieces = compile_expressions(*terms)
+    if not pieces.symbols:
+        _check_count(count)
+        total, scale = 0.0, 1.0
+        for v in pieces({}):
+            v = float(v)
+            total += v
+            scale += abs(v)
+        if math.isfinite(total) and math.isfinite(scale):
+            return abs(total) / scale, count
+        return math.nan, 0
 
     def total_and_scale(bindings):
         total, scale = np.zeros(count), np.ones(count)

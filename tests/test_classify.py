@@ -1,3 +1,4 @@
+import importlib
 import json
 import pathlib
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finsym.classify import classify, fit_d_shape, fit_h_shape
+from finsym.classify import HShape, _ratio, classify, fit_d_shape, fit_h_shape
 from finsym.expressions import add, differentiate, equivalent, mul, parse
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
@@ -173,7 +174,8 @@ def test_fit_shapes_directly():
     prof = fit_h_shape(parse("3*exp(-2/x)"))
     assert prof.kind == "h1"
     assert prof.p == 0 and prof.q == pytest.approx(2.0, rel=1e-8)
-    # ln(x-2.9) is finite on 4% of (0.5, 3): fewer than 8 of 50 samples
+    # ln(x-2.9) is finite on 4% of (0.5, 3), so its samples are drawn
+    # again above 2.9, where it matches no family
     assert fit_h_shape(parse("ln(x-2.9)")).kind == "arbitrary"
     assert fit_h_shape(parse("x^2+x")).kind == "arbitrary"
     assert fit_d_shape(parse("u^2+1")).kind == "arbitrary"
@@ -262,6 +264,26 @@ def test_a_shift_with_its_zero_in_the_range_keeps_the_whole_algebra(
         assert symmetry_residual(eq, vf) <= 1e-9, vf.to_string()
 
 
+#: zeros near the top of the range, where fewer than 8 of the first 50
+#: samples are admissible, so the fit draws its samples once more; the
+#: generators are checked where the coefficients are finite
+NEAR_END_ZERO_ROWS = [
+    ("u^2", "(x-2.7)^0.5", 4, 2, {"x": (2.7, 3.0)}),
+    ("(u-2.9)^(-4/3)", "0", 13, 5, {"u": (2.9, 3.0)}),
+]
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d,h,case,size,ranges", NEAR_END_ZERO_ROWS)
+def test_a_zero_near_the_range_end_keeps_the_whole_algebra(
+        d, h, case, size, ranges, seed):
+    eq = FinEquation(FreeD(parse(d)), FreeH(parse(h)))
+    r = classify(eq, seed)
+    assert (r.case, len(r.basis)) == (case, size)
+    for vf in r.basis:
+        assert symmetry_residual(eq, vf, ranges=ranges) <= 1e-9, vf.to_string()
+
+
 @pytest.mark.parametrize("seed", [42, 1, 2, 3])
 @pytest.mark.parametrize("shift", [-0.3, -1.2, -1.6, -1.75, -1.9, -2.4])
 def test_shifted_powers_on_both_sides_of_the_range_middle(shift, seed):
@@ -279,6 +301,43 @@ def test_shifted_powers_on_both_sides_of_the_range_middle(shift, seed):
         assert (r.case, len(r.basis)) == (4, 2), q
 
 
+def test_few_admissible_samples_are_drawn_again_on_their_side():
+    # (x-2.7)^0.5 and its slope are finite above 2.7 only: the fit draws 50
+    # more points from the same generator, above the highest sample below
+    rng = np.random.default_rng(42)
+    first = rng.uniform(0.5, 3.0, 50)
+    assert 0 < np.count_nonzero(first > 2.7) < 8
+    again = rng.uniform(first[first < 2.7].max(), 3.0, 50)
+    with np.errstate(all="ignore"):
+        xs, vals, ok, z = _ratio(parse("(x-2.7)^0.5"), "x", 42)
+    assert xs.tobytes() == again.tobytes()
+    assert np.count_nonzero(ok) >= 8
+    # enough admissible points in the first draw: no second draw
+    xs, *_ = _ratio(parse("x-2.7"), "x", 42)
+    assert xs.tobytes() == first.tobytes()
+
+
+#: the shapes that sampling 50 points gave each symbol-free h, which is
+#: now evaluated once
+SYMBOL_FREE_H = {
+    "0": HShape("zero"), "1e-13": HShape("zero"),
+    "-1.234": HShape("const", coeff=-1.234),
+    "2*3": HShape("const", coeff=6.0), "1/0": HShape("arbitrary"),
+    "arctan(1/0)": HShape("const", coeff=1.5707963267948966),
+}
+
+
+@pytest.mark.parametrize("text", SYMBOL_FREE_H)
+def test_a_symbol_free_h_is_read_not_fitted(text, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("a symbol-free h was sampled")
+
+    # the package exports the function classify under the module's name
+    monkeypatch.setattr(importlib.import_module("finsym.classify"), "_ratio",
+                        no_fit)
+    assert repr(fit_h_shape(parse(text))) == repr(SYMBOL_FREE_H[text])
+
+
 def test_a_d_with_a_constant_quotient_classifies():
     # arctan(1/0) = pi/2 does not fold, yet its derivative is 0
     eq = FinEquation(FreeD(parse("u*(2+arctan(1/(0)))")), ConstantH(0))
@@ -289,7 +348,10 @@ def test_a_d_with_a_constant_quotient_classifies():
 #: free-form coefficients that each fit guard refuses, by the guard: the
 #: arbitrary shape comes back, and no numpy warning
 FIT_GUARDS = {
-    "too few finite ratios": (fit_d_shape, "ln(u-2.9)"),
+    # no sample is admissible, so none is drawn again
+    "too few finite ratios": (fit_d_shape, "ln(u-3.5)"),
+    # 1 to 7 samples are admissible: drawn again above 2.9, none fits
+    "a redrawn fit matches no rung": (fit_d_shape, "ln(u-2.9)"),
     "ratio overflows": (fit_d_shape, "1e300+1e-9*u"),
     # D is finite for u > 0.691, where the candidate e^(-1000u) is below
     # 1e-300: no ratio to take a median of

@@ -531,6 +531,59 @@ def test_max_relative_keeps_the_bits_of_summing_into_new_arrays():
             assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
 
 
+def _broadcast_max_relative(terms, count):
+    """The array path's arithmetic on pieces with no free symbol: each
+    piece's value broadcast over ``count`` points and summed in place, and
+    no point kept when a sum is not finite."""
+    values = compile_expressions(*terms)({})
+    with np.errstate(all="ignore"):
+        total, scale = np.zeros(count), np.ones(count)
+        for v in values:
+            total += v
+            scale += np.abs(v)
+        if not (np.all(np.isfinite(total)) and np.all(np.isfinite(scale))):
+            return math.nan, 0
+        return float(np.max(np.abs(total) / scale)), count
+
+
+SYMBOL_FREE_PIECES = {
+    "zero": (Num(0.0),),
+    "negative zero": (Num(-0.0),),
+    "signed zeros": (Num(-0.0), Num(0.0), Num(-0.0)),
+    "mixed signs": (Num(2.5), Num(-0.0), Num(-1.25), parse("-3/7")),
+    "a rounding remainder": (Num(0.1), Num(0.2), Num(-0.3)),
+    "an unfolded call": (parse("arctan(1/0)"), Num(-1.5)),
+    "1/0": (Num(1.0), parse("1/0")),
+    "0/0": (parse("0/0"), Num(2.0)),
+    "inf-inf": (parse("1/0"), parse("-1/0")),
+    "an overflowing sum": (Num(1e308), Num(1e308)),
+    "an overflowing scale": (Num(1e308), Num(-1e308), Num(1e308),
+                             Num(-1e308)),
+}
+
+
+@pytest.mark.parametrize("count", [1, 50, 200])
+@pytest.mark.parametrize("name", SYMBOL_FREE_PIECES)
+def test_max_relative_reads_symbol_free_pieces_once(name, count, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("symbol-free pieces were sampled")
+
+    monkeypatch.setattr(finsym.expressions, "sample_finite", no_sampling)
+    terms = SYMBOL_FREE_PIECES[name]
+    worst, kept = max_relative(terms, 0, count)
+    want = _broadcast_max_relative(terms, count)
+    assert type(worst) is float and kept == want[1]
+    assert np.float64(worst).tobytes() == np.float64(want[0]).tobytes()
+    assert kept == (count if math.isfinite(worst) else 0)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_max_relative_on_symbol_free_pieces_refuses_a_count_below_one(count):
+    with pytest.raises(ExpressionError,
+                       match=f"need at least one sample, got {count}"):
+        max_relative((Num(1.0),), 0, count)
+
+
 def test_equivalent_runs_the_relative_kernel(monkeypatch):
     calls = []
 
@@ -621,6 +674,99 @@ def _fold_grid(rng, special, count, log_range):
 
 def _bits(value) -> bytes:
     return np.float64(value).tobytes()
+
+
+def _reference_coerce(e):
+    return e if isinstance(e, finsym.expressions.Expression) else Num(float(e))
+
+
+def _reference_const(e, v):
+    return isinstance(e, Num) and e.value == v
+
+
+def _reference_fold(value):
+    return Num(float(value)) if math.isfinite(value) else None
+
+
+def _reference_add(a, b):
+    a, b = _reference_coerce(a), _reference_coerce(b)
+    if isinstance(a, Num) and isinstance(b, Num):
+        folded = _reference_fold(a.value + b.value)
+        if folded is not None:
+            return folded
+    if _reference_const(a, 0.0):
+        return b
+    if _reference_const(b, 0.0):
+        return a
+    return Add(a, b)
+
+
+def _reference_sub(a, b):
+    a, b = _reference_coerce(a), _reference_coerce(b)
+    if isinstance(a, Num) and isinstance(b, Num):
+        folded = _reference_fold(a.value - b.value)
+        if folded is not None:
+            return folded
+    if _reference_const(b, 0.0):
+        return a
+    if _reference_const(a, 0.0):
+        return _reference_neg(b)
+    return Sub(a, b)
+
+
+def _reference_mul(a, b):
+    a, b = _reference_coerce(a), _reference_coerce(b)
+    if isinstance(a, Num) and isinstance(b, Num):
+        folded = _reference_fold(a.value * b.value)
+        if folded is not None:
+            return folded
+    if _reference_const(a, 0.0) or _reference_const(b, 0.0):
+        return Num(0.0)
+    if _reference_const(a, 1.0):
+        return b
+    if _reference_const(b, 1.0):
+        return a
+    if _reference_const(a, -1.0):
+        return _reference_neg(b)
+    if _reference_const(b, -1.0):
+        return _reference_neg(a)
+    return Mul(a, b)
+
+
+def _reference_neg(a):
+    a = _reference_coerce(a)
+    if isinstance(a, Num):
+        return Num(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+#: nodes and plain numbers; a Num holding an int prints apart from 1.0
+CONSTRUCTOR_OPERANDS = [
+    Num(0.0), Num(-0.0), Num(1), Num(1.0), Num(-1.0), Num(2.5), Num(math.inf),
+    Num(-math.inf), Num(math.nan), sym("x"), Neg(sym("x")),
+    0, 1, -1, 3, 0.0, -0.0, 1.0, -1.0, 2.5, math.inf, math.nan,
+    np.float64(-0.0),
+]
+
+
+@pytest.mark.parametrize("build,reference", [
+    (add, _reference_add), (sub, _reference_sub), (mul, _reference_mul),
+], ids=["add", "sub", "mul"])
+def test_smart_constructors_build_the_reference_trees(build, reference):
+    # repr, not ==: Num(0.0) == Num(-0.0), and Num(nan) != itself
+    for a in CONSTRUCTOR_OPERANDS:
+        for b in CONSTRUCTOR_OPERANDS:
+            assert repr(build(a, b)) == repr(reference(a, b)), (a, b)
+
+
+def test_neg_builds_the_reference_trees():
+    for a in CONSTRUCTOR_OPERANDS:
+        assert repr(neg(a)) == repr(_reference_neg(a)), a
+    assert repr(neg(2.0)) == "Num(-2.0)" and repr(neg(0)) == "Num(-0.0)"
+    # 0*inf is NaN, so the fold falls through to the zero identity
+    assert repr(mul(Num(0), Num(math.inf))) == "Num(0.0)"
 
 
 def test_power_folds_to_the_bits_of_numpys_scalar_power():
