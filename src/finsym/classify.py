@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass
 
 from .expressions import (
-    DEFAULT_SAMPLING_RANGES, Expression, _close, add, call,
+    DEFAULT_SAMPLING_RANGES, Expression, Num, Sym, _close, add, call,
     compile_expressions, differentiate, evaluate, mul, neg, num, pow_,
     sample_bindings, sym,
 )
 from .model import (
-    D_T, D_X, DShape, FinEquation, HShape, VectorField, _num_out,
-    h1_expression, is_four_thirds,
+    D_T, D_X, DShape, FinEquation, HShape, ModelError, VectorField,
+    _num_out, h1_expression, is_four_thirds,
 )
 
 __all__ = [
@@ -239,6 +239,19 @@ def _power_xu_vfs(n: float, su: Expression) -> list:
     return [VectorField(num(0), mul(num(n), _X), mul(num(2), su))]
 
 
+def _all_finite(basis) -> bool:
+    """Whether every number in the generators' coefficients is finite."""
+    nodes = [e for vf in basis for e in (vf.tau, vf.xi, vf.eta)]
+    for e in nodes:  # the loop reaches the children it appends
+        kind = type(e)
+        if kind is Num:
+            if not math.isfinite(e.value):
+                return False
+        elif kind is not Sym:
+            nodes.extend(e.children())
+    return True
+
+
 def _sign(v: float) -> int:
     return 1 if v > 0 else -1
 
@@ -267,6 +280,11 @@ def classify(eq: FinEquation, seed: int = 42) -> ClassificationResult:
         notes.append("negative D coefficient absorbed by time reflection")
 
     def done(case, params, basis):
+        # finite shapes can still multiply past the float range
+        if not _all_finite(basis):
+            raise ModelError(f"a generator of case {case} has a coefficient "
+                             "that overflows; rescale the equation's "
+                             "coefficients")
         return ClassificationResult(case, params, tuple(basis),
                                     "; ".join(notes) or None)
 

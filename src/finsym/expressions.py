@@ -572,7 +572,7 @@ _SOURCE = {
 
 
 def _straight_line(steps: list, constants: list, registers: list,
-                   params: dict, arity: int):
+                   params: dict, arity: int, floats: bool = False):
     """A tape's steps as one generated function of ``arity`` parameters.
 
     ``params`` maps the register of each symbol to its parameter's index.
@@ -581,29 +581,57 @@ def _straight_line(steps: list, constants: list, registers: list,
     reach the function through its globals, so their bits and no symbol
     name ever enter the source.  It returns the list of the output
     registers, as the interpreted steps of ``run`` compute them.
+
+    The ``floats`` form runs on Python floats: constants are bound as
+    floats, each ufunc result passes through ``float()`` and ``abs`` is
+    ``math.fabs``.  Only a ``**`` step can make a complex (a negative
+    base to a fractional power; not to a whole constant power), and so
+    can any step on a register that may hold one; such a register passes
+    through ``float()`` where it meets a ufunc or is returned, which
+    raises ``TypeError`` on a complex.  So the form returns floats, or
+    raises where a step would leave the reals or where Python raises on
+    what numpy carries to inf or NaN (``x / 0``, an overflowing ``**``).
     """
+    import numpy as np
+
     namespace: dict = {"__builtins__": {}}
+    maybe_complex: set = set()  # registers that may hold a complex
 
     def name(r: int) -> str:
         if r in params:
             return f"a{params[r]}"
         if constants[r] is not None:
-            namespace[f"c{r}"] = constants[r]
+            value = constants[r]
+            namespace[f"c{r}"] = float(value) if floats else value
             return f"c{r}"
         return f"r{r}"
 
+    def real(r: int) -> str:
+        return f"float({name(r)})" if r in maybe_complex else name(r)
+
+    if floats:
+        namespace.update(float=float, fabs=math.fabs)
     ufuncs: dict = {}  # ufunc -> the name of its global
     lines = [f"def core({', '.join(f'a{i}' for i in range(arity))}):"]
     for out, op, a, b in steps:
         form = _SOURCE.get(op)
-        if form is None:
+        if form is not None:
+            value = form.format(*map(name, (a,) if b is None else (a, b)))
+            whole = (b is not None and constants[b] is not None
+                     and float(constants[b]).is_integer())
+            if floats and (op is operator.pow and not whole
+                           or a in maybe_complex or b in maybe_complex):
+                maybe_complex.add(out)
+        elif floats and op is np.absolute:
+            value = f"fabs({name(a)})"  # a complex raises TypeError
+        else:
             fn = ufuncs.setdefault(op, f"f{len(ufuncs)}")
             namespace[fn] = op
-            value = f"{fn}({name(a)})"
-        else:
-            value = form.format(*map(name, (a,) if b is None else (a, b)))
+            value = f"{fn}({real(a)})"
+            if floats:
+                value = f"float({value})"
         lines.append(f"    r{out} = {value}")
-    lines.append(f"    return [{', '.join(map(name, registers))}]")
+    lines.append(f"    return [{', '.join(map(real, registers))}]")
     exec(compile("\n".join(lines), "<tape>", "exec"), namespace)
     return namespace["core"]
 
@@ -640,8 +668,7 @@ def compile_expressions(*exprs: Expression):
     that order, and its contract is narrower:
 
     - the values are float64 arrays of one shape or ``np.float64``
-      scalars (not Python floats: ``float / 0`` raises where numpy gives
-      inf, and a negative float to a fractional power is complex);
+      scalars;
     - the caller holds ``np.errstate(all="ignore")``, as ``run`` does;
     - it returns a list of the output registers as computed: a constant
       is not broadcast, and an output may be a bound array, another
@@ -649,6 +676,20 @@ def compile_expressions(*exprs: Expression):
 
     The core and ``run`` apply the same operations to the same registers
     in the same order, so the two give the same bits.
+
+    ``run.bind(order, floats=True)`` gives the scalar form, kept apart
+    from the array core of the same order: Python floats in, Python
+    floats out, and it pays none of numpy's cost per scalar operation.
+    Where numpy gives inf or NaN it may raise instead (``x / 0`` raises
+    ``ZeroDivisionError``, an overflowing ``**`` ``OverflowError``), and
+    a value that leaves the reals (a negative base to a fractional power)
+    raises ``TypeError``; after any ``ArithmeticError``, ``TypeError`` or
+    ``ValueError`` the caller computes that call again with the
+    ``np.float64`` core, which is then the only one to give numpy's
+    values.  A call that returns gives the ``np.float64`` core's bits,
+    but for the sign of a NaN: numpy's scalar ``nan + -nan`` is ``-nan``
+    where Python's is ``nan``.  The caller still holds the errstate, for
+    the ufuncs.
     """
     import numpy as np
 
@@ -703,19 +744,20 @@ def compile_expressions(*exprs: Expression):
         outputs.append(r in computed)
         computed.discard(r)
 
-    cores: dict = {}  # order -> its generated core
+    cores: dict = {}  # (order, floats) -> its generated core
 
-    def bind(order: Sequence[str]):
-        order = tuple(order)
-        core = cores.get(order)
+    def bind(order: Sequence[str], floats: bool = False):
+        key = (tuple(order), floats)
+        core = cores.get(key)
         if core is None:
-            index = dict(zip(order, range(len(order))))
+            index = dict(zip(key[0], range(len(key[0]))))
             if not index.keys() >= symbols.keys():
                 unbound = next(name for name in symbols if name not in index)
                 raise UnboundSymbolError(f"unbound symbol {unbound!r}")
-            core = cores[order] = _straight_line(
+            core = cores[key] = _straight_line(
                 steps, constants, registers,
-                {r: index[name] for name, r in symbols.items()}, len(order))
+                {r: index[name] for name, r in symbols.items()}, len(index),
+                floats)
         return core
 
     def run(bindings: Mapping[str, object]) -> tuple:
@@ -861,8 +903,11 @@ def max_relative(terms, seed: int, count: int, ranges=None):
             scale += np.abs(v)
         return total, scale
 
-    total, scale = sample_finite(total_and_scale, pieces.symbols, seed, count,
-                                 ranges)
+    # pieces of opposite infinities, or a sum past the float range, make a
+    # point that is dropped, not a warning
+    with np.errstate(all="ignore"):
+        total, scale = sample_finite(total_and_scale, pieces.symbols, seed,
+                                     count, ranges)
     if total.size == 0:
         return math.nan, 0
     return float(np.maximum.reduce(np.abs(total) / scale)), total.size

@@ -15,18 +15,23 @@ that by dx for the flux D u_x, and each explicit step checks its dt
 against those D.  The Dirichlet boundary
 values and the sampled residual get one tape each.  An explicit step
 writes every stencil, update and check into arrays allocated once per
-solve: the state lives in two buffers that swap roles, so a step
+solve, through ufuncs bound once per solve with the output passed by
+position: the state lives in two buffers that swap roles, so a step
 allocates only what the interface core returns.
 One whole RK4 step of a reduced equation is one tape, compiled once per
 residual and kept for later integrations of the same residual; a shoot
 looks it up once and marches every probe with it.
 
-The two loops call their tape's positional core (``tape.bind(order)``),
-not the checked ``tape(bindings)``: each holds one
-``np.errstate(all="ignore")`` around the whole loop, the FD loop binds
-the (u_l, u_r) views of its float64 state and the RK4 march binds
-``np.float64`` scalars, so each call skips the tape's per-call set-up
-and the bits are the same.  ``bind`` generates the core as straight-line
+The two loops call their tape's positional core, not the checked
+``tape(bindings)``: each holds one ``np.errstate(all="ignore")`` around
+the whole loop, so each call skips the tape's per-call set-up and the
+bits are the same.  The FD loop binds the (u_l, u_r) views of its
+float64 state (``tape.bind(order)``).  The RK4 march runs each step on
+Python floats (``tape.bind(order, floats=True)``) and so pays none of
+numpy's cost per scalar operation; a step where the float form raises
+(numpy would give inf or NaN there, or a value left the reals) runs
+again on ``np.float64`` scalars through the array core, generated at
+the first such step only.  ``bind`` generates each core as straight-line
 code once per order and keeps it on the tape, where ``tape(bindings)``
 interprets the steps: the RK4 tape, kept per residual, generates its
 core once for all the integrations and shoots of that residual, and the
@@ -179,8 +184,8 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     The interface tape is kept per D (the ``repr`` of its tree), so
     solves of one D on any grid share one compile.  The state lives in
     two buffers that swap roles each step, and each step writes its
-    stencil, update and checks with ``out=`` into work arrays allocated
-    once per solve; the levels stored are copies, never a buffer.
+    stencil, update and checks into work arrays allocated once per solve;
+    the levels stored are copies, never a buffer.
     """
     if method not in ("explicit", "implicit"):
         raise NumericError(f"unknown method {method!r}")
@@ -221,7 +226,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
         bounds = _boundary_values(boundary, n_steps, dt, grid.t_final)
 
     # the work arrays and their views, made once: each step writes every
-    # stencil, update and check into them with out=
+    # stencil, update and check into them, passing out by position
     m = grid.m
     flux = np.empty(m - 1)
     flux_l, flux_r = flux[:-1], flux[1:]
@@ -237,10 +242,13 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     state = np.empty((2, m))
     state[0] = u
     now, after = ((v, v[:-1], v[1:], v[1:-1]) for v in state)
+    absolute, add, divide, multiply, subtract = (
+        np.absolute, np.add, np.divide, np.multiply, np.subtract)
+    largest = np.maximum.reduce
 
     def rate(v, v_l, v_r, v_in) -> np.ndarray:
         d_half, flux_dx = interfaces(v_l, v_r)
-        max_d = np.maximum.reduce(np.abs(d_half, out=d_abs))
+        max_d = largest(absolute(d_half, d_abs))
         if not max_d <= d_bound:  # NaN and inf fail too
             if not math.isfinite(max_d):
                 raise CoefficientFailure("D not finite at an interface")
@@ -248,11 +256,11 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                 f"explicit step dt={dt:g} exceeds the stability bound "
                 f"{_EULER_LIMIT * dx * dx / float(max_d):g} at t={t:g}; "
                 "pass a smaller dt or method='implicit'")
-        np.divide(flux_dx, dx, out=flux)
-        np.subtract(flux_r, flux_l, out=inner)
-        np.divide(inner, dx, out=inner)
-        np.multiply(h_in, v_in, out=source)
-        np.add(inner, source, out=du_in)
+        divide(flux_dx, dx, flux)
+        subtract(flux_r, flux_l, inner)
+        divide(inner, dx, inner)
+        multiply(h_in, v_in, source)
+        add(inner, source, du_in)
         if not dirichlet:
             du[0] = flux[0] / dx + h_0 * v[0]
             du[-1] = -flux[-1] / dx + h_m * v[-1]
@@ -260,16 +268,18 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
 
     # the interface core runs under the loop's errstate, and the blow-up
     # test below reports an overflow or an inf - inf, not numpy
+    explicit = method == "explicit"
+    t_final = grid.t_final
     t = 0.0
     with np.errstate(all="ignore"):
         for step in range(1, n_steps + 1):
-            t_next = step * dt if step < n_steps else grid.t_final
+            t_next = step * dt if step < n_steps else t_final
             if dirichlet:
                 left, right = next(bounds)
             u, u_next = now[0], after[0]
-            if method == "explicit":
-                np.multiply(dt, rate(*now), out=du)
-                np.add(u, du, out=u_next)
+            if explicit:
+                multiply(dt, rate(*now), du)
+                add(u, du, u_next)
             else:
                 iterate = u.copy()
                 for _ in range(200):
@@ -290,7 +300,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
             if dirichlet:
                 u_next[0], u_next[-1] = left, right
 
-            size = np.maximum.reduce(np.abs(u_next, out=u_abs))
+            size = largest(absolute(u_next, u_abs))
             if not size <= BLOWUP_THRESHOLD:  # NaN fails too
                 partial = Field(xs, np.asarray(times), np.asarray(levels))
                 raise BlowUpError(f"solution blew up at t={t_next:g}", partial)
@@ -353,46 +363,63 @@ def _rk4_step(residual: Expression, key: str):
                                a1, a2, a3, a4)
 
 
-def _rk4_core(reduction):
-    """The positional core of the reduction's RK4 step, in (w, y, v, h)."""
+#: the parameters of the RK4 step's cores, in order
+_RK4_ORDER = ("w", "y", "v", "h")
+
+
+def _rk4_tape(reduction):
+    """The tape of the reduction's RK4 step, kept per residual."""
     if reduction.reduced is None:
         raise NumericError("algebraic reduction has no ODE to integrate")
-    step = _rk4_step(reduction.reduced, repr(reduction.reduced))
-    return step.bind(("w", "y", "v", "h"))
+    return _rk4_step(reduction.reduced, repr(reduction.reduced))
 
 
-def _march(step, w0: float, phi0: float, dphi0: float, w_end: float,
+def _march(tape, w0: float, phi0: float, dphi0: float, w_end: float,
            steps: int):
-    """RK4 from ``w0`` to ``w_end`` by calls of the core ``step``.
+    """RK4 from ``w0`` to ``w_end``, one call of a core of ``tape`` a step.
 
-    The values bound are ``np.float64`` scalars, as ``run`` would bind
-    them, under one errstate for the whole march, so the bits are those of
-    the tape.  Each step's a1..a4 are checked in stage order.
+    Each step runs on Python floats, through the tape's float core.  A
+    step where that core raises (a division by zero, an overflowing
+    ``**``, a value that leaves the reals) runs again through the
+    ``np.float64`` core, which gives numpy's inf or NaN there and is
+    generated at the first such step only.  The two cores do the same
+    C operations, so the bits are those of the tape either way, but for
+    the sign of a NaN, which no march stores: a NaN output raises.  One
+    errstate holds for the whole march, for the ufuncs.  Each step's
+    a1..a4 are checked in stage order.
     """
     if steps < 1 or w_end == w0:
         raise NumericError("need w_end != slice start and steps >= 1")
+    fast = tape.bind(_RK4_ORDER, floats=True)
+    inf = math.inf
     hstep = (w_end - w0) / steps
-    h = np.float64(hstep)
-    ws = np.empty(steps + 1)
-    phis = np.empty(steps + 1)
-    slopes = np.empty(steps + 1)
-    w, y, v = w0, np.float64(float(phi0)), np.float64(float(dphi0))
-    ws[0], phis[0], slopes[0] = w, y, v
+    w, y, v = float(w0), float(phi0), float(dphi0)
+    ws, phis, slopes = [w], [y], [v]
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
-            y, v, *coefficients = step(np.float64(w), y, v, h)
-            for stage, a in enumerate(coefficients):
-                if not math.isfinite(a) or a == 0.0:
-                    at = (w, w + 0.5 * hstep, w + 0.5 * hstep,
-                          w + hstep)[stage]
-                    raise NumericError("reduced equation is degenerate in "
-                                       f"phi_ww at w={at:g}")
+            try:
+                y, v, a1, a2, a3, a4 = fast(w, y, v, hstep)
+            except (ArithmeticError, TypeError, ValueError):
+                exact = tape.bind(_RK4_ORDER)
+                y, v, a1, a2, a3, a4 = exact(np.float64(w), np.float64(y),
+                                             np.float64(v), np.float64(hstep))
+                y, v = float(y), float(v)
+            # each a_i finite and nonzero (NaN fails every comparison)
+            if not (0.0 < abs(a1) < inf and 0.0 < abs(a2) < inf
+                    and 0.0 < abs(a3) < inf and 0.0 < abs(a4) < inf):
+                stage = next(i for i, a in enumerate((a1, a2, a3, a4))
+                             if not 0.0 < abs(a) < inf)
+                at = (w, w + 0.5 * hstep, w + 0.5 * hstep, w + hstep)[stage]
+                raise NumericError("reduced equation is degenerate in "
+                                   f"phi_ww at w={at:g}")
             w = w0 + k * hstep
             if not (math.isfinite(y) and math.isfinite(v)):
                 raise NumericError(
                     f"reduced-ODE integration blew up at w={w:g}")
-            ws[k], phis[k], slopes[k] = w, y, v
-    return ws, phis, slopes
+            ws.append(w)
+            phis.append(y)
+            slopes.append(v)
+    return np.array(ws), np.array(phis), np.array(slopes)
 
 
 def integrate_reduced_ode(reduction, phi0: float, dphi0: float,
@@ -405,7 +432,7 @@ def integrate_reduced_ode(reduction, phi0: float, dphi0: float,
     once per residual.  Returns (w, phi, phi_w) arrays from the
     reduction's slice start to ``w_end``.
     """
-    return _march(_rk4_core(reduction), reduction.slice_range[0], phi0,
+    return _march(_rk4_tape(reduction), reduction.slice_range[0], phi0,
                   dphi0, w_end, steps)
 
 
@@ -483,10 +510,10 @@ def shoot_reduced_ode(reduction, phi0: float, w_end: float, phi_end: float,
     at most one step more than bisection would take.
     """
     lo, hi = float(slope_bracket[0]), float(slope_bracket[1])
-    step, w0 = _rk4_core(reduction), reduction.slice_range[0]
+    tape, w0 = _rk4_tape(reduction), reduction.slice_range[0]
 
     def miss(slope: float) -> float:
-        _, phis, _ = _march(step, w0, phi0, slope, w_end, steps)
+        _, phis, _ = _march(tape, w0, phi0, slope, w_end, steps)
         return phis[-1] - phi_end
 
     f_lo, f_hi = miss(lo), miss(hi)

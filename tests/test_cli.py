@@ -58,6 +58,21 @@ def test_malformed_parameter_is_usage_error(eq_file, capsys):
         assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"D": {"expr": "u^2"}, "h": {"expr": "1.5e308"}},
+    {"D": {"family": "power_u", "n": 2},
+     "h": {"family": "constant", "c": 1.5e308}},
+    {"D": {"family": "power_u", "n": 3},
+     "h": {"family": "power_x", "q": 1e308, "eps": 1}},
+], ids=["free-h", "tagged-h", "power-q"])
+def test_a_generator_coefficient_past_the_float_range_is_refused(
+        eq_file, capsys, doc):
+    # each coefficient is finite, but -c*n or -q*n in a generator is not
+    for command in ("classify", "symmetries"):
+        assert main([command, "--eq", eq_file(doc)]) == 2
+        assert "overflows" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["classify", "--eq", "/nonexistent.json"]) == 2
 

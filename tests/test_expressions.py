@@ -504,6 +504,20 @@ def test_max_relative_is_the_relative_zero_test_of_the_pieces():
     assert kept == 200 and 0.29 < worst < 3 / 10
 
 
+@pytest.mark.parametrize("pieces", [("x/0", "-x/0"),
+                                    ("1e308*(x/x)", "1e308*(x/x)")],
+                         ids=["inf-inf", "overflow"])
+def test_max_relative_drops_a_sum_that_is_not_finite_silently(pieces):
+    # +inf + -inf is NaN and 1e308 + 1e308 overflows at every point: each
+    # point is dropped, and numpy warns of neither
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        worst, kept = max_relative(tuple(map(parse, pieces)), 0, 5)
+    assert math.isnan(worst) and kept == 0
+
+
 def test_max_relative_keeps_the_bits_of_summing_into_new_arrays():
     def reference(terms, seed, count, ranges=None):
         pieces = compile_expressions(*terms)

@@ -1,5 +1,7 @@
 import itertools
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -813,6 +815,130 @@ def test_rk4_core_gives_the_bits_of_run(case, params):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), point
 
 
+#: the reductions of the pinned catalog that carry an ODE, one per residual
+REDUCED = sorted({rec["reduced"]: rec for rec in json.loads(
+    (Path(__file__).with_name("reduction_catalog.json")).read_text())
+    if rec["reduced"] is not None}.values(), key=lambda rec: rec["reduced"])
+
+
+@pytest.mark.parametrize("rec", REDUCED, ids=lambda rec: rec["reduced"])
+def test_float_core_gives_the_bits_of_the_float64_core(rec):
+    # the march's float core against the np.float64 core, at seeded stage
+    # points where phi stays positive, so no step leaves the reals
+    from finsym.numeric import _RK4_ORDER, _rk4_tape
+
+    r = build_reduction(rec["case"], rec["subalgebra"], rec["params"],
+                        negative_time=rec["negative_time"])
+    tape = _rk4_tape(r)
+    fast, exact = tape.bind(_RK4_ORDER, floats=True), tape.bind(_RK4_ORDER)
+    rng = np.random.default_rng(23)
+    lo, hi = r.slice_range
+    for _ in range(40):
+        point = (rng.uniform(lo, hi), rng.uniform(0.2, 2.0),
+                 rng.uniform(-1.0, 1.0), rng.uniform(-0.1, 0.1))
+        with np.errstate(all="ignore"):
+            got = fast(*point)
+            want = exact(*map(np.float64, point))
+        assert all(type(g) is float for g in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), point
+
+
+@pytest.mark.parametrize("case,params", [
+    (4, {"n": 1, "q": 1, "eps": -1}), (6, {"p": 1, "q": 1, "eps": 1}),
+    (4, {"n": 2, "q": 3, "eps": 1}), (5, {"n": -1, "eps": 1}),
+], ids=["4.1", "6.1", "4.1-cube-root", "5.1-exp"])
+def test_float_core_raises_or_gives_the_bits_of_the_float64_core(case,
+                                                                 params):
+    # at special and negative values the float core either raises one of
+    # the errors the march falls back on, or returns the np.float64 bits;
+    # a NaN may differ in its sign (numpy's scalar nan + -nan is -nan,
+    # Python's is nan), which no march sees: a NaN output raises
+    from finsym.numeric import _RK4_ORDER, _rk4_tape
+
+    tape = _rk4_tape(build_reduction(case, "1", params))
+    fast, exact = tape.bind(_RK4_ORDER, floats=True), tape.bind(_RK4_ORDER)
+    values = (*SPECIAL, 0.7, 1.5, -2.0)
+    raised = 0
+    for point in itertools.product(values, repeat=4):
+        with np.errstate(all="ignore"):
+            try:
+                got = fast(*point)
+            except (ArithmeticError, TypeError, ValueError):
+                raised += 1
+                continue
+            want = exact(*map(np.float64, point))
+        assert all(type(g) is float for g in got), point
+        got, want = np.array(got), np.array(want)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), point
+        assert got[~nan].tobytes() == want[~nan].tobytes(), point
+    assert raised < len(values) ** 4
+
+
+def _generated_cores(monkeypatch):
+    """The arguments of every core generated from now on, with the RK4
+    step cache emptied."""
+    from finsym import expressions
+    from finsym.numeric import _rk4_step
+
+    generated = []
+    real = expressions._straight_line
+
+    def counting(*args):
+        generated.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expressions, "_straight_line", counting)
+    _rk4_step.cache_clear()
+    return generated
+
+
+@pytest.mark.parametrize("text,phi0,dphi0,w_end,message", [
+    # a = w - 0.75 is 0 at the midpoint stages of the third step: the float
+    # core divides by zero there
+    ("(w-0.75)*phi_ww+phi", 1.0, 0.0, 1.5,
+     r"degenerate in phi_ww at w=0\.75$"),
+    # phi falls below 0, and phi^0.5 is complex in floats, NaN in numpy
+    ("phi_ww-phi^0.5", 0.5, -1.0, 2.0, r"degenerate in phi_ww at w=1\.1$"),
+    # 1.5^400 overflows: OverflowError in floats, inf in numpy
+    ("phi_ww-phi^400", 1.5, 0.0, 2.0, r"degenerate in phi_ww at w=0\.5$"),
+    # the complex phi^0.5 meets a ufunc, and abs
+    ("phi_ww-arctan(phi^0.5)", 0.5, -1.0, 2.0,
+     r"degenerate in phi_ww at w=1\.1$"),
+    ("phi_ww-abs(phi^0.5)", 0.5, -1.0, 2.0,
+     r"degenerate in phi_ww at w=1\.1$"),
+], ids=["divide-by-zero", "complex", "overflow", "complex-ufunc",
+        "complex-abs"])
+def test_a_step_the_float_core_refuses_runs_on_float64(monkeypatch, text,
+                                                       phi0, dphi0, w_end,
+                                                       message):
+    # the error and its w are the np.float64 march's, and the np.float64
+    # core is generated at the first fallback: two cores in all
+    from finsym.numeric import integrate_reduced_ode
+
+    generated = _generated_cores(monkeypatch)
+    r = replace(build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1}),
+                reduced=parse(text))
+    with pytest.raises(NumericError, match=message):
+        integrate_reduced_ode(r, phi0, dphi0, w_end, 10)
+    assert len(generated) == 2
+
+
+def test_a_march_keeps_its_bits_through_a_fallback(monkeypatch):
+    # 1/(w-0.75) is inf in numpy at the third step's midpoint stages and
+    # arctan(inf) = pi/2, so the march goes on after the float64 step
+    from finsym.numeric import integrate_reduced_ode
+
+    generated = _generated_cores(monkeypatch)
+    r = replace(build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1}),
+                reduced=parse("phi_ww-arctan(1/(w-0.75))"))
+    got = integrate_reduced_ode(r, 1.0, 0.0, 1.5, 10)
+    want = _reference_rk4(r, 1.0, 0.0, 1.5, 10)
+    assert len(generated) == 2
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def _stability_error():
     solve_pde(EQ4, EXACT4, BC4, Grid(1.0, 2.0, 81, 0.1, dt=0.1))
 
@@ -897,8 +1023,9 @@ def test_reduced_ode_blow_up_names_the_step_end():
 
 @pytest.mark.parametrize("text", ["phi_ww-w/(w-w)", "phi_ww-(-w)^(w/3)*phi"])
 def test_w_alone_follows_ieee_arithmetic(text):
-    # the march binds np.float64 scalars, as run does: with a Python float
-    # w, w/(w-w) would raise ZeroDivisionError and (-w)^(w/3) be complex
+    # in Python floats w/(w-w) raises ZeroDivisionError and (-w)^(w/3) is
+    # complex; the march runs such a step again on np.float64 scalars, as
+    # run binds them, so numpy's inf and NaN decide the verdict
     from finsym.numeric import integrate_reduced_ode
 
     r = replace(build_reduction(4, "1", {"n": 1, "q": 1, "eps": -1}),
