@@ -583,19 +583,17 @@ def _straight_line(steps: list, constants: list, registers: list,
     registers, as the interpreted steps of ``run`` compute them.
 
     The ``floats`` form runs on Python floats: constants are bound as
-    floats, each ufunc result passes through ``float()`` and ``abs`` is
-    ``math.fabs``.  Only a ``**`` step can make a complex (a negative
-    base to a fractional power; not to a whole constant power), and so
-    can any step on a register that may hold one; such a register passes
-    through ``float()`` where it meets a ufunc or is returned, which
-    raises ``TypeError`` on a complex.  So the form returns floats, or
-    raises where a step would leave the reals or where Python raises on
-    what numpy carries to inf or NaN (``x / 0``, an overflowing ``**``).
+    floats, ``**`` is ``math.pow``, ``abs`` is ``math.fabs`` and each other
+    ufunc result passes through ``float()``.  ``math.pow`` calls libm's
+    pow, as numpy's power does, and raises ``ValueError`` or
+    ``OverflowError`` wherever numpy's power is NaN or inf from finite
+    operands (a negative base to a fraction, 0 to a negative power,
+    overflow), so every register holds a float.  The form returns floats,
+    or raises where Python raises on what numpy carries to inf or NaN.
     """
     import numpy as np
 
     namespace: dict = {"__builtins__": {}}
-    maybe_complex: set = set()  # registers that may hold a complex
 
     def name(r: int) -> str:
         if r in params:
@@ -606,32 +604,26 @@ def _straight_line(steps: list, constants: list, registers: list,
             return f"c{r}"
         return f"r{r}"
 
-    def real(r: int) -> str:
-        return f"float({name(r)})" if r in maybe_complex else name(r)
-
+    source = _SOURCE
     if floats:
-        namespace.update(float=float, fabs=math.fabs)
+        namespace.update(float=float, fabs=math.fabs, pow=math.pow)
+        source = {**_SOURCE, operator.pow: "pow({}, {})"}
     ufuncs: dict = {}  # ufunc -> the name of its global
     lines = [f"def core({', '.join(f'a{i}' for i in range(arity))}):"]
     for out, op, a, b in steps:
-        form = _SOURCE.get(op)
+        form = source.get(op)
         if form is not None:
             value = form.format(*map(name, (a,) if b is None else (a, b)))
-            whole = (b is not None and constants[b] is not None
-                     and float(constants[b]).is_integer())
-            if floats and (op is operator.pow and not whole
-                           or a in maybe_complex or b in maybe_complex):
-                maybe_complex.add(out)
         elif floats and op is np.absolute:
-            value = f"fabs({name(a)})"  # a complex raises TypeError
+            value = f"fabs({name(a)})"
         else:
             fn = ufuncs.setdefault(op, f"f{len(ufuncs)}")
             namespace[fn] = op
-            value = f"{fn}({real(a)})"
+            value = f"{fn}({name(a)})"
             if floats:
                 value = f"float({value})"
         lines.append(f"    r{out} = {value}")
-    lines.append(f"    return [{', '.join(map(real, registers))}]")
+    lines.append(f"    return [{', '.join(map(name, registers))}]")
     exec(compile("\n".join(lines), "<tape>", "exec"), namespace)
     return namespace["core"]
 
@@ -681,15 +673,14 @@ def compile_expressions(*exprs: Expression):
     from the array core of the same order: Python floats in, Python
     floats out, and it pays none of numpy's cost per scalar operation.
     Where numpy gives inf or NaN it may raise instead (``x / 0`` raises
-    ``ZeroDivisionError``, an overflowing ``**`` ``OverflowError``), and
-    a value that leaves the reals (a negative base to a fractional power)
-    raises ``TypeError``; after any ``ArithmeticError``, ``TypeError`` or
-    ``ValueError`` the caller computes that call again with the
-    ``np.float64`` core, which is then the only one to give numpy's
-    values.  A call that returns gives the ``np.float64`` core's bits,
-    but for the sign of a NaN: numpy's scalar ``nan + -nan`` is ``-nan``
-    where Python's is ``nan``.  The caller still holds the errstate, for
-    the ufuncs.
+    ``ZeroDivisionError``, a negative base to a fraction ``ValueError``,
+    an overflowing ``**`` ``OverflowError``); after any
+    ``ArithmeticError`` or ``ValueError`` the caller computes that call
+    again with the ``np.float64`` core, which is then the only one to give
+    numpy's values.  A call that returns gives the ``np.float64`` core's
+    bits, but for the sign of a NaN: numpy's scalar ``nan + -nan`` is
+    ``-nan`` where Python's is ``nan``.  The caller still holds the
+    errstate, for the ufuncs.
     """
     import numpy as np
 

@@ -12,12 +12,16 @@ every tape is compiled before the loop that calls it.  In the FD step
 loop one tape per D, kept for every later solve of that D, returns D at
 the interfaces together with D (u_r - u_l) across each; the step divides
 that by dx for the flux D u_x, and each explicit step checks its dt
-against those D.  The Dirichlet boundary
-values and the sampled residual get one tape each.  An explicit step
-writes every stencil, update and check into arrays allocated once per
-solve, through ufuncs bound once per solve with the output passed by
-position: the state lives in two buffers that swap roles, so a step
-allocates only what the interface core returns.
+against those D.  The flux lies between two walls, +0.0 at the left
+and -0.0 at the right, so one stencil gives the rate at every node, a
+no-flux end included, and one update u + dt * rate, which writes a
+Dirichlet solve's ends, serves the explicit step and each implicit
+sweep.  The Dirichlet boundary values and the sampled residual get one
+tape each.  An explicit step writes every stencil, update and check
+into arrays allocated once per solve, through ufuncs bound once per
+solve with the output passed by position: the state lives in two
+buffers that swap roles, so a step allocates only what the interface
+core returns.
 One whole RK4 step of a reduced equation is one tape, compiled once per
 residual and kept for later integrations of the same residual; a shoot
 looks it up once and marches every probe with it.
@@ -29,14 +33,14 @@ bits are the same.  The FD loop binds the (u_l, u_r) views of its
 float64 state (``tape.bind(order)``).  The RK4 march runs each step on
 Python floats (``tape.bind(order, floats=True)``) and so pays none of
 numpy's cost per scalar operation; a step where the float form raises
-(numpy would give inf or NaN there, or a value left the reals) runs
-again on ``np.float64`` scalars through the array core, generated at
-the first such step only.  ``bind`` generates each core as straight-line
-code once per order and keeps it on the tape, where ``tape(bindings)``
-interprets the steps: the RK4 tape, kept per residual, generates its
-core once for all the integrations and shoots of that residual, and the
-interface tape, kept per D, generates its core once for every grid and
-boundary that D is solved on.
+(numpy would give inf or NaN there) runs again on ``np.float64`` scalars
+through the array core, generated at the first such step only.
+``bind`` generates each core as straight-line code once per order and
+keeps it on the tape, where ``tape(bindings)`` interprets the steps:
+the RK4 tape, kept per residual, generates its core once for all the
+integrations and shoots of that residual, and the interface tape, kept
+per D, generates its core once for every grid and boundary that D is
+solved on.
 """
 from __future__ import annotations
 
@@ -176,7 +180,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     """March the equation forward and return stored time levels.
 
     ``boundary`` is a :class:`DirichletBC` (expressions in t) or
-    :class:`NoFluxBC` (reflecting ghost nodes, zero interface flux);
+    :class:`NoFluxBC` (a wall of zero flux at each end);
     anything else raises :class:`ModelError`.
     When ``grid.dt`` is None, dt is 0.45 dx^2 / max|D| on the initial
     interfaces.  Each explicit step checks dt max|D| / dx^2 <= 1/2 on the
@@ -228,25 +232,26 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     # the work arrays and their views, made once: each step writes every
     # stencil, update and check into them, passing out by position
     m = grid.m
-    flux = np.empty(m - 1)
-    flux_l, flux_r = flux[:-1], flux[1:]
+    # the interface flux D u_x between two walls: f - (+0.0) is f and
+    # (-0.0) - f is -f, to the bit, so one stencil gives the no-flux ends
+    # f/dx + h u and -f/dx + h u; a Dirichlet step overwrites its ends
+    flux = np.zeros(m + 1)
+    flux[-1] = -0.0
+    flux_in, flux_l, flux_r = flux[1:-1], flux[:-1], flux[1:]
     d_abs = np.empty(m - 1)
-    inner = np.empty(m - 2)  # (flux_r - flux_l) / dx
-    source = np.empty(m - 2)  # h u at the inner nodes
-    du = np.zeros(m)  # the rate; a Dirichlet solve keeps its ends 0
-    du_in = du[1:-1]
+    du = np.empty(m)  # the rate, then dt times it
+    source = np.empty(m)  # h u
     u_abs = np.empty(m)
-    h_in = h_nodes[1:-1]
-    h_0, h_m = h_nodes[0], h_nodes[-1]
-    # the state's two buffers, with their (v, u_l, u_r, inner) views
+    # the state's two buffers, with their (v, u_l, u_r) views
     state = np.empty((2, m))
     state[0] = u
-    now, after = ((v, v[:-1], v[1:], v[1:-1]) for v in state)
+    now, after = ((v, v[:-1], v[1:]) for v in state)
     absolute, add, divide, multiply, subtract = (
         np.absolute, np.add, np.divide, np.multiply, np.subtract)
     largest = np.maximum.reduce
 
-    def rate(v, v_l, v_r, v_in) -> np.ndarray:
+    def update(out, v, v_l, v_r) -> np.ndarray:
+        """out = u + dt * rate(v), with a Dirichlet solve's ends."""
         d_half, flux_dx = interfaces(v_l, v_r)
         max_d = largest(absolute(d_half, d_abs))
         if not max_d <= d_bound:  # NaN and inf fail too
@@ -256,15 +261,16 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                 f"explicit step dt={dt:g} exceeds the stability bound "
                 f"{_EULER_LIMIT * dx * dx / float(max_d):g} at t={t:g}; "
                 "pass a smaller dt or method='implicit'")
-        divide(flux_dx, dx, flux)
-        subtract(flux_r, flux_l, inner)
-        divide(inner, dx, inner)
-        multiply(h_in, v_in, source)
-        add(inner, source, du_in)
-        if not dirichlet:
-            du[0] = flux[0] / dx + h_0 * v[0]
-            du[-1] = -flux[-1] / dx + h_m * v[-1]
-        return du
+        divide(flux_dx, dx, flux_in)
+        subtract(flux_r, flux_l, du)
+        divide(du, dx, du)
+        multiply(h_nodes, v, source)
+        add(du, source, du)
+        multiply(dt, du, du)
+        add(u, du, out)
+        if dirichlet:
+            out[0], out[-1] = left, right
+        return out
 
     # the interface core runs under the loop's errstate, and the blow-up
     # test below reports an overflow or an inf - inf, not numpy
@@ -278,15 +284,12 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                 left, right = next(bounds)
             u, u_next = now[0], after[0]
             if explicit:
-                multiply(dt, rate(*now), du)
-                add(u, du, u_next)
+                update(u_next, *now)
             else:
                 iterate = u.copy()
                 for _ in range(200):
-                    candidate = u + dt * rate(iterate, iterate[:-1],
-                                              iterate[1:], iterate[1:-1])
-                    if dirichlet:
-                        candidate[0], candidate[-1] = left, right
+                    candidate = update(np.empty(m), iterate, iterate[:-1],
+                                       iterate[1:])
                     new = 0.5 * iterate + 0.5 * candidate  # damped fixed point
                     delta = float(np.max(np.abs(new - iterate)))
                     iterate = new
@@ -296,9 +299,8 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                     raise ConvergenceError(
                         f"implicit iteration did not converge at t={t_next:g}")
                 u_next[:] = iterate
-
-            if dirichlet:
-                u_next[0], u_next[-1] = left, right
+                if dirichlet:
+                    u_next[0], u_next[-1] = left, right
 
             size = largest(absolute(u_next, u_abs))
             if not size <= BLOWUP_THRESHOLD:  # NaN fails too
@@ -379,8 +381,8 @@ def _march(tape, w0: float, phi0: float, dphi0: float, w_end: float,
     """RK4 from ``w0`` to ``w_end``, one call of a core of ``tape`` a step.
 
     Each step runs on Python floats, through the tape's float core.  A
-    step where that core raises (a division by zero, an overflowing
-    ``**``, a value that leaves the reals) runs again through the
+    step where that core raises (a division by zero, a ``**`` that
+    overflows or has no real value) runs again through the
     ``np.float64`` core, which gives numpy's inf or NaN there and is
     generated at the first such step only.  The two cores do the same
     C operations, so the bits are those of the tape either way, but for
@@ -399,7 +401,7 @@ def _march(tape, w0: float, phi0: float, dphi0: float, w_end: float,
         for k in range(1, steps + 1):
             try:
                 y, v, a1, a2, a3, a4 = fast(w, y, v, hstep)
-            except (ArithmeticError, TypeError, ValueError):
+            except (ArithmeticError, ValueError):
                 exact = tape.bind(_RK4_ORDER)
                 y, v, a1, a2, a3, a4 = exact(np.float64(w), np.float64(y),
                                              np.float64(v), np.float64(hstep))

@@ -250,6 +250,10 @@ SHIFTED_ZERO_ROWS = [
     ("(u-1.9)^(-4/3)", "0", 13, 5), ("u^2", "(x-1.9)^2", 4, 2),
     ("u^2", "(x-1.6)^-2", 4, 2), ("u^-2", "x-1.93", 4, 2),
     ("u^2", "(x-1.9)^0.5", 4, 2),
+    # a sampled h read before any shape is tried: zero, a constant, and a
+    # zero past the range's top, which leaves no finite sample to fit
+    ("u^2", "x-x", 11, 4), ("u^2", "x/x", 10, 4),
+    ("u^2", "(x-3.5)^0.5", 1, 1),
 ]
 
 
