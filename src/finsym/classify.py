@@ -2,15 +2,18 @@
 
 An equation is matched against a 13-case table keyed on the shapes of D
 and h, from most to least specific.  A free-form coefficient f is fitted
-on 50 seeded samples: its ratio f/f' is formed once, and a ladder fits it
-by a polynomial of degree 0 (c*e^(kv)), 1 (c*(v+s)^n) and, for h, 2 (the
-integral profile).  A rung's candidate counts when it is finite and within
-a relative 1e-8 of the samples wherever they are finite, at 8 or more
-points; a power candidate rounds its exponent when within 1e-9 of an
-integer, and the fitted exponent is reported unrounded.  When 1 to 7 of
-the 50 samples are admissible, 50 more are drawn once, next to those.  An
-h with no free symbol is evaluated once instead.  Matches that need
-a scaling/translation of the equivalence group are annotated in the
+on one set of 50 seeded samples, prepared once: its finite values with
+their closeness scale, and its ratio f/f' with one design matrix (columns
+v^0, v^1, v^2).  A ladder fits the ratio by a polynomial of degree 0
+(c*e^(kv)), 1 (c*(v+s)^n) and, for h, 2 (the integral profile), each rung
+by one least-squares solve and one check: its candidate counts when it is
+finite and c times it is within a relative 1e-8 of the finite samples, at
+8 or more points, c being their median ratio to it (one sort, to
+np.median's bits).  A power candidate rounds its exponent when within
+1e-9 of an integer, and the fitted exponent is reported unrounded.  When 1
+to 7 of the 50 samples are admissible, 50 more are drawn once, next to
+those.  An h with no free symbol is evaluated once instead.  Matches that
+need a scaling/translation of the equivalence group are annotated in the
 result's note.  Only the fits use numpy, which they import when they
 first run: classifying tagged equations never imports it.
 """
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .expressions import (
-    DEFAULT_SAMPLING_RANGES, Expression, Num, Sym, _close, add, call,
+    DEFAULT_SAMPLING_RANGES, Expression, Num, Sym, _median, add, call,
     compile_expressions, differentiate, evaluate, mul, neg, num, pow_,
     sample_bindings, sym,
 )
@@ -50,13 +53,15 @@ _ARBITRARY_H = HShape("arbitrary")
 
 
 def _ratio(expr: Expression, var: str, seed: int):
-    """Seeded samples ``xs`` of ``var``, the coefficient's values there,
-    and its log-derivative ratio z = f/f' with the mask of the points where
-    z is admissible; the mask is None when no rung can fit (fewer than 8
-    such points, or a z that is not finite).  When only 1 to 7 points are
-    admissible (a zero of f near an end of the range), the samples are
-    drawn once more from the same generator, between the inadmissible
-    samples nearest the admissible ones, or the range's end."""
+    """The one sample set the rungs of a fit share: the points ``xs``
+    where the coefficient's seeded values are finite, those values
+    ``vals``, their closeness scale 1 + |vals|, and the design columns
+    v^0, v^1, v^2 at the points where the log-derivative ratio z = f/f' is
+    admissible, with z there.  The design is None when no rung can fit
+    (fewer than 8 such points, or a z that is not finite).  When only 1 to
+    7 points are admissible (a zero of f near an end of the range), the
+    samples are drawn once more from the same generator, between the
+    inadmissible samples nearest the admissible ones, or the range's end."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -74,40 +79,45 @@ def _ratio(expr: Expression, var: str, seed: int):
         good, bad = xs[ok], xs[~ok]
         xs, vals, dvals, ok = draw(max(bad[bad < good.min()], default=lo),
                                    min(bad[bad > good.max()], default=hi))
-    z = vals[ok] / dvals[ok]
-    if np.count_nonzero(ok) < 8 or not np.all(np.isfinite(z)):
-        ok = None
-    return xs, vals, ok, z
-
-
-def _verified_coeff(vals, shape) -> float | None:
-    """The median ratio c of the samples ``vals`` to a candidate ``shape``,
-    when the candidate is finite wherever the samples are, at 8 or more
-    points, and c*shape matches the samples there at FIT_TOL; else None."""
-    import numpy as np
-
     finite = np.isfinite(vals)
-    vals, shape = vals[finite], shape[finite]
-    live = np.abs(shape) > 1e-300
-    if vals.size < 8 or not live.any() or not np.all(np.isfinite(shape)):
-        return None
-    c = float(np.median(vals[live] / shape[live]))
-    return c if np.all(_close(vals, c * shape, FIT_TOL)) else None
+    z = vals[ok] / dvals[ok]
+    design = None
+    if np.count_nonzero(ok) >= 8 and np.isfinite(z).all():
+        v = xs[ok]
+        design = np.empty((v.size, 3))  # v ** d, as numpy computes it
+        design[:, 0], design[:, 1], design[:, 2] = 1.0, v, v * v
+    vals = vals[finite]
+    return xs[finite], vals, 1 + np.abs(vals), design, z
 
 
-def _rung(degree: int, xs, vals, ok, z):
-    """Fit z at the points ``ok`` by a polynomial of ``degree`` in v:
-    1/k (c*e^(k v)), (v+s)/n (c*(v+s)^n) or ((v+s)^2+p)/q (the integral
-    profile c*h1(v+s; p, q)).  (c, k|n|q, s, p) when c times the rung's
-    candidate matches the samples, else None.  The power candidate takes
-    n rounded when it is within 1e-9 of an integer; a shift s within 1e-9
-    of 0 is returned as 0."""
+def _verified_coeff(vals, scale, shape) -> float | None:
+    """The median ratio c of the samples ``vals`` to a candidate ``shape``
+    at the same points, when the candidate is finite there, and c*shape
+    matches the samples at FIT_TOL, by their closeness ``scale``; else
+    None."""
     import numpy as np
 
-    if ok is None:
+    live = np.abs(shape) > 1e-300
+    if not live.any() or not np.isfinite(shape).all():
         return None
-    cols = np.stack([xs[ok] ** d for d in range(degree + 1)], axis=1)
-    fit, *_ = np.linalg.lstsq(cols, z, rcond=None)
+    c = _median(vals[live] / shape[live])
+    fit = c * shape
+    close = np.abs(vals - fit) <= FIT_TOL * (scale + np.abs(fit))
+    return c if close.all() else None
+
+
+def _rung(degree: int, xs, vals, scale, design, z):
+    """Fit z by a polynomial of ``degree`` in v, on the first degree + 1
+    design columns: 1/k (c*e^(k v)), (v+s)/n (c*(v+s)^n) or ((v+s)^2+p)/q
+    (the integral profile c*h1(v+s; p, q)).  (c, k|n|q, s, p) when c times
+    the rung's candidate at ``xs`` matches the samples, else None.  The
+    power candidate takes n rounded when it is within 1e-9 of an integer;
+    a shift s within 1e-9 of 0 is returned as 0."""
+    import numpy as np
+
+    if design is None:
+        return None
+    fit, *_ = np.linalg.lstsq(design[:, :degree + 1], z, rcond=None)
     if fit[degree] == 0:
         return None
     s, p = 0.0, 0
@@ -130,7 +140,7 @@ def _rung(degree: int, xs, vals, ok, z):
         p = int(p)
         shape = evaluate(h1_expression(p, lead, 1, var=add(_X, num(s))),
                          {"x": xs})
-    c = _verified_coeff(vals, shape)
+    c = _verified_coeff(vals, scale, shape)
     if c is None:
         return None
     return c, float(lead), 0.0 if abs(s) <= 1e-9 else float(s), p
@@ -166,16 +176,15 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
         return HShape("const", coeff=v) if math.isfinite(v) else _ARBITRARY_H
     with np.errstate(all="ignore"):  # ratios and candidates are checked
         ratio = _ratio(expr, "x", seed)
-        vals = ratio[1]
-        finite = np.isfinite(vals)
-        if finite.sum() < 8:
+        vals = ratio[1]  # the finite samples
+        if vals.size < 8:
             return _ARBITRARY_H
-        vmax = float(np.max(np.abs(vals[finite])))
+        vmax = float(np.maximum.reduce(np.abs(vals)))
         if vmax <= 1e-12:
             return HShape("zero")
-        spread = float(np.max(vals[finite]) - np.min(vals[finite]))
+        spread = float(np.maximum.reduce(vals) - np.minimum.reduce(vals))
         if spread <= 1e-12 * (1 + vmax):
-            return HShape("const", coeff=float(np.median(vals[finite])))
+            return HShape("const", coeff=_median(vals))
         exp = _rung(0, *ratio)
         if exp is not None:
             return HShape("exp", coeff=exp[0], k=exp[1])

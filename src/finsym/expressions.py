@@ -812,6 +812,19 @@ def _close(a, b, tol):
     return abs(a - b) <= tol * (1 + abs(a) + abs(b))
 
 
+def _median(values) -> float:
+    """``np.median`` of a non-empty NaN-free float64 vector, to the bit, by
+    one sort: numpy sums the one or two middle values from +0.0.  Python
+    floats do the sum, so inf - inf is NaN without a warning."""
+    import numpy as np
+
+    r = np.sort(values)
+    k = r.size // 2
+    if r.size % 2:
+        return 0.0 + float(r[k])
+    return (0.0 + float(r[k - 1]) + float(r[k])) / 2.0
+
+
 def _check_count(count: int):
     if count < 1:
         raise ExpressionError(f"need at least one sample, got {count}")

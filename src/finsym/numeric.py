@@ -291,9 +291,9 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                     candidate = update(np.empty(m), iterate, iterate[:-1],
                                        iterate[1:])
                     new = 0.5 * iterate + 0.5 * candidate  # damped fixed point
-                    delta = float(np.max(np.abs(new - iterate)))
+                    delta = float(largest(np.abs(new - iterate)))
                     iterate = new
-                    if delta <= 1e-12 * (1 + float(np.max(np.abs(iterate)))):
+                    if delta <= 1e-12 * (1 + float(largest(np.abs(iterate)))):
                         break
                 else:
                     raise ConvergenceError(
@@ -547,4 +547,4 @@ def pde_residual_grid(eq: FinEquation, s: Solution, region, samples: int = 100,
                              ranges={"t": (t0, t1), "x": (x0, x1)})
     if r.size == 0:
         raise NumericError("all residual samples were non-finite")
-    return float(np.max(np.abs(r) / scale))
+    return float(np.maximum.reduce(np.abs(r) / scale))

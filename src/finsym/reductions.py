@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 from .classify import classify
 from .expressions import (
-    Expression, add, call, compile_expressions, differentiate, div, evaluate,
-    mul, neg, num, pow_, sample_bindings, sub, substitute, sym, to_string,
+    Expression, _median, add, call, compile_expressions, differentiate, div,
+    evaluate, mul, neg, num, pow_, sample_bindings, sub, substitute, sym,
+    to_string,
 )
 from .model import (
     FOUR_THIRDS, ExpX, FinEquation, FreeH, H1, ModelError, PowerU, PowerX,
@@ -304,7 +305,7 @@ def _cubic_draw(rng, lo: float, hi: float) -> dict:
 
     draw = dict(zip(("c0", "c1", "c2", "c3"), rng.uniform(-1.0, 1.0, size=4)))
     (vals,) = _cubic_tape()({"w": np.linspace(lo, hi, 201), **draw})
-    shift = 0.5 - float(np.min(vals))
+    shift = 0.5 - float(np.minimum.reduce(vals))
     if shift > 0:
         draw["c0"] += shift
     return draw
@@ -352,8 +353,9 @@ def _ratio_spread(ratios, min_count: int) -> tuple[float, float]:
         raise ReductionError(
             f"{kept.size} of {ratios.size} samples admissible, {min_count} "
             "needed: the residuals are not finite or the reduced one is 0")
-    ref = float(np.median(kept))
-    return ref, float(np.max(np.abs(kept - ref))) / max(abs(ref), 1e-300)
+    ref = _median(kept)
+    spread = float(np.maximum.reduce(np.abs(kept - ref)))
+    return ref, spread / max(abs(ref), 1e-300)
 
 
 def verify_reduction(eq: FinEquation, r: Reduction, seed: int = 42,
@@ -377,8 +379,8 @@ def verify_reduction(eq: FinEquation, r: Reduction, seed: int = 42,
              r.anchor[0]: np.full(n_points, r.anchor[1])}
     ws = evaluate(r.omega, along)
     residuals = compile_expressions(*_oracle_residuals(eq, r, _CUBIC))
-    ratios = _ratios(residuals, {**along, "w": ws}, rng,
-                     float(np.min(ws)), float(np.max(ws)), draws)
+    lo, hi = float(np.minimum.reduce(ws)), float(np.maximum.reduce(ws))
+    ratios = _ratios(residuals, {**along, "w": ws}, rng, lo, hi, draws)
     ref, deviation = _ratio_spread(ratios, n_points * draws // 2)
     if ref == 0 or not np.isfinite(ref):
         return ReductionReport(r.label, False, float("inf"), ref,

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import pathlib
@@ -313,9 +314,10 @@ def test_few_admissible_samples_are_drawn_again_on_their_side():
     assert 0 < np.count_nonzero(first > 2.7) < 8
     again = rng.uniform(first[first < 2.7].max(), 3.0, 50)
     with np.errstate(all="ignore"):
-        xs, vals, ok, z = _ratio(parse("(x-2.7)^0.5"), "x", 42)
-    assert xs.tobytes() == again.tobytes()
-    assert np.count_nonzero(ok) >= 8
+        xs, vals, scale, design, z = _ratio(parse("(x-2.7)^0.5"), "x", 42)
+    # the sample set keeps the points where the samples are finite
+    assert xs.tobytes() == again[again >= 2.7].tobytes()
+    assert design is not None and len(z) >= 8
     # enough admissible points in the first draw: no second draw
     xs, *_ = _ratio(parse("x-2.7"), "x", 42)
     assert xs.tobytes() == first.tobytes()
@@ -376,3 +378,77 @@ def test_a_fit_guard_returns_the_arbitrary_shape_without_a_warning(guard):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fit(parse(text)).kind == "arbitrary"
+
+
+#: the integral-profile fits, the degree-2 rung that the catalogs reach
+#: least: p, and coeff, q and shift as float.hex by seed; k is 1
+H1_FITS = {
+    "exp(-2/x)": (0, {
+        42: ("0x1.0000000000000p+0", "0x1.0000000000000p+1",
+            "0x0.0p+0"),
+        1: ("0x1.ffffffffffffbp-1", "0x1.ffffffffffffcp+0",
+            "0x0.0p+0"),
+        2: ("0x1.ffffffffffff8p-1", "0x1.ffffffffffffcp+0",
+            "0x0.0p+0"),
+        3: ("0x1.0000000000004p+0", "0x1.0000000000004p+1",
+            "0x0.0p+0"),
+        4: ("0x1.ffffffffffffep-1", "0x1.0000000000000p+1",
+            "0x0.0p+0"),
+        5: ("0x1.fffffffffffffp-1", "0x1.ffffffffffffap+0",
+            "0x0.0p+0"),
+    }),
+    "exp(2*arctan(x))": (1, {
+        42: ("0x1.ffffffffffff7p-1", "0x1.0000000000002p+1",
+            "0x0.0p+0"),
+        1: ("0x1.0000000000001p+0", "0x1.ffffffffffffep+0",
+            "0x0.0p+0"),
+        2: ("0x1.0000000000005p+0", "0x1.ffffffffffffap+0",
+            "0x0.0p+0"),
+        3: ("0x1.ffffffffffff5p-1", "0x1.0000000000003p+1",
+            "0x0.0p+0"),
+        4: ("0x1.ffffffffffffap-1", "0x1.0000000000001p+1",
+            "0x0.0p+0"),
+        5: ("0x1.000000000000ap+0", "0x1.ffffffffffff8p+0",
+            "0x0.0p+0"),
+    }),
+    "1.5*exp(3*arctan(x+0.25))": (1, {
+        42: ("0x1.800000000000cp+0", "0x1.7fffffffffffcp+1",
+            "0x1.0000000000002p-2"),
+        1: ("0x1.8000000000004p+0", "0x1.7fffffffffffep+1",
+            "0x1.000000000000ap-2"),
+        2: ("0x1.8000000000006p+0", "0x1.7fffffffffffdp+1",
+            "0x1.0000000000013p-2"),
+        3: ("0x1.7ffffffffffecp+0", "0x1.8000000000005p+1",
+            "0x1.000000000000ep-2"),
+        4: ("0x1.8000000000015p+0", "0x1.7fffffffffffbp+1",
+            "0x1.fffffffffffd6p-3"),
+        5: ("0x1.8000000000012p+0", "0x1.7fffffffffffbp+1",
+            "0x1.fffffffffffebp-3"),
+    }),
+    "abs((x-1)/(x+1))^1.5": (-1, {
+        42: ("0x1.ffffffffffff6p-1", "0x1.7fffffffffffap+1",
+            "0x0.0p+0"),
+        1: ("0x1.ffffffffffffep-1", "0x1.8000000000002p+1",
+            "0x0.0p+0"),
+        2: ("0x1.ffffffffffffcp-1", "0x1.8000000000000p+1",
+            "0x0.0p+0"),
+        3: ("0x1.0000000000000p+0", "0x1.8000000000000p+1",
+            "0x0.0p+0"),
+        4: ("0x1.0000000000000p+0", "0x1.7fffffffffffdp+1",
+            "0x0.0p+0"),
+        5: ("0x1.ffffffffffff8p-1", "0x1.7fffffffffff7p+1",
+            "0x0.0p+0"),
+    }),
+}
+
+
+@pytest.mark.parametrize("text", H1_FITS)
+def test_integral_profile_fits_keep_every_bit(text):
+    p, by_seed = H1_FITS[text]
+    for seed, (coeff, q, shift) in by_seed.items():
+        h = fit_h_shape(parse(text), seed)
+        got = {f.name: getattr(h, f.name) for f in dataclasses.fields(h)}
+        want = {"kind": "h1", "coeff": coeff, "q": q, "k": (1.0).hex(),
+                "p": p, "shift": shift}
+        assert {k: v.hex() if type(v) is float else v
+                for k, v in got.items()} == want, seed

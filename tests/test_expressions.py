@@ -895,3 +895,19 @@ def test_equivalent_refuses_a_range_that_is_not_finite_with_lo_below_hi(bad):
 
 def test_a_range_that_is_not_drawn_from_is_not_checked():
     assert equivalent(parse("x"), parse("x"), ranges={"u": (2, 1)})
+
+
+def test_median_is_numpys_to_the_bit():
+    # sizes 1-60, ties, signed zeros and infinities: the median of one sort
+    # gives np.median's bits, +0.0 for a middle -0.0 and NaN for inf - inf
+    rng = np.random.default_rng(30)
+    for n in range(1, 61):
+        vectors = [rng.normal(size=n), np.full(n, -0.0),
+                   rng.choice([-1.0, -0.0, 0.0, 1.0], n),
+                   rng.choice([-np.inf, -2.5, -0.0, 0.0, 2.5, np.inf], n)]
+        for v in vectors:
+            with np.errstate(invalid="ignore"):
+                want = np.median(v)
+            got = finsym.expressions._median(v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), v
