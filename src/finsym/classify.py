@@ -152,13 +152,14 @@ def fit_d_shape(expr: Expression, seed: int = 42) -> DShape:
 
     with np.errstate(all="ignore"):  # ratios and candidates are checked
         ratio = _ratio(expr, "u", seed)
-        exp = _rung(0, *ratio)
-        if exp is not None:
-            return DShape("exp", coeff=exp[0], k=exp[1])
-        power = _rung(1, *ratio)
-        if power is not None:
-            return DShape("shifted" if power[2] else "power", coeff=power[0],
-                          n=power[1], beta=power[2])
+        for degree, kind in enumerate(("exp", "power")):
+            fit = _rung(degree, *ratio)
+            if fit is not None:
+                c, lead, s, _ = fit
+                if degree == 0:
+                    return DShape(kind, coeff=c, k=lead)
+                return DShape("shifted" if s else kind, coeff=c, n=lead,
+                              beta=s)
         return _ARBITRARY_D
 
 
@@ -185,16 +186,13 @@ def fit_h_shape(expr: Expression, seed: int = 42) -> HShape:
         spread = float(np.maximum.reduce(vals) - np.minimum.reduce(vals))
         if spread <= 1e-12 * (1 + vmax):
             return HShape("const", coeff=_median(vals))
-        exp = _rung(0, *ratio)
-        if exp is not None:
-            return HShape("exp", coeff=exp[0], k=exp[1])
-        power = _rung(1, *ratio)
-        if power is not None:
-            return HShape("power", coeff=power[0], q=power[1],
-                          shift=power[2])
-        h1 = _rung(2, *ratio)
-        if h1 is not None:
-            return HShape("h1", coeff=h1[0], q=h1[1], shift=h1[2], p=h1[3])
+        for degree, kind in enumerate(("exp", "power", "h1")):
+            fit = _rung(degree, *ratio)
+            if fit is not None:
+                c, lead, s, p = fit
+                if degree == 0:
+                    return HShape(kind, coeff=c, k=lead)
+                return HShape(kind, coeff=c, q=lead, shift=s, p=p)
         return _ARBITRARY_H
 
 

@@ -219,7 +219,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_exact(args) -> int:
     from .numeric import pde_residual_grid
-    from .reductions import exact_solution, nonclassical_equation
+    from .reductions import _PM1_X_RANGE, exact_solution, nonclassical_equation
 
     eq, params = load_equation_file(args.eq)
     if equations_equal(eq, nonclassical_equation(), tol=1e-9):
@@ -232,11 +232,10 @@ def _cmd_exact(args) -> int:
         _check_params(params, args.command, fixed=result.params)
         solution = exact_solution(result.case, result.params)
         case_label = result.case
-    t_hi = 1.0
-    x_lo, x_hi = 0.5, 2.0
+    x_range = (0.5, 2.0)
     if case_label == 6 and result.params["p"] == -1:
-        x_lo, x_hi = 1.3, 3.0
-    residual = pde_residual_grid(eq, solution, ((0.0, t_hi), (x_lo, x_hi)),
+        x_range = _PM1_X_RANGE
+    residual = pde_residual_grid(eq, solution, ((0.0, 1.0), x_range),
                                  samples=100, seed=args.seed)
     doc = {"case": case_label, "solution": str(solution.expr),
            "domain": solution.domain, "max_residual": residual}

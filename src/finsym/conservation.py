@@ -19,7 +19,7 @@ from .expressions import (
 )
 from .model import DShape, FinEquation, ModelError
 from .numeric import Field, Grid, NoFluxBC, solve_pde
-from .symmetry import JetResidual
+from .symmetry import _TOTAL_X_DEPS, JetResidual
 
 __all__ = [
     "ConservationLaw", "conservation_laws", "divergence_residual",
@@ -87,8 +87,7 @@ def divergence_residual(cl: ConservationLaw, eq: FinEquation,
                         ) -> tuple[JetResidual, bool]:
     """D_t rho + D_x F - lambda * Delta on jet space, plus its zero test."""
     dt_rho = differentiate(cl.density, "t", deps={"u": ("t",)})
-    dx_flux = differentiate(cl.flux, "x",
-                            deps={"u": ("x",), "u_x": ("x",)})
+    dx_flux = differentiate(cl.flux, "x", deps=_TOTAL_X_DEPS)
     delta = sub(sym("u_t"), eq.jet.u_t)
     residual = JetResidual((dt_rho, dx_flux, neg(mul(cl.characteristic,
                                                      delta))))

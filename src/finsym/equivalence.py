@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .classify import fit_d_shape, fit_h_shape, spec_shape
+from .classify import _sign, fit_d_shape, fit_h_shape, spec_shape
 from .expressions import (
     Expression, Num, ZERO, add, call, differentiate, div, mul, num, pow_,
     sub, substitute, sym, to_string,
@@ -285,7 +285,7 @@ def _retag_h(expr: Expression):
     if isinstance(expr, Num):
         return ConstantH(expr.value)
     s = fit_h_shape(expr, 13)
-    sign = 1 if s.coeff > 0 else -1
+    sign = _sign(s.coeff)
     return _first_match(s, (ConstantH(s.coeff), PowerX(s.q, sign), ExpX(sign),
                             H1(s.p, s.q, sign)), FreeH(expr))
 
@@ -359,27 +359,25 @@ def additional_equivalence(case_from: int, params: dict):
             return T, (4, {"n": FOUR_THIRDS, "q": q / 2.0, "eps": eps})
         raise EquivalenceError("case 6 requires p in {-1, 0, 1}")
 
-    if case_from in (11, 13):
-        alpha = float(params.get("alpha", 0.0))
-        if alpha == 0:
-            raise NoAdditionalMapError(
-                f"case {case_from} with alpha=0 is already in normal form")
-        T = make_group_element("G2", (1, 0, 1, 0, 1, alpha))
-        T = replace(T, label=f"{case_from}a-to-{case_from}")
-        if case_from == 11:
-            n = float(params["n"])
-            return T, (11, {"n": n, "alpha": 0.0})
-        return T, (13, {"alpha": 0.0})
-
-    if case_from in (10, 12):
-        eps = int(params.get("eps", 1))
-        n = FOUR_THIRDS if case_from == 12 else float(params["n"])
-        source = FinEquation(PowerU(n), ConstantH(float(eps)))
-        T = make_group_element("G3", (1, 0, 1, 0, 1), eq=source)
-        T = replace(T, label=f"{case_from}-to-{11 if case_from == 10 else 13}")
-        if case_from == 10:
-            return T, (11, {"n": n, "alpha": 0.0})
-        return T, (13, {"alpha": 0.0})
+    if case_from in (10, 11, 12, 13):
+        # onto the normal form u^n (case 11) or u^(-4/3) (case 13), h = 0
+        target = 13 if case_from in (12, 13) else 11
+        if case_from == target:
+            alpha = float(params.get("alpha", 0.0))
+            if alpha == 0:
+                raise NoAdditionalMapError(
+                    f"case {case_from} with alpha=0 is already in normal form")
+            T = make_group_element("G2", (1, 0, 1, 0, 1, alpha))
+            T = replace(T, label=f"{case_from}a-to-{case_from}")
+        else:
+            eps = int(params.get("eps", 1))
+            n = FOUR_THIRDS if case_from == 12 else float(params["n"])
+            source = FinEquation(PowerU(n), ConstantH(float(eps)))
+            T = make_group_element("G3", (1, 0, 1, 0, 1), eq=source)
+            T = replace(T, label=f"{case_from}-to-{target}")
+        if target == 13:
+            return T, (13, {"alpha": 0.0})
+        return T, (11, {"n": float(params["n"]), "alpha": 0.0})
 
     if case_from == 8:
         eps = int(params.get("eps", 1))

@@ -167,9 +167,9 @@ def _power_rule(n: float, alpha: float = 0):
 
 
 def _sign_rule(*params):
-    """eps, the last parameter of power_x and exp_x, is +-1."""
+    """eps, the last parameter of power_x, exp_x and h1, is +-1."""
     if params[-1] not in (-1, 1):
-        raise SpecKindError("eps must be +-1")
+        raise SpecKindError("a signed profile requires eps = +-1")
 
 
 def _h1_rule(p: int, q: float, eps: int):
@@ -177,8 +177,7 @@ def _h1_rule(p: int, q: float, eps: int):
         raise SpecKindError("h1 profile requires q != 0")
     if p not in (-1, 0, 1):
         raise SpecKindError("h1 profile requires p in {-1, 0, 1}")
-    if eps not in (-1, 1):
-        raise SpecKindError("h1 profile requires eps = +-1")
+    _sign_rule(eps)
 
 
 #: a row of :data:`_FAMILIES`: the variable ("u" for a D family, "x" for an
@@ -410,10 +409,11 @@ def _free_symbol_check(expr: Expression, allowed: set, what: str):
 def validate(eq: FinEquation) -> FinEquation:
     """Check kinds, parameter constraints and nonlinearity; return eq.
 
-    Free D specs are tested for constancy by sampling dD/du in rounds of 20
-    points at seed 0; a constant D means the excluded linear case.  Free
-    specs may involve only their own variable.  Idempotent;
-    :class:`FinEquation` runs it on construction, so callers need not.
+    Free specs may involve only their own variable.  A free D, or a free h
+    with a free symbol, is sampled in up to ten rounds of 20 points at seed
+    0 and refused when finite at none of them; a D whose dD/du vanishes
+    there is the excluded linear case.  Idempotent; :class:`FinEquation`
+    runs it on construction, so callers need not.
     """
     for spec, var, what in ((eq.D, "u", "diffusion"), (eq.h, "x", "source")):
         if not isinstance(spec, Spec) or spec.var != var:
@@ -435,7 +435,11 @@ def validate(eq: FinEquation) -> FinEquation:
             raise LinearCaseError(
                 "linear case excluded: D does not depend on u")
     if eq.h.family == "free":
-        _free_symbol_check(eq.h.params[0], {"x"}, "free h")
+        (h,) = eq.h.params
+        _free_symbol_check(h, {"x"}, "free h")
+        if h.free_symbols() and sample_finite(
+                compile_expressions(h, h), ("x",), 0, 20)[0].size == 0:
+            raise SpecKindError("free h not evaluable on the sampling range")
     return eq
 
 

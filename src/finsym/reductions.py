@@ -37,6 +37,7 @@ __all__ = [
     "Reduction", "ReductionReport", "OrderReduction",
     "build_reduction", "exact_solution", "verify_reduction",
     "order_reduce_61", "check_order_reduction_61", "solve_algebraic",
+    "reduction_chain_solution", "nonclassical_equation",
     "ReductionError", "RealityError",
 ]
 
@@ -44,6 +45,9 @@ _T, _X = sym("t"), sym("x")
 _W, _PHI = sym("w"), sym("phi")
 _PHI_W, _PHI_WW = sym("phi_w"), sym("phi_ww")
 _C = sym("C")
+
+#: case 6 at p = -1 lives on x > 1: 6.1's slice and `exact`'s x range
+_PM1_X_RANGE = (1.3, 3.0)
 
 
 class ReductionError(ModelError):
@@ -66,9 +70,9 @@ class Reduction:
     algebraic: Expression | None        # residual in C for the 2d subalgebra
     generators: tuple[VectorField, ...]
     params: dict
-    slice_var: str = "x"                # coordinate along which the
-    slice_range: tuple = (0.5, 3.0)     # reduction multiplier is constant
-    anchor: tuple = ("t", 1.0)
+    slice_var: str                      # coordinate along which the
+    slice_range: tuple                  # reduction multiplier is constant
+    anchor: tuple
 
     def to_json(self) -> dict:
         return {
@@ -146,13 +150,12 @@ def build_reduction(case: int, subalgebra: str, params: dict,
     omega = reduced = algebraic = None
     slice_var, slice_range, anchor = "x", (0.5, 3.0), ("t", 1.0)
     if case == 6:
+        if eps != 1 and sub_key != "1":
+            raise RealityError("the ansatzes of subalgebras 0 and 2 take a "
+                               "fractional power of h1, real only for eps = +1")
         x_sq_p = add(pow_(_X, num(2)), num(p))
         h1_x = h1_expression(p, q, eps)
         if sub_key == "0":
-            if eps != 1:
-                raise RealityError(
-                    "the 2d-subalgebra ansatz takes (h1)^(-3/4); "
-                    "it is real only for eps = +1")
             ansatz = mul(_C, mul(pow_(x_sq_p, num(-1.5)),
                                  pow_(h1_x, num(-0.75))))
             algebraic = sub(pow_(_C, num(4.0 / 3.0)),
@@ -162,12 +165,9 @@ def build_reduction(case: int, subalgebra: str, params: dict,
             h1_w = h1_expression(p, q, eps, var=_W)
             reduced = sub(mul(num(3), _PHI_WW),
                           mul(h1_w, pow_(_PHI, num(-3))))
-            slice_range = (1.3, 3.0) if p == -1 else (0.5, 3.0)
+            if p == -1:
+                slice_range = _PM1_X_RANGE
         else:
-            if eps != 1:
-                raise RealityError(
-                    "the scaling-subalgebra ansatz takes (h1)^(1/4); "
-                    "it is real only for eps = +1")
             ansatz = pow_(mul(mul(pow_(x_sq_p, num(0.5)),
                                   pow_(h1_x, num(0.25))), _PHI), num(-3))
             omega = mul(_T, h1_x)

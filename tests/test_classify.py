@@ -11,8 +11,8 @@ from finsym.classify import HShape, _ratio, classify, fit_d_shape, fit_h_shape
 from finsym.expressions import add, differentiate, equivalent, mul, parse
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
-    PowerU, PowerX, ReciprocalShift, ShiftedPowerU, equation_from_json,
-    h1_expression,
+    PowerU, PowerX, ReciprocalShift, ShiftedPowerU, SpecKindError,
+    equation_from_json, h1_expression,
 )
 from finsym.symmetry import symmetry_residual
 
@@ -251,10 +251,8 @@ SHIFTED_ZERO_ROWS = [
     ("(u-1.9)^(-4/3)", "0", 13, 5), ("u^2", "(x-1.9)^2", 4, 2),
     ("u^2", "(x-1.6)^-2", 4, 2), ("u^-2", "x-1.93", 4, 2),
     ("u^2", "(x-1.9)^0.5", 4, 2),
-    # a sampled h read before any shape is tried: zero, a constant, and a
-    # zero past the range's top, which leaves no finite sample to fit
+    # a sampled h read before any shape is tried: zero and a constant
     ("u^2", "x-x", 11, 4), ("u^2", "x/x", 10, 4),
-    ("u^2", "(x-3.5)^0.5", 1, 1),
 ]
 
 
@@ -267,6 +265,17 @@ def test_a_shift_with_its_zero_in_the_range_keeps_the_whole_algebra(
     assert (r.case, len(r.basis)) == (case, size)
     for vf in r.basis:
         assert symmetry_residual(eq, vf) <= 1e-9, vf.to_string()
+
+
+@pytest.mark.parametrize("d,h", [
+    ("u^2", "(x-3.5)^0.5"), ("u^2", "(x-3.46)^1.55"),
+    ("u^(-4/3)", "(x-3.46)^1.55"),
+])
+def test_an_h_finite_nowhere_on_the_range_is_refused(d, h):
+    # a zero past the range's top leaves no finite sample to fit, and the
+    # fit would read h as arbitrary and miss the case-4 generator
+    with pytest.raises(SpecKindError, match="free h not evaluable"):
+        FinEquation(FreeD(parse(d)), FreeH(parse(h)))
 
 
 #: zeros near the top of the range, where fewer than 8 of the first 50

@@ -73,6 +73,13 @@ def test_a_generator_coefficient_past_the_float_range_is_refused(
         assert "overflows" in capsys.readouterr().err
 
 
+def test_an_h_finite_nowhere_on_the_range_is_a_usage_error(eq_file, capsys):
+    # h is NaN on all of x in (0.5, 3), so no fit could read its shape
+    doc = {"D": {"expr": "u^2"}, "h": {"expr": "(x-3.46)^1.55"}}
+    assert main(["classify", "--eq", eq_file(doc)]) == 2
+    assert "free h not evaluable" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["classify", "--eq", "/nonexistent.json"]) == 2
 

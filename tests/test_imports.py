@@ -76,6 +76,12 @@ def test_star_import_gives_the_package_surface():
             assert getattr(finsym, name) is namespace[name], name
 
 
+def test_each_lazy_name_is_public_in_its_module():
+    for module, names in finsym._LAZY.items():
+        home = importlib.import_module(f"finsym.{module}")
+        assert set(names) <= set(home.__all__), module
+
+
 def test_dir_lists_the_lazy_names_before_they_load():
     listed = dir(finsym)
     assert set(finsym.__all__) <= set(listed)
