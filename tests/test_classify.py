@@ -278,6 +278,13 @@ def test_an_h_finite_nowhere_on_the_range_is_refused(d, h):
         FinEquation(FreeD(parse(d)), FreeH(parse(h)))
 
 
+@pytest.mark.parametrize("h,case", [("2", 10), ("0", 11)])
+def test_a_symbol_free_h_is_not_probed_and_classify_reads_it(h, case):
+    # validate samples only an h with a free symbol; a constant is read once
+    eq = FinEquation(FreeD(parse("u^2")), FreeH(parse(h)))
+    assert classify(eq).case == case
+
+
 #: zeros near the top of the range, where fewer than 8 of the first 50
 #: samples are admissible, so the fit draws its samples once more; the
 #: generators are checked where the coefficients are finite
