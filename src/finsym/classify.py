@@ -20,7 +20,6 @@ first run: classifying tagged equations never imports it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .expressions import (
     DEFAULT_SAMPLING_RANGES, Expression, Num, Sym, _median, add, call,
@@ -29,7 +28,7 @@ from .expressions import (
 )
 from .model import (
     D_T, D_X, DShape, FinEquation, HShape, ModelError, VectorField,
-    _num_out, h1_expression, is_four_thirds,
+    _num_out, _record, h1_expression, is_four_thirds,
 )
 
 __all__ = [
@@ -209,12 +208,12 @@ def spec_shape(spec, seed: int = 42) -> DShape | HShape:
 # classification result
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    case: int
-    params: dict
-    basis: tuple[VectorField, ...]
-    note: str | None = None
+class ClassificationResult(_record("ClassificationResult",
+                                   "case params basis note",
+                                   defaults=(None,))):
+    """The table case, its parameters (a dict), the symmetry basis (a
+    tuple of :class:`VectorField`) and an optional note."""
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -7,7 +7,8 @@ exact, conserve, simulate, residual.  Equations come from JSON files with
 
 Each subcommand imports the modules it runs, so ``classify``,
 ``symmetries`` and ``reduce`` on tagged equations never import numpy,
-and only ``transform`` imports :mod:`finsym.equivalence`.
+only ``transform`` imports :mod:`finsym.equivalence`, and only
+``simulate`` imports the finite-difference solver, :mod:`finsym.numeric`.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .expressions import ExpressionError, parse
 from .model import (
     ADDITIONAL_MAP_LABELS, ModelError, NumericError, SchemaError, Solution,
     VectorField, equation_to_json, equations_equal, load_equation_file,
+    pde_residual_grid,
 )
 
 EXIT_OK = 0
@@ -218,7 +220,6 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    from .numeric import pde_residual_grid
     from .reductions import _PM1_X_RANGE, exact_solution, nonclassical_equation
 
     eq, params = load_equation_file(args.eq)
@@ -279,8 +280,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    from .numeric import pde_residual_grid
-
     eq = _load(args)
     solution = Solution(parse(args.solution))
     region = (_pair(args.t_range), _pair(args.x_range))

@@ -18,7 +18,6 @@ from .expressions import (
     pow_, sub, sym, to_string,
 )
 from .model import DShape, FinEquation, ModelError
-from .numeric import Field, Grid, NoFluxBC, solve_pde
 from .symmetry import _TOTAL_X_DEPS, JetResidual
 
 __all__ = [
@@ -38,7 +37,7 @@ class AntiderivativeError(ConservationError):
     """No closed antiderivative of D is available for this spec."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: a test derives a law with replace
 class ConservationLaw:
     density: Expression         # rho(t, x, u)
     flux: Expression            # F(t, x, u, u_x)
@@ -95,18 +94,21 @@ def divergence_residual(cl: ConservationLaw, eq: FinEquation,
 
 
 def discrete_balance_error(eq: FinEquation, initial: Expression,
-                           grid: Grid) -> float:
+                           grid) -> float:
     """|M(T) - M(0)| for M(t) = dx * sum_i rho(t, x_i, u_i) on a no-flux run.
 
     rho is the density of the constant-flux law (the second basis law):
     its flux vanishes at the walls, so the drift measures the scheme's
-    balance error directly.
+    balance error directly.  ``grid`` is a :class:`finsym.numeric.Grid`;
+    the solver module loads here, not with this one.
     """
+    from .numeric import NoFluxBC, solve_pde
+
     laws = conservation_laws(eq)
     if not laws:
         raise ConservationError("no conservation laws: h is not constant")
     rho = laws[1].density
-    field: Field = solve_pde(eq, initial, NoFluxBC(), grid)
+    field = solve_pde(eq, initial, NoFluxBC(), grid)
 
     # both time levels in one evaluation: row 0 at t = 0, row 1 at T
     vals = evaluate(rho, {"t": field.times[[0, -1], None], "x": field.x,

@@ -35,7 +35,7 @@ from .expressions import (
 from .model import (
     ADDITIONAL_MAP_LABELS, FOUR_THIRDS, FOUR_THIRDS_TOL, ConstantH, ExpU,
     ExpX, FinEquation, FreeD, FreeH, H1, ModelError, PowerU, PowerX,
-    ReciprocalShift, ShiftedPowerU, Solution, Spec, VectorField,
+    ReciprocalShift, ShiftedPowerU, Solution, Spec, VectorField, _record,
     shapes_match,
 )
 
@@ -71,13 +71,11 @@ class NoAdditionalMapError(EquivalenceError):
     pass
 
 
-@dataclass(frozen=True)
-class CoefficientRule:
+class CoefficientRule(_record("CoefficientRule", "factor inner override",
+                              defaults=(None, None, None))):
     """Rewrite of one arbitrary element: new(v) = factor * old(inner(v)),
     or a fixed override expression."""
-    factor: Expression | None = None
-    inner: Expression | None = None
-    override: Expression | None = None
+    __slots__ = ()
 
     def is_identity(self, var: str) -> bool:
         return (self.override is None and self.factor == Num(1.0)
@@ -89,6 +87,8 @@ class CoefficientRule:
         return mul(self.factor, substitute(old, {var: self.inner}))
 
 
+# a dataclass: maps are derived with dataclasses.replace, and a test pins
+# its fields
 @dataclass(frozen=True)
 class PointTransformation:
     """Invertible point map with its action on the coefficients.
@@ -133,12 +133,9 @@ class PointTransformation:
             h_rule=back(self.h_rule, self.requires_h, self.x_new))
 
 
-@dataclass(frozen=True)
-class OutsideClassReport:
+class OutsideClassReport(_record("OutsideClassReport", "label target note")):
     """Produced when a map sends an equation outside the class."""
-    label: str
-    target: str
-    note: str
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import math
 import operator
 import re
 import struct
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 __all__ = [
@@ -66,9 +65,30 @@ class NoAdmissibleSampleError(ExpressionError):
 
 
 class Expression:
-    """Immutable expression tree node.  All operations are pure."""
+    """Immutable expression tree node.  All operations are pure.
+
+    A node is a value: it equals a node of its own class whose fields are
+    equal, hashes as the tuple of its fields, and refuses assignment.
+    """
 
     __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # unpickling calls the class, not setattr
+        return self.__class__, self._fields()
 
     def __str__(self):
         return to_string(self)
@@ -88,66 +108,111 @@ class Expression:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
+# Each node class writes its fields in ``__init__`` through the setters of
+# its slots, which skip the class's refusing ``__setattr__``.
+
+
 class Num(Expression):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set_value(self, value)
+
+    def _fields(self):
+        return (self.value,)
 
     def __repr__(self):
         return f"Num({self.value!r})"
 
 
-@dataclass(frozen=True)
 class Sym(Expression):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+
+    def _fields(self):
+        return (self.name,)
 
     def __repr__(self):
         return f"Sym({self.name!r})"
 
 
-@dataclass(frozen=True)
 class Neg(Expression):
-    arg: Expression
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expression):
+        _set_neg_arg(self, arg)
+
+    def _fields(self):
+        return (self.arg,)
+
+    def __repr__(self):
+        return f"Neg(arg={self.arg!r})"
 
     def children(self):
         return (self.arg,)
 
 
-@dataclass(frozen=True)
 class Call(Expression):
-    fn: str
-    arg: Expression
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: Expression):
+        _set_fn(self, fn)
+        _set_call_arg(self, arg)
+
+    def _fields(self):
+        return (self.fn, self.arg)
+
+    def __repr__(self):
+        return f"Call(fn={self.fn!r}, arg={self.arg!r})"
 
     def children(self):
         return (self.arg,)
 
 
-@dataclass(frozen=True)
 class _Binary(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expression, right: Expression):
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def _fields(self):
+        return (self.left, self.right)
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(left={self.left!r}, "
+                f"right={self.right!r})")
 
     def children(self):
         return (self.left, self.right)
 
 
+_set_value, _set_name = Num.value.__set__, Sym.name.__set__
+_set_neg_arg, _set_fn, _set_call_arg = (
+    Neg.arg.__set__, Call.fn.__set__, Call.arg.__set__)
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+
+
 class Add(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Sub(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Mul(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Div(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Pow(_Binary):
-    pass
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

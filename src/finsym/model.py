@@ -25,7 +25,7 @@ __all__ = [
     "PowerU", "ShiftedPowerU", "ExpU", "ReciprocalShift", "FreeD",
     "PowerX", "ExpX", "InverseSquareX", "ConstantH", "H1", "FreeH",
     "DShape", "HShape", "Spec", "FinEquation", "VectorField",
-    "Solution", "pde_residual_expression",
+    "Solution", "pde_residual_expression", "pde_residual_grid",
     "validate", "is_four_thirds", "h1_expression",
     "spec_to_json", "spec_from_json", "equation_to_json", "equation_from_json",
     "load_equation_file", "equations_equal", "shapes_match",
@@ -71,8 +71,9 @@ class SchemaError(ModelError):
 
 
 class NumericError(RuntimeError):
-    """A numerical computation of :mod:`finsym.numeric` failed; defined
-    here so that code catching it need not import numpy."""
+    """A numerical computation failed (of :mod:`finsym.numeric`, or the
+    sampled residual :func:`pde_residual_grid`); defined here so that code
+    catching it need not import numpy."""
 
 
 def is_four_thirds(n: float) -> bool:
@@ -80,9 +81,38 @@ def is_four_thirds(n: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# records: immutable values with a dataclass's semantics, built as tuples
+
+
+def _same_class_eq(self, other):
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    # not NotImplemented: a tuple's own == would then compare the items
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _record(typename: str, field_names: str, defaults=None) -> type:
+    """The namedtuple base of a record class ``typename``.
+
+    A record equals only a record of its own class with equal fields (not
+    a plain tuple), hashes as its field tuple, prints as
+    ``Name(field=value, ...)`` and, with ``__slots__ = ()`` on the
+    subclass, refuses assignment: a frozen dataclass's value semantics,
+    without the methods a dataclass generates and compiles as its module
+    loads.
+    """
+    base = namedtuple(typename, field_names, defaults=defaults)
+    base.__eq__, base.__ne__ = _same_class_eq, object.__ne__
+    base.__hash__ = tuple.__hash__
+    return base
+
+
+# ---------------------------------------------------------------------------
 # normalized shapes: the structure the classification table is keyed on
 
 
+# a dataclass, as HShape: shapes_match reads vars(), and a test reads
+# dataclasses.fields
 @dataclass(frozen=True)
 class DShape:
     kind: str              # "power" | "shifted" | "exp" | "arbitrary"
@@ -110,8 +140,7 @@ class HShape:
 # coefficient specs: a tagged family and its parameters, or an expression
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(_record("Spec", "var family params")):
     """A diffusion coefficient D (``var`` "u") or source profile h ("x").
 
     A tagged spec holds the JSON tag of a family in :data:`_FAMILIES` and
@@ -121,9 +150,7 @@ class Spec:
     ``PowerU(2) != ShiftedPowerU(2, 0)``; :func:`equations_equal` compares
     shapes instead.
     """
-    var: str
-    family: str
-    params: tuple
+    __slots__ = ()
 
     def expression(self) -> Expression:
         if self.family == "free":
@@ -290,6 +317,8 @@ def FreeH(expr: Expression) -> Spec:
 JetPieces = namedtuple("JetPieces", "d d_u d_uu h h_x u_t")
 
 
+# a dataclass: callers use dataclasses.replace and fields, and jet is a
+# cached_property, which needs an instance __dict__
 @dataclass(frozen=True)
 class FinEquation:
     """One member of the class u_t = (D(u) u_x)_x + h(x) u.
@@ -326,12 +355,9 @@ class FinEquation:
         return f"u_t = ({to_string(self.d_expr())} * u_x)_x + ({to_string(self.h_expr())}) * u"
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(_record("VectorField", "tau xi eta")):
     """Infinitesimal generator tau*d_t + xi*d_x + eta*d_u."""
-    tau: Expression
-    xi: Expression
-    eta: Expression
+    __slots__ = ()
 
     @classmethod
     def parse_triple(cls, triple: str) -> "VectorField":
@@ -371,12 +397,11 @@ D_T = VectorField(ONE, ZERO, ZERO)
 D_X = VectorField(ZERO, ONE, ZERO)
 
 
-@dataclass(frozen=True)
-class Solution:
-    """A (possibly parametric) solution u(t, x) with a domain note."""
-    expr: Expression
-    parameters: tuple[str, ...] = ()
-    domain: str = ""
+class Solution(_record("Solution", "expr parameters domain",
+                       defaults=((), ""))):
+    """A (possibly parametric) solution u(t, x) with a domain note:
+    ``parameters`` names its unbound parameters."""
+    __slots__ = ()
 
     def bind(self, **values) -> "Solution":
         unknown = set(values) - set(self.parameters)
@@ -393,6 +418,31 @@ def pde_residual_expression(eq: FinEquation, u_expr: Expression) -> Expression:
     d_of_u = substitute(eq.d_expr(), {"u": u_expr})
     flux_x = differentiate(mul(d_of_u, u_x), "x")
     return sub(sub(u_t, flux_x), mul(eq.h_expr(), u_expr))
+
+
+def pde_residual_grid(eq: FinEquation, s: Solution, region, samples: int = 100,
+                      seed: int = 42) -> float:
+    """Max relative residual of a solution over a sampled (t, x) box: the
+    residual of :func:`pde_residual_expression` over 1 + |u_t| + |h u|."""
+    import numpy as np
+
+    if s.parameters:
+        raise ModelError(
+            f"solution has unbound parameters: {list(s.parameters)}")
+    (t0, t1), (x0, x1) = region
+    at = compile_expressions(pde_residual_expression(eq, s.expr),
+                             differentiate(s.expr, "t"),
+                             mul(eq.h_expr(), s.expr))
+
+    def residual(bindings):
+        r, u_t, hu = at(bindings)
+        return r, 1.0 + np.abs(u_t) + np.abs(hu)
+
+    r, scale = sample_finite(residual, ("t", "x"), seed, samples,
+                             ranges={"t": (t0, t1), "x": (x0, x1)})
+    if r.size == 0:
+        raise NumericError("all residual samples were non-finite")
+    return float(np.maximum.reduce(np.abs(r) / scale))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Finite-difference oracle and residual evaluation on grids.
+"""Finite-difference oracle and reduced-ODE integration.
+
+Of the nine CLI subcommands only ``simulate`` imports this module.  The
+sampled residual of a candidate solution, :func:`pde_residual_grid`,
+lives in :mod:`finsym.model` beside the residual expression it samples,
+so ``exact`` and ``residual`` need not load the solver; it is re-exported
+here, as :func:`pde_residual_expression` is.
 
 The solver is a conservative second-order discretization of
 (D(u) u_x)_x with interface coefficients D((u_i + u_{i+1})/2), a nodal
@@ -16,12 +22,11 @@ against those D.  The flux lies between two walls, +0.0 at the left
 and -0.0 at the right, so one stencil gives the rate at every node, a
 no-flux end included, and one update u + dt * rate, which writes a
 Dirichlet solve's ends, serves the explicit step and each implicit
-sweep.  The Dirichlet boundary values and the sampled residual get one
-tape each.  An explicit step writes every stencil, update and check
-into arrays allocated once per solve, through ufuncs bound once per
-solve with the output passed by position: the state lives in two
-buffers that swap roles, so a step allocates only what the interface
-core returns.
+sweep.  The Dirichlet boundary values get one tape.  An explicit step
+writes every stencil, update and check into arrays allocated once per
+solve, through ufuncs bound once per solve with the output passed by
+position: the state lives in two buffers that swap roles, so a step
+allocates only what the interface core returns.
 One whole RK4 step of a reduced equation is one tape, compiled once per
 residual and kept for later integrations of the same residual; a shoot
 looks it up once and marches every probe with it.
@@ -47,18 +52,19 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .expressions import (
     Add, Div, Expression, Mul, Neg, Num, Sub, Sym, UnboundSymbolError,
-    compile_expressions, differentiate, mul, sample_finite, substitute,
+    compile_expressions, substitute,
 )
 from .model import (
-    FinEquation, ModelError, NumericError, Solution, pde_residual_expression,
+    FinEquation, ModelError, NumericError, _record, pde_residual_expression,
+    pde_residual_grid,
 )
 
+#: pde_residual_expression and pde_residual_grid are model's, re-exported
 __all__ = [
     "Grid", "Field", "DirichletBC", "NoFluxBC", "solve_pde",
     "pde_residual_expression", "pde_residual_grid",
@@ -93,24 +99,22 @@ class BlowUpError(NumericError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Uniform space-time grid on [a, b] x [0, T]."""
-    a: float
-    b: float
-    m: int
-    t_final: float
-    dt: float | None = None
+class Grid(_record("Grid", "a b m t_final dt", defaults=(None,))):
+    """Uniform space-time grid on [a, b] x [0, T] with m nodes; dt None
+    lets :func:`solve_pde` choose it."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not -math.inf < self.a < self.b < math.inf:
+    def __new__(cls, a: float, b: float, m: int, t_final: float,
+                dt: float | None = None):
+        if not -math.inf < a < b < math.inf:
             raise ModelError("grid requires finite a < b")
-        if self.m < 8:
+        if m < 8:
             raise ModelError("grid requires at least 8 nodes")
-        if not 0 <= self.t_final < math.inf:
+        if not 0 <= t_final < math.inf:
             raise ModelError("time horizon must be finite and nonnegative")
-        if self.dt is not None and not 0 < self.dt < math.inf:
+        if dt is not None and not 0 < dt < math.inf:
             raise ModelError("dt must be positive and finite")
+        return super().__new__(cls, a, b, m, t_final, dt)
 
     @property
     def dx(self) -> float:
@@ -120,23 +124,20 @@ class Grid:
         return np.linspace(self.a, self.b, self.m)
 
 
-@dataclass(frozen=True)
-class DirichletBC:
-    left: Expression
-    right: Expression
+class DirichletBC(_record("DirichletBC", "left right")):
+    """Boundary values u(t, a) = left and u(t, b) = right, expressions in t."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NoFluxBC:
-    pass
+class NoFluxBC(_record("NoFluxBC", "")):
+    """A wall of zero flux at each end."""
+    __slots__ = ()
 
 
-@dataclass
-class Field:
-    """Stored time levels of a numerical solution."""
-    x: np.ndarray
-    times: np.ndarray
-    values: np.ndarray  # shape (len(times), len(x))
+class Field(_record("Field", "x times values")):
+    """Stored time levels of a numerical solution: ``values`` has shape
+    (len(times), len(x))."""
+    __slots__ = ()
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -522,29 +523,3 @@ def shoot_reduced_ode(reduction, phi0: float, w_end: float, phi_end: float,
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi > 0:
         raise NumericError("slope bracket does not straddle the target")
     return _bracketed_root(miss, lo, hi, f_lo, f_hi, tol)
-
-
-# ---------------------------------------------------------------------------
-# residual of candidate solutions on a sampled box
-
-
-def pde_residual_grid(eq: FinEquation, s: Solution, region, samples: int = 100,
-                      seed: int = 42) -> float:
-    """Max relative residual of a solution over a sampled (t, x) box."""
-    if s.parameters:
-        raise ModelError(
-            f"solution has unbound parameters: {list(s.parameters)}")
-    (t0, t1), (x0, x1) = region
-    at = compile_expressions(pde_residual_expression(eq, s.expr),
-                             differentiate(s.expr, "t"),
-                             mul(eq.h_expr(), s.expr))
-
-    def residual(bindings):
-        r, u_t, hu = at(bindings)
-        return r, 1.0 + np.abs(u_t) + np.abs(hu)
-
-    r, scale = sample_finite(residual, ("t", "x"), seed, samples,
-                             ranges={"t": (t0, t1), "x": (x0, x1)})
-    if r.size == 0:
-        raise NumericError("all residual samples were non-finite")
-    return float(np.maximum.reduce(np.abs(r) / scale))

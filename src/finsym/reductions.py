@@ -30,7 +30,7 @@ from .expressions import (
 )
 from .model import (
     FOUR_THIRDS, ExpX, FinEquation, FreeH, H1, ModelError, PowerU, PowerX,
-    Solution, VectorField, h1_expression, pde_residual_expression,
+    Solution, VectorField, _record, h1_expression, pde_residual_expression,
 )
 
 __all__ = [
@@ -58,6 +58,8 @@ class RealityError(ReductionError):
     """A closed form would be complex for the given parameter signs."""
 
 
+# a dataclass: tests and the benchmark derive reductions with
+# dataclasses.replace
 @dataclass(frozen=True)
 class Reduction:
     """An invariant ansatz together with its reduced equation."""
@@ -87,13 +89,11 @@ class Reduction:
         }
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    label: str
-    passed: bool
-    deviation: float
-    multiplier: float
-    note: str | None = None
+class ReductionReport(_record("ReductionReport",
+                              "label passed deviation multiplier note",
+                              defaults=(None,))):
+    """The verdict of :func:`verify_reduction` on one reduction."""
+    __slots__ = ()
 
 
 def _require(cond, message):
@@ -397,13 +397,11 @@ def verify_reduction(eq: FinEquation, r: Reduction, seed: int = 42,
 # order reduction of 6.1
 
 
-@dataclass(frozen=True)
-class OrderReduction:
-    """First-order form of the stationary case-6 reduction."""
-    y: Expression          # y(w, phi)
-    psi: Expression        # psi(w, phi, phi_w)
-    ode: Expression        # residual in (y, psi, psi_y)
-    params: dict
+class OrderReduction(_record("OrderReduction", "y psi ode params")):
+    """First-order form of the stationary case-6 reduction: y(w, phi),
+    psi(w, phi, phi_w), the residual ``ode`` in (y, psi, psi_y) and the
+    parameters."""
+    __slots__ = ()
 
 
 def order_reduce_61(p: int, q: float, eps: int = 1) -> OrderReduction:

@@ -10,13 +10,11 @@ D, D_u, D_uu, h, h_x and u_t on solutions are built once, as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expressions import (
     DEFAULT_SAMPLING_RANGES, ONE, ZERO, Expression, Num, add, differentiate,
     div, max_relative, mul, neg, sub, substitute, sym,
 )
-from .model import FinEquation, ModelError, VectorField
+from .model import FinEquation, ModelError, VectorField, _record
 
 __all__ = [
     "JetResidual", "prolonged_residual", "symmetry_residual",
@@ -36,14 +34,13 @@ class SymmetryError(ModelError):
     pass
 
 
-@dataclass(frozen=True)
-class JetResidual:
+class JetResidual(_record("JetResidual", "terms")):
     """Residual over jet coordinates, kept as its additive pieces.
 
-    The pieces are summed for the value; their magnitudes provide the
-    cancellation scale for the relative zero test.
+    The pieces, a tuple of expressions, are summed for the value; their
+    magnitudes provide the cancellation scale for the relative zero test.
     """
-    terms: tuple[Expression, ...]
+    __slots__ = ()
 
     @property
     def residual(self) -> Expression:

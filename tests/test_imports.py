@@ -54,8 +54,16 @@ MODULES = ("conservation", "equivalence", "expressions", "model", "numeric",
            "reductions", "symmetry")
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(finsym.__file__)))
-CASE4 = {"D": {"family": "power_u", "n": 2},
-         "h": {"family": "power_x", "q": 3, "eps": 1}}
+#: the equation files the cold calls below read, by name: case 4 with a
+#: sink has an exact solution, case 10 conservation laws and a named map
+EQUATIONS = {
+    "case4": {"D": {"family": "power_u", "n": 2},
+              "h": {"family": "power_x", "q": 3, "eps": 1}},
+    "case4-sink": {"D": {"family": "power_u", "n": 2},
+                   "h": {"family": "power_x", "q": 3, "eps": -1}},
+    "case10": {"D": {"family": "power_u", "n": 2},
+               "h": {"family": "constant", "c": 1}},
+}
 
 
 def test_star_import_gives_the_package_surface():
@@ -102,7 +110,7 @@ def test_eager_modules_define_few_dataclasses():
     defined = {id(value) for module in eager for value in vars(module).values()
                if isinstance(value, type) and dataclasses.is_dataclass(value)
                and value.__module__ == module.__name__}
-    assert len(defined) <= 17
+    assert len(defined) <= 3
 
 
 #: prints, as the process exits, the names of the modules it imported
@@ -128,13 +136,19 @@ def _numpy_loaded(code: str, *argv: str) -> bool:
 
 _CLI = ("import runpy\n"
         "runpy.run_module('finsym.cli', run_name='__main__')")
+_SIMULATE = ["simulate", "--initial", "1+x", "--left", "2", "--right", "3",
+             "--xa", "1", "--xb", "2", "--m", "9", "--t-final", "0.001"]
 
 
 @pytest.fixture(scope="module")
-def case4_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cold") / "case4.json"
-    path.write_text(json.dumps(CASE4))
-    return str(path)
+def equation_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("cold")
+    paths = {}
+    for name, doc in EQUATIONS.items():
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
 
 
 def test_import_and_help_skip_numpy():
@@ -156,28 +170,48 @@ def test_symmetry_loads_no_numpy():
     ["classify", "--json"], ["symmetries", "--json"],
     ["reduce", "--sub", "1", "--json"],
 ])
-def test_symbolic_subcommands_skip_numpy(argv, case4_file):
-    loaded = _loaded(_CLI, argv[0], "--eq", case4_file, *argv[1:])
+def test_symbolic_subcommands_skip_numpy(argv, equation_files):
+    loaded = _loaded(_CLI, argv[0], "--eq", equation_files["case4"],
+                     *argv[1:])
     assert "numpy" not in loaded
     # only transform needs the equivalence maps
     assert "finsym.classify" in loaded
     assert "finsym.equivalence" not in loaded
 
 
-def test_transform_loads_equivalence(tmp_path):
-    path = tmp_path / "case10.json"
-    path.write_text(json.dumps({"D": {"family": "power_u", "n": 2},
-                                "h": {"family": "constant", "c": 1}}))
-    loaded = _loaded(_CLI, "transform", "--eq", str(path), "--map",
-                     "10-to-11")
+def test_transform_loads_equivalence(equation_files):
+    loaded = _loaded(_CLI, "transform", "--eq", equation_files["case10"],
+                     "--map", "10-to-11")
     assert "finsym.equivalence" in loaded
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-symmetry", "--field=-6*t;2*x;5*u"],
-    ["simulate", "--initial", "1+x", "--left", "2", "--right", "3",
-     "--xa", "1", "--xb", "2", "--m", "9", "--t-final", "0.001"],
+    ["verify-symmetry", "--field=-6*t;2*x;5*u"], _SIMULATE,
 ])
-def test_numeric_subcommands_load_numpy(argv, case4_file):
+def test_numeric_subcommands_load_numpy(argv, equation_files):
     # the other direction: the check above can see numpy when it is loaded
-    assert _numpy_loaded(_CLI, argv[0], "--eq", case4_file, *argv[1:])
+    assert _numpy_loaded(_CLI, argv[0], "--eq", equation_files["case4"],
+                         *argv[1:])
+
+
+#: a call of each of the nine subcommands that exits 0, with its equation
+SUBCOMMANDS = [
+    ("case4", ["classify", "--json"]),
+    ("case4", ["symmetries", "--json"]),
+    ("case4", ["verify-symmetry", "--field=-6*t;2*x;5*u"]),
+    ("case10", ["transform", "--map", "10-to-11"]),
+    ("case4", ["reduce", "--sub", "1", "--json"]),
+    ("case4-sink", ["exact", "--json"]),
+    ("case10", ["conserve", "--json"]),
+    ("case4", _SIMULATE),
+    ("case4", ["residual", "--solution", "x*t", "--json"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", SUBCOMMANDS,
+                         ids=[argv[0] for _, argv in SUBCOMMANDS])
+def test_only_simulate_loads_the_solver(name, argv, equation_files):
+    # a module a cold call imports costs its compile even if nothing in
+    # it runs; exact, residual and conserve run no solver
+    loaded = _loaded(_CLI, argv[0], "--eq", equation_files[name], *argv[1:])
+    assert ("finsym.numeric" in loaded) == (argv[0] == "simulate")
