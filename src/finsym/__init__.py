@@ -20,6 +20,7 @@ from .model import (
     PowerX, ExpX, InverseSquareX, ConstantH, H1, FreeH,
     FinEquation, VectorField, Solution, validate, equations_equal,
     equation_to_json, equation_from_json, load_equation_file,
+    pde_residual_grid, pde_residual_expression,
 )
 # eager: a lazy ``classify`` would be the submodule, which shadows the
 # function once the submodule is imported
@@ -47,7 +48,6 @@ _LAZY = {
     ),
     "numeric": (
         "Grid", "Field", "DirichletBC", "NoFluxBC", "solve_pde",
-        "pde_residual_grid", "pde_residual_expression",
         "integrate_reduced_ode", "shoot_reduced_ode",
     ),
 }

@@ -545,27 +545,19 @@ def differentiate(e: Expression, var: str,
     deps = deps or {}
 
     def d(e: Expression) -> Expression:
-        if isinstance(e, Num):
+        # by node type, the kinds most often met first
+        kind = type(e)
+        if kind is Num:
             return ZERO
-        if isinstance(e, Sym):
+        if kind is Sym:
             if e.name == var:
                 return ONE
             if var in deps.get(e.name, ()):
                 return sym(_derivative_name(e.name, var))
             return ZERO
-        if isinstance(e, Neg):
-            return neg(d(e.arg))
-        if isinstance(e, (Add, Sub)):  # linear in the operands
-            return _BUILD[type(e)](d(e.left), d(e.right))
-        if isinstance(e, Mul):
+        if kind is Mul:
             return add(mul(d(e.left), e.right), mul(e.left, d(e.right)))
-        if isinstance(e, Div):
-            dleft, dright = d(e.left), d(e.right)
-            if _is_const(dleft, 0.0) and _is_const(dright, 0.0):
-                return ZERO  # a constant quotient, 1/0 included
-            return div(sub(mul(dleft, e.right), mul(e.left, dright)),
-                       pow_(e.right, 2))
-        if isinstance(e, Pow):
+        if kind is Pow:
             base, expo = e.left, e.right
             dbase, dexpo = d(base), d(expo)
             if _is_const(dexpo, 0.0):
@@ -573,7 +565,9 @@ def differentiate(e: Expression, var: str,
             # general rule, needs ln of the base
             return mul(e, add(mul(dexpo, call("ln", base)),
                               div(mul(expo, dbase), base)))
-        if isinstance(e, Call):
+        if kind is Add:
+            return add(d(e.left), d(e.right))
+        if kind is Call:
             inner = d(e.arg)
             if e.fn == "exp":
                 return mul(e, inner)
@@ -585,6 +579,16 @@ def differentiate(e: Expression, var: str,
                 return div(inner, add(ONE, pow_(e.arg, 2)))
             if e.fn == "sign":
                 return ZERO  # derivative away from 0; 0 by convention
+        if kind is Neg:
+            return neg(d(e.arg))
+        if kind is Div:
+            dleft, dright = d(e.left), d(e.right)
+            if _is_const(dleft, 0.0) and _is_const(dright, 0.0):
+                return ZERO  # a constant quotient, 1/0 included
+            return div(sub(mul(dleft, e.right), mul(e.left, dright)),
+                       pow_(e.right, 2))
+        if kind is Sub:
+            return sub(d(e.left), d(e.right))
         raise TypeError(f"not an expression: {e!r}")
 
     return d(e)
@@ -910,23 +914,14 @@ def sample_bindings(symbols, rng, count: int, ranges=None):
     return {s: rng.uniform(lo, hi, size=count) for s, (lo, hi) in resolved}
 
 
-def sample_finite(fn, symbols, seed: int, count: int, ranges=None):
-    """Seeded sampling policy of every randomized zero test.
-
-    Draws rounds of ``count`` points, at most ten, from
-    ``default_rng(seed)`` with :func:`sample_bindings`, and calls ``fn`` on
-    each round's bindings; ``fn`` returns two arrays of shape ``(count,)``.
-    Keeps, in draw order, the points where both are finite, and stops after
-    the round that brings the points kept to ``count``.  Returns the two
-    arrays at the kept points, empty when no point was finite: the first
-    round's own arrays when all of its points are finite.
-    """
+def _keep_finite(fn, draw, count: int):
+    """The keep-finite rule of :func:`sample_finite`, on ``draw(i)``, the
+    bindings of round i, for the rounds i = 0, 1, ... at most ten."""
     import numpy as np
 
-    rng = np.random.default_rng(seed)
     kept_a, kept_b, kept = [], [], 0
-    for _ in range(10):
-        a, b = fn(sample_bindings(symbols, rng, count, ranges))
+    for i in range(10):
+        a, b = fn(draw(i))
         finite = np.isfinite(a)
         finite &= np.isfinite(b)
         n = np.count_nonzero(finite)
@@ -938,6 +933,26 @@ def sample_finite(fn, symbols, seed: int, count: int, ranges=None):
         if kept >= count:
             break
     return np.concatenate(kept_a), np.concatenate(kept_b)
+
+
+def sample_finite(fn, symbols, seed: int, count: int, ranges=None):
+    """Seeded sampling policy of every randomized zero test.
+
+    Draws rounds of ``count`` points, at most ten, from
+    ``default_rng(seed)`` with :func:`sample_bindings`, and calls ``fn`` on
+    each round's bindings; ``fn`` returns two arrays of shape ``(count,)``.
+    Keeps, in draw order, the points where both are finite, and stops
+    after the round that brings the points kept to ``count``.  Returns the
+    two arrays at the kept points, empty when no point was finite: the
+    first round's own arrays when all of its points are finite.  The
+    keep-finite rule is one kernel, ``_keep_finite``, which
+    :func:`finsym.model.validate` runs on fixed rounds of these draws.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    return _keep_finite(
+        fn, lambda _: sample_bindings(symbols, rng, count, ranges), count)
 
 
 def max_relative(terms, seed: int, count: int, ranges=None):

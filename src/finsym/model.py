@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 from .expressions import (
     Expression, Num, _close, add, call, compile_expressions,
-    differentiate, div, equivalent, mul, neg, num, parse, pow_,
-    sample_finite, sub, substitute, sym, to_string, ZERO, ONE,
+    _keep_finite, differentiate, div, equivalent, mul, neg, num, parse, pow_,
+    sample_bindings, sample_finite, sub, substitute, sym, to_string, ZERO,
+    ONE,
 )
 
 __all__ = [
@@ -313,8 +315,11 @@ def FreeH(expr: Expression) -> Spec:
 
 
 #: the coefficient trees the jet residuals are built from: D, D_u, D_uu, h,
-#: h_x, and u_t on solutions, D u_xx + D_u u_x^2 + h u
-JetPieces = namedtuple("JetPieces", "d d_u d_uu h h_x u_t")
+#: h_x, u_t on solutions, D u_xx + D_u u_x^2 + h u, and the three factors
+#: of the prolonged residual that hold no field: h_x u, the factor of eta,
+#: -(D_u u_xx + D_uu u_x^2 + h), and 2 D_u
+JetPieces = namedtuple("JetPieces",
+                       "d d_u d_uu h h_x u_t h_x_u eta_coeff two_d_u")
 
 
 # a dataclass: callers use dataclasses.replace and fields, and jet is a
@@ -339,11 +344,13 @@ class FinEquation:
     def jet(self) -> JetPieces:
         d, h = self.d_expr(), self.h_expr()
         d_u = differentiate(d, "u")
-        u_x = sym("u_x")
-        u_t = add(add(mul(d, sym("u_xx")), mul(d_u, mul(u_x, u_x))),
-                  mul(h, _U))
-        return JetPieces(d, d_u, differentiate(d_u, "u"), h,
-                         differentiate(h, "x"), u_t)
+        d_uu, h_x = differentiate(d_u, "u"), differentiate(h, "x")
+        u_x, u_xx = sym("u_x"), sym("u_xx")
+        u_t = add(add(mul(d, u_xx), mul(d_u, mul(u_x, u_x))), mul(h, _U))
+        return JetPieces(
+            d, d_u, d_uu, h, h_x, u_t, mul(h_x, _U),
+            neg(add(add(mul(d_u, u_xx), mul(d_uu, mul(u_x, u_x))), h)),
+            mul(Num(2.0), d_u))
 
     def d_expr(self) -> Expression:
         return self.D.expression()
@@ -456,14 +463,50 @@ def _free_symbol_check(expr: Expression, allowed: set, what: str):
             f"{what} may only involve {sorted(allowed)}, found {sorted(extra)}")
 
 
+#: the size of a round of :func:`validate`'s probe points
+_PROBE_COUNT = 20
+#: :func:`validate`'s probe points: round i is the i-th round of
+#: ``_PROBE_COUNT`` points that ``sample_finite(fn, (var,), 0, 20)`` draws
+#: for u or for x, whose ranges are both (0.5, 3.0); a probe reaches at
+#: most ten, each drawn when first reached, and kept read-only
+_PROBE_ROUNDS = []
+
+
+def _draw_probe_rounds():
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    while True:
+        points = sample_bindings(("u",), rng, _PROBE_COUNT)["u"]
+        points.flags.writeable = False
+        yield points
+
+
+_PROBE_DRAWS = _draw_probe_rounds()  # runs (and imports numpy) when drawn
+_PROBE_LOCK = threading.Lock()
+
+
+def _probe(fn, var: str):
+    """:func:`_keep_finite` of ``fn`` on the probe rounds bound to ``var``."""
+    def draw(i):
+        with _PROBE_LOCK:  # one thread at a time draws, so rounds stay in order
+            while len(_PROBE_ROUNDS) <= i:
+                _PROBE_ROUNDS.append(next(_PROBE_DRAWS))
+        return {var: _PROBE_ROUNDS[i]}
+
+    return _keep_finite(fn, draw, _PROBE_COUNT)
+
+
 def validate(eq: FinEquation) -> FinEquation:
     """Check kinds, parameter constraints and nonlinearity; return eq.
 
     Free specs may involve only their own variable.  A free D, or a free h
-    with a free symbol, is sampled in up to ten rounds of 20 points at seed
-    0 and refused when finite at none of them; a D whose dD/du vanishes
-    there is the excluded linear case.  Idempotent; :class:`FinEquation`
-    runs it on construction, so callers need not.
+    with a free symbol, is probed at fixed points: the rounds of 20 that
+    ``sample_finite(fn, (var,), 0, 20)`` draws, at most ten, each drawn
+    once per process, kept by the same keep-finite rule.  It is refused
+    when finite at none of them; a D whose dD/du vanishes there is the
+    excluded linear case.  Idempotent; :class:`FinEquation` runs it on
+    construction, so callers need not.
     """
     for spec, var, what in ((eq.D, "u", "diffusion"), (eq.h, "x", "source")):
         if not isinstance(spec, Spec) or spec.var != var:
@@ -476,8 +519,7 @@ def validate(eq: FinEquation) -> FinEquation:
     if eq.D.family == "free":
         (d,) = eq.D.params
         _free_symbol_check(d, {"u"}, "free D")
-        slope_and_value = compile_expressions(differentiate(d, "u"), d)
-        dv, v = sample_finite(slope_and_value, ("u",), 0, 20)
+        dv, v = _probe(compile_expressions(differentiate(d, "u"), d), "u")
         if dv.size == 0:
             raise SpecKindError("free D not evaluable on the sampling range")
         scale = 1.0 + float(abs(v).max())
@@ -487,8 +529,8 @@ def validate(eq: FinEquation) -> FinEquation:
     if eq.h.family == "free":
         (h,) = eq.h.params
         _free_symbol_check(h, {"x"}, "free h")
-        if h.free_symbols() and sample_finite(
-                compile_expressions(h, h), ("x",), 0, 20)[0].size == 0:
+        if h.free_symbols() and _probe(
+                compile_expressions(h, h), "x")[0].size == 0:
             raise SpecKindError("free h not evaluable on the sampling range")
     return eq
 

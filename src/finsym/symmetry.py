@@ -5,13 +5,14 @@ Delta = u_t - D u_xx - D_u u_x^2 - h u, the prolonged action is assembled
 symbolically over jet coordinates (t, x, u, u_x, u_xx) on solutions: eta^t,
 the one piece holding u_t, takes the value of u_t from the equation.
 Because tau depends on t only, no u_tx term ever appears.  Each equation's
-D, D_u, D_uu, h, h_x and u_t on solutions are built once, as
-``FinEquation.jet``, and shared by every generator prolonged on it.
+D, D_u, D_uu, h, h_x, u_t on solutions and the residual's three factors
+that hold no field are built once, as ``FinEquation.jet``, and shared by
+every generator prolonged on it.
 """
 from __future__ import annotations
 
 from .expressions import (
-    DEFAULT_SAMPLING_RANGES, ONE, ZERO, Expression, Num, add, differentiate,
+    DEFAULT_SAMPLING_RANGES, ONE, ZERO, Expression, add, differentiate,
     div, max_relative, mul, neg, sub, substitute, sym,
 )
 from .model import FinEquation, ModelError, VectorField, _record
@@ -74,8 +75,8 @@ def _raw_terms(eq: FinEquation, field: VectorField, u_t: Expression
     """Additive pieces of pr X(Delta) with ``u_t`` put for u_t in eta^t,
     the only piece that holds it."""
     tau, xi, eta = field.tau, field.xi, field.eta
-    u, u_x, u_xx = sym("u"), sym("u_x"), sym("u_xx")
-    d, d1, d2, h, h1, _ = eq.jet
+    u_x, u_xx = sym("u_x"), sym("u_xx")
+    jet = eq.jet
 
     tau_t = differentiate(tau, "t")
     xi_t, xi_x = differentiate(xi, "t"), differentiate(xi, "x")
@@ -89,10 +90,10 @@ def _raw_terms(eq: FinEquation, field: VectorField, u_t: Expression
 
     return (
         eta_tp,
-        neg(mul(xi, mul(h1, u))),
-        mul(eta, neg(add(add(mul(d1, u_xx), mul(d2, mul(u_x, u_x))), h))),
-        neg(mul(mul(Num(2.0), d1), mul(u_x, eta_xp))),
-        neg(mul(d, eta_xxp)),
+        neg(mul(xi, jet.h_x_u)),
+        mul(eta, jet.eta_coeff),
+        neg(mul(jet.two_d_u, mul(u_x, eta_xp))),
+        neg(mul(jet.d, eta_xxp)),
     )
 
 

@@ -22,7 +22,7 @@ SURFACE = {
         "PowerX", "ExpX", "InverseSquareX", "ConstantH", "H1", "FreeH",
         "FinEquation", "VectorField", "Solution", "validate",
         "equations_equal", "equation_to_json", "equation_from_json",
-        "load_equation_file",
+        "load_equation_file", "pde_residual_grid", "pde_residual_expression",
     ),
     "classify": ("ClassificationResult", "classify"),
     "symmetry": (
@@ -45,7 +45,6 @@ SURFACE = {
     ),
     "numeric": (
         "Grid", "Field", "DirichletBC", "NoFluxBC", "solve_pde",
-        "pde_residual_grid", "pde_residual_expression",
         "integrate_reduced_ode", "shoot_reduced_ode",
     ),
 }
@@ -154,6 +153,17 @@ def equation_files(tmp_path_factory):
 def test_import_and_help_skip_numpy():
     assert not _numpy_loaded("import finsym")
     assert not _numpy_loaded(_CLI, "--help")
+
+
+@pytest.mark.parametrize("name", ["pde_residual_grid",
+                                  "pde_residual_expression"])
+def test_the_model_names_leave_the_solver_unloaded(name):
+    # both live in model, which the package loads eagerly
+    loaded = _loaded(f"import finsym\nfinsym.{name}")
+    assert "finsym.model" in loaded and "finsym.numeric" not in loaded
+    import finsym.numeric
+    assert getattr(finsym.numeric, name) is getattr(finsym, name)
+    assert name in finsym.__all__ and name in finsym.numeric.__all__
 
 
 def test_symmetry_loads_no_numpy():

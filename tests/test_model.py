@@ -1,13 +1,19 @@
 import dataclasses
 import json
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 import finsym.model
 from finsym.classify import classify, fit_d_shape, fit_h_shape
 from finsym.conservation import AntiderivativeError, conservation_laws
 from finsym.equivalence import apply_to_equation, make_group_element
-from finsym.expressions import ExpressionError, parse, sample_finite
+from finsym.expressions import (
+    ExpressionError, compile_expressions, differentiate, parse,
+    sample_bindings, sample_finite,
+)
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
     LinearCaseError, ModelError, PowerU, PowerX, ReciprocalShift, SchemaError,
@@ -79,12 +85,13 @@ def test_construction_validates():
 
 def test_free_d_is_probed_once(monkeypatch):
     probes = []
+    keep_finite = finsym.model._keep_finite
 
     def counting(*args, **kwargs):
         probes.append(args)
-        return sample_finite(*args, **kwargs)
+        return keep_finite(*args, **kwargs)
 
-    monkeypatch.setattr(finsym.model, "sample_finite", counting)
+    monkeypatch.setattr(finsym.model, "_keep_finite", counting)
     eq = FinEquation(FreeD(parse("u^2+1")), ConstantH(1))
     assert len(probes) == 1
     for vf in classify(eq).basis:
@@ -102,6 +109,125 @@ def test_free_d_probe_draws_rounds_until_it_finds_points():
     # finite nowhere on the range: ten rounds, then a refusal
     with pytest.raises(SpecKindError, match="not evaluable"):
         FinEquation(FreeD(parse("ln(-u)")), ConstantH(1))
+
+
+def _probe_rounds(var):
+    """The bindings of the ten rounds validate's probe reads for ``var``."""
+    seen = []
+
+    def nowhere_finite(bindings):
+        seen.append(bindings)
+        return np.full(20, np.nan), np.full(20, np.nan)
+
+    kept, _ = finsym.model._probe(nowhere_finite, var)
+    assert kept.size == 0
+    return seen
+
+
+@pytest.mark.parametrize("var", ["u", "x"])
+def test_the_probe_rounds_are_what_seed_0_draws(var):
+    rng = np.random.default_rng(0)
+    rounds = _probe_rounds(var)
+    assert len(rounds) == 10
+    for bindings in rounds:
+        (want,) = sample_bindings((var,), rng, 20).values()
+        assert list(bindings) == [var]
+        assert ([float.hex(v) for v in bindings[var]]
+                == [float.hex(v) for v in want])
+        assert not bindings[var].flags.writeable
+
+
+def test_threads_drawing_the_probe_rounds_keep_their_order(monkeypatch):
+    # fresh rounds, drawn at once by more threads than cores with frequent
+    # switches, many times over
+    rng = np.random.default_rng(0)
+    want = [sample_bindings(("u",), rng, 20)["u"].tobytes() for _ in range(10)]
+    errors = []
+
+    def probe(start):
+        try:
+            start.wait(timeout=60)
+            _probe_rounds("u")
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            monkeypatch.setattr(finsym.model, "_PROBE_ROUNDS", [])
+            monkeypatch.setattr(finsym.model, "_PROBE_DRAWS",
+                                finsym.model._draw_probe_rounds())
+            start = threading.Barrier(8)
+            threads = [threading.Thread(target=probe, args=(start,))
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert [points.tobytes() for points
+                    in finsym.model._PROBE_ROUNDS] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+#: free D and h specs whose probe decides near its edges: finite only near
+#: one end of the range, nearly linear, finite nowhere
+PROBE_ROWS = [
+    ("(u-1.75)^0.5", "x"), ("(u-2.9)^0.5", "x"), ("(u-2.99)^0.5", "x"),
+    ("(0.52-u)^0.5", "x"),
+    ("ln(u-2.97)", "x"), ("(u-3.5)^0.5", "x"), ("ln(-u)", "x"),
+    ("1+1e-12*u", "x"), ("1+1e-11*u", "x"), ("2+1e-13*u^2", "x"),
+    ("u^2", "(x-2.95)^0.5"), ("u^2", "(0.51-x)^0.5"), ("u^2", "ln(x-2.99)"),
+    ("u^2", "(x-3.5)^0.5"), ("u^2", "(x-3.46)^1.55"),
+    ("u^(-4/3)", "(x-3.46)^1.55"), ("ln(-u)", "(x-3.5)^0.5"),
+]
+
+
+def _sample_finite_probes(d, h):
+    """validate's probes of a free D and a free h over ``sample_finite``
+    at seed 0, with validate's exceptions and messages."""
+    dv, v = sample_finite(compile_expressions(differentiate(d, "u"), d),
+                          ("u",), 0, 20)
+    if dv.size == 0:
+        raise SpecKindError("free D not evaluable on the sampling range")
+    if float(abs(dv).max()) <= 1e-12 * (1.0 + float(abs(v).max())):
+        raise LinearCaseError("linear case excluded: D does not depend on u")
+    if sample_finite(compile_expressions(h, h), ("x",), 0, 20)[0].size == 0:
+        raise SpecKindError("free h not evaluable on the sampling range")
+
+
+def _verdict(build):
+    try:
+        build()
+    except ModelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("d,h", PROBE_ROWS)
+def test_validate_decides_as_sample_finite_does(d, h):
+    d, h = parse(d), parse(h)
+    want = _verdict(lambda: _sample_finite_probes(d, h))
+    assert _verdict(lambda: FinEquation(FreeD(d), FreeH(h))) == want
+    # both probes see the same points: the kept arrays are bit-identical
+    for expr, var in ((d, "u"), (h, "x")):
+        fn = compile_expressions(differentiate(expr, var), expr)
+        got = finsym.model._probe(fn, var)
+        ref = sample_finite(fn, (var,), 0, 20)
+        for a, b in zip(got, ref):
+            assert [float.hex(v) for v in a] == [float.hex(v) for v in b]
+
+
+def test_the_probe_rows_reach_every_verdict():
+    verdicts = {_verdict(lambda: FinEquation(FreeD(parse(d)), FreeH(parse(h))))
+                for d, h in PROBE_ROWS}
+    assert {v and v[1] for v in verdicts} == {
+        None, "free D not evaluable on the sampling range",
+        "linear case excluded: D does not depend on u",
+        "free h not evaluable on the sampling range"}
 
 
 def test_validate_checks_free_symbols():

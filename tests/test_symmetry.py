@@ -274,6 +274,50 @@ def test_the_kept_jet_pieces_build_the_reference_trees():
     assert checked == 125
 
 
+def _nodes(e):
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())
+
+
+def test_every_generator_shares_its_equations_brackets():
+    # the residual's three factors that hold no field are built once per
+    # equation: each residual holds the jet's own trees, never a rebuilt
+    # copy (a leaf, such as 2 D_u = 2 for D = u, may repeat by value)
+    rows = [row for entries in TABLE_CORPUS.values() for row in entries]
+    rows += [(eq, None) for eq in FREE_FORM_ROWS]
+    held = Counter()
+    for eq, _ in rows:
+        jet = eq.jet
+        d, h = eq.d_expr(), eq.h_expr()
+        d1 = differentiate(d, "u")
+        d2, h1 = differentiate(d1, "u"), differentiate(h, "x")
+        u, u_x, u_xx = sym("u"), sym("u_x"), sym("u_xx")
+        assert jet._fields[:6] == ("d", "d_u", "d_uu", "h", "h_x", "u_t")
+        assert repr(jet[:6]) == repr((d, d1, d2, h, h1, _reference_u_t(eq)))
+        brackets = {
+            "h_x_u": mul(h1, u),
+            "eta_coeff": neg(add(add(mul(d1, u_xx), mul(d2, mul(u_x, u_x))),
+                                 h)),
+            "two_d_u": mul(Num(2.0), d1),
+        }
+        for name, want in brackets.items():
+            assert repr(getattr(jet, name)) == repr(want), name
+        for field in classify(eq).basis:
+            terms = prolonged_residual(eq, field).terms
+            # each factor's own piece: -xi h_x u, eta (...), -2 D_u u_x eta^x
+            for name, term in zip(brackets, terms[1:4]):
+                bracket = getattr(jet, name)
+                for node in _nodes(term):
+                    if node is bracket:
+                        held[name] += 1
+                    elif bracket.children():
+                        assert node != bracket, (name, eq, field)
+    assert min(held[name] for name in brackets) > 0, held
+
+
 def test_an_equations_jet_pieces_are_derived_once(monkeypatch):
     eq = FinEquation(PowerU(-4 / 3), ConstantH(-1))
     basis = classify(eq).basis
