@@ -323,7 +323,7 @@ JetPieces = namedtuple("JetPieces",
 
 
 # a dataclass: callers use dataclasses.replace and fields, and jet is a
-# cached_property, which needs an instance __dict__
+# cached_property, which needs an instance __dict__, as _derive_d_u does
 @dataclass(frozen=True)
 class FinEquation:
     """One member of the class u_t = (D(u) u_x)_x + h(x) u.
@@ -332,6 +332,7 @@ class FinEquation:
     and raises its exception for a spec outside the class.  ``jet`` holds
     the equation's :data:`JetPieces`, derived the first time it is read and
     kept by this object, so every generator prolonged on it shares them;
+    its dD/du is the one a free D's probe in :func:`validate` derived.
     ``==``, ``hash`` and ``repr`` read the two specs only.
     """
     D: Spec
@@ -340,10 +341,18 @@ class FinEquation:
     def __post_init__(self):
         validate(self)
 
+    def _derive_d_u(self, d: Expression) -> Expression:
+        """dD/du of ``d``, this equation's D, derived once and kept by
+        this object."""
+        d_u = self.__dict__.get("_d_u")
+        if d_u is None:
+            d_u = self.__dict__["_d_u"] = differentiate(d, "u")
+        return d_u
+
     @cached_property
     def jet(self) -> JetPieces:
         d, h = self.d_expr(), self.h_expr()
-        d_u = differentiate(d, "u")
+        d_u = self._derive_d_u(d)
         d_uu, h_x = differentiate(d_u, "u"), differentiate(h, "x")
         u_x, u_xx = sym("u_x"), sym("u_xx")
         u_t = add(add(mul(d, u_xx), mul(d_u, mul(u_x, u_x))), mul(h, _U))
@@ -504,9 +513,9 @@ def validate(eq: FinEquation) -> FinEquation:
     with a free symbol, is probed at fixed points: the rounds of 20 that
     ``sample_finite(fn, (var,), 0, 20)`` draws, at most ten, each drawn
     once per process, kept by the same keep-finite rule.  It is refused
-    when finite at none of them; a D whose dD/du vanishes there is the
-    excluded linear case.  Idempotent; :class:`FinEquation` runs it on
-    construction, so callers need not.
+    when finite at none of them; a D whose dD/du (kept by ``eq`` for its
+    jet) vanishes there is the excluded linear case.  Idempotent;
+    :class:`FinEquation` runs it on construction, so callers need not.
     """
     for spec, var, what in ((eq.D, "u", "diffusion"), (eq.h, "x", "source")):
         if not isinstance(spec, Spec) or spec.var != var:
@@ -519,7 +528,7 @@ def validate(eq: FinEquation) -> FinEquation:
     if eq.D.family == "free":
         (d,) = eq.D.params
         _free_symbol_check(d, {"u"}, "free D")
-        dv, v = _probe(compile_expressions(differentiate(d, "u"), d), "u")
+        dv, v = _probe(compile_expressions(eq._derive_d_u(d), d), "u")
         if dv.size == 0:
             raise SpecKindError("free D not evaluable on the sampling range")
         scale = 1.0 + float(abs(v).max())

@@ -17,7 +17,7 @@ Expressions evaluated at the same points are compiled together with
 every tape is compiled before the loop that calls it.  In the FD step
 loop one tape per D, kept for every later solve of that D, returns D at
 the interfaces together with D (u_r - u_l) across each; the step divides
-that by dx for the flux D u_x, and each explicit step checks its dt
+that by dx for the flux D u_x, and each explicit step is checked
 against those D.  The flux lies between two walls, +0.0 at the left
 and -0.0 at the right, so one stencil gives the rate at every node, a
 no-flux end included, and one update u + dt * rate, which writes a
@@ -26,7 +26,13 @@ sweep.  The Dirichlet boundary values get one tape.  An explicit step
 writes every stencil, update and check into arrays allocated once per
 solve, through ufuncs bound once per solve with the output passed by
 position: the state lives in two buffers that swap roles, so a step
-allocates only what the interface core returns.
+allocates only what the interface core returns.  A step writes its |D|
+and its |u| into one row each of two check arrays; the explicit march
+reduces them once per block of ``_CHECK_BLOCK`` steps (fewer where m is
+large, so each array holds at most ``_CHECK_FLOATS`` floats or one row)
+and scans a block that fails step by step, so the first failing step
+raises what a check after every step would.  An implicit sweep checks
+its own row at once.
 One whole RK4 step of a reduced equation is one tape, compiled once per
 residual and kept for later integrations of the same residual; a shoot
 looks it up once and marches every probe with it.
@@ -79,6 +85,8 @@ BLOWUP_THRESHOLD = 1e12
 # Verwer 2003, ch. I); STABILITY_FACTOR sets an automatic dt 11% under it
 _EULER_LIMIT = 0.5
 _BOUNDARY_BLOCK = 1 << 16  # steps per boundary tape call: bounded memory
+_CHECK_BLOCK = 64  # explicit steps per reduction of the step checks
+_CHECK_FLOATS = 1 << 12  # fewer steps a check block on a larger grid
 
 
 class StabilityError(NumericError):
@@ -184,8 +192,16 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     :class:`NoFluxBC` (a wall of zero flux at each end);
     anything else raises :class:`ModelError`.
     When ``grid.dt`` is None, dt is 0.45 dx^2 / max|D| on the initial
-    interfaces.  Each explicit step checks dt max|D| / dx^2 <= 1/2 on the
-    D values it computes; a :class:`StabilityError` names its dt and t.
+    interfaces.  Each explicit step is held to dt max|D| / dx^2 <= 1/2 on
+    the D values it computes, and to max|u| <= 1e12 after it.  Both are
+    checked once per block of up to 64 steps; in a block that fails, the
+    first failing step raises, its D check ahead of its blow-up test, as
+    a check after every step would: a :class:`StabilityError` names dt
+    and the time t at the start of the step, a
+    :class:`CoefficientFailure` a non-finite D, and a
+    :class:`BlowUpError` the time after the step, with the levels stored
+    before it.  The steps marched past it are dropped.  An implicit
+    sweep checks its D at once.
     The interface tape is kept per D (the ``repr`` of its tree), so
     solves of one D on any grid share one compile.  The state lives in
     two buffers that swap roles each step, and each step writes its
@@ -239,10 +255,8 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     flux = np.zeros(m + 1)
     flux[-1] = -0.0
     flux_in, flux_l, flux_r = flux[1:-1], flux[:-1], flux[1:]
-    d_abs = np.empty(m - 1)
     du = np.empty(m)  # the rate, then dt times it
     source = np.empty(m)  # h u
-    u_abs = np.empty(m)
     # the state's two buffers, with their (v, u_l, u_r) views
     state = np.empty((2, m))
     state[0] = u
@@ -250,18 +264,20 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     absolute, add, divide, multiply, subtract = (
         np.absolute, np.add, np.divide, np.multiply, np.subtract)
     largest = np.maximum.reduce
+    # a step writes its |D| and its |u_next| into one row each; an
+    # explicit march reduces the rows once per block of steps, an implicit
+    # one once per step
+    explicit = method == "explicit"
+    rows = max(1, min(_CHECK_BLOCK, _CHECK_FLOATS // m)) if explicit else 1
+    d_rows, u_rows = np.empty((rows, m - 1)), np.empty((rows, m))
+    row_pairs = list(zip(d_rows, u_rows))
+    t_final = grid.t_final
 
-    def update(out, v, v_l, v_r) -> np.ndarray:
-        """out = u + dt * rate(v), with a Dirichlet solve's ends."""
+    def update(out, v, v_l, v_r, d_row) -> np.ndarray:
+        """out = u + dt * rate(v), with a Dirichlet solve's ends; |D| at
+        the interfaces goes into d_row, for the caller to check."""
         d_half, flux_dx = interfaces(v_l, v_r)
-        max_d = largest(absolute(d_half, d_abs))
-        if not max_d <= d_bound:  # NaN and inf fail too
-            if not math.isfinite(max_d):
-                raise CoefficientFailure("D not finite at an interface")
-            raise StabilityError(
-                f"explicit step dt={dt:g} exceeds the stability bound "
-                f"{_EULER_LIMIT * dx * dx / float(max_d):g} at t={t:g}; "
-                "pass a smaller dt or method='implicit'")
+        absolute(d_half, d_row)
         divide(flux_dx, dx, flux_in)
         subtract(flux_r, flux_l, du)
         divide(du, dx, du)
@@ -273,45 +289,72 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
             out[0], out[-1] = left, right
         return out
 
+    def time_at(step: int) -> float:
+        return step * dt if step < n_steps else t_final
+
+    def check_d(max_d, step: int):
+        """Raise for a step whose max|D| breaks the bound; NaN and inf do."""
+        if not max_d <= d_bound:
+            if not math.isfinite(max_d):
+                raise CoefficientFailure("D not finite at an interface")
+            raise StabilityError(
+                f"explicit step dt={dt:g} exceeds the stability bound "
+                f"{_EULER_LIMIT * dx * dx / float(max_d):g} at "
+                f"t={time_at(step - 1):g}; "
+                "pass a smaller dt or method='implicit'")
+
     # the interface core runs under the loop's errstate, and the blow-up
     # test below reports an overflow or an inf - inf, not numpy
-    explicit = method == "explicit"
-    t_final = grid.t_final
-    t = 0.0
     with np.errstate(all="ignore"):
-        for step in range(1, n_steps + 1):
-            t_next = step * dt if step < n_steps else t_final
-            if dirichlet:
-                left, right = next(bounds)
-            u, u_next = now[0], after[0]
-            if explicit:
-                update(u_next, *now)
-            else:
-                iterate = u.copy()
-                for _ in range(200):
-                    candidate = update(np.empty(m), iterate, iterate[:-1],
-                                       iterate[1:])
-                    new = 0.5 * iterate + 0.5 * candidate  # damped fixed point
-                    delta = float(largest(np.abs(new - iterate)))
-                    iterate = new
-                    if delta <= 1e-12 * (1 + float(largest(np.abs(iterate)))):
-                        break
-                else:
-                    raise ConvergenceError(
-                        f"implicit iteration did not converge at t={t_next:g}")
-                u_next[:] = iterate
+        for start in range(1, n_steps + 1, rows):
+            stop = min(start + rows, n_steps + 1)
+            for step, (d_row, u_row) in zip(range(start, stop), row_pairs):
                 if dirichlet:
-                    u_next[0], u_next[-1] = left, right
+                    left, right = next(bounds)
+                u, u_next = now[0], after[0]
+                if explicit:
+                    update(u_next, *now, d_row)
+                else:
+                    iterate = u.copy()
+                    for _ in range(200):  # a damped fixed point
+                        candidate = update(np.empty(m), iterate, iterate[:-1],
+                                           iterate[1:], d_row)
+                        check_d(largest(d_row), step)
+                        new = 0.5 * iterate + 0.5 * candidate
+                        delta = float(largest(np.abs(new - iterate)))
+                        iterate = new
+                        magnitude = float(largest(np.abs(iterate)))
+                        if delta <= 1e-12 * (1 + magnitude):
+                            break
+                    else:
+                        raise ConvergenceError(
+                            "implicit iteration did not converge at "
+                            f"t={time_at(step):g}")
+                    u_next[:] = iterate
+                    if dirichlet:
+                        u_next[0], u_next[-1] = left, right
+                absolute(u_next, u_row)
+                now, after = after, now
+                if step % store_every == 0 or step == n_steps:
+                    times.append(time_at(step))
+                    levels.append(u_next.copy())
 
-            size = largest(absolute(u_next, u_abs))
-            if not size <= BLOWUP_THRESHOLD:  # NaN fails too
-                partial = Field(xs, np.asarray(times), np.asarray(levels))
-                raise BlowUpError(f"solution blew up at t={t_next:g}", partial)
-
-            now, after, t = after, now, t_next
-            if step % store_every == 0 or step == n_steps:
-                times.append(t)
-                levels.append(u_next.copy())
+            # the block's checks in one reduction each; when one fails, the
+            # first failing step raises, D ahead of the blow-up test, and
+            # the steps marched past it are dropped
+            max_d = largest(d_rows[:stop - start], 1)
+            size = largest(u_rows[:stop - start], 1)
+            if largest(max_d) <= d_bound and largest(size) <= BLOWUP_THRESHOLD:
+                continue
+            for step, max_d_step, size_step in zip(range(start, stop), max_d,
+                                                   size):
+                check_d(max_d_step, step)
+                if not size_step <= BLOWUP_THRESHOLD:  # NaN fails too
+                    kept = 1 + (step - 1) // store_every  # stored before it
+                    partial = Field(xs, np.asarray(times[:kept]),
+                                    np.asarray(levels[:kept]))
+                    raise BlowUpError(
+                        f"solution blew up at t={time_at(step):g}", partial)
 
     return Field(xs, np.asarray(times), np.asarray(levels))
 

@@ -101,6 +101,26 @@ def test_free_d_is_probed_once(monkeypatch):
     assert len(probes) == 1
 
 
+def test_a_free_d_is_differentiated_in_u_once(monkeypatch):
+    # validate's probe and the jet read one dD/du, kept by the equation
+    calls = []
+    differentiate = finsym.model.differentiate
+
+    def counting(*args):
+        calls.append(args)
+        return differentiate(*args)
+
+    monkeypatch.setattr(finsym.model, "differentiate", counting)
+    d, h = parse("1.3*(u+0.7)^(-4/3)+u^2"), parse("x^2+x")
+    eq = FinEquation(FreeD(d), FreeH(h))
+    jet = eq.jet
+    validate(eq)
+    assert [repr(e) for e, _ in calls] == [repr(d), repr(jet.d_u), repr(h)]
+    assert [var for _, var in calls] == ["u", "u", "x"]
+    assert jet.d_u is eq._derive_d_u(d)
+    assert repr(jet.d_u) == repr(differentiate(d, "u"))
+
+
 def test_free_d_probe_draws_rounds_until_it_finds_points():
     # finite only for u > 2.9, 4% of the u range: the first round of 20
     # points at seed 0 has none, so the probe draws more

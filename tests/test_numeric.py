@@ -14,11 +14,16 @@ from finsym.model import (
 from finsym.numeric import (
     BlowUpError, CoefficientFailure, ConvergenceError, DirichletBC, Grid,
     NoFluxBC, NumericError, StabilityError, BLOWUP_THRESHOLD,
-    pde_residual_grid, solve_pde,
+    _CHECK_BLOCK, _CHECK_FLOATS, pde_residual_grid, solve_pde,
 )
 from finsym.reductions import (
     build_reduction, exact_solution, nonclassical_equation,
 )
+
+#: the explicit march's check block on a small grid, and a step count
+#: that ends in a partial block
+B = _CHECK_BLOCK
+STEPS = 2 * B + 3 * B // 4
 
 EQ4 = FinEquation(PowerU(1), PowerX(1, -1))  # stationary solution x^3/15
 EXACT4 = parse("x^3/15")
@@ -196,36 +201,54 @@ def test_non_finite_step_with_finite_d_is_a_blow_up(h, initial, t_final):
 
 def _reference_explicit(eq, initial, boundary, grid):
     """The conservative explicit Euler scheme as numpy array operations on
-    a grid with a given dt: the times and levels stored every
-    ``max(1, steps // 10)`` steps and at the last, up to a blow-up."""
+    a grid with a given dt, checked step by step: the times and levels
+    stored every ``max(1, steps // 10)`` steps and at the last, up to the
+    first failing step, and that step's (step, exception class, message),
+    or None.  A step checks max|D| on its interfaces before it is taken
+    and max|u| after."""
     xs, dx = grid.nodes(), grid.dx
     u = evaluate(initial, {"x": xs})
     h = evaluate(eq.h_expr(), {"x": xs})
     n_steps = int(np.ceil(grid.t_final / grid.dt - 1e-12))
     dt = grid.t_final / n_steps
+    bound = 0.5 * dx * dx / dt
     store_every = max(1, n_steps // 10)
     times, levels = [0.0], [u]
-    for step in range(1, n_steps + 1):
-        t = step * dt if step < n_steps else grid.t_final
-        mid = 0.5 * (u[:-1] + u[1:])
-        flux = evaluate(eq.d_expr(), {"u": mid}) * (u[1:] - u[:-1]) / dx
-        out = np.empty_like(u)
-        out[1:-1] = (flux[1:] - flux[:-1]) / dx + h[1:-1] * u[1:-1]
-        if isinstance(boundary, NoFluxBC):
-            out[0] = flux[0] / dx + h[0] * u[0]
-            out[-1] = -flux[-1] / dx + h[-1] * u[-1]
-        else:
-            out[0] = out[-1] = 0.0
-        u = u + dt * out
-        if isinstance(boundary, DirichletBC):
-            u[0] = evaluate(boundary.left, {"t": t})
-            u[-1] = evaluate(boundary.right, {"t": t})
-        if not np.abs(u).max() <= BLOWUP_THRESHOLD:
-            break
-        if step % store_every == 0 or step == n_steps:
-            times.append(t)
-            levels.append(u)
-    return np.array(times), np.array(levels)
+    t = 0.0
+    with np.errstate(all="ignore"):
+        for step in range(1, n_steps + 1):
+            mid = 0.5 * (u[:-1] + u[1:])
+            d = evaluate(eq.d_expr(), {"u": mid})
+            max_d = np.abs(d).max()
+            if not np.isfinite(max_d):
+                failure = (CoefficientFailure, "D not finite at an interface")
+                return np.array(times), np.array(levels), (step, *failure)
+            if max_d > bound:
+                return np.array(times), np.array(levels), (
+                    step, StabilityError,
+                    f"explicit step dt={dt:g} exceeds the stability bound "
+                    f"{0.5 * dx * dx / max_d:g} at t={t:g}; pass a smaller "
+                    "dt or method='implicit'")
+            t = step * dt if step < n_steps else grid.t_final
+            flux = d * (u[1:] - u[:-1]) / dx
+            out = np.empty_like(u)
+            out[1:-1] = (flux[1:] - flux[:-1]) / dx + h[1:-1] * u[1:-1]
+            if isinstance(boundary, NoFluxBC):
+                out[0] = flux[0] / dx + h[0] * u[0]
+                out[-1] = -flux[-1] / dx + h[-1] * u[-1]
+            else:
+                out[0] = out[-1] = 0.0
+            u = u + dt * out
+            if isinstance(boundary, DirichletBC):
+                u[0] = evaluate(boundary.left, {"t": t})
+                u[-1] = evaluate(boundary.right, {"t": t})
+            if not np.abs(u).max() <= BLOWUP_THRESHOLD:
+                return np.array(times), np.array(levels), (
+                    step, BlowUpError, f"solution blew up at t={t:g}")
+            if step % store_every == 0 or step == n_steps:
+                times.append(t)
+                levels.append(u)
+    return np.array(times), np.array(levels), None
 
 
 @pytest.mark.parametrize("eq,initial,boundary,grid", [
@@ -242,15 +265,20 @@ def _reference_explicit(eq, initial, boundary, grid):
      Grid(0.0, 1.0, 8, 0.01, 1e-3)),
     (FinEquation(PowerU(3), ConstantH(1.0)), parse("-0"), NoFluxBC(),
      Grid(0.0, 1.0, 8, 0.01, 1e-3)),
+    # 10 (B/4 + 1) steps: two whole check blocks and a partial one
+    (EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4,
+     Grid(1.0, 2.0, 41, 10 * (B // 4 + 1) * 1e-4, 1e-4)),
 ], ids=["dirichlet", "noflux", "moving", "noflux-right-wall",
-        "noflux-left-wall"])
+        "noflux-left-wall", "partial-check-block"])
 def test_explicit_steps_are_bit_identical_to_array_operations(
         eq, initial, boundary, grid):
     # every stored level, so a work buffer that aliases a stored level or
-    # the live state shows in the levels after it
+    # the live state shows in the levels after it; no row ends in a whole
+    # check block
+    assert round(grid.t_final / grid.dt) % B != 0
     field = solve_pde(eq, initial, boundary, grid)
-    times, levels = _reference_explicit(eq, initial, boundary, grid)
-    assert len(times) == 11
+    times, levels, failure = _reference_explicit(eq, initial, boundary, grid)
+    assert failure is None and len(times) == 11
     assert field.times.tobytes() == times.tobytes()
     assert field.values.tobytes() == levels.tobytes()
 
@@ -273,10 +301,76 @@ def test_a_blow_up_keeps_the_levels_it_stored():
     with pytest.raises(BlowUpError) as err:
         solve_pde(eq, parse("1+x"), NoFluxBC(), g)
     partial = err.value.partial
-    times, levels = _reference_explicit(eq, parse("1+x"), NoFluxBC(), g)
+    times, levels, failure = _reference_explicit(eq, parse("1+x"),
+                                                 NoFluxBC(), g)
+    assert failure[1] is BlowUpError
     assert len(times) > 3 and np.isfinite(partial.values).all()
     assert partial.times.tobytes() == times.tobytes()
     assert partial.values.tobytes() == levels.tobytes()
+
+
+#: uniform data on a no-flux grid with dx = 2, dt = 0.5 and h = 2: the
+#: flux is 0, so u doubles exactly each step, the stability bound on max|D|
+#: is 4, and the step that fails is set by the amplitude of the data
+DOUBLING_FAILURES = {
+    # D = u: max|D| = 6 at the start of the step, 3 before it
+    "stability": (PowerU(1), lambda step: 6.0 * 2.0 ** (1 - step)),
+    # D = (1-u)^0.5: NaN at u = 1.5, 0.5 at u = 0.75 before it
+    "nan-d": (FreeD(parse("(1-u)^0.5")), lambda step: 1.5 * 2.0 ** (1 - step)),
+    # D = 1/(u-1): inf at u = 1, -2 at u = 0.5 before it
+    "inf-d": (FreeD(parse("(u-1)^(-1)")), lambda step: 2.0 ** (1 - step)),
+    # D = 2+arctan(u) < 4: u reaches 1.5e12 at the step
+    "blow-up": (FreeD(parse("2+arctan(u)")),
+                lambda step: 1.5e12 * 2.0 ** -step),
+}
+
+
+@pytest.mark.parametrize("step", [1, B + B // 2, 2 * B, 2 * B + B // 2],
+                         ids=["first-step", "mid-block", "block-end",
+                              "partial-block"])
+@pytest.mark.parametrize("kind", DOUBLING_FAILURES)
+def test_a_failure_in_a_check_block_raises_at_its_step(kind, step):
+    # the steps marched past the failure change nothing: the class and the
+    # message are the step-by-step reference's, and a blow-up keeps only
+    # the levels stored before its step
+    d, amplitude = DOUBLING_FAILURES[kind]
+    eq, initial = FinEquation(d, ConstantH(2.0)), parse(repr(amplitude(step)))
+    grid = Grid(0.0, 16.0, 9, 0.5 * STEPS, 0.5)
+    assert 9 * B <= _CHECK_FLOATS  # whole blocks of B steps on 9 nodes
+    times, levels, failure = _reference_explicit(eq, initial, NoFluxBC(), grid)
+    assert failure[0] == step
+    with pytest.raises(NumericError) as err:
+        solve_pde(eq, initial, NoFluxBC(), grid)
+    assert type(err.value) is failure[1]
+    assert str(err.value) == failure[2]
+    if failure[1] is BlowUpError:
+        assert len(times) == 1 + (step - 1) // (STEPS // 10)
+        assert err.value.partial.times.tobytes() == times.tobytes()
+        assert err.value.partial.values.tobytes() == levels.tobytes()
+
+
+def test_check_rows_on_a_large_grid_stay_within_their_budget(monkeypatch):
+    # on 100,001 nodes a block of B rows for |D| and |u| would take 2 B
+    # m-vectors; past _CHECK_FLOATS floats a block holds one step
+    import tracemalloc
+
+    import finsym.numeric as numeric
+
+    m = 100_001
+    assert m > _CHECK_FLOATS
+    solve_pde(EQ4, EXACT4, BC4, Grid(1.0, 2.0, 9, 2e-11, 1e-11))  # compile
+    peaks = {}
+    for block in (1, B):
+        monkeypatch.setattr(numeric, "_CHECK_BLOCK", block)
+        tracemalloc.start()
+        try:
+            field = solve_pde(EQ4, EXACT4, BC4,
+                              Grid(1.0, 2.0, m, 2e-11, 1e-11))
+            peaks[block] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.values.shape == (3, m)  # 2 steps, both stored
+    assert peaks[B] <= peaks[1] + 2 * 8 * _CHECK_FLOATS, peaks
 
 
 def test_a_d_gets_one_interface_tape(monkeypatch):
