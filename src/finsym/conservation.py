@@ -8,8 +8,6 @@ on jet space with u_t, u_x, u_xx treated as independent coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .classify import spec_shape
@@ -17,7 +15,7 @@ from .expressions import (
     Expression, add, call, differentiate, div, evaluate, mul, neg, num,
     pow_, sub, sym, to_string,
 )
-from .model import DShape, FinEquation, ModelError
+from .model import DShape, FinEquation, ModelError, _record
 from .symmetry import _TOTAL_X_DEPS, JetResidual
 
 __all__ = [
@@ -37,11 +35,11 @@ class AntiderivativeError(ConservationError):
     """No closed antiderivative of D is available for this spec."""
 
 
-@dataclass(frozen=True)  # a dataclass: a test derives a law with replace
-class ConservationLaw:
-    density: Expression         # rho(t, x, u)
-    flux: Expression            # F(t, x, u, u_x)
-    characteristic: Expression  # lambda(t, x)
+class ConservationLaw(_record("ConservationLaw",
+                              "density flux characteristic")):
+    """D_t rho + D_x F = lambda * (equation), with the density rho(t, x, u),
+    the flux F(t, x, u, u_x) and the characteristic lambda(t, x)."""
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"density": to_string(self.density),

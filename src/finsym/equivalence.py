@@ -25,7 +25,6 @@ requires stays fixed; no other element (G3, ``case8-out``) has one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .classify import _sign, fit_d_shape, fit_h_shape, spec_shape
 from .expressions import (
@@ -87,10 +86,10 @@ class CoefficientRule(_record("CoefficientRule", "factor inner override",
         return mul(self.factor, substitute(old, {var: self.inner}))
 
 
-# a dataclass: maps are derived with dataclasses.replace, and a test pins
-# its fields
-@dataclass(frozen=True)
-class PointTransformation:
+class PointTransformation(_record(
+        "PointTransformation",
+        "label t_new x_new u_new t_old x_old u_old d_rule h_rule requires_d "
+        "requires_h outside_class", defaults=(None,) * 5)):
     """Invertible point map with its action on the coefficients.
 
     Forward maps are expressions in the old variables (t, x, u); the
@@ -99,18 +98,7 @@ class PointTransformation:
     specs whose shapes a conditional element needs the equation's D and
     h to have.
     """
-    label: str
-    t_new: Expression
-    x_new: Expression
-    u_new: Expression
-    t_old: Expression
-    x_old: Expression
-    u_old: Expression
-    d_rule: CoefficientRule | None = None
-    h_rule: CoefficientRule | None = None
-    requires_d: Spec | None = None
-    requires_h: Spec | None = None
-    outside_class: str | None = None
+    __slots__ = ()
 
     def inverse(self) -> "PointTransformation":
         """The element with the maps swapped; see the module docstring."""
@@ -125,8 +113,8 @@ class PointTransformation:
                 f"no closed-form inverse element for {self.label!r}; the "
                 "inverse coordinate maps are stored on the transformation")
 
-        return replace(
-            self, label=f"{self.label}^-1",
+        return self._replace(
+            label=f"{self.label}^-1",
             t_new=self.t_old, x_new=self.x_old, u_new=self.u_old,
             t_old=self.t_new, x_old=self.x_new, u_old=self.u_new,
             d_rule=back(self.d_rule, self.requires_d, self.u_new),
@@ -177,8 +165,8 @@ def make_group_element(family: str, deltas, sign: int = 1,
         T = _affine(family, deltas)
         if family == "G2":
             zero = ConstantH(0)
-            T = replace(T, h_rule=CoefficientRule(override=zero.expression()),
-                        requires_h=zero)
+            T = T._replace(h_rule=CoefficientRule(override=zero.expression()),
+                           requires_h=zero)
         return T
 
     if family == "G1":
@@ -238,8 +226,7 @@ def make_group_element(family: str, deltas, sign: int = 1,
         cn = c * n
         t_core = div(call("exp", mul(num(cn), _T)), num(cn))
         t_arg = div(mul(num(cn), sub(_T, num(d2))), num(d1))
-        return replace(
-            affine,
+        return affine._replace(
             t_new=add(mul(num(d1), t_core), num(d2)),
             u_new=mul(num(d5), mul(call("exp", mul(num(-c), _T)), _U)),
             t_old=div(call("ln", t_arg), num(cn)),
@@ -347,12 +334,12 @@ def additional_equivalence(case_from: int, params: dict):
                 "case 6 with p=1 maps to case 4 only over the complex field")
         if p == 0:
             T = make_group_element("G1", (1, 0, 0, 1, 1, 0), sign=1)
-            T = replace(T, label="6p0-to-5")
+            T = T._replace(label="6p0-to-5")
             return T, (5, {"n": FOUR_THIRDS, "eps": eps})
         if p == -1:
             r = _INV_SQRT2
             T = make_group_element("G1", (1, 0, r, -r, r, r), sign=1)
-            T = replace(T, label="6pm1-to-4")
+            T = T._replace(label="6pm1-to-4")
             return T, (4, {"n": FOUR_THIRDS, "q": q / 2.0, "eps": eps})
         raise EquivalenceError("case 6 requires p in {-1, 0, 1}")
 
@@ -365,13 +352,13 @@ def additional_equivalence(case_from: int, params: dict):
                 raise NoAdditionalMapError(
                     f"case {case_from} with alpha=0 is already in normal form")
             T = make_group_element("G2", (1, 0, 1, 0, 1, alpha))
-            T = replace(T, label=f"{case_from}a-to-{case_from}")
+            T = T._replace(label=f"{case_from}a-to-{case_from}")
         else:
             eps = int(params.get("eps", 1))
             n = FOUR_THIRDS if case_from == 12 else float(params["n"])
             source = FinEquation(PowerU(n), ConstantH(float(eps)))
             T = make_group_element("G3", (1, 0, 1, 0, 1), eq=source)
-            T = replace(T, label=f"{case_from}-to-{target}")
+            T = T._replace(label=f"{case_from}-to-{target}")
         if target == 13:
             return T, (13, {"alpha": 0.0})
         return T, (11, {"n": float(params["n"]), "alpha": 0.0})

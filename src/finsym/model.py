@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import sys
-import threading
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .expressions import (
     Expression, Num, _close, add, call, compile_expressions,
@@ -101,7 +100,9 @@ def _record(typename: str, field_names: str, defaults=None) -> type:
     ``Name(field=value, ...)`` and, with ``__slots__ = ()`` on the
     subclass, refuses assignment: a frozen dataclass's value semantics,
     without the methods a dataclass generates and compiles as its module
-    loads.
+    loads.  Every immutable value class of the package is a record but
+    :class:`FinEquation` and :class:`finsym.reductions.Reduction`, whose
+    callers need the dataclass API.
     """
     base = namedtuple(typename, field_names, defaults=defaults)
     base.__eq__, base.__ne__ = _same_class_eq, object.__ne__
@@ -113,25 +114,17 @@ def _record(typename: str, field_names: str, defaults=None) -> type:
 # normalized shapes: the structure the classification table is keyed on
 
 
-# a dataclass, as HShape: shapes_match reads vars(), and a test reads
-# dataclasses.fields
-@dataclass(frozen=True)
-class DShape:
-    kind: str              # "power" | "shifted" | "exp" | "arbitrary"
-    coeff: float = 1.0
-    n: float = 0.0
-    beta: float = 0.0
-    k: float = 1.0
+class DShape(_record("DShape", "kind coeff n beta k",
+                     defaults=(1.0, 0.0, 0.0, 1.0))):
+    """The shape of a D, of kind "power", "shifted", "exp" or "arbitrary"."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HShape:
-    kind: str              # "zero" | "const" | "power" | "exp" | "h1" | "arbitrary"
-    coeff: float = 0.0
-    q: float = 0.0
-    k: float = 1.0
-    p: int = 0
-    shift: float = 0.0
+class HShape(_record("HShape", "kind coeff q k p shift",
+                     defaults=(0.0, 0.0, 1.0, 0, 0.0))):
+    """The shape of an h, of kind "zero", "const", "power", "exp", "h1" or
+    "arbitrary"."""
+    __slots__ = ()
 
     def constant(self) -> float | None:
         """The value of a constant profile (0 included); None when h varies."""
@@ -322,18 +315,19 @@ JetPieces = namedtuple("JetPieces",
                        "d d_u d_uu h h_x u_t h_x_u eta_coeff two_d_u")
 
 
-# a dataclass: callers use dataclasses.replace and fields, and jet is a
-# cached_property, which needs an instance __dict__, as _derive_d_u does
+# a dataclass, not a record: construction and dataclasses.replace run
+# validate, and d_u and jet are cached_property values, which need an
+# instance __dict__
 @dataclass(frozen=True)
 class FinEquation:
     """One member of the class u_t = (D(u) u_x)_x + h(x) u.
 
     Construction (``dataclasses.replace`` included) runs :func:`validate`
-    and raises its exception for a spec outside the class.  ``jet`` holds
-    the equation's :data:`JetPieces`, derived the first time it is read and
-    kept by this object, so every generator prolonged on it shares them;
-    its dD/du is the one a free D's probe in :func:`validate` derived.
-    ``==``, ``hash`` and ``repr`` read the two specs only.
+    and raises its exception for a spec outside the class.  ``d_u`` (dD/du)
+    and ``jet`` (the equation's :data:`JetPieces`) are derived the first
+    time they are read and kept by this object, so a free D's probe in
+    :func:`validate` and every generator prolonged on the equation share
+    them.  ``==``, ``hash`` and ``repr`` read the two specs only.
     """
     D: Spec
     h: Spec
@@ -341,18 +335,19 @@ class FinEquation:
     def __post_init__(self):
         validate(self)
 
-    def _derive_d_u(self, d: Expression) -> Expression:
-        """dD/du of ``d``, this equation's D, derived once and kept by
-        this object."""
-        d_u = self.__dict__.get("_d_u")
-        if d_u is None:
-            d_u = self.__dict__["_d_u"] = differentiate(d, "u")
-        return d_u
+    @cached_property
+    def _d(self) -> Expression:
+        # one tree of D, whose nodes d_u and jet share (d_expr() builds a
+        # new tree of a tagged D on every call)
+        return self.d_expr()
+
+    @cached_property
+    def d_u(self) -> Expression:
+        return differentiate(self._d, "u")
 
     @cached_property
     def jet(self) -> JetPieces:
-        d, h = self.d_expr(), self.h_expr()
-        d_u = self._derive_d_u(d)
+        d, h, d_u = self._d, self.h_expr(), self.d_u
         d_uu, h_x = differentiate(d_u, "u"), differentiate(h, "x")
         u_x, u_xx = sym("u_x"), sym("u_xx")
         u_t = add(add(mul(d, u_xx), mul(d_u, mul(u_x, u_x))), mul(h, _U))
@@ -472,38 +467,23 @@ def _free_symbol_check(expr: Expression, allowed: set, what: str):
             f"{what} may only involve {sorted(allowed)}, found {sorted(extra)}")
 
 
-#: the size of a round of :func:`validate`'s probe points
-_PROBE_COUNT = 20
-#: :func:`validate`'s probe points: round i is the i-th round of
-#: ``_PROBE_COUNT`` points that ``sample_finite(fn, (var,), 0, 20)`` draws
-#: for u or for x, whose ranges are both (0.5, 3.0); a probe reaches at
-#: most ten, each drawn when first reached, and kept read-only
-_PROBE_ROUNDS = []
-
-
-def _draw_probe_rounds():
+@cache
+def _probe_rounds(var: str) -> tuple:
+    """:func:`validate`'s probe points for ``var``: the ten rounds of 20
+    that ``sample_finite(fn, (var,), 0, 20)`` draws, read-only."""
     import numpy as np
 
     rng = np.random.default_rng(0)
-    while True:
-        points = sample_bindings(("u",), rng, _PROBE_COUNT)["u"]
+    rounds = tuple(sample_bindings((var,), rng, 20)[var] for _ in range(10))
+    for points in rounds:
         points.flags.writeable = False
-        yield points
-
-
-_PROBE_DRAWS = _draw_probe_rounds()  # runs (and imports numpy) when drawn
-_PROBE_LOCK = threading.Lock()
+    return rounds
 
 
 def _probe(fn, var: str):
     """:func:`_keep_finite` of ``fn`` on the probe rounds bound to ``var``."""
-    def draw(i):
-        with _PROBE_LOCK:  # one thread at a time draws, so rounds stay in order
-            while len(_PROBE_ROUNDS) <= i:
-                _PROBE_ROUNDS.append(next(_PROBE_DRAWS))
-        return {var: _PROBE_ROUNDS[i]}
-
-    return _keep_finite(fn, draw, _PROBE_COUNT)
+    rounds = _probe_rounds(var)
+    return _keep_finite(fn, lambda i: {var: rounds[i]}, 20)
 
 
 def validate(eq: FinEquation) -> FinEquation:
@@ -511,10 +491,10 @@ def validate(eq: FinEquation) -> FinEquation:
 
     Free specs may involve only their own variable.  A free D, or a free h
     with a free symbol, is probed at fixed points: the rounds of 20 that
-    ``sample_finite(fn, (var,), 0, 20)`` draws, at most ten, each drawn
-    once per process, kept by the same keep-finite rule.  It is refused
-    when finite at none of them; a D whose dD/du (kept by ``eq`` for its
-    jet) vanishes there is the excluded linear case.  Idempotent;
+    ``sample_finite(fn, (var,), 0, 20)`` draws, drawn once per process per
+    variable, kept by the same keep-finite rule.  It is refused when
+    finite at none of them; a D whose dD/du (``eq.d_u``, kept for its jet)
+    vanishes there is the excluded linear case.  Idempotent;
     :class:`FinEquation` runs it on construction, so callers need not.
     """
     for spec, var, what in ((eq.D, "u", "diffusion"), (eq.h, "x", "source")):
@@ -528,7 +508,7 @@ def validate(eq: FinEquation) -> FinEquation:
     if eq.D.family == "free":
         (d,) = eq.D.params
         _free_symbol_check(d, {"u"}, "free D")
-        dv, v = _probe(compile_expressions(eq._derive_d_u(d), d), "u")
+        dv, v = _probe(compile_expressions(eq.d_u, d), "u")
         if dv.size == 0:
             raise SpecKindError("free D not evaluable on the sampling range")
         scale = 1.0 + float(abs(v).max())
@@ -639,8 +619,8 @@ def load_equation_file(path: str) -> tuple[FinEquation, dict]:
 def shapes_match(a: DShape | HShape, b: DShape | HShape, tol: float) -> bool:
     """Same kind, and every parameter equal within ``tol`` relative to
     1 + |a| + |b|."""
-    kind_a, *values_a = vars(a).values()
-    kind_b, *values_b = vars(b).values()
+    kind_a, *values_a = a
+    kind_b, *values_b = b
     return kind_a == kind_b and all(
         _close(x, y, tol) for x, y in zip(values_a, values_b))
 

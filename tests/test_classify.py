@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import pathlib
@@ -463,7 +462,7 @@ def test_integral_profile_fits_keep_every_bit(text):
     p, by_seed = H1_FITS[text]
     for seed, (coeff, q, shift) in by_seed.items():
         h = fit_h_shape(parse(text), seed)
-        got = {f.name: getattr(h, f.name) for f in dataclasses.fields(h)}
+        got = h._asdict()
         want = {"kind": "h1", "coeff": coeff, "q": q, "k": (1.0).hex(),
                 "p": p, "shift": shift}
         assert {k: v.hex() if type(v) is float else v

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -101,15 +102,25 @@ def test_an_unknown_name_is_an_attribute_error():
         finsym.solve
 
 
+def _dataclasses(names) -> set:
+    """The dataclasses that the modules ``finsym.<name>`` define."""
+    modules = [importlib.import_module(f"finsym.{name}") for name in names]
+    return {value.__qualname__ for module in modules
+            for value in vars(module).values()
+            if isinstance(value, type) and dataclasses.is_dataclass(value)
+            and value.__module__ == module.__name__}
+
+
 def test_eager_modules_define_few_dataclasses():
     # each dataclass generates and compiles its methods when its module
     # loads, about 0.7 ms of every cold CLI call
-    eager = [importlib.import_module(f"finsym.{name}")
-             for name in ("expressions", "model", "classify", "cli")]
-    defined = {id(value) for module in eager for value in vars(module).values()
-               if isinstance(value, type) and dataclasses.is_dataclass(value)
-               and value.__module__ == module.__name__}
-    assert len(defined) <= 3
+    assert len(_dataclasses(("expressions", "model", "classify", "cli"))) <= 1
+
+
+def test_only_the_equation_and_the_reduction_are_dataclasses():
+    # every other value class is a model._record
+    modules = [info.name for info in pkgutil.iter_modules(finsym.__path__)]
+    assert _dataclasses(modules) == {"FinEquation", "Reduction"}
 
 
 #: prints, as the process exits, the names of the modules it imported

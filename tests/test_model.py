@@ -117,7 +117,7 @@ def test_a_free_d_is_differentiated_in_u_once(monkeypatch):
     validate(eq)
     assert [repr(e) for e, _ in calls] == [repr(d), repr(jet.d_u), repr(h)]
     assert [var for _, var in calls] == ["u", "u", "x"]
-    assert jet.d_u is eq._derive_d_u(d)
+    assert jet.d_u is eq.d_u
     assert repr(jet.d_u) == repr(differentiate(d, "u"))
 
 
@@ -131,15 +131,20 @@ def test_free_d_probe_draws_rounds_until_it_finds_points():
         FinEquation(FreeD(parse("ln(-u)")), ConstantH(1))
 
 
-def _probe_rounds(var):
-    """The bindings of the ten rounds validate's probe reads for ``var``."""
-    seen = []
-
-    def nowhere_finite(bindings):
+def _nowhere_finite(seen):
+    """A probed function that is finite nowhere and records its bindings
+    in ``seen``."""
+    def fn(bindings):
         seen.append(bindings)
         return np.full(20, np.nan), np.full(20, np.nan)
 
-    kept, _ = finsym.model._probe(nowhere_finite, var)
+    return fn
+
+
+def _rounds_read(var):
+    """The bindings of the ten rounds validate's probe reads for ``var``."""
+    seen = []
+    kept, _ = finsym.model._probe(_nowhere_finite(seen), var)
     assert kept.size == 0
     return seen
 
@@ -147,7 +152,7 @@ def _probe_rounds(var):
 @pytest.mark.parametrize("var", ["u", "x"])
 def test_the_probe_rounds_are_what_seed_0_draws(var):
     rng = np.random.default_rng(0)
-    rounds = _probe_rounds(var)
+    rounds = _rounds_read(var)
     assert len(rounds) == 10
     for bindings in rounds:
         (want,) = sample_bindings((var,), rng, 20).values()
@@ -157,17 +162,33 @@ def test_the_probe_rounds_are_what_seed_0_draws(var):
         assert not bindings[var].flags.writeable
 
 
-def test_threads_drawing_the_probe_rounds_keep_their_order(monkeypatch):
+def test_the_x_probe_rounds_come_from_the_x_range(monkeypatch):
+    # the rounds are drawn per variable, each from its own sampling range
+    monkeypatch.setitem(finsym.expressions.DEFAULT_SAMPLING_RANGES, "x",
+                        (1.0, 2.0))
+    finsym.model._probe_rounds.cache_clear()
+    try:
+        drawn = []
+        sample_finite(_nowhere_finite(drawn), ("x",), 0, 20)
+        assert ([b["x"].tobytes() for b in _rounds_read("x")]
+                == [b["x"].tobytes() for b in drawn])
+        assert all(1.0 <= v < 2.0 for b in drawn for v in b["x"])
+    finally:
+        finsym.model._probe_rounds.cache_clear()
+
+
+def test_threads_drawing_the_probe_rounds_keep_their_order():
     # fresh rounds, drawn at once by more threads than cores with frequent
     # switches, many times over
     rng = np.random.default_rng(0)
     want = [sample_bindings(("u",), rng, 20)["u"].tobytes() for _ in range(10)]
-    errors = []
+    seen, errors = [], []
 
     def probe(start):
         try:
             start.wait(timeout=60)
-            _probe_rounds("u")
+            rounds = _rounds_read("u")
+            seen.append([bindings["u"].tobytes() for bindings in rounds])
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -175,9 +196,8 @@ def test_threads_drawing_the_probe_rounds_keep_their_order(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(30):
-            monkeypatch.setattr(finsym.model, "_PROBE_ROUNDS", [])
-            monkeypatch.setattr(finsym.model, "_PROBE_DRAWS",
-                                finsym.model._draw_probe_rounds())
+            finsym.model._probe_rounds.cache_clear()
+            seen.clear()
             start = threading.Barrier(8)
             threads = [threading.Thread(target=probe, args=(start,))
                        for _ in range(8)]
@@ -187,10 +207,10 @@ def test_threads_drawing_the_probe_rounds_keep_their_order(monkeypatch):
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
-            assert [points.tobytes() for points
-                    in finsym.model._PROBE_ROUNDS] == want
+            assert seen == [want] * 8
     finally:
         sys.setswitchinterval(interval)
+        finsym.model._probe_rounds.cache_clear()
 
 
 #: free D and h specs whose probe decides near its edges: finite only near

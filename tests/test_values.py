@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 
 from finsym.classify import ClassificationResult
-from finsym.equivalence import CoefficientRule, OutsideClassReport
+from finsym.conservation import ConservationLaw
+from finsym.equivalence import (
+    CoefficientRule, OutsideClassReport, PointTransformation,
+)
 from finsym.expressions import (
     Add, Call, Div, Mul, Neg, Num, Pow, Sub, Sym, parse,
 )
-from finsym.model import Solution, Spec, VectorField
+from finsym.model import (
+    ConstantH, DShape, FinEquation, FreeD, HShape, PowerU, Solution, Spec,
+    VectorField,
+)
 from finsym.numeric import DirichletBC, Field, Grid, NoFluxBC
 from finsym.reductions import OrderReduction, ReductionReport
 from finsym.symmetry import JetResidual
@@ -30,6 +36,12 @@ CASES = [
     *[(kind, {"left": X, "right": ONE},
        f"{kind.__name__}(left=Sym('x'), right=Num(1.0))")
       for kind in (Add, Sub, Mul, Div, Pow)],
+    (DShape, {"kind": "power", "coeff": 1.0, "n": 2.0, "beta": 0.0,
+              "k": 1.0},
+     "DShape(kind='power', coeff=1.0, n=2.0, beta=0.0, k=1.0)"),
+    (HShape, {"kind": "h1", "coeff": -1.0, "q": 2.0, "k": 1.0, "p": -1,
+              "shift": 0.5},
+     "HShape(kind='h1', coeff=-1.0, q=2.0, k=1.0, p=-1, shift=0.5)"),
     (Spec, {"var": "u", "family": "power_u", "params": (2,)},
      "Spec(var='u', family='power_u', params=(2,))"),
     (VectorField, {"tau": ONE, "xi": Num(0.0), "eta": X},
@@ -54,6 +66,17 @@ CASES = [
      "CoefficientRule(factor=Num(1.0), inner=Sym('x'), override=None)"),
     (OutsideClassReport, {"label": "case8-out", "target": "t", "note": "n"},
      "OutsideClassReport(label='case8-out', target='t', note='n')"),
+    (PointTransformation,
+     {"label": "G", "t_new": X, "x_new": X, "u_new": X, "t_old": X,
+      "x_old": X, "u_old": X, "d_rule": None, "h_rule": None,
+      "requires_d": None, "requires_h": None, "outside_class": None},
+     "PointTransformation(label='G', t_new=Sym('x'), x_new=Sym('x'), "
+     "u_new=Sym('x'), t_old=Sym('x'), x_old=Sym('x'), u_old=Sym('x'), "
+     "d_rule=None, h_rule=None, requires_d=None, requires_h=None, "
+     "outside_class=None)"),
+    (ConservationLaw, {"density": X, "flux": ONE, "characteristic": X},
+     "ConservationLaw(density=Sym('x'), flux=Num(1.0), "
+     "characteristic=Sym('x'))"),
     (ReductionReport, {"label": "4.1", "passed": True, "deviation": 0.0,
                        "multiplier": 1.5, "note": None},
      "ReductionReport(label='4.1', passed=True, deviation=0.0, "
@@ -119,3 +142,30 @@ def test_record_defaults():
     assert ClassificationResult(4, {}, ()).note is None
     assert ReductionReport("4.1", True, 0.0, 1.0).note is None
     assert CoefficientRule() == CoefficientRule(None, None, None)
+    assert DShape("exp") == DShape("exp", 1.0, 0.0, 0.0, 1.0)
+    assert HShape("zero") == HShape("zero", 0.0, 0.0, 1.0, 0, 0.0)
+    assert (PointTransformation("G", *[X] * 6)
+            == PointTransformation("G", *[X] * 6, *[None] * 5))
+
+
+def test_an_equation_is_a_value_of_its_specs():
+    # a dataclass, not a record (construction validates, and d_u and jet
+    # are kept in its __dict__); those kept values are not part of it
+    used = FinEquation(FreeD(parse("u^2+1")), ConstantH(1))
+    fresh = FinEquation(FreeD(parse("u^2+1")), ConstantH(1))
+    text = ("FinEquation(D=Spec(var='u', family='free', params=(Add("
+            "left=Pow(left=Sym('u'), right=Num(2.0)), right=Num(1.0)),)), "
+            "h=Spec(var='x', family='constant', params=(1,)))")
+    before = hash(used)
+    assert used.jet.d_u is used.d_u
+    assert used == fresh and not used != fresh
+    assert hash(used) == hash(fresh) == before == hash((used.D, used.h))
+    assert repr(used) == repr(fresh) == text
+    assert used != (used.D, used.h)
+    assert used != FinEquation(PowerU(2), ConstantH(1))
+
+    copy = pickle.loads(pickle.dumps(used))
+    assert type(copy) is FinEquation and copy == used
+    for name in ("D", "h", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(used, name, None)
