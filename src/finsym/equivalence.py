@@ -282,6 +282,11 @@ def apply_to_equation(T: PointTransformation, eq: FinEquation):
         return OutsideClassReport(
             label=T.label, target=T.outside_class,
             note="image is not of the form u_t = (D(u) u_x)_x + h(x) u")
+    for name, rule in (("d_rule", T.d_rule), ("h_rule", T.h_rule)):
+        if rule is None:
+            raise EquivalenceError(
+                f"no image of the equation under {T.label!r}: it has no "
+                f"{name} for its coefficients")
     return FinEquation(*(
         spec if rule.is_identity(spec.var)
         else retag(rule.apply(spec.expression(), spec.var))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .expressions import (
@@ -101,8 +100,10 @@ def _record(typename: str, field_names: str, defaults=None) -> type:
     subclass, refuses assignment: a frozen dataclass's value semantics,
     without the methods a dataclass generates and compiles as its module
     loads.  Every immutable value class of the package is a record but
-    :class:`FinEquation` and :class:`finsym.reductions.Reduction`, whose
-    callers need the dataclass API.
+    :class:`FinEquation`, whose construction validates and whose derived
+    values need an instance ``__dict__``, and
+    :class:`finsym.reductions.Reduction`, whose callers need the dataclass
+    API.
     """
     base = namedtuple(typename, field_names, defaults=defaults)
     base.__eq__, base.__ne__ = _same_class_eq, object.__ne__
@@ -315,25 +316,50 @@ JetPieces = namedtuple("JetPieces",
                        "d d_u d_uu h h_x u_t h_x_u eta_coeff two_d_u")
 
 
-# a dataclass, not a record: construction and dataclasses.replace run
-# validate, and d_u and jet are cached_property values, which need an
-# instance __dict__
-@dataclass(frozen=True)
+# a plain class, not a record: construction and _replace run validate, and
+# d_u and jet are cached_property values, which need an instance __dict__;
+# not a dataclass, whose module every cold CLI call would import
 class FinEquation:
     """One member of the class u_t = (D(u) u_x)_x + h(x) u.
 
-    Construction (``dataclasses.replace`` included) runs :func:`validate`
-    and raises its exception for a spec outside the class.  ``d_u`` (dD/du)
-    and ``jet`` (the equation's :data:`JetPieces`) are derived the first
-    time they are read and kept by this object, so a free D's probe in
+    Construction (``_replace`` included) runs :func:`validate` and raises
+    its exception for a spec outside the class.  ``d_u`` (dD/du) and
+    ``jet`` (the equation's :data:`JetPieces`) are derived the first time
+    they are read and kept by this object, so a free D's probe in
     :func:`validate` and every generator prolonged on the equation share
-    them.  ``==``, ``hash`` and ``repr`` read the two specs only.
+    them.  ``==``, ``hash``, ``repr`` and pickling read the two specs only,
+    and assignment is refused.
     """
-    D: Spec
-    h: Spec
 
-    def __post_init__(self):
+    def __init__(self, D: Spec, h: Spec):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "h", h)
         validate(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.D, self.h) == (other.D, other.h)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.D, self.h))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(D={self.D!r}, h={self.h!r})"
+
+    def __reduce__(self):
+        return type(self), (self.D, self.h)
+
+    def _replace(self, **specs) -> "FinEquation":
+        """A new equation with the given specs in place of these; it is
+        validated, and derives its own ``d_u`` and ``jet``."""
+        return type(self)(**{"D": self.D, "h": self.h, **specs})
 
     @cached_property
     def _d(self) -> Expression:

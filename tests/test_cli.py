@@ -1,7 +1,13 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import finsym
+from finsym import cli
 from finsym.cli import main
 
 CASE4 = {"D": {"family": "power_u", "n": 2},
@@ -82,6 +88,42 @@ def test_an_h_finite_nowhere_on_the_range_is_a_usage_error(eq_file, capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["classify", "--eq", "/nonexistent.json"]) == 2
+
+
+@pytest.mark.parametrize("status", [0, 1, 2])
+def test_the_process_entry_freezes_after_main_and_exits_with_its_code(
+        status, monkeypatch):
+    calls = []
+
+    def exit(code):
+        calls.append(("exit", code))
+        raise SystemExit(code)
+
+    # patched, so that pytest's own heap is never frozen
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or status)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(sys, "exit", exit)
+    with pytest.raises(SystemExit):
+        cli.run()
+    assert calls == ["main", "freeze", ("exit", status)]
+
+
+@pytest.mark.parametrize("doc, field, status", [
+    (CASE4, "-6*t;2*x;5*u", 0), (CASE4, "0;0;u", 1), (None, "1;0;0", 2),
+], ids=["pass", "fail", "missing-file"])
+def test_a_cli_process_prints_what_main_prints(eq_file, tmp_path, capsys,
+                                               doc, field, status):
+    path = eq_file(doc) if doc else str(tmp_path / "missing.json")
+    argv = ["verify-symmetry", "--eq", path, f"--field={field}", "--json",
+            "--seed", "7"]
+    assert main(argv) == status
+    inprocess = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finsym.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "finsym.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == status
+    assert (proc.stdout, proc.stderr) == (inprocess.out, inprocess.err)
 
 
 def test_verify_symmetry_pass_and_fail(eq_file, capsys):

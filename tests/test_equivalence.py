@@ -426,6 +426,18 @@ def test_an_element_without_coefficient_rules_has_no_inverse_element():
         T8.inverse()
 
 
+@pytest.mark.parametrize("rules, missing", [
+    ((), "d_rule"), ((CoefficientRule(parse("1"), parse("u")),), "h_rule"),
+])
+def test_an_element_without_a_coefficient_rule_maps_no_equation(rules,
+                                                                missing):
+    t, x, u = parse("t"), parse("x"), parse("u")
+    T = PointTransformation("id", t, x, u, t, x, u, *rules)
+    with pytest.raises(EquivalenceError, match=re.escape(
+            f"under 'id': it has no {missing}")):
+        apply_to_equation(T, FinEquation(PowerU(2), ConstantH(1)))
+
+
 def test_a_failed_condition_names_the_required_coefficient():
     T1 = make_group_element("G1", (1, 0, 0, 1, 1, 0))
     with pytest.raises(ConditionError, match=re.escape(

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import sys
 import threading
@@ -70,7 +69,7 @@ def test_construction_validates():
         FinEquation(PowerX(1, 1), ConstantH(1))
     eq = FinEquation(PowerU(2), ConstantH(1))
     with pytest.raises(LinearCaseError):
-        dataclasses.replace(eq, D=PowerU(0))
+        eq._replace(D=PowerU(0))
     # a spec in the other coefficient's slot
     with pytest.raises(SpecKindError):
         FinEquation(PowerU(2), PowerU(2))

@@ -19,7 +19,7 @@ from finsym.expressions import (
 )
 from finsym.model import (
     ConstantH, DShape, FinEquation, FreeD, HShape, PowerU, Solution, Spec,
-    VectorField,
+    SpecKindError, VectorField,
 )
 from finsym.numeric import DirichletBC, Field, Grid, NoFluxBC
 from finsym.reductions import OrderReduction, ReductionReport
@@ -149,7 +149,7 @@ def test_record_defaults():
 
 
 def test_an_equation_is_a_value_of_its_specs():
-    # a dataclass, not a record (construction validates, and d_u and jet
+    # a plain class, not a record (construction validates, and d_u and jet
     # are kept in its __dict__); those kept values are not part of it
     used = FinEquation(FreeD(parse("u^2+1")), ConstantH(1))
     fresh = FinEquation(FreeD(parse("u^2+1")), ConstantH(1))
@@ -166,6 +166,26 @@ def test_an_equation_is_a_value_of_its_specs():
 
     copy = pickle.loads(pickle.dumps(used))
     assert type(copy) is FinEquation and copy == used
+    # the pickle carries the specs, not the pieces kept after reading them
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    assert "jet" not in vars(copy) and copy.d_u is not used.d_u
     for name in ("D", "h", "extra"):
         with pytest.raises(AttributeError):
             setattr(used, name, None)
+    for name in ("D", "jet"):
+        with pytest.raises(AttributeError):
+            delattr(used, name)
+    assert used.jet.d_u is used.d_u
+
+
+def test_a_replaced_equation_is_validated_and_keeps_nothing():
+    eq = FinEquation(PowerU(2), ConstantH(1))
+    assert eq.jet.d_u is eq.d_u
+    replaced = eq._replace(h=ConstantH(3))
+    assert replaced == FinEquation(PowerU(2), ConstantH(3))
+    assert vars(replaced).keys() == {"D", "h"}
+    assert eq._replace() == eq and eq._replace() is not eq
+    with pytest.raises(SpecKindError):
+        eq._replace(D=ConstantH(1))
+    with pytest.raises(TypeError):
+        eq._replace(k=ConstantH(1))
