@@ -9,13 +9,14 @@ v^0, v^1, v^2).  A ladder fits the ratio by a polynomial of degree 0
 by one least-squares solve and one check: its candidate counts when it is
 finite and c times it is within a relative 1e-8 of the finite samples, at
 8 or more points, c being their median ratio to it (one sort, to
-np.median's bits).  A power candidate rounds its exponent when within
-1e-9 of an integer, and the fitted exponent is reported unrounded.  When 1
-to 7 of the 50 samples are admissible, 50 more are drawn once, next to
-those.  An h with no free symbol is evaluated once instead.  Matches that
-need a scaling/translation of the equivalence group are annotated in the
-result's note.  Only the fits use numpy, which they import when they
-first run: classifying tagged equations never imports it.
+np.median's bits).  A power candidate rounds its exponent when within 1e-9
+of an integer, and the fitted exponent is reported unrounded.  When a
+sample is inadmissible and the coefficient's admissible range (the one
+:func:`finsym.model.validate` keeps) is not the default, the 50 are drawn
+once more there.  An h with no free symbol is evaluated once instead.
+Matches that need a scaling/translation of the equivalence group are
+annotated in the result's note.  Only the fits use numpy, which they
+import when they first run: classifying tagged equations never imports it.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .expressions import (
 )
 from .model import (
     D_T, D_X, DShape, FinEquation, HShape, ModelError, VectorField,
-    _num_out, _record, h1_expression, is_four_thirds,
+    _admissible_range, _num_out, _record, h1_expression, is_four_thirds,
 )
 
 __all__ = [
@@ -57,10 +58,9 @@ def _ratio(expr: Expression, var: str, seed: int):
     ``vals``, their closeness scale 1 + |vals|, and the design columns
     v^0, v^1, v^2 at the points where the log-derivative ratio z = f/f' is
     admissible, with z there.  The design is None when no rung can fit
-    (fewer than 8 such points, or a z that is not finite).  When only 1 to
-    7 points are admissible (a zero of f near an end of the range), the
-    samples are drawn once more from the same generator, between the
-    inadmissible samples nearest the admissible ones, or the range's end."""
+    (fewer than 8 such points, or a z that is not finite).  When a sample
+    is inadmissible and the :func:`~finsym.model._admissible_range` of
+    (f, f') is not the default, the 50 are drawn once more there."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -72,12 +72,12 @@ def _ratio(expr: Expression, var: str, seed: int):
         ok = np.isfinite(vals) & np.isfinite(dvals) & (np.abs(dvals) > 1e-300)
         return xs, vals, dvals, ok
 
-    lo, hi = DEFAULT_SAMPLING_RANGES[var]
-    xs, vals, dvals, ok = draw(lo, hi)
-    if 0 < np.count_nonzero(ok) < 8:
-        good, bad = xs[ok], xs[~ok]
-        xs, vals, dvals, ok = draw(max(bad[bad < good.min()], default=lo),
-                                   min(bad[bad > good.max()], default=hi))
+    default = DEFAULT_SAMPLING_RANGES[var]
+    xs, vals, dvals, ok = draw(*default)
+    if not ok.all():
+        admissible, *_ = _admissible_range(pieces, var)
+        if admissible not in (None, default):
+            xs, vals, dvals, ok = draw(*admissible)
     finite = np.isfinite(vals)
     z = vals[ok] / dvals[ok]
     design = None
@@ -126,8 +126,9 @@ def _rung(degree: int, xs, vals, scale, design, z):
     elif degree == 1:
         g, a = fit
         lead, s = 1.0 / a, g / a
-        whole = np.rint(lead)
-        shape = (xs + s) ** (whole if abs(lead - whole) <= 1e-9 else lead)
+        whole, base = np.rint(lead), xs + s
+        shape = (base ** whole if abs(lead - whole) <= 1e-9
+                 else np.abs(base) ** lead)  # |v+s|: fits a reflected (s-v)^n
     else:
         g, a, b = fit
         lead = 1.0 / b

@@ -914,14 +914,23 @@ def sample_bindings(symbols, rng, count: int, ranges=None):
     return {s: rng.uniform(lo, hi, size=count) for s, (lo, hi) in resolved}
 
 
-def _keep_finite(fn, draw, count: int):
-    """The keep-finite rule of :func:`sample_finite`, on ``draw(i)``, the
-    bindings of round i, for the rounds i = 0, 1, ... at most ten."""
+def sample_finite(fn, symbols, seed: int, count: int, ranges=None):
+    """Seeded sampling policy of every randomized zero test.
+
+    Draws rounds of ``count`` points, at most ten, from
+    ``default_rng(seed)`` with :func:`sample_bindings`, and calls ``fn`` on
+    each round's bindings; ``fn`` returns two arrays of shape ``(count,)``.
+    Keeps, in draw order, the points where both are finite, and stops
+    after the round that brings the points kept to ``count``.  Returns the
+    two arrays at the kept points, empty when no point was finite: the
+    first round's own arrays when all of its points are finite.
+    """
     import numpy as np
 
+    rng = np.random.default_rng(seed)
     kept_a, kept_b, kept = [], [], 0
-    for i in range(10):
-        a, b = fn(draw(i))
+    for _ in range(10):
+        a, b = fn(sample_bindings(symbols, rng, count, ranges))
         finite = np.isfinite(a)
         finite &= np.isfinite(b)
         n = np.count_nonzero(finite)
@@ -933,26 +942,6 @@ def _keep_finite(fn, draw, count: int):
         if kept >= count:
             break
     return np.concatenate(kept_a), np.concatenate(kept_b)
-
-
-def sample_finite(fn, symbols, seed: int, count: int, ranges=None):
-    """Seeded sampling policy of every randomized zero test.
-
-    Draws rounds of ``count`` points, at most ten, from
-    ``default_rng(seed)`` with :func:`sample_bindings`, and calls ``fn`` on
-    each round's bindings; ``fn`` returns two arrays of shape ``(count,)``.
-    Keeps, in draw order, the points where both are finite, and stops
-    after the round that brings the points kept to ``count``.  Returns the
-    two arrays at the kept points, empty when no point was finite: the
-    first round's own arrays when all of its points are finite.  The
-    keep-finite rule is one kernel, ``_keep_finite``, which
-    :func:`finsym.model.validate` runs on fixed rounds of these draws.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    return _keep_finite(
-        fn, lambda _: sample_bindings(symbols, rng, count, ranges), count)
 
 
 def max_relative(terms, seed: int, count: int, ranges=None):

@@ -15,10 +15,9 @@ from collections import namedtuple
 from functools import cache, cached_property
 
 from .expressions import (
-    Expression, Num, _close, add, call, compile_expressions,
-    _keep_finite, differentiate, div, equivalent, mul, neg, num, parse, pow_,
-    sample_bindings, sample_finite, sub, substitute, sym, to_string, ZERO,
-    ONE,
+    DEFAULT_SAMPLING_RANGES, Expression, Num, _close, add, call,
+    compile_expressions, differentiate, div, equivalent, mul, neg, num, parse,
+    pow_, sample_finite, sub, substitute, sym, to_string, ZERO, ONE,
 )
 
 __all__ = [
@@ -317,18 +316,16 @@ JetPieces = namedtuple("JetPieces",
 
 
 # a plain class, not a record: construction and _replace run validate, and
-# d_u and jet are cached_property values, which need an instance __dict__;
+# d_u, h_x and jet are cached_property values, which need a __dict__;
 # not a dataclass, whose module every cold CLI call would import
 class FinEquation:
     """One member of the class u_t = (D(u) u_x)_x + h(x) u.
 
-    Construction (``_replace`` included) runs :func:`validate` and raises
-    its exception for a spec outside the class.  ``d_u`` (dD/du) and
-    ``jet`` (the equation's :data:`JetPieces`) are derived the first time
-    they are read and kept by this object, so a free D's probe in
-    :func:`validate` and every generator prolonged on the equation share
-    them.  ``==``, ``hash``, ``repr`` and pickling read the two specs only,
-    and assignment is refused.
+    Construction (``_replace`` included) runs :func:`validate`, which keeps
+    ``ranges``.  ``d_u``, ``h_x`` and ``jet`` (:data:`JetPieces`) are
+    derived when first read and kept, so :func:`validate` and every
+    generator prolonged on the equation share them.  ``==``, ``hash``,
+    ``repr`` and pickling read the two specs only; assignment is refused.
     """
 
     def __init__(self, D: Spec, h: Spec):
@@ -372,9 +369,13 @@ class FinEquation:
         return differentiate(self._d, "u")
 
     @cached_property
+    def h_x(self) -> Expression:
+        return differentiate(self.h_expr(), "x")
+
+    @cached_property
     def jet(self) -> JetPieces:
-        d, h, d_u = self._d, self.h_expr(), self.d_u
-        d_uu, h_x = differentiate(d_u, "u"), differentiate(h, "x")
+        d, h, d_u, h_x = self._d, self.h_expr(), self.d_u, self.h_x
+        d_uu = differentiate(d_u, "u")
         u_x, u_xx = sym("u_x"), sym("u_xx")
         u_t = add(add(mul(d, u_xx), mul(d_u, mul(u_x, u_x))), mul(h, _U))
         return JetPieces(
@@ -486,42 +487,49 @@ def pde_residual_grid(eq: FinEquation, s: Solution, region, samples: int = 100,
 # validation
 
 
-def _free_symbol_check(expr: Expression, allowed: set, what: str):
-    extra = set(expr.free_symbols()) - allowed
-    if extra:
-        raise SpecKindError(
-            f"{what} may only involve {sorted(allowed)}, found {sorted(extra)}")
-
-
 @cache
-def _probe_rounds(var: str) -> tuple:
-    """:func:`validate`'s probe points for ``var``: the ten rounds of 20
-    that ``sample_finite(fn, (var,), 0, 20)`` draws, read-only."""
+def _grid():
+    """[-4, 4] in steps of 0.025: the points every scan reads (a tape
+    never writes the arrays it is bound to)."""
     import numpy as np
 
-    rng = np.random.default_rng(0)
-    rounds = tuple(sample_bindings((var,), rng, 20)[var] for _ in range(10))
-    for points in rounds:
-        points.flags.writeable = False
-    return rounds
+    return np.linspace(-4.0, 4.0, 321)
 
 
-def _probe(fn, var: str):
-    """:func:`_keep_finite` of ``fn`` on the probe rounds bound to ``var``."""
-    rounds = _probe_rounds(var)
-    return _keep_finite(fn, lambda i: {var: rounds[i]}, 20)
+def _admissible_range(pieces, var: str):
+    """The one range a free coefficient of ``var`` is sampled on, with the
+    values of its compiled pair ``pieces``, (f, f'), at the :func:`_grid`
+    points that give it (no seed): ``DEFAULT_SAMPLING_RANGES[var]`` when
+    both are finite at every grid point in it; else the cells (point +-
+    half a step) of the first longest run of points where both are
+    finite, trimmed by a sixth at each end (so a zero within a step of 4
+    leaves a range); else None, with no values."""
+    import numpy as np
+
+    grid = _grid()
+    f, fp = pieces({var: grid})
+    ok = np.isfinite(f) & np.isfinite(fp)
+    lo, hi = DEFAULT_SAMPLING_RANGES[var]
+    inner = slice(round((lo + 4) / 0.025), round((hi + 4) / 0.025) + 1)
+    if ok[inner].all():
+        return (lo, hi), f[inner], fp[inner]
+    if not ok.any():
+        return None, None, None
+    starts, stops = np.flatnonzero(np.diff(np.r_[0, ok, 0])).reshape(-1, 2).T
+    i = np.argmax(stops - starts)  # the first of the longest runs
+    a, b = grid[starts[i]] - 0.0125, grid[stops[i] - 1] + 0.0125  # its cells
+    return ((float(a + (b - a) / 6), float(b - (b - a) / 6)),
+            f[starts[i]:stops[i]], fp[starts[i]:stops[i]])
 
 
 def validate(eq: FinEquation) -> FinEquation:
     """Check kinds, parameter constraints and nonlinearity; return eq.
 
     Free specs may involve only their own variable.  A free D, or a free h
-    with a free symbol, is probed at fixed points: the rounds of 20 that
-    ``sample_finite(fn, (var,), 0, 20)`` draws, drawn once per process per
-    variable, kept by the same keep-finite rule.  It is refused when
-    finite at none of them; a D whose dD/du (``eq.d_u``, kept for its jet)
-    vanishes there is the excluded linear case.  Idempotent;
-    :class:`FinEquation` runs it on construction, so callers need not.
+    with a free symbol, is refused when :func:`_admissible_range` of its
+    pair (D, D_u) or (h, h_x), the pair the fit compiles, finds no range;
+    the ranges found are kept as ``eq.ranges``, by variable.  A D whose
+    D_u vanishes at the grid points giving its range is linear.  Idempotent.
     """
     for spec, var, what in ((eq.D, "u", "diffusion"), (eq.h, "x", "source")):
         if not isinstance(spec, Spec) or spec.var != var:
@@ -531,22 +539,26 @@ def validate(eq: FinEquation) -> FinEquation:
         if rule:
             rule(*spec.params)
 
-    if eq.D.family == "free":
-        (d,) = eq.D.params
-        _free_symbol_check(d, {"u"}, "free D")
-        dv, v = _probe(compile_expressions(eq.d_u, d), "u")
-        if dv.size == 0:
-            raise SpecKindError("free D not evaluable on the sampling range")
-        scale = 1.0 + float(abs(v).max())
-        if float(abs(dv).max()) <= 1e-12 * scale:
+    ranges = {}
+    for spec, slope, what in ((eq.D, "d_u", "D"), (eq.h, "h_x", "h")):
+        if spec.family != "free":
+            continue
+        (f,), var = spec.params, spec.var
+        extra = sorted(set(f.free_symbols()) - {var})
+        if extra:
+            raise SpecKindError(
+                f"free {what} may only involve {[var]}, found {extra}")
+        if what == "h" and not f.free_symbols():
+            continue  # a constant h is read once, not sampled
+        ranges[var], v, dv = _admissible_range(
+            compile_expressions(f, getattr(eq, slope)), var)
+        if ranges[var] is None:
+            raise SpecKindError(
+                f"free {what} not evaluable on the sampling range")
+        if what == "D" and abs(dv).max() <= 1e-12 * (1 + abs(v).max()):
             raise LinearCaseError(
                 "linear case excluded: D does not depend on u")
-    if eq.h.family == "free":
-        (h,) = eq.h.params
-        _free_symbol_check(h, {"x"}, "free h")
-        if h.free_symbols() and _probe(
-                compile_expressions(h, h), "x")[0].size == 0:
-            raise SpecKindError("free h not evaluable on the sampling range")
+    object.__setattr__(eq, "ranges", ranges)
     return eq
 
 
@@ -651,17 +663,14 @@ def shapes_match(a: DShape | HShape, b: DShape | HShape, tol: float) -> bool:
         _close(x, y, tol) for x, y in zip(values_a, values_b))
 
 
-def _specs_equal(a, b, tol: float, seed: int, ranges=None) -> bool:
-    if "free" in (a.family, b.family):
-        return equivalent(a.expression(), b.expression(), seed=seed, tol=tol,
-                          ranges=ranges)
-    return shapes_match(a.shape(), b.shape(), tol)
-
-
 def equations_equal(a: FinEquation, b: FinEquation, tol: float = 1e-9,
                     ranges=None) -> bool:
     """Equality of equations: matching shapes of tagged coefficients, with
     free-form coefficients compared by randomized sampling (seeds 7 for D
-    and 8 for h)."""
-    return (_specs_equal(a.D, b.D, tol, 7, ranges)
-            and _specs_equal(a.h, b.h, tol, 8, ranges))
+    and 8 for h) on the equations' ``ranges``; ``ranges`` given wins."""
+    ranges = {**a.ranges, **b.ranges, **(ranges or {})}
+    return all(
+        equivalent(x.expression(), y.expression(), seed=seed, tol=tol,
+                   ranges=ranges) if "free" in (x.family, y.family)
+        else shapes_match(x.shape(), y.shape(), tol)
+        for x, y, seed in ((a.D, b.D, 7), (a.h, b.h, 8)))

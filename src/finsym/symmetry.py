@@ -111,9 +111,10 @@ def prolonged_residual(eq: FinEquation, field: VectorField) -> JetResidual:
 
 def symmetry_residual(eq: FinEquation, field: VectorField, seed: int = 42,
                       samples: int = 50, ranges=None) -> float:
-    """Largest relative prolonged residual over seeded jet samples; a Lie
-    symmetry gives a value at rounding level."""
-    return prolonged_residual(eq, field).max_relative(seed, samples, ranges)
+    """Largest relative prolonged residual over seeded jet samples on
+    ``eq.ranges`` updated by ``ranges``; a symmetry gives rounding level."""
+    return prolonged_residual(eq, field).max_relative(
+        seed, samples, {**eq.ranges, **(ranges or {})})
 
 
 def conditional_residual(eq: FinEquation, field: VectorField) -> JetResidual:

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from finsym.classify import HShape, _ratio, classify, fit_d_shape, fit_h_shape
-from finsym.expressions import add, differentiate, equivalent, mul, parse
+from finsym.expressions import (
+    add, compile_expressions, differentiate, equivalent, mul, parse,
+)
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
     PowerU, PowerX, ReciprocalShift, ShiftedPowerU, SpecKindError,
-    equation_from_json, h1_expression,
+    _admissible_range, equation_from_json, h1_expression,
 )
 from finsym.symmetry import symmetry_residual
 
@@ -266,14 +268,15 @@ def test_a_shift_with_its_zero_in_the_range_keeps_the_whole_algebra(
         assert symmetry_residual(eq, vf) <= 1e-9, vf.to_string()
 
 
-@pytest.mark.parametrize("d,h", [
-    ("u^2", "(x-3.5)^0.5"), ("u^2", "(x-3.46)^1.55"),
-    ("u^(-4/3)", "(x-3.46)^1.55"),
+@pytest.mark.parametrize("d,h,message", [
+    ("u^2", "(x-5)^0.5", "free h not evaluable"),
+    ("u^(-4/3)", "ln(x-4.5)", "free h not evaluable"),
+    ("ln(-u-5)", "0", "free D not evaluable"),
 ])
-def test_an_h_finite_nowhere_on_the_range_is_refused(d, h):
-    # a zero past the range's top leaves no finite sample to fit, and the
-    # fit would read h as arbitrary and miss the case-4 generator
-    with pytest.raises(SpecKindError, match="free h not evaluable"):
+def test_a_coefficient_finite_nowhere_on_the_box_is_refused(d, h, message):
+    # no grid point of [-4, 4] has a finite pair to sample, so no fit could
+    # read the shape
+    with pytest.raises(SpecKindError, match=message):
         FinEquation(FreeD(parse(d)), FreeH(parse(h)))
 
 
@@ -284,58 +287,71 @@ def test_a_symbol_free_h_is_not_probed_and_classify_reads_it(h, case):
     assert classify(eq).case == case
 
 
-#: zeros near the top of the range, where fewer than 8 of the first 50
-#: samples are admissible, so the fit draws its samples once more; the
-#: generators are checked where the coefficients are finite
+#: zeros near the top of the range or past it, and reflected powers: the
+#: fit draws its samples once more on the admissible range, and the jet
+#: test samples there too
 NEAR_END_ZERO_ROWS = [
-    ("u^2", "(x-2.7)^0.5", 4, 2, {"x": (2.7, 3.0)}),
-    ("(u-2.9)^(-4/3)", "0", 13, 5, {"u": (2.9, 3.0)}),
+    ("u^2", "(x-2.7)^0.5", 4, 2), ("(u-2.9)^(-4/3)", "0", 13, 5),
+    ("(u-2.97)^(-4/3)", "0", 13, 5), ("(u-3.3)^(-4/3)", "0", 13, 5),
+    ("u^2", "(x-2.95)^0.5", 4, 2), ("u^2", "(x-3.46)^1.55", 4, 2),
+    ("u^2", "(4.5-x)^0.5", 4, 2), ("u^2", "(1.5-x)^0.5", 4, 2),
 ]
 
 
-@pytest.mark.parametrize("seed", [42, 1, 2, 3, 4, 5])
-@pytest.mark.parametrize("d,h,case,size,ranges", NEAR_END_ZERO_ROWS)
+@pytest.mark.parametrize("seed", [42, *range(1, 13)])
+@pytest.mark.parametrize("d,h,case,size", NEAR_END_ZERO_ROWS)
 def test_a_zero_near_the_range_end_keeps_the_whole_algebra(
-        d, h, case, size, ranges, seed):
+        d, h, case, size, seed):
     eq = FinEquation(FreeD(parse(d)), FreeH(parse(h)))
     r = classify(eq, seed)
     assert (r.case, len(r.basis)) == (case, size)
     for vf in r.basis:
-        assert symmetry_residual(eq, vf, ranges=ranges) <= 1e-9, vf.to_string()
+        assert symmetry_residual(eq, vf) <= 1e-9, vf.to_string()
 
 
-@pytest.mark.parametrize("seed", [42, 1, 2, 3])
-@pytest.mark.parametrize("shift", [-0.3, -1.2, -1.6, -1.75, -1.9, -2.4])
-def test_shifted_powers_on_both_sides_of_the_range_middle(shift, seed):
-    # zeros from below the range (0.5, 3) to near its top; -1.75 sits at
-    # its middle, where a share-of-points rule flipped with the seed
-    for n in ("2", "-1", "-4/3", "3", "0.5"):
-        eq = FinEquation(FreeD(parse(f"(u{shift:+})^({n})")), ConstantH(0))
-        r = classify(eq, seed)
-        want = (13, 5) if n == "-4/3" else (11, 4)
-        assert (r.case, len(r.basis)) == want, n
-    for q in ("2", "-2", "1", "0.5", "3"):
-        eq = FinEquation(FreeD(parse("u^2")),
-                         FreeH(parse(f"(x{shift:+})^({q})")))
-        r = classify(eq, seed)
-        assert (r.case, len(r.basis)) == (4, 2), q
+#: zeros from below the range (0.5, 3) to near its top: 27 evenly spaced,
+#: and 1.75, the middle, where a share-of-points rule flipped with the seed
+SHIFTED_ZEROS = [*np.round(np.linspace(0.3, 2.99, 27), 4), 1.75]
 
 
-def test_few_admissible_samples_are_drawn_again_on_their_side():
+@pytest.mark.parametrize("seed", [42, *range(1, 13)])
+def test_shifted_powers_on_both_sides_of_the_range_middle(seed):
+    for z in SHIFTED_ZEROS:
+        for n in ("2", "-1", "-4/3", "3", "0.5"):
+            eq = FinEquation(FreeD(parse(f"(u-{z})^({n})")), ConstantH(0))
+            r = classify(eq, seed)
+            want = (13, 5) if n == "-4/3" else (11, 4)
+            assert (r.case, len(r.basis)) == want, (z, n)
+        for q in ("2", "-2", "1", "0.5", "3"):
+            eq = FinEquation(FreeD(parse("u^2")),
+                             FreeH(parse(f"(x-{z})^({q})")))
+            r = classify(eq, seed)
+            assert (r.case, len(r.basis)) == (4, 2), (z, q)
+
+
+def test_inadmissible_samples_are_drawn_again_on_the_admissible_range():
     # (x-2.7)^0.5 and its slope are finite above 2.7 only: the fit draws 50
-    # more points from the same generator, above the highest sample below
+    # more points from the same generator, on the range validate keeps
+    h = parse("(x-2.7)^0.5")
+    admissible = FinEquation(FreeD(parse("u^2")), FreeH(h)).ranges["x"]
+    pair = compile_expressions(h, differentiate(h, "x"))
+    assert _admissible_range(pair, "x")[0] == admissible != (0.5, 3.0)
     rng = np.random.default_rng(42)
     first = rng.uniform(0.5, 3.0, 50)
-    assert 0 < np.count_nonzero(first > 2.7) < 8
-    again = rng.uniform(first[first < 2.7].max(), 3.0, 50)
+    again = rng.uniform(*admissible, 50)
     with np.errstate(all="ignore"):
-        xs, vals, scale, design, z = _ratio(parse("(x-2.7)^0.5"), "x", 42)
-    # the sample set keeps the points where the samples are finite
-    assert xs.tobytes() == again[again >= 2.7].tobytes()
-    assert design is not None and len(z) >= 8
-    # enough admissible points in the first draw: no second draw
-    xs, *_ = _ratio(parse("x-2.7"), "x", 42)
-    assert xs.tobytes() == first.tobytes()
+        xs, vals, scale, design, z = _ratio(h, "x", 42)
+    assert xs.tobytes() == again.tobytes()
+    assert design is not None and len(z) == 50
+    # every sample admissible, or an inadmissible one (a zero slope) on a
+    # coefficient finite throughout the range: no second draw
+    for text in ("x-2.7", "x/x"):
+        xs, *_ = _ratio(parse(text), "x", 42)
+        assert xs.tobytes() == first.tobytes()
+    # finite nowhere on [-4, 4]: no range to draw on
+    with np.errstate(all="ignore"):
+        xs, *_ = _ratio(parse("ln(x-5)"), "x", 42)
+    assert xs.size == 0
 
 
 #: the shapes that sampling 50 points gave each symbol-free h, which is
@@ -369,9 +385,9 @@ def test_a_d_with_a_constant_quotient_classifies():
 #: free-form coefficients that each fit guard refuses, by the guard: the
 #: arbitrary shape comes back, and no numpy warning
 FIT_GUARDS = {
-    # no sample is admissible, so none is drawn again
-    "too few finite ratios": (fit_d_shape, "ln(u-3.5)"),
-    # 1 to 7 samples are admissible: drawn again above 2.9, none fits
+    # finite nowhere on (-4, 4), so there is no range to draw again on
+    "too few finite ratios": (fit_d_shape, "ln(u-5)"),
+    # drawn again on the admissible range above 2.9, none fits
     "a redrawn fit matches no rung": (fit_d_shape, "ln(u-2.9)"),
     "ratio overflows": (fit_d_shape, "1e300+1e-9*u"),
     # D is finite for u > 0.691, where the candidate e^(-1000u) is below

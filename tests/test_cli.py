@@ -79,11 +79,27 @@ def test_a_generator_coefficient_past_the_float_range_is_refused(
         assert "overflows" in capsys.readouterr().err
 
 
-def test_an_h_finite_nowhere_on_the_range_is_a_usage_error(eq_file, capsys):
-    # h is NaN on all of x in (0.5, 3), so no fit could read its shape
-    doc = {"D": {"expr": "u^2"}, "h": {"expr": "(x-3.46)^1.55"}}
+def test_an_h_finite_nowhere_on_the_box_is_a_usage_error(eq_file, capsys):
+    # h is NaN on all of x in (-4, 4), so no fit could read its shape
+    doc = {"D": {"expr": "u^2"}, "h": {"expr": "(x-5)^0.5"}}
     assert main(["classify", "--eq", eq_file(doc)]) == 2
     assert "free h not evaluable" in capsys.readouterr().err
+
+
+def test_a_zero_past_the_range_is_classified_and_verified_there(
+        eq_file, capsys):
+    # (x-3.46)^1.55 is an x-translate of a case-4 profile, finite only
+    # above the default range; (u-2.97)^(-4/3) is finite above 2.97 only,
+    # and its projective generator is checked there with no range given
+    doc = {"D": {"expr": "u^2"}, "h": {"expr": "(x-3.46)^1.55"}}
+    assert main(["classify", "--eq", eq_file(doc), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["case"], len(out["basis"])) == (4, 2)
+    doc = {"D": {"expr": "(u-2.97)^(-4/3)"}, "h": {"expr": "0"}}
+    assert main(["verify-symmetry", "--eq", eq_file(doc),
+                 "--field", "0;x^2;-3*x*(u-2.97)", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["passed"] is True and out["max_residual"] <= 1e-9
 
 
 def test_missing_file_is_usage_error(capsys):

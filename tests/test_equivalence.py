@@ -15,8 +15,8 @@ from finsym.equivalence import (
 from finsym.classify import classify
 from finsym.expressions import equivalent, parse
 from finsym.model import (
-    ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, PowerU, PowerX,
-    ReciprocalShift, ShiftedPowerU, Solution, equations_equal,
+    ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, ModelError, PowerU,
+    PowerX, ReciprocalShift, ShiftedPowerU, Solution, equations_equal,
 )
 from finsym.numeric import pde_residual_grid
 from finsym.reductions import exact_solution
@@ -450,3 +450,38 @@ def test_a_failed_condition_names_the_required_coefficient():
     with pytest.raises(ConditionError,
                        match=re.escape("case8-out requires D = (u+1)^-1")):
         apply_to_equation(T8, FinEquation(PowerU(2), ConstantH(1)))
+
+
+#: the free-form templates of the equivariance fuzz
+FUZZ_D = ("u^2", "u^(-4/3)", "exp(u)", "2*u^0.5", "(u+1)^(-1)")
+FUZZ_H = ("0", "1", "x^2", "x^(-2)", "exp(x)", "x^0.5", "exp(-2/x)")
+
+
+def equivariance_failures(seed: int, draws: int) -> list:
+    """Seeded draws of a free-form equation from the templates, each mapped
+    by a Gsim element (d1, d3 and d5 of either sign, x-shift d4 in
+    (-4, 4)); the draws whose image is refused or gets another case or
+    basis size than the equation, both classified at ``seed``."""
+    rng = np.random.default_rng(seed)
+    failures = []
+    for _ in range(draws):
+        d, h = rng.choice(FUZZ_D), rng.choice(FUZZ_H)
+        d1, d3, d5 = rng.choice((-1.0, 1.0), 3) * np.exp(rng.uniform(-1, 1, 3))
+        deltas = (d1, rng.uniform(-1, 1), d3, rng.uniform(-4, 4), d5)
+        eq = FinEquation(FreeD(parse(d)), FreeH(parse(h)))
+        r = classify(eq, seed)
+        try:
+            image = apply_to_equation(make_group_element("Gsim", deltas), eq)
+            r_image = classify(image, seed)
+        except ModelError as exc:
+            failures.append((d, h, deltas, repr(exc)))
+            continue
+        if (r_image.case, len(r_image.basis)) != (r.case, len(r.basis)):
+            failures.append((d, h, deltas, r.case, r_image.case))
+    return failures
+
+
+def test_gsim_images_get_the_same_case_and_basis_size():
+    # the table is up to equivalence: a Gsim image is accepted, and it has
+    # the case and the algebra dimension of the equation it comes from
+    assert equivariance_failures(1, 400) == []

@@ -1,6 +1,5 @@
+import importlib
 import json
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -10,8 +9,7 @@ from finsym.classify import classify, fit_d_shape, fit_h_shape
 from finsym.conservation import AntiderivativeError, conservation_laws
 from finsym.equivalence import apply_to_equation, make_group_element
 from finsym.expressions import (
-    ExpressionError, compile_expressions, differentiate, parse,
-    sample_bindings, sample_finite,
+    ExpressionError, NoAdmissibleSampleError, differentiate, parse,
 )
 from finsym.model import (
     ConstantH, ExpU, ExpX, FinEquation, FreeD, FreeH, H1, InverseSquareX,
@@ -82,26 +80,33 @@ def test_construction_validates():
         FinEquation(PowerU(0), PowerU(2))
 
 
-def test_free_d_is_probed_once(monkeypatch):
-    probes = []
-    keep_finite = finsym.model._keep_finite
+def test_free_coefficients_are_scanned_once(monkeypatch):
+    scans = []
+    scan = finsym.model._admissible_range
 
-    def counting(*args, **kwargs):
-        probes.append(args)
-        return keep_finite(*args, **kwargs)
+    def counting(*args):
+        scans.append(args[1])
+        return scan(*args)
 
-    monkeypatch.setattr(finsym.model, "_keep_finite", counting)
+    monkeypatch.setattr(finsym.model, "_admissible_range", counting)
+    # the fits' own name for it
+    monkeypatch.setattr(importlib.import_module("finsym.classify"),
+                        "_admissible_range", counting)
     eq = FinEquation(FreeD(parse("u^2+1")), ConstantH(1))
-    assert len(probes) == 1
+    assert scans == ["u"]
     for vf in classify(eq).basis:
         prolonged_residual(eq, vf)
     with pytest.raises(AntiderivativeError):
         conservation_laws(eq)
-    assert len(probes) == 1
+    eq = FinEquation(PowerU(2), FreeH(parse("x^2+x")))
+    for vf in classify(eq).basis:
+        prolonged_residual(eq, vf)
+    assert scans == ["u", "x"]
 
 
 def test_a_free_d_is_differentiated_in_u_once(monkeypatch):
-    # validate's probe and the jet read one dD/du, kept by the equation
+    # validate's scans and the jet read one dD/du and one dh/dx, kept by
+    # the equation
     calls = []
     differentiate = finsym.model.differentiate
 
@@ -114,159 +119,92 @@ def test_a_free_d_is_differentiated_in_u_once(monkeypatch):
     eq = FinEquation(FreeD(d), FreeH(h))
     jet = eq.jet
     validate(eq)
-    assert [repr(e) for e, _ in calls] == [repr(d), repr(jet.d_u), repr(h)]
-    assert [var for _, var in calls] == ["u", "u", "x"]
-    assert jet.d_u is eq.d_u
+    assert [repr(e) for e, _ in calls] == [repr(d), repr(h), repr(jet.d_u)]
+    assert [var for _, var in calls] == ["u", "x", "u"]
+    assert jet.d_u is eq.d_u and jet.h_x is eq.h_x
     assert repr(jet.d_u) == repr(differentiate(d, "u"))
 
 
-def test_free_d_probe_draws_rounds_until_it_finds_points():
-    # finite only for u > 2.9, 4% of the u range: the first round of 20
-    # points at seed 0 has none, so the probe draws more
-    d = parse("(u-2.9)^0.5")
-    assert FinEquation(FreeD(d), ConstantH(1)).D == FreeD(d)
-    # finite nowhere on the range: ten rounds, then a refusal
-    with pytest.raises(SpecKindError, match="not evaluable"):
-        FinEquation(FreeD(parse("ln(-u)")), ConstantH(1))
+def _trimmed(a, b):
+    """The cells of a run of grid points from a to b, trimmed by a sixth at
+    each end."""
+    a, b = a - 0.0125, b + 0.0125
+    return pytest.approx((a + (b - a) / 6, b - (b - a) / 6), abs=1e-12)
 
 
-def _nowhere_finite(seen):
-    """A probed function that is finite nowhere and records its bindings
-    in ``seen``."""
-    def fn(bindings):
-        seen.append(bindings)
-        return np.full(20, np.nan), np.full(20, np.nan)
-
-    return fn
-
-
-def _rounds_read(var):
-    """The bindings of the ten rounds validate's probe reads for ``var``."""
-    seen = []
-    kept, _ = finsym.model._probe(_nowhere_finite(seen), var)
-    assert kept.size == 0
-    return seen
-
-
-@pytest.mark.parametrize("var", ["u", "x"])
-def test_the_probe_rounds_are_what_seed_0_draws(var):
-    rng = np.random.default_rng(0)
-    rounds = _rounds_read(var)
-    assert len(rounds) == 10
-    for bindings in rounds:
-        (want,) = sample_bindings((var,), rng, 20).values()
-        assert list(bindings) == [var]
-        assert ([float.hex(v) for v in bindings[var]]
-                == [float.hex(v) for v in want])
-        assert not bindings[var].flags.writeable
-
-
-def test_the_x_probe_rounds_come_from_the_x_range(monkeypatch):
-    # the rounds are drawn per variable, each from its own sampling range
-    monkeypatch.setitem(finsym.expressions.DEFAULT_SAMPLING_RANGES, "x",
-                        (1.0, 2.0))
-    finsym.model._probe_rounds.cache_clear()
-    try:
-        drawn = []
-        sample_finite(_nowhere_finite(drawn), ("x",), 0, 20)
-        assert ([b["x"].tobytes() for b in _rounds_read("x")]
-                == [b["x"].tobytes() for b in drawn])
-        assert all(1.0 <= v < 2.0 for b in drawn for v in b["x"])
-    finally:
-        finsym.model._probe_rounds.cache_clear()
-
-
-def test_threads_drawing_the_probe_rounds_keep_their_order():
-    # fresh rounds, drawn at once by more threads than cores with frequent
-    # switches, many times over
-    rng = np.random.default_rng(0)
-    want = [sample_bindings(("u",), rng, 20)["u"].tobytes() for _ in range(10)]
-    seen, errors = [], []
-
-    def probe(start):
-        try:
-            start.wait(timeout=60)
-            rounds = _rounds_read("u")
-            seen.append([bindings["u"].tobytes() for bindings in rounds])
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(30):
-            finsym.model._probe_rounds.cache_clear()
-            seen.clear()
-            start = threading.Barrier(8)
-            threads = [threading.Thread(target=probe, args=(start,))
-                       for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert errors == []
-            assert seen == [want] * 8
-    finally:
-        sys.setswitchinterval(interval)
-        finsym.model._probe_rounds.cache_clear()
-
-
-#: free D and h specs whose probe decides near its edges: finite only near
-#: one end of the range, nearly linear, finite nowhere
-PROBE_ROWS = [
-    ("(u-1.75)^0.5", "x"), ("(u-2.9)^0.5", "x"), ("(u-2.99)^0.5", "x"),
-    ("(0.52-u)^0.5", "x"),
-    ("ln(u-2.97)", "x"), ("(u-3.5)^0.5", "x"), ("ln(-u)", "x"),
-    ("1+1e-12*u", "x"), ("1+1e-11*u", "x"), ("2+1e-13*u^2", "x"),
-    ("u^2", "(x-2.95)^0.5"), ("u^2", "(0.51-x)^0.5"), ("u^2", "ln(x-2.99)"),
-    ("u^2", "(x-3.5)^0.5"), ("u^2", "(x-3.46)^1.55"),
-    ("u^(-4/3)", "(x-3.46)^1.55"), ("ln(-u)", "(x-3.5)^0.5"),
+#: free D (with h = x) and free h (with D = u^2) rows and validate's
+#: verdict on each: the range it keeps, or the exception and its message;
+#: each run is written as the grid points at its ends
+SCAN_ROWS = [
+    ("u", "u^2+1", (0.5, 3.0)),
+    ("u", "1+1e-11*u", (0.5, 3.0)),
+    ("u", "(u-1.76)^0.5", _trimmed(1.775, 4.0)),
+    ("u", "(u-2.99)^0.5", _trimmed(3.0, 4.0)),
+    ("u", "(0.52-u)^0.5", _trimmed(-4.0, 0.5)),
+    ("u", "ln(-u)", _trimmed(-4.0, -0.025)),
+    ("u", "ln(-u-5)", (SpecKindError,
+                       "free D not evaluable on the sampling range")),
+    ("u", "1+1e-12*u", (LinearCaseError,
+                        "linear case excluded: D does not depend on u")),
+    ("u", "2+1e-13*u^2", (LinearCaseError,
+                          "linear case excluded: D does not depend on u")),
+    ("x", "x^2+x", (0.5, 3.0)),
+    ("x", "(x-2.96)^0.5", _trimmed(2.975, 4.0)),
+    ("x", "(x-3.46)^1.55", _trimmed(3.475, 4.0)),
+    ("x", "(x-3.97)^0.5", _trimmed(3.975, 4.0)),
+    # finite at the one grid point 4: its cell, trimmed
+    ("x", "(x-3.99)^0.5", _trimmed(4.0, 4.0)),
+    ("x", "ln(1-x^2)", _trimmed(-0.975, 0.975)),
+    # two runs of 80 points: the first is kept
+    ("x", "ln(x^2-4.1)", _trimmed(-4.0, -2.025)),
+    ("x", "(x-5)^0.5", (SpecKindError,
+                        "free h not evaluable on the sampling range")),
 ]
 
 
-def _sample_finite_probes(d, h):
-    """validate's probes of a free D and a free h over ``sample_finite``
-    at seed 0, with validate's exceptions and messages."""
-    dv, v = sample_finite(compile_expressions(differentiate(d, "u"), d),
-                          ("u",), 0, 20)
-    if dv.size == 0:
-        raise SpecKindError("free D not evaluable on the sampling range")
-    if float(abs(dv).max()) <= 1e-12 * (1.0 + float(abs(v).max())):
-        raise LinearCaseError("linear case excluded: D does not depend on u")
-    if sample_finite(compile_expressions(h, h), ("x",), 0, 20)[0].size == 0:
-        raise SpecKindError("free h not evaluable on the sampling range")
+@pytest.mark.parametrize("var,text,want", SCAN_ROWS)
+def test_validate_keeps_the_scanned_range_or_refuses(var, text, want):
+    d, h = ("u^2", text) if var == "x" else (text, "x")
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        with pytest.raises(want[0]) as info:
+            FinEquation(FreeD(parse(d)), FreeH(parse(h)))
+        assert str(info.value) == want[1]
+        return
+    eq = FinEquation(FreeD(parse(d)), FreeH(parse(h)))
+    assert eq.ranges[var] == want
+    assert eq.ranges[{"u": "x", "x": "u"}[var]] == (0.5, 3.0)
 
 
-def _verdict(build):
-    try:
-        build()
-    except ModelError as exc:
-        return type(exc), str(exc)
-    return None
+def test_the_scan_reads_fixed_grids_and_draws_nothing(monkeypatch):
+    seen = []
+
+    def nowhere_finite(bindings):
+        (points,) = bindings.values()
+        seen.append(points)
+        return np.full(points.size, np.nan), np.zeros(points.size)
+
+    assert finsym.model._admissible_range(nowhere_finite, "x") == (
+        None, None, None)
+    # one grid, [-4, 4] in steps of 0.025, read by every scan
+    assert [(p.size, p[0], p[-1]) for p in seen] == [(321, -4.0, 4.0)]
+    assert np.diff(seen[0]) == pytest.approx(0.025, abs=1e-12)
+    finsym.model._admissible_range(nowhere_finite, "u")
+    assert seen[1] is seen[0]
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the scan drew random points")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    eq = FinEquation(FreeD(parse("(u-2.97)^(-4/3)")),
+                     FreeH(parse("(x-3.46)^1.55")))
+    assert set(eq.ranges) == {"u", "x"}
 
 
-@pytest.mark.parametrize("d,h", PROBE_ROWS)
-def test_validate_decides_as_sample_finite_does(d, h):
-    d, h = parse(d), parse(h)
-    want = _verdict(lambda: _sample_finite_probes(d, h))
-    assert _verdict(lambda: FinEquation(FreeD(d), FreeH(h))) == want
-    # both probes see the same points: the kept arrays are bit-identical
-    for expr, var in ((d, "u"), (h, "x")):
-        fn = compile_expressions(differentiate(expr, var), expr)
-        got = finsym.model._probe(fn, var)
-        ref = sample_finite(fn, (var,), 0, 20)
-        for a, b in zip(got, ref):
-            assert [float.hex(v) for v in a] == [float.hex(v) for v in b]
-
-
-def test_the_probe_rows_reach_every_verdict():
-    verdicts = {_verdict(lambda: FinEquation(FreeD(parse(d)), FreeH(parse(h))))
-                for d, h in PROBE_ROWS}
-    assert {v and v[1] for v in verdicts} == {
-        None, "free D not evaluable on the sampling range",
-        "linear case excluded: D does not depend on u",
-        "free h not evaluable on the sampling range"}
+def test_only_free_coefficients_holding_their_variable_get_a_range():
+    assert FinEquation(PowerU(2), PowerX(2, 1)).ranges == {}
+    assert FinEquation(PowerU(2), FreeH(parse("2"))).ranges == {}
+    assert FinEquation(FreeD(parse("u^2")), ConstantH(0)).ranges == {
+        "u": (0.5, 3.0)}
 
 
 def test_validate_checks_free_symbols():
@@ -439,6 +377,17 @@ TAGGED_SPECS = [
 def test_family_shape_matches_the_fit_of_its_expression(spec):
     fit = fit_d_shape if spec.var == "u" else fit_h_shape
     assert shapes_match(spec.shape(), fit(spec.expression()), 1e-9)
+
+
+def test_equations_equal_samples_the_equations_ranges():
+    # h is finite only above 3.46, outside the default x range (0.5, 3)
+    eq = FinEquation(FreeD(parse("u^2")), FreeH(parse("(x-3.46)^1.55")))
+    assert equations_equal(eq, eq)
+    near = eq._replace(h=FreeH(parse("(x-3.46)^1.55*(1+1e-6*x)")))
+    assert not equations_equal(eq, near)
+    # a range given wins
+    with pytest.raises(NoAdmissibleSampleError):
+        equations_equal(eq, eq, ranges={"x": (0.5, 3.0)})
 
 
 def test_equations_equal_across_representations():

@@ -131,6 +131,18 @@ def test_jet_test_is_the_relative_kernel_on_jet_ranges(monkeypatch):
     assert value == max_relative(residual.terms, 3, 40, ranges)[0] > 0.1
 
 
+def test_the_jet_test_samples_the_equations_ranges():
+    # D = (u-2.97)^(-4/3) is finite above 2.97 only: its projective
+    # generator is checked on the range validate keeps, unless one is given
+    eq = FinEquation(FreeD(parse("(u-2.97)^(-4/3)")), ConstantH(0))
+    field = VectorField.parse_triple("0;x^2;-3*x*(u-2.97)")
+    assert eq.ranges["u"][0] > 3.0
+    assert symmetry_residual(eq, field) <= 1e-12
+    with pytest.raises(SymmetryError, match="jet sampling found only"):
+        symmetry_residual(eq, field, ranges={"u": (0.5, 3.0)})
+    assert symmetry_residual(eq, field, ranges={"u": (3.1, 3.2)}) <= 1e-12
+
+
 def test_x_translation_is_not_conditional_here():
     res = conditional_residual(NONCLASSICAL_EQ, D_X)
     assert res.max_relative() > 1e-3

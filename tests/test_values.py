@@ -183,7 +183,7 @@ def test_a_replaced_equation_is_validated_and_keeps_nothing():
     assert eq.jet.d_u is eq.d_u
     replaced = eq._replace(h=ConstantH(3))
     assert replaced == FinEquation(PowerU(2), ConstantH(3))
-    assert vars(replaced).keys() == {"D", "h"}
+    assert vars(replaced) == {"D": PowerU(2), "h": ConstantH(3), "ranges": {}}
     assert eq._replace() == eq and eq._replace() is not eq
     with pytest.raises(SpecKindError):
         eq._replace(D=ConstantH(1))
