@@ -23,16 +23,17 @@ and -0.0 at the right, so one stencil gives the rate at every node, a
 no-flux end included, and one update u + dt * rate, which writes a
 Dirichlet solve's ends, serves the explicit step and each implicit
 sweep.  The Dirichlet boundary values get one tape.  An explicit step
-writes every stencil, update and check into arrays allocated once per
-solve, through ufuncs bound once per solve with the output passed by
-position: the state lives in two buffers that swap roles, so a step
-allocates only what the interface core returns.  A step writes its |D|
-and its |u| into one row each of two check arrays; the explicit march
-reduces them once per block of ``_CHECK_BLOCK`` steps (fewer where m is
-large, so each array holds at most ``_CHECK_FLOATS`` floats or one row)
-and scans a block that fails step by step, so the first failing step
+writes every stencil and update into arrays allocated once per solve,
+through ufuncs bound once per solve with the output passed by position
+and dx and dt passed as arrays, so a step allocates only what the
+interface core returns.  The states of a block of ``_CHECK_BLOCK`` steps
+(fewer where m is large, so the block writes at most ``_CHECK_FLOATS``
+floats or one row) are the rows of one array, each step writing the row
+after its own; the march keeps the D values the core returns for the
+block and reduces them, and |u| over the rows written, once per block.
+A block that fails is scanned step by step, so the first failing step
 raises what a check after every step would.  An implicit sweep checks
-its own row at once.
+its D at once.
 One whole RK4 step of a reduced equation is one tape, compiled once per
 residual and kept for later integrations of the same residual; a shoot
 looks it up once and marches every probe with it.
@@ -203,10 +204,10 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     before it.  The steps marched past it are dropped.  An implicit
     sweep checks its D at once.
     The interface tape is kept per D (the ``repr`` of its tree), so
-    solves of one D on any grid share one compile.  The state lives in
-    two buffers that swap roles each step, and each step writes its
-    stencil, update and checks into work arrays allocated once per solve;
-    the levels stored are copies, never a buffer.
+    solves of one D on any grid share one compile.  The states of a block
+    are the rows of one array, and each step writes its stencil and update
+    into work arrays allocated once per solve; the levels stored are
+    copies, never a row.
     """
     if method not in ("explicit", "implicit"):
         raise NumericError(f"unknown method {method!r}")
@@ -247,7 +248,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
         bounds = _boundary_values(boundary, n_steps, dt, grid.t_final)
 
     # the work arrays and their views, made once: each step writes every
-    # stencil, update and check into them, passing out by position
+    # stencil and update into them, passing out by position
     m = grid.m
     # the interface flux D u_x between two walls: f - (+0.0) is f and
     # (-0.0) - f is -f, to the bit, so one stencil gives the no-flux ends
@@ -257,37 +258,39 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     flux_in, flux_l, flux_r = flux[1:-1], flux[:-1], flux[1:]
     du = np.empty(m)  # the rate, then dt times it
     source = np.empty(m)  # h u
-    # the state's two buffers, with their (v, u_l, u_r) views
-    state = np.empty((2, m))
-    state[0] = u
-    now, after = ((v, v[:-1], v[1:]) for v in state)
-    absolute, add, divide, multiply, subtract = (
-        np.absolute, np.add, np.divide, np.multiply, np.subtract)
+    # dx and dt as operands: a ufunc takes an array in fewer cycles than a
+    # Python float, and the quotient and the product are the same bits
+    dx_nodes, dt_nodes = np.full(m, dx), np.full(m, dt)
+    dx_in = dx_nodes[1:]
+    add, divide, multiply, subtract = (
+        np.add, np.divide, np.multiply, np.subtract)
     largest = np.maximum.reduce
-    # a step writes its |D| and its |u_next| into one row each; an
-    # explicit march reduces the rows once per block of steps, an implicit
-    # one once per step
+    # a block's states are the rows of one array: row 0 holds the state at
+    # the block's start, and step j writes row j from row j - 1 through
+    # that row's (v, u_l, u_r) views.  An explicit block writes at most
+    # _CHECK_FLOATS floats, or one row where m is larger; an implicit
+    # block is one step
     explicit = method == "explicit"
     rows = max(1, min(_CHECK_BLOCK, _CHECK_FLOATS // m)) if explicit else 1
-    d_rows, u_rows = np.empty((rows, m - 1)), np.empty((rows, m))
-    row_pairs = list(zip(d_rows, u_rows))
+    block = np.empty((rows + 1, m))
+    block[0] = u
+    moves = list(zip(((v, v[:-1], v[1:]) for v in block), block[1:]))
     t_final = grid.t_final
 
-    def update(out, v, v_l, v_r, d_row) -> np.ndarray:
-        """out = u + dt * rate(v), with a Dirichlet solve's ends; |D| at
-        the interfaces goes into d_row, for the caller to check."""
+    def update(out, v, v_l, v_r):
+        """out = u + dt * rate(v), with a Dirichlet solve's ends; returns D
+        at the interfaces, for the caller to check."""
         d_half, flux_dx = interfaces(v_l, v_r)
-        absolute(d_half, d_row)
-        divide(flux_dx, dx, flux_in)
+        divide(flux_dx, dx_in, flux_in)
         subtract(flux_r, flux_l, du)
-        divide(du, dx, du)
+        divide(du, dx_nodes, du)
         multiply(h_nodes, v, source)
         add(du, source, du)
-        multiply(dt, du, du)
+        multiply(dt_nodes, du, du)
         add(u, du, out)
         if dirichlet:
             out[0], out[-1] = left, right
-        return out
+        return d_half
 
     def time_at(step: int) -> float:
         return step * dt if step < n_steps else t_final
@@ -308,18 +311,20 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     with np.errstate(all="ignore"):
         for start in range(1, n_steps + 1, rows):
             stop = min(start + rows, n_steps + 1)
-            for step, (d_row, u_row) in zip(range(start, stop), row_pairs):
+            d_halves = []  # the D the interface core returned, step by step
+            for step, (now, u_next) in zip(range(start, stop), moves):
                 if dirichlet:
                     left, right = next(bounds)
-                u, u_next = now[0], after[0]
+                u = now[0]
                 if explicit:
-                    update(u_next, *now, d_row)
+                    d_halves.append(update(u_next, *now))
                 else:
                     iterate = u.copy()
                     for _ in range(200):  # a damped fixed point
-                        candidate = update(np.empty(m), iterate, iterate[:-1],
-                                           iterate[1:], d_row)
-                        check_d(largest(d_row), step)
+                        candidate = np.empty(m)
+                        d_half = update(candidate, iterate, iterate[:-1],
+                                        iterate[1:])
+                        check_d(largest(np.abs(d_half)), step)
                         new = 0.5 * iterate + 0.5 * candidate
                         delta = float(largest(np.abs(new - iterate)))
                         iterate = new
@@ -333,18 +338,19 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                     u_next[:] = iterate
                     if dirichlet:
                         u_next[0], u_next[-1] = left, right
-                absolute(u_next, u_row)
-                now, after = after, now
+                    d_halves.append(d_half)  # checked, so it passes again
                 if step % store_every == 0 or step == n_steps:
                     times.append(time_at(step))
                     levels.append(u_next.copy())
 
-            # the block's checks in one reduction each; when one fails, the
-            # first failing step raises, D ahead of the blow-up test, and
-            # the steps marched past it are dropped
-            max_d = largest(d_rows[:stop - start], 1)
-            size = largest(u_rows[:stop - start], 1)
+            # the block's checks in one reduction each, over the rows it
+            # wrote; when one fails, the first failing step raises, D ahead
+            # of the blow-up test, and the steps marched past it are dropped
+            done = stop - start
+            max_d = largest(np.abs(d_halves), 1)
+            size = largest(np.abs(block[1:done + 1]), 1)
             if largest(max_d) <= d_bound and largest(size) <= BLOWUP_THRESHOLD:
+                block[0] = block[done]
                 continue
             for step, max_d_step, size_step in zip(range(start, stop), max_d,
                                                    size):

@@ -268,14 +268,20 @@ def _reference_explicit(eq, initial, boundary, grid):
     # 10 (B/4 + 1) steps: two whole check blocks and a partial one
     (EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4,
      Grid(1.0, 2.0, 41, 10 * (B // 4 + 1) * 1e-4, 1e-4)),
+    # past _CHECK_FLOATS / 2 nodes a block holds one step
+    (EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4, Grid(1.0, 2.0, 2049, 3e-6, 1e-7)),
+    # on 161 nodes a block holds 25 steps: 60 steps end in a partial block
+    (EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4, Grid(1.0, 2.0, 161, 6e-4, 1e-5)),
 ], ids=["dirichlet", "noflux", "moving", "noflux-right-wall",
-        "noflux-left-wall", "partial-check-block"])
+        "noflux-left-wall", "partial-check-block", "one-step-blocks",
+        "partial-block-of-25"])
 def test_explicit_steps_are_bit_identical_to_array_operations(
         eq, initial, boundary, grid):
     # every stored level, so a work buffer that aliases a stored level or
     # the live state shows in the levels after it; no row ends in a whole
-    # check block
-    assert round(grid.t_final / grid.dt) % B != 0
+    # check block, but where a block is one step
+    rows = max(1, min(B, _CHECK_FLOATS // grid.m))
+    assert round(grid.t_final / grid.dt) % rows != 0 or rows == 1
     field = solve_pde(eq, initial, boundary, grid)
     times, levels, failure = _reference_explicit(eq, initial, boundary, grid)
     assert failure is None and len(times) == 11
@@ -371,6 +377,26 @@ def test_check_rows_on_a_large_grid_stay_within_their_budget(monkeypatch):
             tracemalloc.stop()
         assert field.values.shape == (3, m)  # 2 steps, both stored
     assert peaks[B] <= peaks[1] + 2 * 8 * _CHECK_FLOATS, peaks
+
+
+def test_the_march_holds_one_block_at_a_time():
+    # the states of a block and the D its steps computed are dropped when
+    # the next block starts: ten times the steps peak at the same memory
+    import tracemalloc
+
+    eq, initial = FinEquation(PowerU(2), ConstantH(-0.7)), parse("1+0.3*x")
+    solve_pde(eq, initial, NoFluxBC(), Grid(0.0, 1.0, 41, 2e-4, 1e-4))
+    peaks = {}
+    for steps in (200, 2000):
+        tracemalloc.start()
+        try:
+            field = solve_pde(eq, initial, NoFluxBC(),
+                              Grid(0.0, 1.0, 41, steps * 1e-4, 1e-4))
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(field.times) == 11
+    assert peaks[2000] < peaks[200] + 2 * 8 * _CHECK_FLOATS, peaks
 
 
 def test_a_d_gets_one_interface_tape(monkeypatch):
