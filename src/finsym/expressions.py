@@ -651,6 +651,11 @@ def _straight_line(steps: list, constants: list, registers: list,
     name ever enter the source.  It returns the list of the output
     registers, as the interpreted steps of ``run`` compute them.
 
+    The array form binds a constant that a step applies to a parameter's
+    value, or to a register computed from one, as a 0-d array.  A step
+    on constants alone, and a constant output, get the ``np.float64``, so
+    they compute and return what ``run`` does.
+
     The ``floats`` form runs on Python floats: constants are bound as
     floats, ``**`` is ``math.pow``, ``abs`` is ``math.fabs`` and each other
     ufunc result passes through ``float()``.  ``math.pow`` calls libm's
@@ -664,31 +669,41 @@ def _straight_line(steps: list, constants: list, registers: list,
 
     namespace: dict = {"__builtins__": {}}
 
-    def name(r: int) -> str:
+    def name(r: int, zero_d: bool = False) -> str:
         if r in params:
             return f"a{params[r]}"
-        if constants[r] is not None:
-            value = constants[r]
-            namespace[f"c{r}"] = float(value) if floats else value
-            return f"c{r}"
-        return f"r{r}"
+        value = constants[r]
+        if value is None:
+            return f"r{r}"
+        if zero_d:
+            namespace[f"z{r}"] = np.array(value)
+            return f"z{r}"
+        namespace[f"c{r}"] = float(value) if floats else value
+        return f"c{r}"
 
     source = _SOURCE
     if floats:
         namespace.update(float=float, fabs=math.fabs, pow=math.pow)
         source = {**_SOURCE, operator.pow: "pow({}, {})"}
     ufuncs: dict = {}  # ufunc -> the name of its global
+    # the registers of constants and of steps on constants alone
+    folded = {r for r, value in enumerate(constants) if value is not None}
     lines = [f"def core({', '.join(f'a{i}' for i in range(arity))}):"]
     for out, op, a, b in steps:
+        operands = (a,) if b is None else (a, b)
+        on_constants = folded.issuperset(operands)
+        if on_constants:
+            folded.add(out)
+        names = [name(r, not (floats or on_constants)) for r in operands]
         form = source.get(op)
         if form is not None:
-            value = form.format(*map(name, (a,) if b is None else (a, b)))
+            value = form.format(*names)
         elif floats and op is np.absolute:
-            value = f"fabs({name(a)})"
+            value = f"fabs({names[0]})"
         else:
             fn = ufuncs.setdefault(op, f"f{len(ufuncs)}")
             namespace[fn] = op
-            value = f"{fn}({name(a)})"
+            value = f"{fn}({names[0]})"
             if floats:
                 value = f"float({value})"
         lines.append(f"    r{out} = {value}")
@@ -728,15 +743,21 @@ def compile_expressions(*exprs: Expression):
     ignored.  ``core(*values)`` takes one value per name of ``order``, in
     that order, and its contract is narrower:
 
-    - the values are float64 arrays of one shape or ``np.float64``
-      scalars;
+    - the values are float64 arrays of one shape;
     - the caller holds ``np.errstate(all="ignore")``, as ``run`` does;
     - it returns a list of the output registers as computed: a constant
-      is not broadcast, and an output may be a bound array, another
-      output or the same object on every call, so it must not be written.
+      is an ``np.float64``, not broadcast, and an output may be a bound
+      array, another output or the same object on every call, so it must
+      not be written.
 
     The core and ``run`` apply the same operations to the same registers
-    in the same order, so the two give the same bits.
+    in the same order, so the two give the same bits.  The core takes a
+    constant that a step applies to an array as a 0-d array, which a
+    ufunc takes in fewer cycles than an ``np.float64`` scalar, with the
+    same bits on float64 arrays; a step on constants alone keeps the
+    ``np.float64`` values ``run`` gives it.  On ``np.float64`` scalars a
+    ``**`` with a 0-d operand can differ from numpy's scalar power in the
+    last bit, so scalars go through ``run`` or the scalar form.
 
     ``run.bind(order, floats=True)`` gives the scalar form, kept apart
     from the array core of the same order: Python floats in, Python
@@ -745,11 +766,11 @@ def compile_expressions(*exprs: Expression):
     ``ZeroDivisionError``, a negative base to a fraction ``ValueError``,
     an overflowing ``**`` ``OverflowError``); after any
     ``ArithmeticError`` or ``ValueError`` the caller computes that call
-    again with the ``np.float64`` core, which is then the only one to give
-    numpy's values.  A call that returns gives the ``np.float64`` core's
-    bits, but for the sign of a NaN: numpy's scalar ``nan + -nan`` is
-    ``-nan`` where Python's is ``nan``.  The caller still holds the
-    errstate, for the ufuncs.
+    again with ``run``, on the same values as ``np.float64``, which is
+    then the only one to give numpy's values.  A call that returns gives
+    ``run``'s bits, but for the sign of a NaN: numpy's scalar
+    ``nan + -nan`` is ``-nan`` where Python's is ``nan``.  The caller
+    still holds the errstate, for the ufuncs.
     """
     import numpy as np
 

@@ -20,20 +20,23 @@ the interfaces together with D (u_r - u_l) across each; the step divides
 that by dx for the flux D u_x, and each explicit step is checked
 against those D.  The flux lies between two walls, +0.0 at the left
 and -0.0 at the right, so one stencil gives the rate at every node, a
-no-flux end included, and one update u + dt * rate, which writes a
-Dirichlet solve's ends, serves the explicit step and each implicit
-sweep.  The Dirichlet boundary values get one tape.  An explicit step
-writes every stencil and update into arrays allocated once per solve,
-through ufuncs bound once per solve with the output passed by position
-and dx and dt passed as arrays, so a step allocates only what the
-interface core returns.  The states of a block of ``_CHECK_BLOCK`` steps
-(fewer where m is large, so the block writes at most ``_CHECK_FLOATS``
-floats or one row) are the rows of one array, each step writing the row
-after its own; the march keeps the D values the core returns for the
-block and reduces them, and |u| over the rows written, once per block.
-A block that fails is scanned step by step, so the first failing step
-raises what a check after every step would.  An implicit sweep checks
-its D at once.
+no-flux end included, and one update u + dt * rate serves the explicit
+step and each implicit sweep; on a Dirichlet solve it writes the
+interior nodes only.  The Dirichlet boundary values get one tape, called
+once per ``_BOUNDARY_BLOCK`` steps.  An explicit step writes every
+stencil and update into arrays allocated once per solve, through ufuncs
+bound once per solve with the output passed by position and dx and dt
+passed as arrays, so a step allocates only what the interface core
+returns.  The states of a block of ``_CHECK_BLOCK`` steps (fewer where m
+is large, so the block writes at most ``_CHECK_FLOATS`` = 2^14 floats,
+or one row: 64 steps up to 256 nodes) are the rows of one array, each
+step writing the row after its own.  A Dirichlet solve writes the
+block's boundary values into the two end columns of its rows before its
+steps.  The march keeps the D values the core returns for the block and
+reduces them, and |u| over the rows written, once per block.  A block
+that fails is scanned step by step, so the first failing step raises
+what a check after every step would.  An implicit sweep checks its D at
+once, and writes its row's ends after it copies its iterate there.
 One whole RK4 step of a reduced equation is one tape, compiled once per
 residual and kept for later integrations of the same residual; a shoot
 looks it up once and marches every probe with it.
@@ -42,11 +45,12 @@ The two loops call their tape's positional core, not the checked
 ``tape(bindings)``: each holds one ``np.errstate(all="ignore")`` around
 the whole loop, so each call skips the tape's per-call set-up and the
 bits are the same.  The FD loop binds the (u_l, u_r) views of its
-float64 state (``tape.bind(order)``).  The RK4 march runs each step on
-Python floats (``tape.bind(order, floats=True)``) and so pays none of
-numpy's cost per scalar operation; a step where the float form raises
-(numpy would give inf or NaN there) runs again on ``np.float64`` scalars
-through the array core, generated at the first such step only.
+float64 state (``tape.bind(order)``), a core that takes the tape's
+constants as 0-d arrays.  The RK4 march runs each step on Python floats
+(``tape.bind(order, floats=True)``) and so pays none of numpy's cost per
+scalar operation; a step where the float form raises (numpy would give
+inf or NaN there) runs again through the tape itself, ``tape(bindings)``,
+on ``np.float64`` values.
 ``bind`` generates each core as straight-line code once per order and
 keeps it on the tape, where ``tape(bindings)`` interprets the steps:
 the RK4 tape, kept per residual, generates its core once for all the
@@ -87,7 +91,7 @@ BLOWUP_THRESHOLD = 1e12
 _EULER_LIMIT = 0.5
 _BOUNDARY_BLOCK = 1 << 16  # steps per boundary tape call: bounded memory
 _CHECK_BLOCK = 64  # explicit steps per reduction of the step checks
-_CHECK_FLOATS = 1 << 12  # fewer steps a check block on a larger grid
+_CHECK_FLOATS = 1 << 14  # fewer steps a check block on a larger grid
 
 
 class StabilityError(NumericError):
@@ -159,13 +163,23 @@ class Field(_record("Field", "x times values")):
 
 
 def _boundary_values(boundary: DirichletBC, n_steps: int, dt: float,
-                     t_final: float):
-    """(left, right) at each step time, one tape call per block of steps."""
+                     t_final: float, rows: int):
+    """(left, right) at the step times of each block of ``rows`` steps, as
+    two arrays, from one tape call per ``_BOUNDARY_BLOCK`` steps."""
     values_at = compile_expressions(boundary.left, boundary.right)
+    left = right = np.empty(0)  # the values of steps not yet yielded
     for start in range(1, n_steps + 1, _BOUNDARY_BLOCK):
-        k = np.arange(start, min(start + _BOUNDARY_BLOCK, n_steps + 1))
+        stop = min(start + _BOUNDARY_BLOCK, n_steps + 1)
+        k = np.arange(start, stop)
         t = np.where(k < n_steps, k * dt, t_final)  # the last at t_final
-        yield from zip(*values_at({"t": t}))
+        more_left, more_right = values_at({"t": t})
+        left = np.concatenate((left, more_left))
+        right = np.concatenate((right, more_right))
+        # whole blocks, and at the end the last block, whole or not
+        done = len(left) if stop > n_steps else len(left) // rows * rows
+        for i in range(0, done, rows):
+            yield left[i:i + rows], right[i:i + rows]
+        left, right = left[done:], right[done:]
 
 
 @functools.lru_cache(maxsize=64)
@@ -205,9 +219,11 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     sweep checks its D at once.
     The interface tape is kept per D (the ``repr`` of its tree), so
     solves of one D on any grid share one compile.  The states of a block
-    are the rows of one array, and each step writes its stencil and update
-    into work arrays allocated once per solve; the levels stored are
-    copies, never a row.
+    are the rows of one array, at most ``_CHECK_FLOATS`` = 2^14 floats or
+    one row, and each step writes its stencil and update into work arrays
+    allocated once per solve; a Dirichlet solve writes a block's ends into
+    its rows once, before its steps, and each step writes the interior.
+    The levels stored are copies, never a row.
     """
     if method not in ("explicit", "implicit"):
         raise NumericError(f"unknown method {method!r}")
@@ -244,15 +260,13 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     store_every = max(1, n_steps // 10)  # about 11 levels, t = 0 included
     times = [0.0]
     levels = [u.copy()]
-    if dirichlet:
-        bounds = _boundary_values(boundary, n_steps, dt, grid.t_final)
 
     # the work arrays and their views, made once: each step writes every
     # stencil and update into them, passing out by position
     m = grid.m
     # the interface flux D u_x between two walls: f - (+0.0) is f and
     # (-0.0) - f is -f, to the bit, so one stencil gives the no-flux ends
-    # f/dx + h u and -f/dx + h u; a Dirichlet step overwrites its ends
+    # f/dx + h u and -f/dx + h u; a Dirichlet update writes the interior
     flux = np.zeros(m + 1)
     flux[-1] = -0.0
     flux_in, flux_l, flux_r = flux[1:-1], flux[:-1], flux[1:]
@@ -262,6 +276,10 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     # Python float, and the quotient and the product are the same bits
     dx_nodes, dt_nodes = np.full(m, dx), np.full(m, dt)
     dx_in = dx_nodes[1:]
+    # the nodes an update writes: a Dirichlet solve's ends are the
+    # boundary values, written into a block's rows before its steps
+    written = slice(1, -1) if dirichlet else slice(None)
+    du_written = du[written]
     add, divide, multiply, subtract = (
         np.add, np.divide, np.multiply, np.subtract)
     largest = np.maximum.reduce
@@ -274,12 +292,18 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     rows = max(1, min(_CHECK_BLOCK, _CHECK_FLOATS // m)) if explicit else 1
     block = np.empty((rows + 1, m))
     block[0] = u
-    moves = list(zip(((v, v[:-1], v[1:]) for v in block), block[1:]))
+    # per step, its row and update's arguments: the nodes it writes of that
+    # row, and the state it reads as the row before's views
+    moves = [(v_next, (v_next[written], v[written], v, v[:-1], v[1:]))
+             for v, v_next in zip(block, block[1:])]
+    if dirichlet:
+        bounds = _boundary_values(boundary, n_steps, dt, grid.t_final, rows)
+        ends = block[1:, 0], block[1:, -1]
     t_final = grid.t_final
 
-    def update(out, v, v_l, v_r):
-        """out = u + dt * rate(v), with a Dirichlet solve's ends; returns D
-        at the interfaces, for the caller to check."""
+    def update(out, u, v, v_l, v_r):
+        """out = u + dt * rate(v) on the nodes written; returns D at the
+        interfaces, for the caller to check."""
         d_half, flux_dx = interfaces(v_l, v_r)
         divide(flux_dx, dx_in, flux_in)
         subtract(flux_r, flux_l, du)
@@ -287,9 +311,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
         multiply(h_nodes, v, source)
         add(du, source, du)
         multiply(dt_nodes, du, du)
-        add(u, du, out)
-        if dirichlet:
-            out[0], out[-1] = left, right
+        add(u, du_written, out)
         return d_half
 
     def time_at(step: int) -> float:
@@ -311,19 +333,22 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
     with np.errstate(all="ignore"):
         for start in range(1, n_steps + 1, rows):
             stop = min(start + rows, n_steps + 1)
+            done = stop - start
+            if dirichlet:
+                left, right = next(bounds)
+                ends[0][:done], ends[1][:done] = left, right
             d_halves = []  # the D the interface core returned, step by step
-            for step, (now, u_next) in zip(range(start, stop), moves):
-                if dirichlet:
-                    left, right = next(bounds)
-                u = now[0]
+            for step, (u_next, move) in zip(range(start, stop), moves):
                 if explicit:
-                    d_halves.append(update(u_next, *now))
+                    d_halves.append(update(*move))
                 else:
-                    iterate = u.copy()
+                    u_written, iterate = move[1:3]
                     for _ in range(200):  # a damped fixed point
                         candidate = np.empty(m)
-                        d_half = update(candidate, iterate, iterate[:-1],
-                                        iterate[1:])
+                        if dirichlet:
+                            candidate[0], candidate[-1] = left[0], right[0]
+                        d_half = update(candidate[written], u_written,
+                                        iterate, iterate[:-1], iterate[1:])
                         check_d(largest(np.abs(d_half)), step)
                         new = 0.5 * iterate + 0.5 * candidate
                         delta = float(largest(np.abs(new - iterate)))
@@ -337,7 +362,7 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
                             f"t={time_at(step):g}")
                     u_next[:] = iterate
                     if dirichlet:
-                        u_next[0], u_next[-1] = left, right
+                        u_next[0], u_next[-1] = left[0], right[0]
                     d_halves.append(d_half)  # checked, so it passes again
                 if step % store_every == 0 or step == n_steps:
                     times.append(time_at(step))
@@ -346,7 +371,6 @@ def solve_pde(eq: FinEquation, initial: Expression, boundary, grid: Grid,
             # the block's checks in one reduction each, over the rows it
             # wrote; when one fails, the first failing step raises, D ahead
             # of the blow-up test, and the steps marched past it are dropped
-            done = stop - start
             max_d = largest(np.abs(d_halves), 1)
             size = largest(np.abs(block[1:done + 1]), 1)
             if largest(max_d) <= d_bound and largest(size) <= BLOWUP_THRESHOLD:
@@ -432,13 +456,12 @@ def _march(tape, w0: float, phi0: float, dphi0: float, w_end: float,
 
     Each step runs on Python floats, through the tape's float core.  A
     step where that core raises (a division by zero, a ``**`` that
-    overflows or has no real value) runs again through the
-    ``np.float64`` core, which gives numpy's inf or NaN there and is
-    generated at the first such step only.  The two cores do the same
-    C operations, so the bits are those of the tape either way, but for
-    the sign of a NaN, which no march stores: a NaN output raises.  One
-    errstate holds for the whole march, for the ufuncs.  Each step's
-    a1..a4 are checked in stage order.
+    overflows or has no real value) runs again through the tape itself,
+    on ``np.float64`` values, which gives numpy's inf or NaN there.  The
+    two do the same C operations, so the bits are those of the tape
+    either way, but for the sign of a NaN, which no march stores: a NaN
+    output raises.  One errstate holds for the whole march, for the
+    ufuncs.  Each step's a1..a4 are checked in stage order.
     """
     if steps < 1 or w_end == w0:
         raise NumericError("need w_end != slice start and steps >= 1")
@@ -452,9 +475,8 @@ def _march(tape, w0: float, phi0: float, dphi0: float, w_end: float,
             try:
                 y, v, a1, a2, a3, a4 = fast(w, y, v, hstep)
             except (ArithmeticError, ValueError):
-                exact = tape.bind(_RK4_ORDER)
-                y, v, a1, a2, a3, a4 = exact(np.float64(w), np.float64(y),
-                                             np.float64(v), np.float64(hstep))
+                y, v, a1, a2, a3, a4 = tape(
+                    {"w": w, "y": y, "v": v, "h": hstep})
                 y, v = float(y), float(v)
             # each a_i finite and nonzero (NaN fails every comparison)
             if not (0.0 < abs(a1) < inf and 0.0 < abs(a2) < inf

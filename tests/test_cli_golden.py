@@ -87,6 +87,11 @@ CASES = {
                           "--initial", "1+x^2", "--noflux", "--xa", "0",
                           "--xb", "1", "--m", "8", "--t-final", "0.02",
                           "--dt", "0.01", "--method", "implicit"],
+    "simulate-implicit-dirichlet": ["simulate", "--eq", "pu_px", "--initial",
+                                    "x/2", "--left", "1/2+t", "--right",
+                                    "exp(t)", "--xa", "1", "--xb", "2", "--m",
+                                    "8", "--t-final", "0.03", "--dt", "0.01",
+                                    "--method", "implicit"],
 }
 
 GOLDEN = {
@@ -119,6 +124,7 @@ GOLDEN = {
     'simulate-explicit': (0, 't,x,u\n0.0,1.0,0.5\n0.0,1.1428571428571428,0.5714285714285714\n0.0,1.2857142857142856,0.6428571428571428\n0.0,1.4285714285714286,0.7142857142857143\n0.0,1.5714285714285714,0.7857142857142857\n0.0,1.7142857142857142,0.8571428571428571\n0.0,1.8571428571428572,0.9285714285714286\n0.0,2.0,1.0\n0.001,1.0,0.5\n0.001,1.1428571428571428,0.5725672636401499\n0.001,1.2857142857142856,0.6445448771345272\n0.001,1.4285714285714286,0.7167253227821742\n0.001,1.5714285714285714,0.7891560807996668\n0.001,1.7142857142857142,0.8618896293211161\n0.001,1.8571428571428572,0.9349834443981675\n0.001,2.0,1.0\n0.002,1.0,0.5\n0.002,1.1428571428571428,0.573705448933803\n0.002,1.2857142857142856,0.646247106869488\n0.002,1.4285714285714286,0.7191884677515503\n0.002,1.5714285714285714,0.7926351006834711\n0.002,1.7142857142857142,0.866693981734191\n0.002,1.8571428571428572,0.9410632697156334\n0.002,2.0,1.0\n'),
     'simulate-explicit-noflux': (0, 't,x,u\n0.0,0.0,1.0\n0.0,0.14285714285714285,1.0204081632653061\n0.0,0.2857142857142857,1.0816326530612246\n0.0,0.42857142857142855,1.183673469387755\n0.0,0.5714285714285714,1.3265306122448979\n0.0,0.7142857142857142,1.510204081632653\n0.0,0.8571428571428571,1.7346938775510203\n0.0,1.0,2.0\n0.001,0.0,1.001497461928934\n0.001,0.14285714285714285,1.0223937960668017\n0.001,0.2857142857142857,1.083596096754777\n0.001,0.42857142857142855,1.1856167176476773\n0.001,0.5714285714285714,1.3284745894462946\n0.001,0.7142857142857142,1.5121873192561268\n0.001,0.8571428571428571,1.73676782672857\n0.001,1.0,1.9974661921708186\n0.002,0.0,1.0030078798895077\n0.002,0.14285714285714285,1.0243680195423739\n0.002,0.2857142857142857,1.0855608312795846\n0.002,0.42857142857142855,1.1875618609684828\n0.002,0.5714285714285714,1.330420943390001\n0.002,0.7142857142857142,1.5141732159754435\n0.002,0.8571428571428571,1.7387670138842723\n0.002,1.0,1.9950082350703342\n'),
     'simulate-implicit': (0, 't,x,u\n0.0,0.0,1.0\n0.0,0.14285714285714285,1.0204081632653061\n0.0,0.2857142857142857,1.0816326530612246\n0.0,0.42857142857142855,1.183673469387755\n0.0,0.5714285714285714,1.3265306122448979\n0.0,0.7142857142857142,1.510204081632653\n0.0,0.8571428571428571,1.7346938775510203\n0.0,1.0,2.0\n0.01,0.0,1.0158984550291872\n0.01,0.14285714285714285,1.0396501915011942\n0.01,0.2857142857142857,1.1012781782784704\n0.01,0.42857142857142855,1.203259439784699\n0.01,0.5714285714285714,1.3461053929473357\n0.01,0.7142857142857142,1.529615812607036\n0.01,0.8571428571428571,1.750521768385398\n0.01,1.0,1.980481728259917\n0.02,0.0,1.0324784276770749\n0.02,0.14285714285714285,1.0585910914440713\n0.02,0.2857142857142857,1.1209003893989187\n0.02,0.42857142857142855,1.2229515882476212\n0.02,0.5714285714285714,1.3656960693582096\n0.02,0.7142857142857142,1.5483154437984643\n0.02,0.8571428571428571,1.7631377632673226\n0.02,1.0,1.965516061935093\n'),
+    'simulate-implicit-dirichlet': (0, 't,x,u\n0.0,1.0,0.5\n0.0,1.1428571428571428,0.5714285714285714\n0.0,1.2857142857142856,0.6428571428571428\n0.0,1.4285714285714286,0.7142857142857143\n0.0,1.5714285714285714,0.7857142857142857\n0.0,1.7142857142857142,0.8571428571428571\n0.0,1.8571428571428572,0.9285714285714286\n0.0,2.0,1.0\n0.01,1.0,0.51\n0.01,1.1428571428571428,0.5840055499847876\n0.01,1.2857142857142856,0.6614216256237568\n0.01,1.4285714285714286,0.7411626428275458\n0.01,1.5714285714285714,0.8228726818199645\n0.01,1.7142857142857142,0.9041902902042985\n0.01,1.8571428571428572,0.9762364892012152\n0.01,2.0,1.010050167084168\n0.02,1.0,0.52\n0.02,1.1428571428571428,0.597872640310497\n0.02,1.2857142857142856,0.6819209153137582\n0.02,1.4285714285714286,0.7704276605100282\n0.02,1.5714285714285714,0.861393692701599\n0.02,1.7142857142857142,0.9480775915331345\n0.02,1.8571428571428572,1.0136090656498495\n0.02,2.0,1.0202013400267558\n0.03,1.0,0.53\n0.03,1.1428571428571428,0.6131400559044576\n0.03,1.2857142857142856,0.7044728789991619\n0.03,1.4285714285714286,0.8016493420205646\n0.03,1.5714285714285714,0.8999169573796073\n0.03,1.7142857142857142,0.9879936213613467\n0.03,1.8571428571428572,1.0445044668737768\n0.03,2.0,1.030454533953517\n'),
     'symmetries': (0, '{"basis": ["d_t", "d_x", "2*t*d_t+x*d_x", "2*x*d_x+(2*(u+1))*d_u"]}\n'),
     'transform-10-to-11': (0, '{"map": "10-to-11", "transformed": {"D": {"family": "power_u", "n": 2.0000000000000013}, "h": {"family": "constant", "c": 0}}, "target_case": 11, "target_params": {"n": 2.0, "alpha": 0.0}, "classified_case": 11}\n'),
     'transform-11a-to-11': (0, '{"map": "11a-to-11", "transformed": {"D": {"family": "power_u", "n": 2.0000000000000013}, "h": {"family": "constant", "c": 0}}, "target_case": 11, "target_params": {"n": 2.0, "alpha": 0.0}, "classified_case": 11}\n'),

@@ -260,20 +260,22 @@ def test_positional_core_gives_the_bits_of_run():
     special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, 1.5, -2.0]
     xs = np.array(special * len(special))
     us = np.repeat(special, len(special))
+    ns = np.full(xs.shape, 1.5)
     with np.errstate(all="ignore"):
-        got = core(np.float64(1.5), np.float64(np.nan), xs, us)
-    want = run({"x": xs, "u": us, "n": 1.5})
+        got = core(ns, np.full(xs.shape, np.nan), xs, us)
+    want = run({"x": xs, "u": us, "n": ns})
     assert len(got) == len(want) == 5
     for g, w in zip(got, want):
         assert np.broadcast_to(g, w.shape).tobytes() == w.tobytes()
     assert got[1] is xs and got[3] is got[4]
     assert type(got[2]) is np.float64
-    # scalars in, scalars out
+    # one point, as arrays of one element
+    n, x, u = np.array([2.0]), np.array([-0.0]), np.array([np.inf])
     with np.errstate(all="ignore"):
-        got = core(np.float64(2.0), np.float64(0.0), np.float64(-0.0),
-                   np.float64(np.inf))
-    want = run({"n": 2.0, "x": -0.0, "u": np.inf})
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got = core(n, np.array([0.0]), x, u)
+    want = run({"n": n, "x": x, "u": u})
+    for g, w in zip(got, want):
+        assert np.broadcast_to(g, w.shape).tobytes() == w.tobytes()
 
 
 def test_bind_checks_the_order_once():
@@ -285,8 +287,8 @@ def test_bind_checks_the_order_once():
         run({"x": 1.0, "y": 2.0})  # run still raises on the call
     core = run.bind(("z", "t", "y", "x"))
     with np.errstate(all="ignore"):
-        assert core(np.float64(3.0), np.float64(np.nan), np.float64(2.0),
-                    np.float64(1.0)) == [3.0, 6.0]
+        got = core(*map(np.array, ([3.0], [np.nan], [2.0], [1.0])))
+    assert [g.tolist() for g in got] == [[3.0], [6.0]]
 
 
 def _core_bits_match_run(run, order, values):
@@ -311,11 +313,11 @@ def test_generated_core_takes_any_symbol_name():
              Div(Pow(r1, Num(-0.0)), Sub(c2, Call("ln", f0))),
              Mul(bad, Num(float("nan"))))
     run = compile_expressions(*exprs)
-    values = [np.float64(v) for v in (1.5, -0.0, 2.0, np.nan, 0.5, 3.0)]
+    values = [np.full(5, v) for v in (1.5, -0.0, 2.0, np.nan, 0.5, 3.0)]
     values.append(np.linspace(-1.0, 1.0, 5))
     order = names[::-1]  # parameters follow the order, not the tape
     got = _core_bits_match_run(run, order, values[::-1])
-    assert got[0].shape == ()
+    assert got[0].shape == (5,)
 
 
 def test_generated_core_of_a_long_chained_sum():
@@ -339,13 +341,50 @@ def test_generated_core_outputs():
              parse("x*y"), parse("y"), parse("x"))
     run = compile_expressions(*exprs)
     xs = np.array([0.0, -0.0, np.nan, np.inf, -2.5])
-    got = _core_bits_match_run(run, ("y", "x"), [np.float64(-0.0), xs])
+    ys = np.full(xs.shape, -0.0)
+    got = _core_bits_match_run(run, ("y", "x"), [ys, xs])
     assert got[0] is xs and got[7] is xs and got[4] is got[5]
     assert type(got[1]) is np.float64 and type(got[2]) is np.float64
-    assert type(got[6]) is np.float64
+    assert got[6] is ys
     assert run.bind(("y", "x")) is run.bind(["y", "x"])
     assert run.bind(("x", "y")) is not run.bind(("y", "x"))
     assert run.symbols in (("x", "y"), ("y", "x"))
+
+
+#: constants beside an array: signed zeros, exponents numpy's power may
+#: treat apart, and values that are not finite
+OPERAND_CONSTANTS = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -4 / 3, 1.3,
+                     np.inf, -np.inf, np.nan)
+
+
+@pytest.mark.parametrize("size", [1, 40, 41, 321])
+def test_array_core_takes_its_constants_as_0d_operands(size):
+    # a constant a step takes beside an array is bound as a 0-d array, and
+    # on float64 arrays each operation gives run's bits with the constant
+    # on either side; a step on constants alone and a constant output are
+    # np.float64, as run computes them
+    x = Sym("x")
+    alone = Pow(Num(2.0), Num(0.5))
+    exprs = [Num(2.5), alone, Neg(x), Call("exp", Mul(Num(0.5), x)),
+             Mul(alone, x), Call("arctan", Num(-0.0))]
+    for c in OPERAND_CONSTANTS:
+        for node in (Add, Sub, Mul, Div, Pow):
+            exprs += [node(x, Num(c)), node(Num(c), x)]
+    run = compile_expressions(*exprs)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    if size == 1:
+        points = [np.array([v]) for v in (*special, 1.5, -2.5)]
+    else:
+        xs = np.random.default_rng(size).uniform(-3.0, 3.0, size)
+        xs[:len(special)] = special
+        points = [xs]
+    for xs in points:
+        got = _core_bits_match_run(run, ("x",), [xs])
+        assert all(type(got[i]) is np.float64 for i in (0, 1, 5))
+        assert all(g.shape == (size,) for g in got[2:5] + got[6:])
+    bound = [v for v in run.bind(("x",)).__globals__.values()
+             if isinstance(v, np.ndarray)]
+    assert bound and all(v.shape == () for v in bound)
 
 
 def _one_by_one(*exprs):

@@ -269,12 +269,13 @@ def _reference_explicit(eq, initial, boundary, grid):
     (EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4,
      Grid(1.0, 2.0, 41, 10 * (B // 4 + 1) * 1e-4, 1e-4)),
     # past _CHECK_FLOATS / 2 nodes a block holds one step
-    (EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4, Grid(1.0, 2.0, 2049, 3e-6, 1e-7)),
-    # on 161 nodes a block holds 25 steps: 60 steps end in a partial block
-    (EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4, Grid(1.0, 2.0, 161, 6e-4, 1e-5)),
+    (EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4, Grid(1.0, 2.0, 8193, 3e-7, 1e-8)),
+    # on 321 nodes a block holds 51 steps: 60 steps end in a partial block
+    (EQ4, parse("x^3/15+0.01*x*(2-x)"), BC4,
+     Grid(1.0, 2.0, 321, 1.2e-4, 2e-6)),
 ], ids=["dirichlet", "noflux", "moving", "noflux-right-wall",
         "noflux-left-wall", "partial-check-block", "one-step-blocks",
-        "partial-block-of-25"])
+        "partial-block-of-51"])
 def test_explicit_steps_are_bit_identical_to_array_operations(
         eq, initial, boundary, grid):
     # every stored level, so a work buffer that aliases a stored level or
@@ -929,18 +930,21 @@ def test_interface_core_gives_the_bits_of_run(d):
     (4, {"n": 1, "q": 1, "eps": -1}), (6, {"p": 1, "q": 1, "eps": 1}),
 ], ids=["4.1", "6.1"])
 def test_rk4_core_gives_the_bits_of_run(case, params):
+    # every point of the grid at once: the core takes float64 arrays
     from finsym.numeric import _rk4_step
 
     residual = build_reduction(case, "1", params).reduced
     tape = _rk4_step(residual, repr(residual))
     core = tape.bind(("w", "y", "v", "h"))
     values = (*SPECIAL, 0.7, 1.5, -2.0)
-    for point in itertools.product(values, repeat=4):
-        with np.errstate(all="ignore"):
-            got = core(*map(np.float64, point))
-        want = tape(dict(zip("wyvh", point)))
-        assert len(got) == 6
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), point
+    points = np.array(list(itertools.product(values, repeat=4))).T
+    with np.errstate(all="ignore"):
+        got = core(*points)
+    want = tape(dict(zip("wyvh", points)))
+    assert len(got) == 6
+    for g, w in zip(got, want):
+        assert g.shape == (len(values) ** 4,)
+        assert g.tobytes() == w.tobytes()
 
 
 #: the reductions of the pinned catalog that carry an ODE, one per residual
@@ -951,14 +955,14 @@ REDUCED = sorted({rec["reduced"]: rec for rec in json.loads(
 
 @pytest.mark.parametrize("rec", REDUCED, ids=lambda rec: rec["reduced"])
 def test_float_core_gives_the_bits_of_the_float64_core(rec):
-    # the march's float core against the np.float64 core, at seeded stage
-    # points where phi stays positive, so no step leaves the reals
+    # the march's float core against the tape run on np.float64, at seeded
+    # stage points where phi stays positive, so no step leaves the reals
     from finsym.numeric import _RK4_ORDER, _rk4_tape
 
     r = build_reduction(rec["case"], rec["subalgebra"], rec["params"],
                         negative_time=rec["negative_time"])
     tape = _rk4_tape(r)
-    fast, exact = tape.bind(_RK4_ORDER, floats=True), tape.bind(_RK4_ORDER)
+    fast = tape.bind(_RK4_ORDER, floats=True)
     rng = np.random.default_rng(23)
     lo, hi = r.slice_range
     for _ in range(40):
@@ -966,7 +970,7 @@ def test_float_core_gives_the_bits_of_the_float64_core(rec):
                  rng.uniform(-1.0, 1.0), rng.uniform(-0.1, 0.1))
         with np.errstate(all="ignore"):
             got = fast(*point)
-            want = exact(*map(np.float64, point))
+            want = tape(dict(zip(_RK4_ORDER, point)))
         assert all(type(g) is float for g in got)
         assert np.array(got).tobytes() == np.array(want).tobytes(), point
 
@@ -978,13 +982,14 @@ def test_float_core_gives_the_bits_of_the_float64_core(rec):
 def test_float_core_raises_or_gives_the_bits_of_the_float64_core(case,
                                                                  params):
     # at special and negative values the float core either raises one of
-    # the errors the march falls back on, or returns the np.float64 bits;
+    # the errors the march falls back on, or returns the bits of the tape
+    # run on np.float64;
     # a NaN may differ in its sign (numpy's scalar nan + -nan is -nan,
     # Python's is nan), which no march sees: a NaN output raises
     from finsym.numeric import _RK4_ORDER, _rk4_tape
 
     tape = _rk4_tape(build_reduction(case, "1", params))
-    fast, exact = tape.bind(_RK4_ORDER, floats=True), tape.bind(_RK4_ORDER)
+    fast = tape.bind(_RK4_ORDER, floats=True)
     values = (*SPECIAL, 0.7, 1.5, -2.0)
     raised = 0
     for point in itertools.product(values, repeat=4):
@@ -994,7 +999,7 @@ def test_float_core_raises_or_gives_the_bits_of_the_float64_core(case,
             except (ArithmeticError, ValueError):
                 raised += 1
                 continue
-            want = exact(*map(np.float64, point))
+            want = tape(dict(zip(_RK4_ORDER, point)))
         assert all(type(g) is float for g in got), point
         got, want = np.array(got), np.array(want)
         nan = np.isnan(want)
@@ -1041,8 +1046,8 @@ def _generated_cores(monkeypatch):
 def test_a_step_the_float_core_refuses_runs_on_float64(monkeypatch, text,
                                                        phi0, dphi0, w_end,
                                                        message):
-    # the error and its w are the np.float64 march's, and the np.float64
-    # core is generated at the first fallback: two cores in all
+    # the error and its w are the np.float64 march's, and the fallback
+    # runs the tape itself: the float core is the one core generated
     from finsym.numeric import integrate_reduced_ode
 
     generated = _generated_cores(monkeypatch)
@@ -1050,7 +1055,7 @@ def test_a_step_the_float_core_refuses_runs_on_float64(monkeypatch, text,
                 reduced=parse(text))
     with pytest.raises(NumericError, match=message):
         integrate_reduced_ode(r, phi0, dphi0, w_end, 10)
-    assert len(generated) == 2
+    assert len(generated) == 1
 
 
 def test_a_march_keeps_its_bits_through_a_fallback(monkeypatch):
@@ -1063,7 +1068,7 @@ def test_a_march_keeps_its_bits_through_a_fallback(monkeypatch):
                 reduced=parse("phi_ww-arctan(1/(w-0.75))"))
     got = integrate_reduced_ode(r, 1.0, 0.0, 1.5, 10)
     want = _reference_rk4(r, 1.0, 0.0, 1.5, 10)
-    assert len(generated) == 2
+    assert len(generated) == 1
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 
